@@ -4,75 +4,14 @@ decomposition, whose per-dimension importance weights set the probability
 that each dimension is resampled on later steps.  Plain random search,
 Sobol sequences, Nelder-Mead, and particle swarm run under the same budget
 and logging harness for comparison.
+
+The package root re-exports the library surface that README documents;
+everything else is importable from its submodule.
 """
 
-from .engine import (
-    STRATEGIES,
-    AllTrialsFailedError,
-    BestState,
-    ConfigError,
-    EngineError,
-    EvalCache,
-    RngBundle,
-    RunConfig,
-    RunResult,
-    evaluate_with_cache,
-    execute_run,
-    run_baseline,
-    run_rs_phase,
-    run_wrs,
-    update_best,
-)
-from .importance import (
-    Forest,
-    ForestConfig,
-    ImportanceError,
-    ImportanceWeights,
-    ZeroVarianceError,
-    fit_forest,
-    main_effect_fractions,
-    min_samples_schedule,
-    weights_to_probabilities,
-)
-from .objectives import (
-    Objective,
-    ObjectiveError,
-    ObjectiveFailure,
-    ObjectiveSpec,
-    evaluate_builtin,
-    evaluate_external,
-    make_objective,
-    parse_objective_spec,
-)
-from .reporting import (
-    ComparisonTable,
-    FitResult,
-    ReportError,
-    RunReport,
-    compare,
-    polyfit,
-    summarize,
-)
-from .samplers import (
-    ChangeProfile,
-    NelderMeadSampler,
-    PsoSampler,
-    SamplerError,
-    SobolSampler,
-    rs_step,
-    wrs_step,
-)
-from .space import (
-    Dimension,
-    SearchSpace,
-    SpaceError,
-    candidate_key,
-    load_space,
-    sample_dimension,
-    space_digest,
-    space_from_dict,
-    space_to_dict,
-)
-from .triallog import LogError, RunHeader, TrialRecord, read_log, record_fingerprint, write_log
+from .engine import RunConfig, execute_run
+from .objectives import make_objective
+from .space import load_space
+from .triallog import read_log, write_log
 
 __version__ = "0.1.0"

@@ -29,8 +29,6 @@ from .importance import (
     ImportanceError,
     fit_forest,
     main_effect_fractions,
-    render_importance_csv,
-    render_importance_text,
     weights_to_probabilities,
 )
 from .objectives import ObjectiveError, make_objective, parse_objective_spec
@@ -39,6 +37,8 @@ from .reporting import (
     ReportError,
     compare,
     fit_to_dict,
+    render_importance_csv,
+    render_importance_text,
     render_report_text,
     render_table_csv,
     render_table_text,
@@ -124,6 +124,16 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _write_output(path: str, text: str) -> int:
+    """Write one requested output file; exit status 1 when it cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        return _fail(f"cannot write {path}: {exc}", 1)
+    return 0
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else secrets.randbits(32)
     try:
@@ -193,15 +203,13 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     sys.stdout.write(render_report_text(report))
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(render_table_csv(ComparisonTable(rows=(report,), budget_mismatch=False)))
+        if _write_output(args.csv, render_table_csv(ComparisonTable(rows=(report,), budget_mismatch=False))):
+            return 1
     if args.fit:
         if report.fit is None:
             print("warning: no fit produced; fit file not written", file=sys.stderr)
         else:
-            with open(args.fit, "w", encoding="utf-8") as fh:
-                json.dump(fit_to_dict(report.fit), fh, indent=2)
-                fh.write("\n")
+            return _write_output(args.fit, json.dumps(fit_to_dict(report.fit), indent=2) + "\n")
     return 0
 
 
@@ -216,8 +224,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     table = compare(reports)
     sys.stdout.write(render_table_text(table))
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(render_table_csv(table))
+        return _write_output(args.csv, render_table_csv(table))
     return 0
 
 
@@ -239,8 +246,6 @@ def cmd_importance(args: argparse.Namespace) -> int:
     rng = RngBundle.from_seed(seed).forest
     try:
         forest = fit_forest(records, space, config, rng)
-        if forest.degenerate:
-            return _fail("scores carry no variance; weights undefined", 1)
         weights = main_effect_fractions(forest, space)
         probs = weights_to_probabilities(weights)
     except ImportanceError as exc:
@@ -248,8 +253,7 @@ def cmd_importance(args: argparse.Namespace) -> int:
 
     sys.stdout.write(render_importance_text(space, weights.fractions, probs))
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(render_importance_csv(space, weights.fractions, probs))
+        return _write_output(args.csv, render_importance_csv(space, weights.fractions, probs))
     return 0
 
 

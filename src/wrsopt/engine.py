@@ -1,9 +1,18 @@
-"""Run orchestration: the two-phase weighted search, the baseline strategies,
+"""Run orchestration: one trial loop over five interchangeable strategies,
 the evaluation cache, and best-so-far tracking.
 
 Scores are maximized throughout.  Every trial, including cache hits and
 failures, consumes exactly one unit of the budget, so a completed run always
 holds exactly N records.
+
+Every strategy follows the ask/tell pattern.  ``ask()`` returns the next
+candidate, ``tell(score)`` reports its score, and the ``phase`` attribute
+names the phase that the candidate's record carries.  ``execute_run`` calls
+them in strict alternation, once per budget unit, and alone owns the cache,
+the records, the incumbent and the check that not every trial failed.  A
+strategy never evaluates anything itself; a run simply stops asking when the
+budget is spent, even in the middle of a PSO generation.  The wrs strategy
+reads the recorded trials and the incumbent through the shared ``RunState``.
 
 Randomness is split into three independent streams derived from the run
 seed: candidate values, per-step change decisions, and forest bootstrapping.
@@ -16,13 +25,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .importance import (
     ForestConfig,
     ImportanceError,
+    ZeroVarianceError,
     fit_forest,
     main_effect_fractions,
     min_samples_schedule,
@@ -33,11 +43,13 @@ from .samplers import (
     ChangeProfile,
     NelderMeadSampler,
     PsoSampler,
+    RandomSearch,
     SamplerError,
     SobolSampler,
     rs_step,
     wrs_step,
 )
+from .sobol import MAX_DIM as SOBOL_MAX_DIM
 from .space import SearchSpace, candidate_key, space_digest, space_to_dict
 from .triallog import RunHeader, TrialRecord
 
@@ -94,6 +106,8 @@ class RunConfig:
                 space.index_of(name)
             if k < 0:
                 raise ConfigError(f"k-min override for {name!r} must be non-negative")
+        if self.strategy == "sobol" and len(space) > SOBOL_MAX_DIM:
+            raise ConfigError(f"sobol supports at most {SOBOL_MAX_DIM} dimensions; the space has {len(space)}")
         allowed = _SAMPLER_OPTION_KEYS.get(self.strategy, ())
         for key, value in self.sampler_options:
             if key not in allowed:
@@ -209,27 +223,13 @@ def _all_failed(records: Sequence[TrialRecord]) -> bool:
     return bool(records) and all(r.status == "failed" for r in records)
 
 
-def run_rs_phase(
-    objective: Objective,
-    space: SearchSpace,
-    n0: int,
-    rng: np.random.Generator,
-    records: list[TrialRecord],
-    cache: EvalCache,
-    best: BestState,
-    phase: str = "rs",
-) -> BestState:
-    """n0 plain random-search trials appended to records; aborts only when
-    every one of them fails."""
-    start = len(records)
-    for it in range(start + 1, start + n0 + 1):
-        values = rs_step(space, rng)
-        rec = evaluate_with_cache(objective, space, values, cache, it, phase)
-        records.append(rec)
-        best = update_best(best, rec)
-    if n0 > 0 and _all_failed(records[start:]):
-        raise AllTrialsFailedError(f"all {n0} trials of the {phase} phase failed")
-    return best
+@dataclass
+class RunState:
+    """What the trial loop has recorded so far; the wrs strategy reads it."""
+
+    records: list[TrialRecord] = field(default_factory=list)
+    best: BestState = field(default_factory=BestState)
+    warnings: list[str] = field(default_factory=list)
 
 
 def _resolve_overrides(space: SearchSpace, pairs: Sequence[tuple[str, float]]) -> dict[int, float]:
@@ -256,7 +256,7 @@ def _build_profile(
     """Importance fit plus overrides, frozen into the phase-2 profile.
 
     Returns (profile, weights); weights is None when no forest was fit
-    (full override coverage or a degenerate fallback).
+    (full override coverage or a fallback to uniform probabilities).
     """
     d = len(space)
     prob_over = _resolve_overrides(space, config.prob_overrides)
@@ -273,12 +273,11 @@ def _build_profile(
         else:
             try:
                 forest = fit_forest(phase1, space, ForestConfig(), forest_rng)
-                if forest.degenerate:
-                    fallback_reason = "phase-1 scores carried no variance"
-                else:
-                    fractions = main_effect_fractions(forest, space)
-                    weights = list(fractions.fractions)
-                    base = weights_to_probabilities(fractions)
+                fractions = main_effect_fractions(forest, space)
+                weights = list(fractions.fractions)
+                base = weights_to_probabilities(fractions)
+            except ZeroVarianceError:
+                fallback_reason = "phase-1 scores carried no variance"
             except ImportanceError as exc:
                 fallback_reason = f"importance estimation failed ({exc})"
         if base is None:
@@ -295,110 +294,78 @@ def _build_profile(
     return profile, weights
 
 
-def run_wrs(
-    objective: Objective,
-    space: SearchSpace,
-    config: RunConfig,
-    rngs: RngBundle,
-) -> tuple[BestState, list[TrialRecord], dict, list[str]]:
-    """Two-phase run: init random trials, one importance fit, then weighted
-    steps against the incumbent for the rest of the budget."""
-    warnings: list[str] = []
-    records: list[TrialRecord] = []
-    cache = EvalCache()
-    best = run_rs_phase(objective, space, config.init, rngs.values, records, cache, BestState())
+class WeightedSearch:
+    """The two-phase wrs strategy.
 
-    profile, weights = _build_profile(space, config, records, rngs.forest, warnings)
-    profile_dict = {
-        "weights": weights,
-        "probs": list(profile.probs),
-        "k_mins": list(profile.k_mins),
-    }
+    The first config.init asks are plain random-search steps (phase "rs").
+    The first ask after them aborts if every one of those trials failed,
+    then runs the one importance fit and freezes the profile.  Every later
+    ask is a weighted step against the run's incumbent (phase "wrs").
+    """
 
-    for it in range(config.init + 1, config.budget + 1):
-        if best.candidate is not None:
-            incumbent = best.candidate
+    def __init__(self, space: SearchSpace, config: RunConfig, rngs: RngBundle, state: RunState):
+        self.space, self.config, self.rngs, self.state = space, config, rngs, state
+        self.phase = "rs"
+        self.profile: ChangeProfile | None = None
+        self.header_profile: dict | None = None
+
+    def ask(self) -> tuple:
+        records = self.state.records
+        if len(records) < self.config.init:
+            return rs_step(self.space, self.rngs.values)
+        if self.profile is None:
+            if _all_failed(records):
+                raise AllTrialsFailedError(f"all {self.config.init} trials of the rs phase failed")
+            self.profile, weights = _build_profile(self.space, self.config, records, self.rngs.forest, self.state.warnings)
+            self.header_profile = {
+                "weights": weights,
+                "probs": list(self.profile.probs),
+                "k_mins": list(self.profile.k_mins),
+            }
+            self.phase = "wrs"
+        if self.state.best.candidate is not None:
+            incumbent = self.state.best.candidate
         elif records:
             incumbent = records[-1].values  # every trial so far failed; copy coordinates from the last attempt
         else:
             incumbent = None  # init=0 first step: gen_counts <= k_mins forces a full resample
-        values = wrs_step(space, incumbent, profile, rngs.values, rngs.decisions)
-        rec = evaluate_with_cache(objective, space, values, cache, it, "wrs")
-        records.append(rec)
-        best = update_best(best, rec)
+        return wrs_step(self.space, incumbent, self.profile, self.rngs.values, self.rngs.decisions)
 
-    if _all_failed(records):
-        raise AllTrialsFailedError("every trial of the run failed")
-    return best, records, profile_dict, warnings
+    def tell(self, score: float) -> None:
+        pass
 
 
-def _option_map(config: RunConfig) -> dict[str, float]:
-    return dict(config.sampler_options)
-
-
-def run_baseline(
-    strategy: str,
-    objective: Objective,
-    space: SearchSpace,
-    config: RunConfig,
-    rngs: RngBundle,
-) -> tuple[BestState, list[TrialRecord]]:
-    """Exactly config.budget trials under one of the non-weighted strategies."""
-    records: list[TrialRecord] = []
-    cache = EvalCache()
-    best = BestState()
-    opts = _option_map(config)
-
-    if strategy == "rs":
-        best = run_rs_phase(objective, space, config.budget, rngs.values, records, cache, best)
-    elif strategy == "sobol":
-        sampler = SobolSampler(space)
-        for it in range(1, config.budget + 1):
-            rec = evaluate_with_cache(objective, space, sampler.ask(), cache, it, "sobol")
-            records.append(rec)
-            best = update_best(best, rec)
-    elif strategy == "nelder-mead":
-        nm = NelderMeadSampler(space, rngs.values, **opts)
-        for it in range(1, config.budget + 1):
-            rec = evaluate_with_cache(objective, space, nm.ask(), cache, it, "nelder-mead")
-            records.append(rec)
-            best = update_best(best, rec)
-            nm.tell(rec.score)
-    elif strategy == "pso":
-        if "swarm" in opts:
-            opts["swarm"] = int(opts["swarm"])
-        pso = PsoSampler(space, rngs.values, **opts)
-        it = 1
-        while it <= config.budget:
-            batch = pso.ask()
-            take = min(len(batch), config.budget - it + 1)
-            scores = []
-            for values in batch[:take]:
-                rec = evaluate_with_cache(objective, space, values, cache, it, "pso")
-                records.append(rec)
-                best = update_best(best, rec)
-                scores.append(rec.score)
-                it += 1
-            if take == len(batch):
-                pso.tell(scores)
-    else:
-        raise ConfigError(f"unknown baseline strategy {strategy!r}")
-
-    if _all_failed(records):
-        raise AllTrialsFailedError("every trial of the run failed")
-    return best, records
+def _make_strategy(space: SearchSpace, config: RunConfig, rngs: RngBundle, state: RunState):
+    options = dict(config.sampler_options)
+    if config.strategy == "wrs":
+        return WeightedSearch(space, config, rngs, state)
+    if config.strategy == "rs":
+        return RandomSearch(space, rngs.values)
+    if config.strategy == "sobol":
+        return SobolSampler(space)
+    if config.strategy == "nelder-mead":
+        return NelderMeadSampler(space, rngs.values, **options)
+    return PsoSampler(space, rngs.values, **options)
 
 
 def execute_run(space: SearchSpace, objective: Objective, config: RunConfig) -> RunResult:
-    """Validate, run the requested strategy, and assemble the log header."""
+    """Validate, drive the requested strategy for exactly config.budget
+    trials, and assemble the log header."""
     config.validate(space)
     rngs = RngBundle.from_seed(config.seed)
-
-    if config.strategy == "wrs":
-        best, records, profile_dict, warnings = run_wrs(objective, space, config, rngs)
-    else:
-        best, records = run_baseline(config.strategy, objective, space, config, rngs)
-        profile_dict, warnings = None, []
+    state = RunState()
+    strategy = _make_strategy(space, config, rngs, state)
+    cache = EvalCache()
+    for it in range(1, config.budget + 1):
+        values = strategy.ask()
+        rec = evaluate_with_cache(objective, space, values, cache, it, strategy.phase)
+        state.records.append(rec)
+        state.best = update_best(state.best, rec)
+        strategy.tell(rec.score)
+    if _all_failed(state.records):
+        if config.strategy == "rs":  # the whole run is one rs phase; word it as the wrs phase-1 abort
+            raise AllTrialsFailedError(f"all {config.budget} trials of the rs phase failed")
+        raise AllTrialsFailedError("every trial of the run failed")
 
     options: dict = {}
     if config.sampler_options:
@@ -416,7 +383,7 @@ def execute_run(space: SearchSpace, objective: Objective, config: RunConfig) -> 
         objective=objective.spec.text or f"{objective.spec.kind}:{objective.spec.target}",
         space=space_to_dict(space),
         space_digest=space_digest(space),
-        profile=profile_dict,
+        profile=strategy.header_profile if config.strategy == "wrs" else None,
         options=options,
     )
-    return RunResult(header=header, records=records, best=best, warnings=warnings)
+    return RunResult(header=header, records=state.records, best=state.best, warnings=state.warnings)

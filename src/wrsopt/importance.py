@@ -56,7 +56,6 @@ class TreeModel:
 class Forest:
     trees: tuple[TreeModel, ...]
     config: ForestConfig
-    degenerate: bool
     n_dims: int
 
 
@@ -208,9 +207,8 @@ def fit_forest(
 ) -> Forest:
     """Fit the regression forest on the usable trials.
 
-    Requires at least two distinct candidates among the usable trials.  A
-    constant score vector yields a forest flagged degenerate instead of an
-    exception so callers can choose their fallback.
+    Requires at least two distinct candidates among the usable trials and
+    raises ZeroVarianceError when their scores are all equal.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -220,18 +218,20 @@ def fit_forest(
         raise ImportanceError(f"need at least 2 usable trials with distinct candidates, have {len(distinct)}")
     X, y = encode_trials(usable, space)
     if np.ptp(y) == 0.0:
-        return Forest(trees=(), config=config, degenerate=True, n_dims=len(space))
+        raise ZeroVarianceError("scores carry no variance; weights undefined")
     root = root_box(space)
     streams = rng.spawn(config.n_trees)
     trees = tuple(_fit_tree(X, y, root, config, streams[t]) for t in range(config.n_trees))
-    return Forest(trees=trees, config=config, degenerate=False, n_dims=len(space))
+    return Forest(trees=trees, config=config, n_dims=len(space))
 
 
 def _tree_fractions(tree: TreeModel, root: np.ndarray, counting: np.ndarray) -> np.ndarray | None:
     """Exact per-dimension main-effect variance shares for one tree.
 
     Returns None when the tree's predictor has zero variance over the box
-    (a constant bootstrap resample), which the forest average skips.
+    (a constant bootstrap resample), which the forest average skips.  A real
+    axis of zero width holds a single point: every leaf covers all of it, so
+    it carries no variance and gets weight 0.
     """
     boxes, mus = tree.leaf_boxes, tree.leaf_means
     d = root.shape[0]
@@ -240,8 +240,10 @@ def _tree_fractions(tree: TreeModel, root: np.ndarray, counting: np.ndarray) -> 
         for i in range(d)
     ]
     mass = np.ones((boxes.shape[0], d))
+    fixed = [total == 0.0 for total in axis_total]
     for i in range(d):
-        mass[:, i] = _interval_mass(boxes[:, i, 0], boxes[:, i, 1], bool(counting[i])) / axis_total[i]
+        if not fixed[i]:
+            mass[:, i] = _interval_mass(boxes[:, i, 0], boxes[:, i, 1], bool(counting[i])) / axis_total[i]
     w = mass.prod(axis=1)
     mean = float(np.sum(w * mus))
     var = float(np.sum(w * mus**2) - mean * mean)
@@ -249,6 +251,8 @@ def _tree_fractions(tree: TreeModel, root: np.ndarray, counting: np.ndarray) -> 
         return None
     out = np.zeros(d)
     for i in range(d):
+        if fixed[i]:
+            continue
         edges = np.unique(boxes[:, i, :])
         left = np.searchsorted(edges, boxes[:, i, 0])
         right = np.searchsorted(edges, boxes[:, i, 1])
@@ -265,15 +269,13 @@ def _tree_fractions(tree: TreeModel, root: np.ndarray, counting: np.ndarray) -> 
 
 def main_effect_fractions(forest: Forest, space: SearchSpace) -> ImportanceWeights:
     """Average the exact per-tree variance shares into percent weights."""
-    if forest.degenerate or not forest.trees:
-        raise ZeroVarianceError("forest is degenerate; scores carried no variance")
     if forest.n_dims != len(space):
         raise ImportanceError("forest and space dimensionality differ")
     root = root_box(space)
     counting = _is_counting(space)
     per_tree = [f for t in forest.trees if (f := _tree_fractions(t, root, counting)) is not None]
     if not per_tree:
-        raise ZeroVarianceError("every tree in the forest is constant")
+        raise ImportanceError("every tree in the forest is constant")
     return ImportanceWeights(fractions=tuple(float(v) for v in np.mean(per_tree, axis=0)))
 
 
@@ -299,30 +301,6 @@ def weights_to_probabilities(
     if not 0.0 < p_min <= 1.0:
         raise ImportanceError("p_min must lie in (0, 1]")
     return tuple(float(max(x / top, p_min)) for x in w)
-
-
-def render_importance_text(space: SearchSpace, weights: Sequence[float], probs: Sequence[float]) -> str:
-    """Two-row table, dimensions in space order: weights above probabilities."""
-    names = list(space.names)
-    w_cells = [f"{w:.2f}" for w in weights]
-    p_cells = [f"{p:.2f}" for p in probs]
-    widths = [max(len(n), len(w), len(p)) for n, w, p in zip(names, w_cells, p_cells)]
-    label_w = max(len("weight"), len("probability"))
-    rows = [
-        " " * label_w + "  " + "  ".join(n.rjust(w) for n, w in zip(names, widths)),
-        "weight".ljust(label_w) + "  " + "  ".join(c.rjust(w) for c, w in zip(w_cells, widths)),
-        "probability".ljust(label_w) + "  " + "  ".join(c.rjust(w) for c, w in zip(p_cells, widths)),
-    ]
-    return "\n".join(r.rstrip() for r in rows) + "\n"
-
-
-def render_importance_csv(space: SearchSpace, weights: Sequence[float], probs: Sequence[float]) -> str:
-    lines = [
-        "row," + ",".join(space.names),
-        "weight," + ",".join(repr(float(w)) for w in weights),
-        "probability," + ",".join(repr(float(p)) for p in probs),
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def min_samples_schedule(

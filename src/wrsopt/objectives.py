@@ -19,7 +19,7 @@ import math
 import shlex
 import subprocess
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -91,8 +91,8 @@ def parse_objective_spec(text: str) -> ObjectiveSpec:
         if not timeout > 0:
             raise ObjectiveError("timeout must be positive")
 
-    if kind == "builtin" and target not in BUILTINS:
-        raise ObjectiveError(f"no builtin named {target!r}; choose from {sorted(BUILTINS)}")
+    if kind == "builtin" and target not in BUILTIN_NAMES:
+        raise ObjectiveError(f"no builtin named {target!r}; choose from {sorted(BUILTIN_NAMES)}")
 
     return ObjectiveSpec(
         kind=kind,
@@ -137,39 +137,15 @@ def additive_component(z: np.ndarray) -> np.ndarray:
     return math.sqrt(3.0) * (2.0 * z - 1.0)
 
 
-BUILTINS: dict[str, Callable[..., float]] = {
+BUILTINS: dict[str, Callable[[np.ndarray], float]] = {
     "sphere": sphere,
     "rastrigin": rastrigin,
     "rosenbrock": rosenbrock,
     "branin": branin,
     "styblinski-tang": styblinski_tang,
-    "additive-anova": None,  # built specially; needs coefficients and bounds
 }
-
-
-def evaluate_builtin(name: str, x: Sequence[float], coeffs: Sequence[float] | None = None) -> float:
-    """Evaluate a builtin's closed form directly (no direction wrapping).
-
-    additive-anova takes x as already-normalized coordinates in [0, 1] plus
-    the coefficient vector; the other builtins take raw coordinates.
-    """
-    if name not in BUILTINS:
-        raise ObjectiveError(f"no builtin named {name!r}")
-    arr = np.asarray(x, dtype=float)
-    if name == "branin":
-        if arr.size != 2:
-            raise ObjectiveError("branin is 2-dimensional")
-        return branin(arr)
-    if name == "additive-anova":
-        if coeffs is None:
-            raise ObjectiveError("additive-anova needs a coefficient vector")
-        c = np.asarray(coeffs, dtype=float)
-        if c.size != arr.size:
-            raise ObjectiveError("coefficient count must match dimension count")
-        return float(np.sum(c * additive_component(arr)))
-    if coeffs is not None:
-        raise ObjectiveError(f"builtin {name!r} takes no coefficients")
-    return BUILTINS[name](arr)
+# additive-anova is built by make_objective: it needs coefficients and bounds
+BUILTIN_NAMES = (*BUILTINS, "additive-anova")
 
 
 def _parse_coeffs(params: Mapping[str, str], d: int) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Log analysis: per-run summaries, polynomial trend fits, and the
-cross-strategy comparison table.
+"""Log analysis and rendering: per-run summaries, polynomial trend fits, the
+cross-strategy comparison table, and the importance table.
 
 Statistics conventions, also recorded in the CSV/text schemas: best/mean/SD
 are computed over all trials and, in parentheses, over the trailing window
@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .space import SearchSpace
 from .triallog import RunHeader, TrialRecord
 
 STRATEGY_ORDER = {"wrs": 0, "rs": 1, "sobol": 2, "nelder-mead": 3, "pso": 4}
@@ -220,4 +221,28 @@ def render_report_text(report: RunReport) -> str:
         lines.append(f"fit: degree {report.fit.degree} over iterations [{report.fit.domain[0]:.0f}, {report.fit.domain[1]:.0f}], coefficients {coeffs}")
     else:
         lines.append("fit: skipped (too few successful trials)")
+    return "\n".join(lines) + "\n"
+
+
+def render_importance_text(space: SearchSpace, weights: Sequence[float], probs: Sequence[float]) -> str:
+    """Two-row table, dimensions in space order: weights above probabilities."""
+    names = list(space.names)
+    w_cells = [f"{w:.2f}" for w in weights]
+    p_cells = [f"{p:.2f}" for p in probs]
+    widths = [max(len(n), len(w), len(p)) for n, w, p in zip(names, w_cells, p_cells)]
+    label_w = max(len("weight"), len("probability"))
+    rows = [
+        " " * label_w + "  " + "  ".join(n.rjust(w) for n, w in zip(names, widths)),
+        "weight".ljust(label_w) + "  " + "  ".join(c.rjust(w) for c, w in zip(w_cells, widths)),
+        "probability".ljust(label_w) + "  " + "  ".join(c.rjust(w) for c, w in zip(p_cells, widths)),
+    ]
+    return "\n".join(r.rstrip() for r in rows) + "\n"
+
+
+def render_importance_csv(space: SearchSpace, weights: Sequence[float], probs: Sequence[float]) -> str:
+    lines = [
+        "row," + ",".join(space.names),
+        "weight," + ",".join(repr(float(w)) for w in weights),
+        "probability," + ",".join(repr(float(p)) for p in probs),
+    ]
     return "\n".join(lines) + "\n"

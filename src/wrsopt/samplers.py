@@ -1,6 +1,10 @@
 """Candidate generation: weighted random search steps, plain random search,
 and the baseline strategies (Sobol sequence, Nelder-Mead, particle swarm).
 
+The strategy classes share the engine's ask/tell contract: ask() returns one
+candidate, tell(score) takes its score, and the phase attribute is the tag
+the engine writes into that candidate's record.
+
 Random draws follow a strict budget per operation so that entire candidate
 streams are reproducible: rs_step consumes exactly one uniform per dimension,
 wrs_step consumes one uniform per RESAMPLED dimension from the value stream
@@ -134,8 +138,26 @@ def emit_relaxed(space: SearchSpace, x: np.ndarray) -> tuple:
     return tuple(out)
 
 
+class RandomSearch:
+    """Plain random search: every ask is a fresh rs_step."""
+
+    phase = "rs"
+
+    def __init__(self, space: SearchSpace, rng: np.random.Generator):
+        self.space = space
+        self.rng = rng
+
+    def ask(self) -> tuple:
+        return rs_step(self.space, self.rng)
+
+    def tell(self, score: float) -> None:
+        pass
+
+
 class SobolSampler:
     """Deterministic low-discrepancy candidate stream over the space."""
+
+    phase = "sobol"
 
     def __init__(self, space: SearchSpace):
         self.space = space
@@ -158,6 +180,9 @@ class SobolSampler:
                 out.append(dim.values[min(int(u[i] * k), k - 1)])
         return tuple(out)
 
+    def tell(self, score: float) -> None:
+        pass
+
 
 class NelderMeadSampler:
     """Downhill-simplex search as an ask/tell state machine.
@@ -168,6 +193,8 @@ class NelderMeadSampler:
     identical the sampler reports convergence and keeps re-emitting the best
     vertex; the engine's cache turns those into zero-cost trials.
     """
+
+    phase = "nelder-mead"
 
     def __init__(
         self,
@@ -315,11 +342,15 @@ class NelderMeadSampler:
 class PsoSampler:
     """Particle swarm with the standard constriction coefficients.
 
-    ask() returns one generation of positions (the first call returns the
-    uniform initial swarm); tell() takes the matching scores and refreshes
-    personal and global bests.  Positions are clamped to bounds after each
-    velocity update; integer and categorical axes are rounded at emission.
+    ask() returns one particle's position at a time, in swarm order; the
+    first generation is the uniform initial swarm.  The velocity update, with
+    its r1/r2 draws, runs on the first ask of every later generation, and the
+    tell that completes a generation refreshes personal and global bests.
+    Positions are clamped to bounds after each velocity update; integer and
+    categorical axes are rounded at emission.
     """
+
+    phase = "pso"
 
     def __init__(
         self,
@@ -344,14 +375,16 @@ class PsoSampler:
         self._pbest_score = np.full(self.swarm, -np.inf)
         self._gbest = self._x[0].copy()
         self._gbest_score = -np.inf
+        self._scores = np.full(self.swarm, -np.inf)
+        self._slot = 0  # particle the next ask emits
         self._initialized = False
         self._awaiting = False
 
-    def ask(self) -> list[tuple]:
+    def ask(self) -> tuple:
         if self._awaiting:
             raise SamplerError("ask() called twice without tell()")
         self._awaiting = True
-        if self._initialized:
+        if self._slot == 0 and self._initialized:
             r1 = self.rng.random(self._x.shape)
             r2 = self.rng.random(self._x.shape)
             self._v = (
@@ -360,19 +393,21 @@ class PsoSampler:
                 + self.c2 * r2 * (self._gbest - self._x)
             )
             self._x = np.clip(self._x + self._v, self._lo, self._hi)
-        return [emit_relaxed(self.space, xi) for xi in self._x]
+        return emit_relaxed(self.space, self._x[self._slot])
 
-    def tell(self, scores: Sequence[float]) -> None:
+    def tell(self, score: float) -> None:
         if not self._awaiting:
             raise SamplerError("tell() without a pending ask()")
-        if len(scores) != self.swarm:
-            raise SamplerError(f"expected {self.swarm} scores, got {len(scores)}")
         self._awaiting = False
+        self._scores[self._slot] = score
+        self._slot += 1
+        if self._slot < self.swarm:
+            return
+        self._slot = 0
         self._initialized = True
-        s = np.asarray(scores, dtype=float)
-        improved = s > self._pbest_score
+        improved = self._scores > self._pbest_score
         self._pbest[improved] = self._x[improved]
-        self._pbest_score[improved] = s[improved]
+        self._pbest_score[improved] = self._scores[improved]
         top = int(np.argmax(self._pbest_score))
         if self._pbest_score[top] > self._gbest_score:
             self._gbest = self._pbest[top].copy()

@@ -154,6 +154,19 @@ class TestRunErrors:
         ])
         assert code == 2
 
+    def test_sobol_beyond_max_dim_exits_2(self, tmp_path, capsys):
+        space = tmp_path / "wide.yaml"
+        space.write_text("dimensions:\n" + "".join(
+            f"  - {{name: x{i}, kind: real, low: 0.0, high: 1.0}}\n" for i in range(22)
+        ))
+        code = run_cli([
+            "run", "--space", str(space), "--objective", "builtin:sphere",
+            "--strategy", "sobol", "--budget", "5", "--seed", "1", "--out", str(tmp_path / "s.jsonl"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sobol supports at most 21 dimensions") and err.count("\n") == 1
+
     def test_all_failed_run_writes_no_log(self, space_file, tmp_path, capsys):
         out = str(tmp_path / "dead.jsonl")
         code = run_cli([
@@ -329,6 +342,29 @@ class TestImportance:
         ]
         write_log(log, header, records)
         assert run_cli(["importance", log]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "LOG", "--window", "10", "--csv", "BAD"],
+        ["report", "LOG", "--window", "10", "--fit", "BAD"],
+        ["compare", "LOG", "--csv", "BAD"],
+        ["importance", "LOG", "--csv", "BAD"],
+    ],
+    ids=["report-csv", "report-fit", "compare-csv", "importance-csv"],
+)
+def test_unwritable_output_exits_1_with_one_line(argv, space_file, tmp_path, capsys):
+    log = str(tmp_path / "rs.jsonl")
+    assert run_cli([
+        "run", "--space", space_file, "--objective", "builtin:rastrigin",
+        "--strategy", "rs", "--budget", "30", "--seed", "5", "--out", log,
+    ]) == 0
+    bad = str(tmp_path / "missing" / "out.txt")
+    capsys.readouterr()
+    assert run_cli([{"LOG": log, "BAD": bad}.get(a, a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {bad}: ") and err.count("\n") == 1
 
 
 def test_no_command_is_usage_error():

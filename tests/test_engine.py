@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from wrsopt.engine import (
     update_best,
 )
 from wrsopt.objectives import ObjectiveFailure
-from wrsopt.space import candidate_key
+from wrsopt.space import Dimension, SearchSpace, candidate_key
 from wrsopt.triallog import TrialRecord, record_fingerprint
 
 from _util import int_space, mixed_space, python_objective, real_space
@@ -52,6 +53,11 @@ class TestRunConfig:
         with pytest.raises((ConfigError, Exception)) as exc:
             RunConfig(**kwargs).validate(real_space(2))
         assert isinstance(exc.value, ValueError)
+
+    def test_sobol_limited_to_its_direction_numbers(self):
+        RunConfig(strategy="sobol", budget=10).validate(real_space(21))
+        with pytest.raises(ConfigError, match="at most 21 dimensions"):
+            RunConfig(strategy="sobol", budget=10).validate(real_space(22))
 
     def test_unknown_dimension_name_in_override(self):
         with pytest.raises(ValueError):
@@ -262,6 +268,24 @@ class TestWrsProfile:
         assert result.header.profile["probs"] == [1.0, 1.0]
         assert len(result.warnings) == 1
         assert len(result.records) == 10
+
+    def test_zero_width_real_dimension_gets_weight_zero(self):
+        space = SearchSpace(
+            (
+                Dimension(name="a", kind="real", low=0.0, high=1.0),
+                Dimension(name="fixed", kind="real", low=2.0, high=2.0),
+                Dimension(name="b", kind="real", low=0.0, high=1.0),
+            )
+        )
+        objective = python_objective(lambda v: 3.0 * v[0] + v[2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = execute_run(space, objective, RunConfig(strategy="wrs", budget=60, init=40, seed=13))
+        assert result.warnings == []
+        weights = result.header.profile["weights"]
+        assert all(math.isfinite(w) for w in weights)
+        assert weights[1] == 0.0 and weights[0] > weights[2] > 0.0
+        assert result.header.profile["probs"][0] == 1.0
 
     def test_single_distinct_candidate_falls_back(self):
         space = int_space(1, low=5, high=5)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,11 +13,10 @@ from wrsopt.importance import (
     fit_forest,
     main_effect_fractions,
     min_samples_schedule,
-    render_importance_csv,
-    render_importance_text,
     root_box,
     weights_to_probabilities,
 )
+from wrsopt.reporting import render_importance_csv, render_importance_text
 from wrsopt.space import Dimension, SearchSpace
 from wrsopt.triallog import TrialRecord
 
@@ -40,13 +40,11 @@ class TestForestFitting:
         with pytest.raises(ImportanceError):
             fit_forest([t, dup], space)
 
-    def test_constant_scores_flag_degenerate(self):
+    def test_constant_scores_raise_zero_variance(self):
         space = int_space(1, low=0, high=9)
         trials = make_trials(space, lambda v: 7.0, 30, seed=1)
-        forest = fit_forest(trials, space, rng=np.random.default_rng(0))
-        assert forest.degenerate
         with pytest.raises(ZeroVarianceError):
-            main_effect_fractions(forest, space)
+            fit_forest(trials, space, rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("informative", [0, 1])
     def test_split_picks_the_informative_dimension(self, informative):
@@ -135,6 +133,23 @@ class TestMainEffects:
         forest = fit_forest(trials, space, ForestConfig(n_trees=10), np.random.default_rng(5))
         w = main_effect_fractions(forest, space).fractions
         assert w[0] > 90.0 and w[1] < 5.0
+
+    def test_zero_width_real_axis_gets_weight_zero(self):
+        space = SearchSpace(
+            (
+                Dimension(name="a", kind="real", low=0.0, high=1.0),
+                Dimension(name="fixed", kind="real", low=0.5, high=0.5),
+                Dimension(name="b", kind="real", low=0.0, high=1.0),
+            )
+        )
+        trials = make_trials(space, lambda v: v[0] + 0.3 * v[2], 200, seed=10)
+        forest = fit_forest(trials, space, ForestConfig(n_trees=10), np.random.default_rng(6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = main_effect_fractions(forest, space).fractions
+        assert all(math.isfinite(f) for f in w)
+        assert w[1] == 0.0
+        assert w[0] > 80.0 and 0.0 < w[2] < 15.0
 
 
 class TestProbabilityMapping:

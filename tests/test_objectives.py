@@ -8,10 +8,14 @@ from wrsopt.objectives import (
     ObjectiveError,
     ObjectiveFailure,
     additive_component,
-    evaluate_builtin,
+    branin,
     evaluate_external,
     make_objective,
     parse_objective_spec,
+    rastrigin,
+    rosenbrock,
+    sphere,
+    styblinski_tang,
 )
 from wrsopt.space import Dimension, SearchSpace
 
@@ -57,31 +61,31 @@ class TestSpecParsing:
 
 class TestBuiltins:
     def test_sphere_minimum_at_origin(self):
-        assert evaluate_builtin("sphere", np.zeros(4)) == 0.0
-        assert evaluate_builtin("sphere", [1.0, 2.0]) == 5.0
+        assert sphere(np.zeros(4)) == 0.0
+        assert sphere(np.array([1.0, 2.0])) == 5.0
 
     def test_rastrigin_minimum_and_value(self):
-        assert evaluate_builtin("rastrigin", np.zeros(10)) == pytest.approx(0.0, abs=1e-12)
+        assert rastrigin(np.zeros(10)) == pytest.approx(0.0, abs=1e-12)
         # single coordinate at 1.0: 10 + 1 - 10*cos(2*pi) = 1
-        assert evaluate_builtin("rastrigin", [1.0]) == pytest.approx(1.0, abs=1e-9)
+        assert rastrigin(np.array([1.0])) == pytest.approx(1.0, abs=1e-9)
 
     def test_rosenbrock_valley(self):
-        assert evaluate_builtin("rosenbrock", np.ones(6)) == 0.0
-        assert evaluate_builtin("rosenbrock", [0.0, 0.0]) == 1.0
+        assert rosenbrock(np.ones(6)) == 0.0
+        assert rosenbrock(np.array([0.0, 0.0])) == 1.0
 
     def test_branin_symmetric_minima_agree(self):
-        left = evaluate_builtin("branin", [-math.pi, 12.275])
-        right = evaluate_builtin("branin", [math.pi, 2.275])
+        left = branin(np.array([-math.pi, 12.275]))
+        right = branin(np.array([math.pi, 2.275]))
         assert left == pytest.approx(right, abs=1e-9)
         assert left == pytest.approx(0.397887, abs=1e-5)
 
     def test_branin_needs_two_dims(self):
         with pytest.raises(ObjectiveError):
-            evaluate_builtin("branin", [1.0, 2.0, 3.0])
+            make_objective("builtin:branin", real_space(1))
 
     def test_styblinski_tang_known_minimum(self):
         x = np.full(3, -2.903534)
-        assert evaluate_builtin("styblinski-tang", x) == pytest.approx(-39.16617 * 3, abs=1e-3)
+        assert styblinski_tang(x) == pytest.approx(-39.16617 * 3, abs=1e-3)
 
     def test_additive_component_standardized_by_quadrature(self):
         # zero mean, unit variance under z ~ U[0,1]
@@ -110,11 +114,11 @@ class TestBuiltins:
 
     def test_unknown_or_misparameterized(self):
         with pytest.raises(ObjectiveError):
-            evaluate_builtin("nope", [0.0])
+            make_objective("builtin:nope", real_space(1))
         with pytest.raises(ObjectiveError):
-            evaluate_builtin("sphere", [0.0], coeffs=[1.0])
+            make_objective("builtin:sphere?coeffs=1", real_space(1))
         with pytest.raises(ObjectiveError):
-            evaluate_builtin("additive-anova", [0.5, 0.5])
+            make_objective("builtin:additive-anova", real_space(2))
 
 
 class TestMakeObjective:
