@@ -33,6 +33,86 @@ def test_reflection_is_first_proposal_after_init():
     assert nm.ask() == (1.0, -1.0)
 
 
+# The branch tests below start from the exact simplex (0,0), (1,0), (0,1)
+# (init_vertex (0,0), step 0.05 over span 20) with losses 1 < 2 < 3, so the
+# centroid of the two best vertices is (0.5, 0) and the reflection of the
+# worst vertex is (1, -1).  Every point below is exact in binary floating
+# point, so the expected asks are compared with ==.
+
+
+def simplex_asks(losses, n, **coefficients):
+    """Drive a fresh sampler on the base simplex, telling each point the loss
+    given for it; returns the first n asks (the last one is not told)."""
+    space = real_space(2, low=-10, high=10)
+    nm = NelderMeadSampler(space, np.random.default_rng(0), init_vertex=(0.0, 0.0), **coefficients)
+    losses = {(0.0, 0.0): 1.0, (1.0, 0.0): 2.0, (0.0, 1.0): 3.0, **losses}
+    asks = [nm.ask()]
+    while len(asks) < n:
+        nm.tell(-losses[asks[-1]])  # engine maximizes, so loss enters negated
+        asks.append(nm.ask())
+    return asks
+
+
+def test_accepted_expansion_replaces_worst_vertex():
+    # reflection (1,-1) beats the best vertex, so expand to (1.5,-2); it beats
+    # the reflection and replaces (0,1).  Next simplex (1.5,-2), (0,0), (1,0)
+    # reflects (1,0) through (0.75,-1) to (0.5,-2).
+    asks = simplex_asks({(1.0, -1.0): 0.5, (1.5, -2.0): 0.2}, 6)
+    assert asks[3:] == [(1.0, -1.0), (1.5, -2.0), (0.5, -2.0)]
+
+
+def test_rejected_expansion_keeps_reflected_point():
+    # expansion (1.5,-2) is worse than the reflection, so (1,-1) replaces (0,1).
+    # Next simplex (1,-1), (0,0), (1,0) reflects (1,0) through (0.5,-0.5) to (0,-1).
+    asks = simplex_asks({(1.0, -1.0): 0.5, (1.5, -2.0): 0.7}, 6)
+    assert asks[3:] == [(1.0, -1.0), (1.5, -2.0), (0.0, -1.0)]
+
+
+def test_reflection_between_best_and_second_worst_is_accepted_without_expansion():
+    asks = simplex_asks({(1.0, -1.0): 1.5}, 5)
+    assert asks[3:] == [(1.0, -1.0), (0.0, -1.0)]
+
+
+def test_outside_contraction():
+    # reflection lies between the second-worst and the worst vertex: contract
+    # toward it, to (0.75,-0.5), which is kept because it is no worse than the
+    # reflection.  Next simplex (0.75,-0.5), (0,0), (1,0) reflects (1,0)
+    # through (0.375,-0.25) to (-0.25,-0.5).
+    asks = simplex_asks({(1.0, -1.0): 2.5, (0.75, -0.5): 0.5}, 6)
+    assert asks[3:] == [(1.0, -1.0), (0.75, -0.5), (-0.25, -0.5)]
+
+
+def test_inside_contraction():
+    # reflection is no better than the worst vertex: contract toward the worst
+    # vertex, to (0.25,0.5), which beats it.  Next simplex (0.25,0.5), (0,0),
+    # (1,0) reflects (1,0) through (0.125,0.25) to (-0.75,0.5).
+    asks = simplex_asks({(1.0, -1.0): 4.0, (0.25, 0.5): 0.5}, 6)
+    assert asks[3:] == [(1.0, -1.0), (0.25, 0.5), (-0.75, 0.5)]
+
+
+@pytest.mark.parametrize(
+    "contraction",
+    [
+        {(1.0, -1.0): 2.5, (0.75, -0.5): 2.75},  # outside contraction worse than the reflection
+        {(1.0, -1.0): 4.0, (0.25, 0.5): 3.0},  # inside contraction no better than the worst vertex
+    ],
+    ids=["after-outside-contraction", "after-inside-contraction"],
+)
+def test_failed_contraction_shrinks_and_reevaluates_in_vertex_order(contraction):
+    # shrink every vertex halfway toward the best (0,0): (1,0) -> (0.5,0) and
+    # (0,1) -> (0,0.5), re-evaluated in that order; the best is not re-asked.
+    # With losses 0.8 and 1.2 the next simplex (0.5,0), (0,0), (0,0.5)
+    # reflects (0,0.5) through (0.25,0) to (0.5,-0.5).
+    losses = {**contraction, (0.5, 0.0): 0.8, (0.0, 0.5): 1.2}
+    asks = simplex_asks(losses, 8)
+    assert asks[5:] == [(0.5, 0.0), (0.0, 0.5), (0.5, -0.5)]
+
+
+def test_shrink_coefficient_is_configurable():
+    asks = simplex_asks({(1.0, -1.0): 4.0, (0.25, 0.5): 3.0, (0.25, 0.0): 0.8}, 7, sigma=0.25)
+    assert asks[5:] == [(0.25, 0.0), (0.0, 0.25)]
+
+
 def test_sphere_2d_converges_to_origin():
     space = real_space(2, low=-5, high=5)
     nm = NelderMeadSampler(space, np.random.default_rng(3), init_vertex=(1.0, 1.0))

@@ -23,8 +23,9 @@ import json
 
 import pytest
 
-from wrsopt.engine import EngineError, RunConfig, execute_run
+from wrsopt.engine import EngineError, RngBundle, RunConfig, execute_run
 from wrsopt.objectives import ObjectiveFailure
+from wrsopt.samplers import NelderMeadSampler
 from wrsopt.triallog import record_fingerprint
 
 from _util import int_space, mixed_space, python_objective
@@ -75,8 +76,27 @@ CONFIGS = {
 }
 
 
+# Nelder-Mead runs with non-default coefficients that reach a degenerate
+# simplex (the sampler's converged state) inside their budget, so the
+# digest also pins the re-emission of the best vertex after convergence.
+CONVERGING_NM = {
+    "nm-a1.5-r0.25": dict(strategy="nelder-mead", budget=300, sampler_options=(("alpha", 1.5), ("rho", 0.25))),
+    "nm-a2-r0.25": dict(
+        strategy="nelder-mead", budget=400, sampler_options=(("alpha", 2.0), ("rho", 0.25), ("init_step", 0.2))
+    ),
+}
+CONVERGING_NM_CASES = [
+    ("mixed", "poly", "nm-a1.5-r0.25", 0),
+    ("mixed", "poly", "nm-a1.5-r0.25", 1),
+    ("mixed", "flaky", "nm-a1.5-r0.25", 1),
+    ("mixed", "constant", "nm-a1.5-r0.25", 0),
+    ("mixed", "poly", "nm-a2-r0.25", 0),
+    ("int", "flaky", "nm-a2-r0.25", 0),
+]
+
+
 def _config(name: str, space_name: str, seed: int) -> RunConfig:
-    kwargs = dict(CONFIGS[name])
+    kwargs = dict(CONFIGS[name] if name in CONFIGS else CONVERGING_NM[name])
     dim1 = SPACES[space_name]().names[1]
     for key in ("prob_overrides", "kmin_overrides"):
         if key in kwargs:
@@ -92,7 +112,7 @@ def _cases() -> list[tuple[str, str, str, int]]:
                 out += [(space_name, obj, cfg, seed) for cfg in CONFIGS]
             out += [(space_name, "constant", cfg, seed) for cfg in ("wrs", "wrs-named", "rs")]
             out += [(space_name, "broken", cfg, seed) for cfg in ("wrs", "wrs-init0", "rs", "pso-swarm5")]
-    return out
+    return out + CONVERGING_NM_CASES
 
 
 def replay_digest(space_name: str, obj: str, cfg: str, seed: int) -> str:
@@ -251,6 +271,12 @@ GOLDEN = {
     "int-broken-wrs-init0-s1": "2898c3f593ead7836326bc11bfcaba724a2034ed1e0b1c12aaccb8da369cd8ce",
     "int-broken-rs-s1": "256e417f887720ecc9b93ff4a7424b7cbbdcf6ecd43f3751d56c9bd4b6c890f9",
     "int-broken-pso-swarm5-s1": "58ae57a9b0b2c5216cee5b198a87a5d2339d148cfa5729f17a9205d22afb90fb",
+    "mixed-poly-nm-a1.5-r0.25-s0": "c30c1736aca96cfc66fe97528c0f6302930a1e17e2ab0005e437867e50bd3447",
+    "mixed-poly-nm-a1.5-r0.25-s1": "0613fa673f155ac2a1613251fa1522ac9832cdcc2d765fe2a13ff14839462efc",
+    "mixed-flaky-nm-a1.5-r0.25-s1": "e36df8decd212f11101fc4e830352c6d0de4dd6cfa28002440c02681ca4f6edc",
+    "mixed-constant-nm-a1.5-r0.25-s0": "78db001009486ce9deb986f1a878a0cbbf8d78b2adb7aa1e1f5a98a80a52c7d3",
+    "mixed-poly-nm-a2-r0.25-s0": "032925f95b98e8a543ca55a24e02a6dc8d46e5ee1959396b7f4aa59f1cd05de9",
+    "int-flaky-nm-a2-r0.25-s0": "bc3cb474b5c651d91b36b77a4ade2a7f45ea07b450b4240af6bcfe61644fe76b",
 }
 
 
@@ -263,6 +289,23 @@ def test_phase_one_abort_message():
     objective = python_objective(_broken, name="broken")
     with pytest.raises(EngineError, match=r"^all 14 trials of the rs phase failed$"):
         execute_run(mixed_space(), objective, RunConfig(strategy="wrs", budget=37, init=14, seed=0))
+
+
+@pytest.mark.parametrize("case", CONVERGING_NM_CASES, ids=_case_id)
+def test_converging_nm_cases_converge_before_budget_ends(case):
+    # drives the sampler as execute_run does: the run's value stream, the
+    # objective's score, and -inf for a failed trial
+    space_name, obj, cfg, seed = case
+    config = _config(cfg, space_name, seed)
+    sampler = NelderMeadSampler(SPACES[space_name](), RngBundle.from_seed(seed).values, **dict(config.sampler_options))
+    for _ in range(config.budget - 10):
+        values = sampler.ask()
+        try:
+            score = OBJECTIVES[obj](values)
+        except ObjectiveFailure:
+            score = float("-inf")
+        sampler.tell(score)
+    assert sampler.converged
 
 
 def test_grid_covers_every_case():
