@@ -44,7 +44,7 @@ from .reporting import (
     render_table_text,
     summarize,
 )
-from .space import SpaceError, load_space, space_from_dict
+from .space import SpaceError, load_space, space_digest, space_from_dict
 from .triallog import LogError, read_log, write_log
 
 
@@ -234,6 +234,8 @@ def cmd_importance(args: argparse.Namespace) -> int:
         space = space_from_dict(header.space)
     except (LogError, SpaceError) as exc:
         return _fail(str(exc), 1)
+    if space_digest(space) != header.space_digest:
+        return _fail(f"{args.log}: header space does not match its space_digest", 1)
     seed = args.seed if args.seed is not None else header.seed
     config = ForestConfig(
         n_trees=args.trees,

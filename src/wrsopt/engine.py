@@ -106,6 +106,9 @@ class RunConfig:
                 space.index_of(name)
             if k < 0:
                 raise ConfigError(f"k-min override for {name!r} must be non-negative")
+        prob_over = _resolve_overrides(space, self.prob_overrides)
+        if len(prob_over) == len(space):  # full coverage: no fitted weight can supply the 1
+            _frozen_profile(list(prob_over.values()), [0] * len(space), [0] * len(space))
         if self.strategy == "sobol" and len(space) > SOBOL_MAX_DIM:
             raise ConfigError(f"sobol supports at most {SOBOL_MAX_DIM} dimensions; the space has {len(space)}")
         allowed = _SAMPLER_OPTION_KEYS.get(self.strategy, ())
@@ -287,11 +290,16 @@ def _build_profile(
         probs = [prob_over.get(i, base[i]) for i in range(d)]
 
     k_mins = min_samples_schedule(probs, config.init, config.budget, kmin_over)
+    return _frozen_profile(probs, k_mins, [config.init] * d), weights
+
+
+def _frozen_profile(probs: Sequence[float], k_mins: Sequence[int], gen_counts: list[int]) -> ChangeProfile:
+    """The phase-2 profile; a probability vector that breaks its rules can
+    only come from the overrides, so that is a configuration error."""
     try:
-        profile = ChangeProfile(probs=tuple(probs), k_mins=k_mins, gen_counts=[config.init] * d)
+        return ChangeProfile(probs=tuple(probs), k_mins=k_mins, gen_counts=gen_counts)
     except SamplerError as exc:
         raise ConfigError(f"override produces an invalid profile: {exc}") from exc
-    return profile, weights
 
 
 class WeightedSearch:

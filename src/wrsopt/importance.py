@@ -23,6 +23,10 @@ from .space import SearchSpace, candidate_key
 from .triallog import TrialRecord
 
 
+# floor of every change probability derived from importance weights
+P_MIN = 0.01
+
+
 class ImportanceError(RuntimeError):
     """Importance estimation cannot proceed (too little data, bad input)."""
 
@@ -55,7 +59,6 @@ class TreeModel:
 @dataclass(frozen=True)
 class Forest:
     trees: tuple[TreeModel, ...]
-    config: ForestConfig
     n_dims: int
 
 
@@ -222,7 +225,7 @@ def fit_forest(
     root = root_box(space)
     streams = rng.spawn(config.n_trees)
     trees = tuple(_fit_tree(X, y, root, config, streams[t]) for t in range(config.n_trees))
-    return Forest(trees=trees, config=config, n_dims=len(space))
+    return Forest(trees=trees, n_dims=len(space))
 
 
 def _tree_fractions(tree: TreeModel, root: np.ndarray, counting: np.ndarray) -> np.ndarray | None:
@@ -279,11 +282,8 @@ def main_effect_fractions(forest: Forest, space: SearchSpace) -> ImportanceWeigh
     return ImportanceWeights(fractions=tuple(float(v) for v in np.mean(per_tree, axis=0)))
 
 
-def weights_to_probabilities(
-    weights: ImportanceWeights | Sequence[float],
-    p_min: float = 0.01,
-) -> tuple[float, ...]:
-    """Map weights to change probabilities: p_i = w_i / max(w), floored at p_min.
+def weights_to_probabilities(weights: ImportanceWeights | Sequence[float]) -> tuple[float, ...]:
+    """Map weights to change probabilities: p_i = w_i / max(w), floored at P_MIN.
 
     The argmax dimension lands at exactly 1.0; every other probability stays
     positive so no dimension is permanently frozen.
@@ -298,9 +298,7 @@ def weights_to_probabilities(
     top = w.max()
     if top == 0.0:
         raise ImportanceError("all weights are zero; probabilities undefined")
-    if not 0.0 < p_min <= 1.0:
-        raise ImportanceError("p_min must lie in (0, 1]")
-    return tuple(float(max(x / top, p_min)) for x in w)
+    return tuple(float(max(x / top, P_MIN)) for x in w)
 
 
 def min_samples_schedule(

@@ -3,7 +3,8 @@ and the baseline strategies (Sobol sequence, Nelder-Mead, particle swarm).
 
 The strategy classes share the engine's ask/tell contract: ask() returns one
 candidate, tell(score) takes its score, and the phase attribute is the tag
-the engine writes into that candidate's record.
+the engine writes into that candidate's record.  Nelder-Mead's ask() and
+tell() only step one generator that yields each point and receives its loss.
 
 Random draws follow a strict budget per operation so that entire candidate
 streams are reproducible: rs_step consumes exactly one uniform per dimension,
@@ -185,13 +186,16 @@ class SobolSampler:
 
 
 class NelderMeadSampler:
-    """Downhill-simplex search as an ask/tell state machine.
+    """Downhill simplex (Nelder & Mead, 1965) as one generator behind ask/tell.
 
+    _search yields each point to try and receives its loss, so reflection,
+    expansion, contraction and shrink read top to bottom; ask() emits the
+    pending point and tell(score) sends the loss and advances to the next.
     The simplex lives in the real relaxation; candidates are rounded at
-    emission.  Scores are maximized (the engine convention), so internally
-    the simplex orders vertices by loss = -score.  Once every vertex is
-    identical the sampler reports convergence and keeps re-emitting the best
-    vertex; the engine's cache turns those into zero-cost trials.
+    emission.  Scores are maximized (the engine convention), so the simplex
+    orders vertices by loss = -score.  Once every vertex is identical the
+    sampler reports convergence and keeps re-emitting the best vertex; the
+    engine's cache turns those into zero-cost trials.
     """
 
     phase = "nelder-mead"
@@ -224,17 +228,10 @@ class NelderMeadSampler:
             # step inward if the outward step would leave the box
             v[i] = v[i] + delta if v[i] + delta <= self._hi[i] else v[i] - delta
             vertices.append(v)
-        self._vertices = np.array(vertices)
-        self._losses = np.full(d + 1, np.nan)
-        self._phase = "init"
-        self._init_idx = 0
-        self._current = self._vertices[0]
-        self._awaiting = False
-        self._x0 = None  # centroid of all but the worst vertex
-        self._xr = None
-        self._lr = np.inf
-        self._shrink_idx = 0
         self.converged = False
+        self._awaiting = False
+        self._search_steps = self._search(np.array(vertices))
+        self._current = next(self._search_steps)
 
     def ask(self) -> tuple:
         if self._awaiting:
@@ -246,97 +243,47 @@ class NelderMeadSampler:
         if not self._awaiting:
             raise SamplerError("tell() without a pending ask()")
         self._awaiting = False
-        if self.converged:
-            return
-        loss = -float(score)
+        self._current = self._search_steps.send(-float(score))
 
-        if self._phase == "init":
-            self._losses[self._init_idx] = loss
-            self._init_idx += 1
-            if self._init_idx <= len(self.space):
-                self._current = self._vertices[self._init_idx]
-                return
-            self._begin_iteration()
-            return
-
-        if self._phase == "reflect":
-            self._lr = loss
-            self._xr = self._current
-            if loss < self._losses[0]:
-                self._current = self._clip(self._x0 + self.gamma * (self._xr - self._x0))
-                self._phase = "expand"
-            elif loss < self._losses[-2]:
-                self._replace_worst(self._xr, loss)
-            elif loss < self._losses[-1]:
-                self._current = self._clip(self._x0 + self.rho * (self._xr - self._x0))
-                self._phase = "contract_out"
+    def _search(self, vertices: np.ndarray):
+        """Yield each point to evaluate; receive its loss at the yield."""
+        lo, hi = self._lo, self._hi
+        losses = np.empty(len(vertices))
+        for j in range(len(vertices)):
+            losses[j] = yield vertices[j]
+        while True:
+            order = np.argsort(losses, kind="stable")
+            vertices, losses = vertices[order], losses[order]
+            if np.all(vertices == vertices[0]):
+                self.converged = True
+                while True:
+                    yield vertices[0]
+            x0 = vertices[:-1].mean(axis=0)  # centroid of all but the worst vertex
+            xr = np.clip(x0 + self.alpha * (x0 - vertices[-1]), lo, hi)
+            lr = yield xr
+            if lr < losses[0]:
+                xe = np.clip(x0 + self.gamma * (xr - x0), lo, hi)
+                le = yield xe
+                vertices[-1], losses[-1] = (xe, le) if le < lr else (xr, lr)
+                continue
+            if lr < losses[-2]:
+                vertices[-1], losses[-1] = xr, lr
+                continue
+            if lr < losses[-1]:
+                xc = np.clip(x0 + self.rho * (xr - x0), lo, hi)
+                lc = yield xc
+                accepted = lc <= lr
             else:
-                self._current = self._clip(self._x0 - self.rho * (self._x0 - self._vertices[-1]))
-                self._phase = "contract_in"
-            return
-
-        if self._phase == "expand":
-            if loss < self._lr:
-                self._replace_worst(self._current, loss)
-            else:
-                self._replace_worst(self._xr, self._lr)
-            return
-
-        if self._phase == "contract_out":
-            if loss <= self._lr:
-                self._replace_worst(self._current, loss)
-            else:
-                self._start_shrink()
-            return
-
-        if self._phase == "contract_in":
-            if loss < self._losses[-1]:
-                self._replace_worst(self._current, loss)
-            else:
-                self._start_shrink()
-            return
-
-        if self._phase == "shrink":
-            self._losses[self._shrink_idx] = loss
-            self._shrink_idx += 1
-            if self._shrink_idx < len(self._vertices):
-                self._current = self._vertices[self._shrink_idx]
-            else:
-                self._begin_iteration()
-            return
-
-        raise SamplerError(f"unknown phase {self._phase!r}")
-
-    def _clip(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self._lo, self._hi)
-
-    def _replace_worst(self, x: np.ndarray, loss: float) -> None:
-        self._vertices[-1] = x
-        self._losses[-1] = loss
-        self._begin_iteration()
-
-    def _begin_iteration(self) -> None:
-        order = np.argsort(self._losses, kind="stable")
-        self._vertices = self._vertices[order]
-        self._losses = self._losses[order]
-        if np.all(self._vertices == self._vertices[0]):
-            self.converged = True
-            self._current = self._vertices[0]
-            return
-        self._x0 = self._vertices[:-1].mean(axis=0)
-        self._current = self._clip(self._x0 + self.alpha * (self._x0 - self._vertices[-1]))
-        self._phase = "reflect"
-
-    def _start_shrink(self) -> None:
-        for j in range(1, len(self._vertices)):
-            self._vertices[j] = self._clip(self._vertices[0] + self.sigma * (self._vertices[j] - self._vertices[0]))
-        self._shrink_idx = 1
-        self._current = self._vertices[1]
-        self._phase = "shrink"
-
-    def best_vertex(self) -> tuple:
-        i = int(np.nanargmin(self._losses))
-        return emit_relaxed(self.space, self._vertices[i])
+                xc = np.clip(x0 - self.rho * (x0 - vertices[-1]), lo, hi)
+                lc = yield xc
+                accepted = lc < losses[-1]
+            if accepted:
+                vertices[-1], losses[-1] = xc, lc
+                continue
+            # shrink toward the best vertex, re-evaluating the others in order
+            for j in range(1, len(vertices)):
+                vertices[j] = np.clip(vertices[0] + self.sigma * (vertices[j] - vertices[0]), lo, hi)
+                losses[j] = yield vertices[j]
 
 
 class PsoSampler:

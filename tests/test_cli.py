@@ -4,6 +4,7 @@ import re
 import pytest
 
 from wrsopt.cli import main
+from wrsopt.space import space_digest, space_from_dict
 from wrsopt.triallog import RunHeader, TrialRecord, read_log, write_log
 
 SPACE_2D = """\
@@ -140,6 +141,18 @@ class TestRunErrors:
         assert code == 2
         assert "NAME=VALUE" in capsys.readouterr().err
 
+    def test_impossible_full_override_exits_2_before_any_trial(self, space_file, capsys):
+        code = run_cli([
+            "run", "--space", space_file, "--objective", "builtin:sphere",
+            "--strategy", "wrs", "--budget", "20", "--init", "8", "--seed", "1", "--set-prob", "*=0.5",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # not even the seed line: no trial ran
+        assert captured.err.splitlines() == [
+            "error: override produces an invalid profile: at least one change probability must be exactly 1"
+        ]
+
     def test_override_on_baseline_exits_2(self, space_file, capsys):
         code = run_cli([
             "run", "--space", space_file, "--objective", "builtin:sphere",
@@ -273,6 +286,9 @@ class TestCompare:
         assert csv_path.read_text().startswith("strategy,best,")
 
 
+FLAT_SPACE = {"dimensions": [{"name": "x", "kind": "real", "low": 0.0, "high": 1.0}]}
+
+
 class TestImportance:
     def test_importance_from_rs_log(self, space_file, tmp_path, capsys):
         log = str(tmp_path / "rs.jsonl")
@@ -314,12 +330,27 @@ class TestImportance:
         assert lines[0] == "row,x0,x1"
         assert lines[1].startswith("weight,") and lines[2].startswith("probability,")
 
+    def test_header_space_not_matching_its_digest_exits_1(self, space_file, tmp_path, capsys):
+        log = str(tmp_path / "rs.jsonl")
+        assert run_cli([
+            "run", "--space", space_file, "--objective", "builtin:rastrigin",
+            "--strategy", "rs", "--budget", "40", "--seed", "7", "--out", log,
+        ]) == 0
+        header, records = read_log(log)
+        header.space["dimensions"][0]["high"] = 50.0
+        write_log(log, header, records)
+        capsys.readouterr()
+        assert run_cli(["importance", log]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {log}: header space does not match its space_digest"]
+
     def test_constant_scores_exit_1(self, tmp_path, capsys):
         log = str(tmp_path / "flat.jsonl")
         header = RunHeader(
             strategy="rs", budget=3, init=0, seed=1, objective="external:flat",
-            space={"dimensions": [{"name": "x", "kind": "real", "low": 0.0, "high": 1.0}]},
-            space_digest="0" * 64,
+            space=FLAT_SPACE,
+            space_digest=space_digest(space_from_dict(FLAT_SPACE)),
         )
         records = [
             TrialRecord(iteration=i, values=(0.1 * i,), score=5.0, phase="rs", status="evaluated", wall_time=0.0)
@@ -333,8 +364,8 @@ class TestImportance:
         log = str(tmp_path / "one.jsonl")
         header = RunHeader(
             strategy="rs", budget=2, init=0, seed=1, objective="external:flat",
-            space={"dimensions": [{"name": "x", "kind": "real", "low": 0.0, "high": 1.0}]},
-            space_digest="0" * 64,
+            space=FLAT_SPACE,
+            space_digest=space_digest(space_from_dict(FLAT_SPACE)),
         )
         records = [
             TrialRecord(iteration=1, values=(0.5,), score=1.0, phase="rs", status="evaluated", wall_time=0.0),

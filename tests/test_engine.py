@@ -232,6 +232,13 @@ class TestWrsProfile:
         assert result.header.profile["probs"] == [1.0, 0.5]
         assert result.warnings == []
 
+    def test_full_override_without_a_one_is_rejected_before_any_trial(self):
+        objective = python_objective(sphere_score)
+        config = RunConfig(strategy="wrs", budget=20, init=8, seed=1, prob_overrides=(("*", 0.5),))
+        with pytest.raises(ConfigError, match="^override produces an invalid profile: "):
+            execute_run(real_space(2), objective, config)
+        assert objective.calls == 0
+
     def test_partial_override_wins_over_fitted_value(self):
         space = real_space(2, low=0.0, high=1.0)
         objective = python_objective(lambda v: v[0])
