@@ -60,6 +60,66 @@ class TestForestFitting:
         boxes = forest.trees[0].leaf_boxes
         assert sorted(boxes[:, informative, :].tolist()) == [[0.0, 0.5], [0.5, 1.0]]
 
+    def test_cut_between_values_one_ulp_apart_separates_them(self):
+        # 0.5 * (1.0 + next) rounds back to 1.0, which would put both values
+        # on the right; the threshold must fall on the upper value instead
+        space = real_space(1, low=0.0, high=2.0)
+        up = float(np.nextafter(1.0, 2.0))
+        trials = [
+            TrialRecord(iteration=i, values=(x,), score=s, phase="rs", status="evaluated", wall_time=0.0)
+            for i, (x, s) in enumerate([(1.0, 0.0), (up, 1.0), (1.0, 0.0), (up, 1.0)], start=1)
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            forest = fit_forest(trials, space, ForestConfig(n_trees=1, bootstrap=False), np.random.default_rng(0))
+        tree = forest.trees[0]
+        assert tree.split_dims == (0,)
+        assert tree.leaf_boxes[:, 0, :].tolist() == [[0.0, up], [up, 2.0]]
+        assert tree.leaf_means.tolist() == [0.0, 1.0]
+
+    def test_values_one_ulp_apart_never_leave_an_empty_leaf(self):
+        # a cut whose threshold rounded onto the lower value used to send
+        # every sample right and keep an empty left leaf with a NaN mean
+        space = real_space(2, low=0.0, high=2.0)
+        up = float(np.nextafter(1.0, 2.0))
+        rng = np.random.default_rng(2)
+        trials = []
+        for i in range(1, 41):
+            x0, x1 = float(rng.choice([1.0, up])), float(rng.random())
+            score = 1000.0 * (float(x0 > 1.0) + x1 + rng.standard_normal())
+            trials.append(TrialRecord(iteration=i, values=(x0, x1), score=score, phase="rs", status="evaluated", wall_time=0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            forest = fit_forest(trials, space, ForestConfig(n_trees=10), np.random.default_rng(2))
+            probs = weights_to_probabilities(main_effect_fractions(forest, space))
+        for tree in forest.trees:
+            assert np.all(np.isfinite(tree.leaf_means))
+            assert np.all(tree.leaf_boxes[:, :, 0] < tree.leaf_boxes[:, :, 1])
+        assert all(math.isfinite(p) for p in probs)
+
+    def test_equally_good_cuts_of_one_dimension_take_the_first(self):
+        # splitting off x=0 or x=3 leaves the same SSE; the lower cut wins
+        space = real_space(1, low=0.0, high=3.0)
+        trials = [
+            TrialRecord(iteration=i, values=(float(x),), score=s, phase="rs", status="evaluated", wall_time=0.0)
+            for i, (x, s) in enumerate(zip(range(4), (0.0, 1.0, 1.0, 0.0)), start=1)
+        ]
+        config = ForestConfig(n_trees=1, max_depth=1, min_leaf=1, bootstrap=False)
+        tree = fit_forest(trials, space, config, np.random.default_rng(0)).trees[0]
+        assert tree.leaf_boxes[:, 0, :].tolist() == [[0.0, 0.5], [0.5, 3.0]]
+        assert tree.leaf_means.tolist() == [0.0, float(np.mean([1.0, 1.0, 0.0]))]
+
+    def test_cut_gaining_no_more_than_1e_15_is_no_split(self):
+        # the perfect cut here lowers the SSE by 4 * (0.5e-9)**2 = 1e-18
+        space = real_space(1, low=0.0, high=1.0)
+        trials = [
+            TrialRecord(iteration=i, values=(x,), score=s, phase="rs", status="evaluated", wall_time=0.0)
+            for i, (x, s) in enumerate([(0.1, 0.0), (0.2, 0.0), (0.8, 1e-9), (0.9, 1e-9)], start=1)
+        ]
+        forest = fit_forest(trials, space, ForestConfig(n_trees=1, bootstrap=False), np.random.default_rng(0))
+        assert forest.trees[0].split_dims == ()
+        assert forest.trees[0].leaf_boxes.tolist() == [[[0.0, 1.0]]]
+
     def test_deep_tree_on_ignored_dimension_never_splits_it(self):
         space = real_space(2, low=0.0, high=1.0)
         trials = make_trials(space, lambda v: v[0], 200, seed=2)
