@@ -235,9 +235,8 @@ def _best_splits(X: np.ndarray, rows: np.ndarray, yc: np.ndarray, start: np.ndar
     side = np.where(inside[si], ~(xs[si, sd] < thr[:, None]), 2)
     parted = ys[si[:, None], np.argsort(side, axis=1, kind="stable")].ravel()
     row0 = np.arange(si.size) * width
-    n_left = sp + 1
+    starts, lengths = np.concatenate((row0, row0 + nl[pick])), np.concatenate((nl[pick], nr[pick]))
     dev = np.empty(2 * si.size)
-    starts, lengths = np.concatenate((row0, row0 + n_left)), np.concatenate((n_left, count[si] - n_left))
     for sel, m, v in _equal_length_rows(parted, starts, lengths):
         dev[sel] = ((v - (v.sum(axis=1) / m)[:, None]) ** 2).sum(axis=1)
     gains = np.full((k, d), -np.inf)
