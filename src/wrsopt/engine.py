@@ -146,16 +146,16 @@ class EvalCache:
     """
 
     def __init__(self) -> None:
-        self._store: dict[str, tuple[float, str | None]] = {}
+        self._store: dict[tuple, tuple[float, str | None]] = {}
         self.hits = 0
 
     def __len__(self) -> int:
         return len(self._store)
 
-    def lookup(self, key: str) -> tuple[float, str | None] | None:
+    def lookup(self, key: tuple) -> tuple[float, str | None] | None:
         return self._store.get(key)
 
-    def store(self, key: str, score: float, error: str | None) -> None:
+    def store(self, key: tuple, score: float, error: str | None) -> None:
         self._store[key] = (score, error)
 
 

@@ -11,7 +11,10 @@ streams are reproducible: rs_step consumes exactly one uniform per dimension,
 wrs_step consumes one uniform per RESAMPLED dimension from the value stream
 plus one per step from a separate decision stream.  Keeping the decision
 stream separate is what makes an all-ones profile replay the RS stream
-bit for bit.
+bit for bit.  A step takes its k uniforms in one rng.random(k) call, which
+yields the same numbers, in order, as k scalar rng.random() calls and leaves
+the generator in the same state; the k-th uniform goes to the k-th drawn
+dimension in declaration order.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .sobol import SobolEngine
-from .space import SearchSpace, sample_dimension
+from .space import SearchSpace, value_at
 
 
 class SamplerError(RuntimeError):
@@ -97,15 +100,14 @@ def wrs_step(
     if best is not None and len(best) != len(space):
         raise SamplerError("incumbent does not match the space")
     p = decision_rng.random()
-    out = []
-    for i, dim in enumerate(space.dimensions):
-        if profile.probs[i] >= p or profile.gen_counts[i] <= profile.k_mins[i]:
-            out.append(sample_dimension(dim, value_rng))
-            profile.gen_counts[i] += 1
-        else:
-            if best is None:
-                raise SamplerError("no incumbent to copy from")
-            out.append(best[i])
+    probs, k_mins, gen_counts = profile.probs, profile.k_mins, profile.gen_counts
+    drawn = [i for i in range(len(probs)) if probs[i] >= p or gen_counts[i] <= k_mins[i]]
+    if best is None and len(drawn) < len(probs):
+        raise SamplerError("no incumbent to copy from")
+    out = list(best) if best is not None else [None] * len(probs)
+    for i, u in zip(drawn, value_rng.random(len(drawn)).tolist()):
+        out[i] = value_at(space.dimensions[i], u)
+        gen_counts[i] += 1
     return tuple(out)
 
 
@@ -127,8 +129,7 @@ def relaxed_bounds(space: SearchSpace) -> tuple[np.ndarray, np.ndarray]:
 def emit_relaxed(space: SearchSpace, x: np.ndarray) -> tuple:
     """Map a relaxed position to a valid candidate (round ints, index-clamp cats)."""
     out = []
-    for i, dim in enumerate(space.dimensions):
-        v = float(x[i])
+    for dim, v in zip(space.dimensions, x.tolist()):
         if dim.kind == "real":
             out.append(min(max(v, dim.low), dim.high))
         elif dim.kind == "int":
@@ -168,17 +169,16 @@ class SobolSampler:
             raise SamplerError(str(exc)) from exc
 
     def ask(self) -> tuple:
-        u = self._engine.next_point()
         out = []
-        for i, dim in enumerate(self.space.dimensions):
+        for dim, u in zip(self.space.dimensions, self._engine.next_point().tolist()):
             if dim.kind == "real":
-                out.append(dim.low + u[i] * (dim.high - dim.low))
+                out.append(dim.low + u * (dim.high - dim.low))
             elif dim.kind == "int":
-                v = int(round(dim.low + u[i] * (dim.high - dim.low)))
+                v = int(round(dim.low + u * (dim.high - dim.low)))
                 out.append(min(max(v, dim.low), dim.high))
             else:
                 k = len(dim.values)
-                out.append(dim.values[min(int(u[i] * k), k - 1)])
+                out.append(dim.values[min(int(u * k), k - 1)])
         return tuple(out)
 
     def tell(self, score: float) -> None:
@@ -252,17 +252,18 @@ class NelderMeadSampler:
         for j in range(len(vertices)):
             losses[j] = yield vertices[j]
         while True:
-            order = np.argsort(losses, kind="stable")
+            order = losses.argsort(kind="stable")
             vertices, losses = vertices[order], losses[order]
-            if np.all(vertices == vertices[0]):
+            if (vertices == vertices[0]).all():
                 self.converged = True
                 while True:
                     yield vertices[0]
-            x0 = vertices[:-1].mean(axis=0)  # centroid of all but the worst vertex
-            xr = np.clip(x0 + self.alpha * (x0 - vertices[-1]), lo, hi)
+            # centroid of all but the worst vertex; the same sum and division as .mean(axis=0)
+            x0 = vertices[:-1].sum(axis=0) / (len(vertices) - 1)
+            xr = (x0 + self.alpha * (x0 - vertices[-1])).clip(lo, hi)
             lr = yield xr
             if lr < losses[0]:
-                xe = np.clip(x0 + self.gamma * (xr - x0), lo, hi)
+                xe = (x0 + self.gamma * (xr - x0)).clip(lo, hi)
                 le = yield xe
                 vertices[-1], losses[-1] = (xe, le) if le < lr else (xr, lr)
                 continue
@@ -270,11 +271,11 @@ class NelderMeadSampler:
                 vertices[-1], losses[-1] = xr, lr
                 continue
             if lr < losses[-1]:
-                xc = np.clip(x0 + self.rho * (xr - x0), lo, hi)
+                xc = (x0 + self.rho * (xr - x0)).clip(lo, hi)
                 lc = yield xc
                 accepted = lc <= lr
             else:
-                xc = np.clip(x0 - self.rho * (x0 - vertices[-1]), lo, hi)
+                xc = (x0 - self.rho * (x0 - vertices[-1])).clip(lo, hi)
                 lc = yield xc
                 accepted = lc < losses[-1]
             if accepted:
@@ -282,7 +283,7 @@ class NelderMeadSampler:
                 continue
             # shrink toward the best vertex, re-evaluating the others in order
             for j in range(1, len(vertices)):
-                vertices[j] = np.clip(vertices[0] + self.sigma * (vertices[j] - vertices[0]), lo, hi)
+                vertices[j] = (vertices[0] + self.sigma * (vertices[j] - vertices[0])).clip(lo, hi)
                 losses[j] = yield vertices[j]
 
 
@@ -339,7 +340,7 @@ class PsoSampler:
                 + self.c1 * r1 * (self._pbest - self._x)
                 + self.c2 * r2 * (self._gbest - self._x)
             )
-            self._x = np.clip(self._x + self._v, self._lo, self._hi)
+            self._x = (self._x + self._v).clip(self._lo, self._hi)
         return emit_relaxed(self.space, self._x[self._slot])
 
     def tell(self, score: float) -> None:
@@ -355,7 +356,7 @@ class PsoSampler:
         improved = self._scores > self._pbest_score
         self._pbest[improved] = self._x[improved]
         self._pbest_score[improved] = self._scores[improved]
-        top = int(np.argmax(self._pbest_score))
+        top = int(self._pbest_score.argmax())
         if self._pbest_score[top] > self._gbest_score:
             self._gbest = self._pbest[top].copy()
             self._gbest_score = float(self._pbest_score[top])

@@ -7,6 +7,7 @@ dimensions one of their listed values.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import math
@@ -78,6 +79,8 @@ class Dimension:
                 _check(len(w) == len(self.values), f"{self.name}: weights length must match values length")
                 _check(all(math.isfinite(x) and x > 0 for x in w), f"{self.name}: weights must be finite and positive")
                 object.__setattr__(self, "weights", w)
+                # running totals that value_at searches, summed once per dimension
+                object.__setattr__(self, "_cum_weights", np.cumsum(w).tolist())
             return
 
         _check(self.values is None and self.weights is None, f"{self.name}: range dimensions take bounds, not values")
@@ -109,7 +112,11 @@ def sample_dimension(dim: Dimension, rng: np.random.Generator) -> Any:
     The single-draw contract keeps candidate streams reproducible across
     samplers that interleave draws from a shared generator.
     """
-    u = rng.random()
+    return value_at(dim, rng.random())
+
+
+def value_at(dim: Dimension, u: float) -> Any:
+    """The value a uniform u in [0, 1) selects on dim."""
     if dim.kind == "real":
         return dim.low + u * (dim.high - dim.low)
     if dim.kind == "int":
@@ -118,8 +125,8 @@ def sample_dimension(dim: Dimension, rng: np.random.Generator) -> Any:
     if dim.weights is None:
         idx = min(int(u * len(dim.values)), len(dim.values) - 1)
         return dim.values[idx]
-    cum = np.cumsum(dim.weights)
-    idx = int(np.searchsorted(cum, u * cum[-1], side="right"))
+    cum = dim._cum_weights
+    idx = bisect.bisect_right(cum, u * cum[-1])
     return dim.values[min(idx, len(dim.values) - 1)]
 
 
@@ -155,8 +162,9 @@ class SearchSpace:
         raise SpaceError(f"no dimension named {name!r}")
 
     def sample(self, rng: np.random.Generator) -> tuple:
-        """Draw an independent uniform candidate, one rng.random() per dimension."""
-        return tuple(sample_dimension(d, rng) for d in self.dimensions)
+        """Draw an independent uniform candidate from one rng.random(d) call,
+        the same stream as one rng.random() per dimension."""
+        return tuple(map(value_at, self.dimensions, rng.random(len(self.dimensions)).tolist()))
 
 
 def validate_candidate(space: SearchSpace, values: Sequence[Any]) -> tuple:
@@ -179,21 +187,15 @@ def validate_candidate(space: SearchSpace, values: Sequence[Any]) -> tuple:
     return tuple(out)
 
 
-def candidate_key(space: SearchSpace, values: Sequence[Any]) -> str:
-    """Canonical string key for caching and duplicate detection.
+def candidate_key(space: SearchSpace, values: Sequence[Any]) -> tuple:
+    """Key for caching and duplicate detection: the candidate tuple itself.
 
-    Float coordinates use hex form so the key is exact: two candidates share a
-    key iff every coordinate compares equal.
+    Tuple equality is exact: two candidates share a key iff every coordinate
+    compares equal.  So 0.1 + 0.2 and 0.3 stay apart, while 0.0 and -0.0 on
+    a real axis are one key.  Categorical values are hashable by
+    construction (Dimension checks them).
     """
-    parts = []
-    for dim, v in zip(space.dimensions, values):
-        if dim.kind == "int":
-            parts.append(f"i{int(v)}")
-        elif dim.kind == "real":
-            parts.append("f" + float(v).hex())
-        else:
-            parts.append("c" + json.dumps(v, sort_keys=True, separators=(",", ":")))
-    return "|".join(parts)
+    return tuple(values)
 
 
 def dimension_to_dict(dim: Dimension) -> dict:

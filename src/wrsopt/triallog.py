@@ -14,6 +14,7 @@ json extension of JSON number syntax; any reader using Python's json module
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -134,35 +135,78 @@ class RunHeader:
             raise LogError(f"bad header record: {exc}") from exc
 
 
-def _dumps(payload: dict) -> str:
-    # insertion order is the documented field order; -inf serializes as -Infinity
-    return json.dumps(payload, ensure_ascii=False, separators=(", ", ": "))
+# One encoder for every line.  json.dumps with non-default arguments builds a
+# new JSONEncoder on each call; these are the arguments the log format fixes.
+_encode = json.JSONEncoder(ensure_ascii=False, separators=(", ", ": ")).encode
+
+
+def _number(x: Any) -> str:
+    """x as JSON: repr for an exact int or finite float, else the encoder
+    (bools, numpy scalars and +-inf/nan, which repr would spell differently)."""
+    if type(x) is int or (type(x) is float and math.isfinite(x)):
+        return repr(x)
+    return _encode(x)
+
+
+def record_line(rec: TrialRecord) -> str:
+    """One trial's log line, without the newline.
+
+    The text equals json.dumps(rec.to_dict(), ensure_ascii=False,
+    separators=(", ", ": ")), built field by field: the value list is its
+    repr when every value is an exact int or a finite float, where Python
+    and JSON spell numbers alike, and goes through the encoder otherwise.
+    """
+    values = rec.values
+    if all(type(v) is int or (type(v) is float and math.isfinite(v)) for v in values):
+        values_text = repr(list(values))
+    else:
+        values_text = _encode(list(values))
+    line = (
+        f'{{"iteration": {_number(rec.iteration)}, "values": {values_text}, "score": {_number(rec.score)}, '
+        f'"phase": {_encode(rec.phase)}, "status": {_encode(rec.status)}, "wall_time": {_number(rec.wall_time)}'
+    )
+    if rec.error is not None:
+        line += f', "error": {_encode(rec.error)}'
+    return line + "}"
 
 
 def write_log(path: str, header: RunHeader, records: Sequence[TrialRecord]) -> None:
     """Write the whole log in one pass (header first, trials in order)."""
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(_dumps(header.to_dict()) + "\n")
+        # insertion order is the documented field order; -inf serializes as -Infinity
+        fh.write(_encode(header.to_dict()) + "\n")
         for rec in records:
-            fh.write(_dumps(rec.to_dict()) + "\n")
+            fh.write(record_line(rec) + "\n")
     os.replace(tmp, path)
 
 
 def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
     """Parse and validate a log: schema, statuses, consecutive iterations,
-    record count equal to the declared budget."""
+    record count equal to the declared budget.
+
+    Lines end at a newline (U+000A) only.  A string value may hold U+2028,
+    U+2029 or U+0085 unescaped, which str.splitlines() would take for line
+    breaks.  Blank lines are skipped but still counted in the line numbers
+    of errors.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+            text = fh.read()
     except OSError as exc:
         raise LogError(f"cannot read {path}: {exc}") from exc
-    if not lines:
+    except UnicodeDecodeError as exc:
+        raise LogError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    payloads = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            payloads.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise LogError(f"{path}: invalid JSON on line {lineno}") from exc
+    if not payloads:
         raise LogError(f"{path}: empty log")
-    try:
-        payloads = [json.loads(ln) for ln in lines]
-    except json.JSONDecodeError as exc:
-        raise LogError(f"{path}: invalid JSON on line {exc.lineno}") from exc
     header = RunHeader.from_dict(payloads[0])
     records = [TrialRecord.from_dict(p) for p in payloads[1:]]
     for i, rec in enumerate(records, start=1):

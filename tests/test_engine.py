@@ -123,6 +123,19 @@ class TestCache:
         b = candidate_key(space, (0.5, 3, "tanh"))
         assert a != b
 
+    def test_keys_follow_float_equality(self):
+        # 0.1 + 0.2 != 0.3 in binary, so both are evaluated; -0.0 == 0.0,
+        # so the second signed zero is a hit on the first one's entry
+        space = real_space(2, low=-1.0, high=1.0)
+        objective = python_objective(lambda v: v[0] + v[1])
+        cache = EvalCache()
+        statuses = [
+            evaluate_with_cache(objective, space, values, cache, it, "rs").status
+            for it, values in enumerate([(0.1 + 0.2, 0.5), (0.3, 0.5), (0.0, 0.5), (-0.0, 0.5)], start=1)
+        ]
+        assert statuses == ["evaluated", "evaluated", "evaluated", "cached-hit"]
+        assert len(cache) == 3 and objective.calls == 3
+
 
 class TestBudgets:
     @pytest.mark.parametrize(

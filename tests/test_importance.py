@@ -40,6 +40,15 @@ class TestForestFitting:
         with pytest.raises(ImportanceError):
             fit_forest([t, dup], space)
 
+    def test_signed_zeros_are_one_candidate(self):
+        space = real_space(1, low=-1.0, high=1.0)
+        trials = [
+            TrialRecord(iteration=i, values=(v,), score=float(i), phase="rs", status="evaluated", wall_time=0.0)
+            for i, v in enumerate((0.0, -0.0), start=1)
+        ]
+        with pytest.raises(ImportanceError, match="have 1$"):
+            fit_forest(trials, space)
+
     def test_constant_scores_raise_zero_variance(self):
         space = int_space(1, low=0, high=9)
         trials = make_trials(space, lambda v: 7.0, 30, seed=1)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wrsopt.objectives import sphere
 from wrsopt.samplers import NelderMeadSampler, SamplerError
@@ -179,3 +181,38 @@ def test_coefficients_are_configurable():
     for _ in range(3):
         nm.tell(-losses[nm.ask()])
     assert nm.ask() == (1.5, -2.0)  # reflection stretched by alpha = 2
+
+
+# The simplex and swarm code call ndarray methods where they used to call the
+# numpy functions: x.clip, x.argsort, x.argmax and (a == b).all() for
+# np.clip, np.argsort, np.argmax and np.all, and sum(axis=0) / n for
+# mean(axis=0).  Each pair must agree bit for
+# bit, signed zeros included, on the shapes the simplex uses.
+_coords = st.floats(-1e300, 1e300, allow_nan=False) | st.sampled_from((0.0, -0.0, 5e-324, -5e-324))
+
+
+@st.composite
+def simplices(draw):
+    d = draw(st.integers(1, 12))
+    return draw(hnp.arrays(np.float64, (d + 1, d), elements=_coords))
+
+
+@settings(max_examples=300, deadline=None)
+@given(simplices())
+def test_centroid_sum_over_count_is_bitwise_mean(vertices):
+    got = vertices[:-1].sum(axis=0) / (len(vertices) - 1)
+    assert got.tobytes() == vertices[:-1].mean(axis=0).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(simplices(), st.data())
+def test_array_methods_match_numpy_functions_bitwise(vertices, data):
+    d = vertices.shape[1]
+    lo, hi = np.sort(data.draw(hnp.arrays(np.float64, (2, d), elements=_coords)), axis=0)
+    x = vertices[0]
+    assert x.clip(lo, hi).tobytes() == np.clip(x, lo, hi).tobytes()
+    losses = data.draw(hnp.arrays(np.float64, d + 1, elements=st.sampled_from((-1.0, 0.0, 2.5)) | _coords))
+    assert losses.argsort(kind="stable").tolist() == np.argsort(losses, kind="stable").tolist()
+    assert losses.argmax() == np.argmax(losses)
+    same = vertices == vertices[0]
+    assert bool(same.all()) is bool(np.all(same))

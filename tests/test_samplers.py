@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from wrsopt.samplers import ChangeProfile, SamplerError, rs_step, wrs_step
 from wrsopt.space import SpaceError, validate_candidate
 
+from _stream_oracle import spaces, wrs_step_by_dimension
 from _util import mixed_space, real_space
 
 
@@ -142,3 +143,43 @@ class TestWrsStep:
         for _ in range(20):
             best = wrs_step(space, best, profile, rngv, rngd)
             validate_candidate(space, best)
+
+
+@st.composite
+def profiles(draw, d):
+    probs = draw(st.lists(st.floats(1e-3, 1.0), min_size=d, max_size=d))
+    probs[draw(st.integers(0, d - 1))] = 1.0
+    k_mins = draw(st.lists(st.integers(0, 4), min_size=d, max_size=d))
+    gen_counts = draw(st.lists(st.integers(0, 6), min_size=d, max_size=d))
+    return ChangeProfile(probs=tuple(probs), k_mins=tuple(k_mins), gen_counts=gen_counts)
+
+
+class TestWrsStepStream:
+    """wrs_step takes its value draws in one random(k) call; the reference
+    loop takes them one dimension at a time."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), spaces(), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+    def test_matches_per_dimension_loop(self, data, space, seed_v, seed_d):
+        profile = data.draw(profiles(len(space)))
+        twin = ChangeProfile(probs=profile.probs, k_mins=profile.k_mins, gen_counts=list(profile.gen_counts))
+        rngs = [np.random.default_rng(seed_v), np.random.default_rng(seed_d)]
+        ref_rngs = [np.random.default_rng(seed_v), np.random.default_rng(seed_d)]
+        best = ref = space.sample(np.random.default_rng(seed_v + 1))
+        for _ in range(10):
+            best = wrs_step(space, best, profile, *rngs)
+            ref = wrs_step_by_dimension(space, ref, twin, *ref_rngs)
+            assert best == ref
+            assert [type(v) for v in best] == [type(v) for v in ref]
+            assert profile.gen_counts == twin.gen_counts
+        for rng, ref_rng in zip(rngs, ref_rngs):
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_forced_first_step_without_incumbent_matches(self):
+        space = mixed_space()
+        a = ChangeProfile(probs=(1.0, 0.2, 0.1), k_mins=(0, 2, 1), gen_counts=[0, 0, 0])
+        b = ChangeProfile(probs=(1.0, 0.2, 0.1), k_mins=(0, 2, 1), gen_counts=[0, 0, 0])
+        got = wrs_step(space, None, a, np.random.default_rng(7), np.random.default_rng(8))
+        want = wrs_step_by_dimension(space, None, b, np.random.default_rng(7), np.random.default_rng(8))
+        assert got == want
+        assert a.gen_counts == b.gen_counts == [1, 1, 1]

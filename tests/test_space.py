@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wrsopt.space import (
     Dimension,
@@ -15,7 +15,10 @@ from wrsopt.space import (
     space_from_dict,
     space_to_dict,
     validate_candidate,
+    value_at,
 )
+
+from _stream_oracle import draw_dimension, sample_by_dimension, spaces
 
 
 def test_kind_aliases_normalize():
@@ -95,6 +98,52 @@ def test_sample_consumes_one_uniform_per_dimension():
     assert a.random() == b.random()  # streams still aligned afterwards
 
 
+def test_weighted_categorical_draw_sequence_is_pinned():
+    # recorded with the running totals summed by np.cumsum on every draw
+    dim = Dimension(name="c", kind="cat", values=("a", "b", "c", "d", "e"), weights=(0.1, 2.5, 1.0, 3.75, 0.4))
+    rng = np.random.default_rng(2024)
+    assert "".join(sample_dimension(dim, rng) for _ in range(40)) == "dbbdebbbcbddbdadeddbbcbdbbdbbbdbdbdddedb"
+    tiny = Dimension(name="t", kind="cat", values=(10, 20, 30), weights=(1.0, 1e-12, 1.0))
+    rng = np.random.default_rng(5)
+    assert [sample_dimension(tiny, rng) for _ in range(12)] == [30, 30, 30, 10, 10, 10, 10, 10, 10, 30, 30, 10]
+
+
+class _FixedUniforms:
+    def __init__(self, *us):
+        self._us = list(us)
+
+    def random(self):
+        return self._us.pop(0)
+
+
+def test_weighted_draw_on_a_running_total_takes_the_next_value():
+    # u * total equal to a running total selects the value after it, as
+    # np.searchsorted(..., side="right") did
+    dim = Dimension(name="c", kind="cat", values=("a", "b", "c"), weights=(1.0, 1.0, 2.0))
+    us = (0.0, 0.25, 0.5, 0.75)
+    assert [value_at(dim, u) for u in us] == ["a", "b", "c", "c"]
+    assert [draw_dimension(dim, _FixedUniforms(u)) for u in us] == ["a", "b", "c", "c"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=8), st.integers(0, 2**32 - 1))
+def test_weighted_categorical_matches_per_draw_cumsum(weights, seed):
+    dim = Dimension(name="c", kind="cat", values=tuple(range(len(weights))), weights=weights)
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert [sample_dimension(dim, a) for _ in range(30)] == [draw_dimension(dim, b) for _ in range(30)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(spaces(), st.integers(0, 2**32 - 1))
+def test_sample_matches_per_dimension_draws(space, seed):
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(5):
+        got, want = space.sample(a), sample_by_dimension(space, b)
+        assert got == want
+        assert [type(v) for v in got] == [type(v) for v in want]
+    assert a.bit_generator.state == b.bit_generator.state
+
+
 def test_weighted_categorical_prefers_heavy_value():
     dim = Dimension(name="c", kind="cat", values=("rare", "common"), weights=(1.0, 9.0))
     rng = np.random.default_rng(3)
@@ -123,6 +172,21 @@ def test_candidate_key_is_exact_for_floats():
     b = candidate_key(space, (0.3,))
     assert a != b  # 0.1+0.2 != 0.3 in binary
     assert candidate_key(space, (0.3,)) == b
+    assert len({a, b}) == 2
+
+
+def test_candidate_key_is_the_candidate_tuple():
+    space = SearchSpace((Dimension(name="r", kind="real", low=0.0, high=1.0), Dimension(name="c", kind="cat", values=("a", "b"))))
+    assert candidate_key(space, (0.5, "b")) == (0.5, "b")
+    assert candidate_key(space, [0.5, "b"]) == (0.5, "b")
+
+
+def test_signed_zeros_on_a_real_axis_share_one_key():
+    # -0.0 == 0.0, so by the compare-equal rule they are one candidate
+    space = SearchSpace((Dimension(name="r", kind="real", low=-1.0, high=1.0), Dimension(name="n", kind="int", low=0, high=3)))
+    keys = {candidate_key(space, (0.0, 2)), candidate_key(space, (-0.0, 2))}
+    assert len(keys) == 1
+    assert candidate_key(space, (0.0, 2)) != candidate_key(space, (0.0, 3))
 
 
 @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))

@@ -1,7 +1,9 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wrsopt.triallog import (
     SCHEMA_VERSION,
@@ -10,6 +12,7 @@ from wrsopt.triallog import (
     TrialRecord,
     read_log,
     record_fingerprint,
+    record_line,
     write_log,
 )
 
@@ -94,8 +97,25 @@ class TestValidation:
     def test_invalid_json_line(self, tmp_path):
         p = tmp_path / "bad.jsonl"
         p.write_text('{"kind": "header"\n')
-        with pytest.raises(LogError, match="invalid JSON"):
+        with pytest.raises(LogError, match="invalid JSON on line 1$"):
             read_log(str(p))
+
+    def test_invalid_json_reports_the_file_line_counting_blank_lines(self, tmp_path):
+        path = str(tmp_path / "run.jsonl")
+        write_log(path, make_header(budget=2), make_records(2))
+        header, first, second = open(path).read().splitlines()
+        # line 2 is blank, line 3 is broken, line 4 is fine
+        open(path, "w").write(header + "\n\n" + first[:-1] + "\n" + second + "\n")
+        with pytest.raises(LogError, match="invalid JSON on line 3$"):
+            read_log(path)
+
+    def test_bytes_that_are_not_utf8_are_a_log_error(self, tmp_path):
+        path = str(tmp_path / "run.jsonl")
+        write_log(path, make_header(budget=1), make_records(1))
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\n")
+        with pytest.raises(LogError, match="not UTF-8"):
+            read_log(path)
 
     def test_first_line_must_be_header(self, tmp_path):
         p = tmp_path / "bad.jsonl"
@@ -162,3 +182,57 @@ def test_float_values_round_trip_exactly(tmp_path):
     _, records = read_log(path)
     assert records[0].values[0] == tricky
     assert records[0].score == math.pi
+
+
+@pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\u0085"])
+def test_unicode_line_separators_in_strings_round_trip(tmp_path, sep):
+    # json writes these raw (ensure_ascii=False); only "\n" ends a log line
+    path = str(tmp_path / "run.jsonl")
+    header = make_header(budget=2)
+    header.space = {"dimensions": [{"name": "c", "kind": "cat", "values": [f"a{sep}b", "z"]}]}
+    records = [
+        TrialRecord(iteration=1, values=(f"a{sep}b",), score=1.0, phase="rs", status="evaluated", wall_time=0.0),
+        TrialRecord(iteration=2, values=("z",), score=float("-inf"), phase="rs", status="failed", wall_time=0.0, error=f"exit{sep}3"),
+    ]
+    write_log(path, header, records)
+    assert sep in open(path, encoding="utf-8").read()
+    got_header, got_records = read_log(path)
+    assert got_header == header
+    assert got_records == records
+
+
+_json_dumps_kwargs = dict(ensure_ascii=False, separators=(", ", ": "))
+_floats = st.floats() | st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1.5e-7))
+_ints = st.integers() | st.integers(2**1024, 2**1100) | st.integers(-(2**1100), -(2**1024))
+_texts = st.text() | st.sampled_from(('say "hi"', "back\\slash", "tab\tnew\nline", "\u00e9\u4e2d\U0001f600", "\x00\x1f", "\u2028"))
+_values = st.one_of(_ints, _floats, st.booleans(), st.none(), _texts, _floats.map(np.float64))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    iteration=_ints | st.booleans(),
+    values=st.lists(_values, max_size=8).map(tuple),
+    score=_floats | _ints | _floats.map(np.float64),
+    phase=_texts,
+    status=_texts,
+    wall_time=_floats,
+    error=st.none() | _texts,
+)
+def test_record_line_is_byte_identical_to_json_dumps(iteration, values, score, phase, status, wall_time, error):
+    rec = TrialRecord(iteration, values, score, phase, status, wall_time, error)
+    assert record_line(rec) == json.dumps(rec.to_dict(), **_json_dumps_kwargs)
+
+
+def test_record_line_covers_each_value_type():
+    rec = TrialRecord(
+        iteration=7,
+        values=(True, None, 'q"uote', "\u00e9", np.float64(0.1), 2**1030, math.inf, -math.inf, math.nan, -0.0, 3, 2.5),
+        score=-0.0,
+        phase="wrs",
+        status="failed",
+        wall_time=1e-7,
+        error='exit "2"',
+    )
+    assert record_line(rec) == json.dumps(rec.to_dict(), **_json_dumps_kwargs)
+    plain = TrialRecord(iteration=1, values=(-0.0, 1e16, 3, 0.1 + 0.2), score=2.0, phase="rs", status="evaluated", wall_time=0.5)
+    assert record_line(plain) == json.dumps(plain.to_dict(), **_json_dumps_kwargs)
