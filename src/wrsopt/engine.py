@@ -12,7 +12,8 @@ them in strict alternation, once per budget unit, and alone owns the cache,
 the records, the incumbent and the check that not every trial failed.  A
 strategy never evaluates anything itself; a run simply stops asking when the
 budget is spent, even in the middle of a PSO generation.  The wrs strategy
-reads the recorded trials and the incumbent through the shared ``RunState``.
+reads the records and the incumbent from the ``RunResult`` the loop fills,
+and writes its frozen profile into that result's header.
 
 Randomness is split into three independent streams derived from the run
 seed: candidate values, per-step change decisions, and forest bootstrapping.
@@ -138,25 +139,12 @@ def update_best(best: BestState, trial: TrialRecord) -> BestState:
     return best
 
 
-class EvalCache:
-    """Score memo keyed by exact candidate identity.
+class EvalCache(dict):
+    """Score memo: candidate key -> (score, error token or None).
 
     Failures are cached too: re-proposing a crashed candidate must not
     re-run the objective.
     """
-
-    def __init__(self) -> None:
-        self._store: dict[tuple, tuple[float, str | None]] = {}
-        self.hits = 0
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def lookup(self, key: tuple) -> tuple[float, str | None] | None:
-        return self._store.get(key)
-
-    def store(self, key: tuple, score: float, error: str | None) -> None:
-        self._store[key] = (score, error)
 
 
 def evaluate_with_cache(
@@ -170,25 +158,15 @@ def evaluate_with_cache(
     """Evaluate one candidate through the cache and build its record."""
     key = candidate_key(space, values)
     start = time.perf_counter()
-    hit = cache.lookup(key)
+    hit = cache.get(key)
     if hit is not None:
-        cache.hits += 1
-        score, error = hit
-        return TrialRecord(
-            iteration=iteration,
-            values=tuple(values),
-            score=score,
-            phase=phase,
-            status="cached-hit",
-            wall_time=time.perf_counter() - start,
-            error=error,
-        )
-    try:
-        score = objective(values)
-        status, error = "evaluated", None
-    except ObjectiveFailure as exc:
-        score, status, error = FAILED_SCORE, "failed", exc.reason
-    cache.store(key, score, error)
+        (score, error), status = hit, "cached-hit"
+    else:
+        try:
+            score, status, error = objective(values), "evaluated", None
+        except ObjectiveFailure as exc:
+            score, status, error = FAILED_SCORE, "failed", exc.reason
+        cache[key] = (score, error)
     return TrialRecord(
         iteration=iteration,
         values=tuple(values),
@@ -216,23 +194,19 @@ class RngBundle:
 
 @dataclass
 class RunResult:
+    """The one object a run fills: a header complete before trial 1 except
+    for its profile, then every record, the incumbent and any warnings.  The
+    wrs strategy reads the records and the incumbent from it and writes its
+    frozen profile into ``header.profile``; other strategies leave it None."""
+
     header: RunHeader
-    records: list[TrialRecord]
-    best: BestState
+    records: list[TrialRecord] = field(default_factory=list)
+    best: BestState = field(default_factory=BestState)
     warnings: list[str] = field(default_factory=list)
 
 
 def _all_failed(records: Sequence[TrialRecord]) -> bool:
     return bool(records) and all(r.status == "failed" for r in records)
-
-
-@dataclass
-class RunState:
-    """What the trial loop has recorded so far; the wrs strategy reads it."""
-
-    records: list[TrialRecord] = field(default_factory=list)
-    best: BestState = field(default_factory=BestState)
-    warnings: list[str] = field(default_factory=list)
 
 
 def _resolve_overrides(space: SearchSpace, pairs: Sequence[tuple[str, float]]) -> dict[int, float]:
@@ -311,28 +285,27 @@ class WeightedSearch:
     ask is a weighted step against the run's incumbent (phase "wrs").
     """
 
-    def __init__(self, space: SearchSpace, config: RunConfig, rngs: RngBundle, state: RunState):
-        self.space, self.config, self.rngs, self.state = space, config, rngs, state
+    def __init__(self, space: SearchSpace, config: RunConfig, rngs: RngBundle, result: RunResult):
+        self.space, self.config, self.rngs, self.result = space, config, rngs, result
         self.phase = "rs"
         self.profile: ChangeProfile | None = None
-        self.header_profile: dict | None = None
 
     def ask(self) -> tuple:
-        records = self.state.records
+        records = self.result.records
         if len(records) < self.config.init:
             return rs_step(self.space, self.rngs.values)
         if self.profile is None:
             if _all_failed(records):
                 raise AllTrialsFailedError(f"all {self.config.init} trials of the rs phase failed")
-            self.profile, weights = _build_profile(self.space, self.config, records, self.rngs.forest, self.state.warnings)
-            self.header_profile = {
+            self.profile, weights = _build_profile(self.space, self.config, records, self.rngs.forest, self.result.warnings)
+            self.result.header.profile = {
                 "weights": weights,
                 "probs": list(self.profile.probs),
                 "k_mins": list(self.profile.k_mins),
             }
             self.phase = "wrs"
-        if self.state.best.candidate is not None:
-            incumbent = self.state.best.candidate
+        if self.result.best.candidate is not None:
+            incumbent = self.result.best.candidate
         elif records:
             incumbent = records[-1].values  # every trial so far failed; copy coordinates from the last attempt
         else:
@@ -343,10 +316,10 @@ class WeightedSearch:
         pass
 
 
-def _make_strategy(space: SearchSpace, config: RunConfig, rngs: RngBundle, state: RunState):
+def _make_strategy(space: SearchSpace, config: RunConfig, rngs: RngBundle, result: RunResult):
     options = dict(config.sampler_options)
     if config.strategy == "wrs":
-        return WeightedSearch(space, config, rngs, state)
+        return WeightedSearch(space, config, rngs, result)
     if config.strategy == "rs":
         return RandomSearch(space, rngs.values)
     if config.strategy == "sobol":
@@ -357,24 +330,9 @@ def _make_strategy(space: SearchSpace, config: RunConfig, rngs: RngBundle, state
 
 
 def execute_run(space: SearchSpace, objective: Objective, config: RunConfig) -> RunResult:
-    """Validate, drive the requested strategy for exactly config.budget
-    trials, and assemble the log header."""
+    """Validate, write the header, then drive the requested strategy for
+    exactly config.budget trials into one RunResult."""
     config.validate(space)
-    rngs = RngBundle.from_seed(config.seed)
-    state = RunState()
-    strategy = _make_strategy(space, config, rngs, state)
-    cache = EvalCache()
-    for it in range(1, config.budget + 1):
-        values = strategy.ask()
-        rec = evaluate_with_cache(objective, space, values, cache, it, strategy.phase)
-        state.records.append(rec)
-        state.best = update_best(state.best, rec)
-        strategy.tell(rec.score)
-    if _all_failed(state.records):
-        if config.strategy == "rs":  # the whole run is one rs phase; word it as the wrs phase-1 abort
-            raise AllTrialsFailedError(f"all {config.budget} trials of the rs phase failed")
-        raise AllTrialsFailedError("every trial of the run failed")
-
     options: dict = {}
     if config.sampler_options:
         options["sampler"] = {k: v for k, v in sorted(config.sampler_options)}
@@ -382,16 +340,28 @@ def execute_run(space: SearchSpace, objective: Objective, config: RunConfig) -> 
         options["prob_overrides"] = {k: v for k, v in sorted(config.prob_overrides)}
     if config.kmin_overrides:
         options["kmin_overrides"] = {k: v for k, v in sorted(config.kmin_overrides)}
-
-    header = RunHeader(
-        strategy=config.strategy,
-        budget=config.budget,
-        init=config.init,
-        seed=config.seed,
-        objective=objective.spec.text or f"{objective.spec.kind}:{objective.spec.target}",
-        space=space_to_dict(space),
-        space_digest=space_digest(space),
-        profile=strategy.header_profile if config.strategy == "wrs" else None,
-        options=options,
+    result = RunResult(
+        header=RunHeader(
+            strategy=config.strategy,
+            budget=config.budget,
+            init=config.init,
+            seed=config.seed,
+            objective=objective.spec.text or f"{objective.spec.kind}:{objective.spec.target}",
+            space=space_to_dict(space),
+            space_digest=space_digest(space),
+            options=options,
+        )
     )
-    return RunResult(header=header, records=state.records, best=state.best, warnings=state.warnings)
+    strategy = _make_strategy(space, config, RngBundle.from_seed(config.seed), result)
+    cache = EvalCache()
+    for it in range(1, config.budget + 1):
+        values = strategy.ask()
+        rec = evaluate_with_cache(objective, space, values, cache, it, strategy.phase)
+        result.records.append(rec)
+        result.best = update_best(result.best, rec)
+        strategy.tell(rec.score)
+    if _all_failed(result.records):
+        if config.strategy == "rs":  # the whole run is one rs phase; word it as the wrs phase-1 abort
+            raise AllTrialsFailedError(f"all {config.budget} trials of the rs phase failed")
+        raise AllTrialsFailedError("every trial of the run failed")
+    return result

@@ -136,7 +136,8 @@ def encode_trials(trials: Sequence[TrialRecord], space: SearchSpace) -> tuple[np
     """Ordinal design matrix and score vector from the usable trials.
 
     Failed and non-finite-score trials are dropped; categorical values map
-    to their list index.
+    to their list index.  A categorical value missing from its list, or a
+    numeric value that does not convert to float, raises ImportanceError.
     """
     rows, ys = [], []
     cat_index = {
@@ -147,10 +148,12 @@ def encode_trials(trials: Sequence[TrialRecord], space: SearchSpace) -> tuple[np
     for t in trials:
         if t.status == "failed" or not math.isfinite(t.score):
             continue
-        row = [
-            float(cat_index[i][v]) if i in cat_index else float(v)
-            for i, v in enumerate(t.values)
-        ]
+        row = []
+        for i, v in enumerate(t.values):
+            try:
+                row.append(float(cat_index[i][v]) if i in cat_index else float(v))
+            except (KeyError, TypeError, ValueError):
+                raise ImportanceError(f"trial {t.iteration}: {space[i].name}={v!r} is not a value of the space") from None
         rows.append(row)
         ys.append(float(t.score))
     if not rows:

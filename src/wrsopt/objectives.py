@@ -16,7 +16,9 @@ part of the command itself.
 from __future__ import annotations
 
 import math
+import os
 import shlex
+import signal
 import subprocess
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
@@ -247,21 +249,30 @@ def evaluate_external(command: str, values: tuple, space: SearchSpace, timeout: 
 
     The command is launched with one name=value argument per dimension in
     space order.  The final line of stdout must parse as a decimal score and
-    the exit code must be 0; anything else raises ObjectiveFailure.
+    the exit code must be 0; anything else raises ObjectiveFailure.  The
+    command runs in a session of its own, so a timeout kills its whole
+    process group, background grandchildren included.
     """
     argv = shlex.split(command)
     if not argv:
         raise ObjectiveError("external command is empty")
     argv += [format_argument(d.kind, d.name, v) for d, v in zip(space.dimensions, values)]
     try:
-        proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        raise ObjectiveFailure("timeout") from None
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True)
     except OSError as exc:
         raise ObjectiveFailure(f"spawn failed: {exc}") from None
+    with proc:
+        try:
+            stdout, _ = proc.communicate(timeout=timeout)
+        except BaseException as exc:  # a timeout, or a Ctrl-C that the command's own session never sees
+            os.killpg(proc.pid, signal.SIGKILL)  # the unreaped child keeps its group alive until wait()
+            proc.wait()
+            if isinstance(exc, subprocess.TimeoutExpired):
+                raise ObjectiveFailure("timeout") from None
+            raise
     if proc.returncode != 0:
         raise ObjectiveFailure(f"exit {proc.returncode}")
-    lines = [ln for ln in proc.stdout.splitlines() if ln.strip()]
+    lines = [ln for ln in stdout.splitlines() if ln.strip()]
     if not lines:
         raise ObjectiveFailure("no output")
     try:

@@ -96,15 +96,6 @@ class Dimension:
             _check(math.isfinite(self.low) and math.isfinite(self.high), f"{self.name}: real bounds must be finite")
         _check(self.low <= self.high, f"{self.name}: low must not exceed high")
 
-    @property
-    def size(self) -> int:
-        """Number of distinct values for int/cat dimensions."""
-        if self.kind == "int":
-            return self.high - self.low + 1
-        if self.kind == "cat":
-            return len(self.values)
-        raise SpaceError(f"{self.name}: real dimensions have no finite size")
-
 
 def sample_dimension(dim: Dimension, rng: np.random.Generator) -> Any:
     """Draw one value, consuming exactly one uniform from rng.

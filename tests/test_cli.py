@@ -374,6 +374,27 @@ class TestImportance:
         write_log(log, header, records)
         assert run_cli(["importance", log]) == 1
 
+    def test_value_outside_the_space_exits_1_with_one_line(self, tmp_path, capsys):
+        # the header is intact; only the trial lines carry "zz" instead of "a"
+        space = {"dimensions": [
+            {"name": "c", "kind": "cat", "values": ["a", "b"]},
+            {"name": "x", "kind": "real", "low": 0.0, "high": 1.0},
+        ]}
+        log = str(tmp_path / "cat.jsonl")
+        header = RunHeader(
+            strategy="rs", budget=4, init=0, seed=1, objective="external:cat",
+            space=space, space_digest=space_digest(space_from_dict(space)),
+        )
+        records = [
+            TrialRecord(iteration=i, values=(c, x), score=float(i), phase="rs", status="evaluated", wall_time=0.0)
+            for i, (c, x) in enumerate([("zz", 0.1), ("b", 0.4), ("zz", 0.6), ("b", 0.9)], start=1)
+        ]
+        write_log(log, header, records)
+        assert run_cli(["importance", log]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: trial 1: c='zz' is not a value of the space"]
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -100,7 +100,6 @@ class TestCache:
         assert objective.calls == 1
         assert first.status == "evaluated" and second.status == "cached-hit"
         assert second.score == first.score
-        assert cache.hits == 1
 
     def test_failure_cached_with_reason(self):
         space = int_space(1, low=0, high=1)

@@ -1,5 +1,9 @@
 import math
+import shlex
+import signal
+import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -206,6 +210,37 @@ class TestExternalProtocol:
         cmd = f"{sys.executable} -c " + '"import time; time.sleep(30)"'
         with pytest.raises(ObjectiveFailure, match="timeout"):
             evaluate_external(cmd, (1,), space, timeout=0.5)
+
+    def test_timeout_kills_the_whole_process_group(self, tmp_path):
+        marker = tmp_path / "marker"
+        script = tmp_path / "wrapper.sh"
+        script.write_text(f"(sleep 1; touch {shlex.quote(str(marker))}) &\nsleep 30\n")
+        with pytest.raises(ObjectiveFailure, match="timeout"):
+            evaluate_external(f"sh {shlex.quote(str(script))}", (1,), int_space(1), timeout=0.3)
+        time.sleep(1.5)
+        assert not marker.exists()
+
+    def test_interrupt_kills_the_command(self, tmp_path):
+        # the command runs in its own session, so a terminal's Ctrl-C reaches
+        # only the optimizer; it must take the command down with it
+        started, marker = tmp_path / "started", tmp_path / "marker"
+        command = f"sh -c 'touch {started}; sleep 1; touch {marker}'"
+        driver = subprocess.Popen([
+            sys.executable, "-c",
+            "import sys; from wrsopt.objectives import evaluate_external; "
+            "from wrsopt.space import Dimension, SearchSpace; "
+            "space = SearchSpace((Dimension(name='n', kind='int', low=0, high=1),)); "
+            "evaluate_external(sys.argv[1], (0,), space, timeout=30)",
+            command,
+        ], stderr=subprocess.DEVNULL)
+        deadline = time.monotonic() + 10
+        while not started.exists() and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert started.exists()
+        driver.send_signal(signal.SIGINT)
+        assert driver.wait(timeout=10) != 0
+        time.sleep(1.5)
+        assert not marker.exists()
 
     def test_unparseable_output_fails(self):
         space = int_space(1)
