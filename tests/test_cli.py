@@ -1,5 +1,7 @@
 import json
+import math
 import re
+import sys
 
 import pytest
 
@@ -18,6 +20,9 @@ dimensions:
     low: -5.12
     high: 5.12
 """
+
+
+INT4_SPACE = "dimensions:\n  - {name: n, kind: int, low: 0, high: 3}\n"
 
 
 @pytest.fixture
@@ -190,6 +195,19 @@ class TestRunErrors:
         assert "no log written" in capsys.readouterr().err
         assert not (tmp_path / "dead.jsonl").exists()
 
+    def test_cached_repeats_of_failures_still_make_an_all_failed_run(self, tmp_path, capsys):
+        # 12 trials on 4 candidates: at least 8 are cached repeats of a failure
+        space = tmp_path / "int4.yaml"
+        space.write_text(INT4_SPACE)
+        out = tmp_path / "dead.jsonl"
+        code = run_cli([
+            "run", "--space", str(space), "--objective", "external:false",
+            "--strategy", "rs", "--budget", "12", "--seed", "1", "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: all 12 trials of the rs phase failed; no log written"]
+        assert not out.exists()
+
 
 class TestReport:
     @pytest.fixture
@@ -225,6 +243,24 @@ class TestReport:
         assert lines[1].startswith("rs,")
         fit = json.loads(fit_path.read_text())
         assert fit["degree"] == 5 and len(fit["coefficients"]) == 6
+
+    def test_run_and_report_count_failures_alike(self, tmp_path, capsys):
+        # n < 2 fails, so the cached repeats of those candidates are failures too
+        script = tmp_path / "half.py"
+        script.write_text("import sys\nn = int(sys.argv[1].split('=')[1])\nsys.exit(3) if n < 2 else print(n)\n")
+        space = tmp_path / "int4.yaml"
+        space.write_text(INT4_SPACE)
+        log = str(tmp_path / "half.jsonl")
+        assert run_cli([
+            "run", "--space", str(space), "--objective", f"external:{sys.executable} {script}",
+            "--strategy", "rs", "--budget", "12", "--seed", "1", "--out", log,
+        ]) == 0
+        ran = re.search(r"^trials: 12 \(evaluated \d+, cached \d+, failed (\d+)\)$", capsys.readouterr().out, re.M)
+        failed = [r for r in read_log(log)[1] if r.score == -math.inf]
+        assert any(r.status == "cached-hit" for r in failed)
+        assert run_cli(["report", log]) == 0
+        reported = re.search(r"^failed: (\d+)  cached: \d+$", capsys.readouterr().out, re.M)
+        assert int(ran.group(1)) == int(reported.group(1)) == len(failed)
 
     def test_corrupt_log_exits_1(self, tmp_path, capsys):
         p = tmp_path / "bad.jsonl"
@@ -394,6 +430,73 @@ class TestImportance:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: trial 1: c='zz' is not a value of the space"]
+
+
+MIXED_SPACE = {"dimensions": [
+    {"name": "n", "kind": "int", "low": 0, "high": 5},
+    {"name": "x", "kind": "real", "low": 0.0, "high": 1.0},
+    {"name": "c", "kind": "cat", "values": ["a", "b"]},
+]}
+MIXED_TRIALS = [  # values, score, status, error
+    ([0, 0.1, "a"], 1.0, "evaluated", None),
+    ([3, 0.5, "b"], 2.0, "evaluated", None),
+    ([5, 0.9, "a"], -math.inf, "failed", "exit 3"),
+    ([1, 0.3, "b"], 0.5, "evaluated", None),
+    ([5, 0.9, "a"], -math.inf, "cached-hit", "exit 3"),
+    ([2, 0.7, "a"], 3.0, "evaluated", None),
+    ([3, 0.5, "b"], 2.0, "cached-hit", None),
+    ([4, 0.2, "b"], 1.5, "evaluated", None),
+]
+
+
+# each case: the (path, value) edits to make, line 0 being the header and
+# line k trial k, and the message every command must give
+CORRUPTIONS = {
+    "edited-header-space": ([((0, "space", "dimensions", 1, "high"), 2.0)], "LOG: header space does not match its space_digest"),
+    "int-out-of-range": ([((4, "values", 0), 9)], "trial 4: n=9 is not a value of the space"),
+    "true-on-int-axis": ([((4, "values", 0), True)], "trial 4: n=True is not a value of the space"),
+    "nan-mid-real-column": ([((4, "values", 1), math.nan)], "trial 4: x=nan is not a value of the space"),
+    "too-few-values": ([((4, "values"), [1, 0.3])], "trial 4: 2 values, but the space has 3 dimensions"),
+    "failed-with-finite-score": ([((3, "score"), 0.25)], "trial 3: status 'failed', score 0.25 and error 'exit 3' do not agree"),
+    "evaluated-with-minus-infinity": (
+        [((4, "score"), -math.inf), ((4, "error"), "exit 3")],
+        "trial 4: status 'evaluated', score -inf and error 'exit 3' do not agree",
+    ),
+    "minus-infinity-without-error": ([((5, "error"), None)], "trial 5: status 'cached-hit', score -inf and error None do not agree"),
+    "plus-infinity-score": ([((6, "score"), math.inf)], "trial 6: status 'evaluated', score inf and error None do not agree"),
+}
+
+
+@pytest.mark.parametrize("case", list(CORRUPTIONS))
+def test_corrupted_log_exits_1_with_one_line(case, tmp_path, capsys):
+    log = str(tmp_path / "mixed.jsonl")
+    header = RunHeader(
+        strategy="rs", budget=len(MIXED_TRIALS), init=0, seed=1, objective="external:mixed",
+        space=MIXED_SPACE, space_digest=space_digest(space_from_dict(MIXED_SPACE)),
+    )
+    records = [
+        TrialRecord(iteration=i, values=tuple(values), score=score, phase="rs", status=status, wall_time=0.0, error=error)
+        for i, (values, score, status, error) in enumerate(MIXED_TRIALS, start=1)
+    ]
+    write_log(log, header, records)
+    commands = (["report", log, "--window", "4"], ["compare", log, "--window", "4"], ["importance", log])
+    for argv in commands:
+        assert run_cli(argv) == 0
+    edits, message = CORRUPTIONS[case]
+    lines = [json.loads(line) for line in open(log, encoding="utf-8")]
+    for (*keys, last), value in edits:
+        target = lines
+        for k in keys:
+            target = target[k]
+        target[last] = value
+    with open(log, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(line) + "\n" for line in lines)
+    capsys.readouterr()
+    for argv in commands:
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message.replace('LOG', log)}"]
 
 
 @pytest.mark.parametrize(

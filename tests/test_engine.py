@@ -336,6 +336,25 @@ class TestFailureHandling:
             execute_run(space, python_objective(boom), RunConfig(strategy="wrs", budget=50, init=5, seed=1))
         assert len(calls) == 5
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (RunConfig(strategy="rs", budget=12, seed=1), "all 12 trials of the rs phase failed"),
+            (RunConfig(strategy="sobol", budget=12, seed=1), "every trial of the run failed"),
+            (RunConfig(strategy="nelder-mead", budget=12, seed=1), "every trial of the run failed"),
+            (RunConfig(strategy="pso", budget=12, seed=1), "every trial of the run failed"),
+            (RunConfig(strategy="wrs", budget=12, init=4, seed=1), "all 4 trials of the rs phase failed"),
+        ],
+        ids=["rs", "sobol", "nelder-mead", "pso", "wrs"],
+    )
+    def test_cached_repeats_of_failures_count_as_failed(self, config, message):
+        # two candidates only, so most trials are cached repeats of a failure
+        def boom(values):
+            raise ObjectiveFailure("exit 1")
+
+        with pytest.raises(AllTrialsFailedError, match=f"^{message}$"):
+            execute_run(int_space(1, low=0, high=1), python_objective(boom), config)
+
     def test_partial_failures_survive(self):
         space = int_space(1, low=0, high=9)
 

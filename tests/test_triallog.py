@@ -1,10 +1,12 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from wrsopt.space import Dimension, SearchSpace, SpaceError, space_digest, space_from_dict, space_to_dict, validate_candidate
 from wrsopt.triallog import (
     SCHEMA_VERSION,
     LogError,
@@ -16,16 +18,21 @@ from wrsopt.triallog import (
     write_log,
 )
 
+from _stream_oracle import spaces
 
-def make_header(budget=3, strategy="rs", **kw):
+
+UNIT_SPACE = {"dimensions": [{"name": "x", "kind": "real", "low": 0.0, "high": 1.0}]}
+
+
+def make_header(budget=3, strategy="rs", space=UNIT_SPACE, **kw):
     return RunHeader(
         strategy=strategy,
         budget=budget,
         init=0,
         seed=42,
         objective="builtin:sphere",
-        space={"dimensions": [{"name": "x", "kind": "real", "low": 0.0, "high": 1.0}]},
-        space_digest="0" * 64,
+        space=space,
+        space_digest=space_digest(space_from_dict(space)),
         **kw,
     )
 
@@ -155,6 +162,14 @@ class TestValidation:
         with pytest.raises(LogError, match="budget"):
             read_log(path)
 
+    def test_header_space_that_does_not_parse(self, tmp_path):
+        path = str(tmp_path / "run.jsonl")
+        header = make_header()
+        header.space = {"dimensions": [{"name": "x", "kind": "real", "low": 1.0, "high": 0.0}]}
+        write_log(path, header, make_records(3))
+        with pytest.raises(LogError, match="header space does not parse: x: low must not exceed high$"):
+            read_log(path)
+
 
 class TestFingerprint:
     def test_wall_time_excluded(self):
@@ -188,8 +203,7 @@ def test_float_values_round_trip_exactly(tmp_path):
 def test_unicode_line_separators_in_strings_round_trip(tmp_path, sep):
     # json writes these raw (ensure_ascii=False); only "\n" ends a log line
     path = str(tmp_path / "run.jsonl")
-    header = make_header(budget=2)
-    header.space = {"dimensions": [{"name": "c", "kind": "cat", "values": [f"a{sep}b", "z"]}]}
+    header = make_header(budget=2, space={"dimensions": [{"name": "c", "kind": "cat", "values": [f"a{sep}b", "z"]}]})
     records = [
         TrialRecord(iteration=1, values=(f"a{sep}b",), score=1.0, phase="rs", status="evaluated", wall_time=0.0),
         TrialRecord(iteration=2, values=("z",), score=float("-inf"), phase="rs", status="failed", wall_time=0.0, error=f"exit{sep}3"),
@@ -236,3 +250,120 @@ def test_record_line_covers_each_value_type():
     assert record_line(rec) == json.dumps(rec.to_dict(), **_json_dumps_kwargs)
     plain = TrialRecord(iteration=1, values=(-0.0, 1e16, 3, 0.1 + 0.2), score=2.0, phase="rs", status="evaluated", wall_time=0.5)
     assert record_line(plain) == json.dumps(plain.to_dict(), **_json_dumps_kwargs)
+
+
+def _edge_dimension(i: int, draw) -> Dimension:
+    """A degenerate dimension, or a unit range that holds 0 and 1 (and so
+    the numeric values of false and true)."""
+    name = f"d{i}"
+    kind = draw(st.sampled_from(("int", "real", "cat", "weighted", "unit-int", "unit-real")))
+    if kind == "int":
+        low = draw(st.integers(-3, 3))
+        return Dimension(name=name, kind="int", low=low, high=low)
+    if kind == "real":
+        low = draw(st.floats(-10, 10))
+        return Dimension(name=name, kind="real", low=low, high=low)
+    if kind == "cat":
+        return Dimension(name=name, kind="cat", values=("v0",))
+    if kind == "weighted":
+        return Dimension(name=name, kind="cat", values=("v0", "v1"), weights=(draw(st.floats(1e-3, 1e3)), 1.0))
+    return Dimension(name=name, kind=kind[5:], low=0, high=1)
+
+
+@st.composite
+def _log_spaces(draw) -> SearchSpace:
+    if draw(st.booleans()):
+        return draw(spaces())
+    n = draw(st.integers(1, 4))
+    return SearchSpace(tuple(_edge_dimension(i, draw) for i in range(n)))
+
+
+def _value(dim: Dimension, draw):
+    """A value of dim: a listed value, a bound or the middle of the range."""
+    if dim.kind == "cat":
+        return draw(st.sampled_from(dim.values))
+    if dim.kind == "int":
+        return draw(st.integers(dim.low, dim.high))
+    return draw(st.sampled_from((dim.low, dim.high, (dim.low + dim.high) / 2)))
+
+
+def _stray(dim: Dimension, draw):
+    """A value JSON decoding can produce that is not a value of dim, or
+    that only the type rules exclude."""
+    if dim.kind == "cat":
+        return draw(st.sampled_from((None, "zz", 0, True, math.nan, [dim.values[0]], {"v": 0})))
+    if dim.kind == "int":
+        return draw(st.sampled_from((float(dim.low), True, False, dim.low - 1, dim.high + 1, math.nan, None, "0", [dim.low])))
+    return draw(st.sampled_from((
+        math.nan, math.inf, -math.inf, True, False, dim.low - 1, dim.high + 1,
+        math.floor(dim.low), math.ceil(dim.high), 1e300, None, "0", [dim.low],
+    )))
+
+
+@pytest.mark.parametrize(
+    "kind, stray",
+    [("real", v) for v in (math.nan, math.inf, True, 2.0, "0.5", None, [0.5])]
+    + [("int", v) for v in (1.0, True, 2, None)]
+    + [("cat", v) for v in ("zz", None, ["a"])],
+)
+def test_a_stray_in_the_middle_of_a_column_is_named(tmp_path, kind, stray):
+    dim = {"name": "x", "kind": kind, **({"values": ["a", "b"]} if kind == "cat" else {"low": 0, "high": 1})}
+    good = {"real": 0.5, "int": 1, "cat": "a"}[kind]
+    records = [
+        TrialRecord(iteration=i, values=(v,), score=0.5, phase="rs", status="evaluated", wall_time=0.0)
+        for i, v in enumerate((good, stray, good), start=1)
+    ]
+    path = str(tmp_path / "run.jsonl")
+    write_log(path, make_header(space={"dimensions": [dim]}), records)
+    with pytest.raises(LogError, match=re.escape(f"trial 2: x={stray!r} is not a value of the space") + "$"):
+        read_log(path)
+
+
+def _oracle_problem(space: SearchSpace, iteration: int, values: list) -> str | None:
+    """The message read_log must give for this record's values, or None."""
+    try:
+        validate_candidate(space, values)
+    except SpaceError:
+        for dim, v in zip(space.dimensions, values):
+            try:
+                validate_candidate(SearchSpace((dim,)), [v])
+            except SpaceError:
+                return f"trial {iteration}: {dim.name}={v!r} is not a value of the space"
+        raise
+    return None
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), space=_log_spaces())
+def test_read_log_accepts_exactly_the_values_validate_candidate_accepts(tmp_path, data, space):
+    n, d = data.draw(st.integers(1, 6)), len(space)
+    rows = [[_value(dim, data.draw) for dim in space.dimensions] for _ in range(n)]
+    for _ in range(data.draw(st.integers(0, 3))):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, d - 1))
+        rows[i][j] = _stray(space[j], data.draw)
+    if data.draw(st.integers(0, 9)) == 0:  # a record one value short or long
+        i = data.draw(st.integers(0, n - 1))
+        rows[i] = rows[i][:-1] if data.draw(st.booleans()) else rows[i] + [rows[i][-1]]
+    header = RunHeader(
+        strategy="rs", budget=n, init=0, seed=0, objective="builtin:sphere",
+        space=space_to_dict(space), space_digest=space_digest(space),
+    )
+    records = [
+        TrialRecord(iteration=i, values=tuple(values), score=0.5, phase="rs", status="evaluated", wall_time=0.0)
+        for i, values in enumerate(rows, start=1)
+    ]
+    path = str(tmp_path / "run.jsonl")
+    write_log(path, header, records)
+    short = [(i, len(v)) for i, v in enumerate(rows, start=1) if len(v) != d]
+    if short:
+        i, k = short[0]
+        expected = f"trial {i}: {k} values, but the space has {d} dimensions"
+    else:
+        expected = next((p for i, v in enumerate(rows, start=1) if (p := _oracle_problem(space, i, v))), None)
+    if expected is None:
+        _, got = read_log(path)
+        assert [list(r.values) for r in got] == rows
+    else:
+        with pytest.raises(LogError) as exc:
+            read_log(path)
+        assert str(exc.value) == expected
