@@ -44,7 +44,7 @@ from .reporting import (
     render_table_text,
     summarize,
 )
-from .space import SpaceError, load_space, space_digest, space_from_dict
+from .space import SpaceError, load_space, space_from_dict
 from .triallog import LogError, read_log, write_log
 
 
@@ -177,7 +177,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     best = result.best
     n_eval = sum(1 for r in result.records if r.status == "evaluated")
     n_cached = sum(1 for r in result.records if r.status == "cached-hit")
-    n_failed = sum(1 for r in result.records if r.status == "failed")
+    n_failed = sum(1 for r in result.records if r.failed)
     print(f"log: {out}")
     if best.candidate is not None:
         pairs = " ".join(f"{n}={v}" for n, v in zip(space.names, best.candidate))
@@ -231,11 +231,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_importance(args: argparse.Namespace) -> int:
     try:
         header, records = read_log(args.log)
-        space = space_from_dict(header.space)
-    except (LogError, SpaceError) as exc:
+    except LogError as exc:
         return _fail(str(exc), 1)
-    if space_digest(space) != header.space_digest:
-        return _fail(f"{args.log}: header space does not match its space_digest", 1)
+    space = space_from_dict(header.space)
     seed = args.seed if args.seed is not None else header.seed
     config = ForestConfig(
         n_trees=args.trees,

@@ -52,10 +52,9 @@ from .samplers import (
 )
 from .sobol import MAX_DIM as SOBOL_MAX_DIM
 from .space import SearchSpace, candidate_key, space_digest, space_to_dict
-from .triallog import RunHeader, TrialRecord
+from .triallog import FAILED_SCORE, RunHeader, TrialRecord
 
 STRATEGIES = ("wrs", "rs", "sobol", "nelder-mead", "pso")
-FAILED_SCORE = float("-inf")
 
 _SAMPLER_OPTION_KEYS = {
     "nelder-mead": ("alpha", "gamma", "rho", "sigma", "init_step"),
@@ -130,9 +129,9 @@ class BestState:
 
 
 def update_best(best: BestState, trial: TrialRecord) -> BestState:
-    """Fold one trial into the incumbent.  Failed trials (score -inf) never
-    win; any other trial with score >= incumbent replaces it."""
-    if trial.status == "failed" or trial.score == FAILED_SCORE:
+    """Fold one trial into the incumbent.  Failed trials never win; any
+    other trial with score >= incumbent replaces it."""
+    if trial.failed:
         return best
     if trial.score >= best.score:
         return BestState(candidate=tuple(trial.values), score=trial.score, iteration=trial.iteration)
@@ -206,7 +205,7 @@ class RunResult:
 
 
 def _all_failed(records: Sequence[TrialRecord]) -> bool:
-    return bool(records) and all(r.status == "failed" for r in records)
+    return bool(records) and all(r.failed for r in records)
 
 
 def _resolve_overrides(space: SearchSpace, pairs: Sequence[tuple[str, float]]) -> dict[int, float]:

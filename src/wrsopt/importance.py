@@ -34,7 +34,6 @@ block.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -135,9 +134,8 @@ def _interval_mass(lo: np.ndarray, hi: np.ndarray, counting: bool) -> np.ndarray
 def encode_trials(trials: Sequence[TrialRecord], space: SearchSpace) -> tuple[np.ndarray, np.ndarray]:
     """Ordinal design matrix and score vector from the usable trials.
 
-    Failed and non-finite-score trials are dropped; categorical values map
-    to their list index.  A categorical value missing from its list, or a
-    numeric value that does not convert to float, raises ImportanceError.
+    Failed trials are dropped; categorical values map to their list index.
+    The values must lie in the space, as read_log guarantees for a log.
     """
     rows, ys = [], []
     cat_index = {
@@ -146,15 +144,9 @@ def encode_trials(trials: Sequence[TrialRecord], space: SearchSpace) -> tuple[np
         if dim.kind == "cat"
     }
     for t in trials:
-        if t.status == "failed" or not math.isfinite(t.score):
+        if t.failed:
             continue
-        row = []
-        for i, v in enumerate(t.values):
-            try:
-                row.append(float(cat_index[i][v]) if i in cat_index else float(v))
-            except (KeyError, TypeError, ValueError):
-                raise ImportanceError(f"trial {t.iteration}: {space[i].name}={v!r} is not a value of the space") from None
-        rows.append(row)
+        rows.append([float(cat_index[i][v]) if i in cat_index else float(v) for i, v in enumerate(t.values)])
         ys.append(float(t.score))
     if not rows:
         return np.zeros((0, len(space))), np.zeros(0)
@@ -367,7 +359,7 @@ def fit_forest(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    usable = [t for t in trials if t.status != "failed" and math.isfinite(t.score)]
+    usable = [t for t in trials if not t.failed]
     distinct = {candidate_key(space, t.values) for t in usable}
     if len(usable) < 2 or len(distinct) < 2:
         raise ImportanceError(f"need at least 2 usable trials with distinct candidates, have {len(distinct)}")

@@ -120,12 +120,12 @@ def summarize(
         raise ReportError("log holds no trials")
     if window < 1:
         raise ReportError("window must be at least 1")
-    valid = [r for r in records if r.status != "failed" and math.isfinite(r.score)]
+    valid = [r for r in records if not r.failed]
     if not valid:
         raise ReportError("no successful trials to summarize")
 
     w_eff = min(window, len(records))
-    tail_valid = [r for r in records[-w_eff:] if r.status != "failed" and math.isfinite(r.score)]
+    tail_valid = [r for r in records[-w_eff:] if not r.failed]
 
     best, mean, sd = _stats(valid)
     best_w, mean_w, sd_w = _stats(tail_valid)

@@ -9,6 +9,10 @@ replay comparison (record_fingerprint drops it).
 Failed trials store their score as -Infinity, which is the standard Python
 json extension of JSON number syntax; any reader using Python's json module
 (or a parser with the same extension) round-trips it unchanged.
+
+This module alone decides what a valid trial record is (``read_log``) and
+what a failed trial is (``TrialRecord.failed``); every other module trusts
+the records it is given.
 """
 
 from __future__ import annotations
@@ -19,8 +23,13 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+import numpy as np
+
+from .space import Dimension, SearchSpace, space_digest, space_from_dict
+
 SCHEMA_VERSION = 1
 VALID_STATUS = ("evaluated", "cached-hit", "failed")
+FAILED_SCORE = float("-inf")
 
 
 class LogError(ValueError):
@@ -32,8 +41,9 @@ class TrialRecord:
     """One budget unit of a run.
 
     score follows the engine's maximization convention; failed trials carry
-    -inf and an error token.  wall_time is wall-clock seconds for this trial
-    (volatile; excluded from reproducibility comparisons).
+    -inf and an error token, and so does a cached repeat of a failed
+    candidate.  wall_time is wall-clock seconds for this trial (volatile;
+    excluded from reproducibility comparisons).
     """
 
     iteration: int
@@ -56,6 +66,12 @@ class TrialRecord:
         if self.error is not None:
             d["error"] = self.error
         return d
+
+    @property
+    def failed(self) -> bool:
+        """The trial produced no score: the objective failed, or this is a
+        cached repeat of a candidate whose evaluation failed."""
+        return self.score == FAILED_SCORE
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrialRecord":
@@ -182,8 +198,20 @@ def write_log(path: str, header: RunHeader, records: Sequence[TrialRecord]) -> N
 
 
 def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
-    """Parse and validate a log: schema, statuses, consecutive iterations,
-    record count equal to the declared budget.
+    """Parse and validate a log.  Raises LogError unless all of these hold:
+
+    * the first line is a header of the supported schema;
+    * every trial has a known status, iterations run 1, 2, ... and the
+      record count equals the declared budget;
+    * the header's space parses and matches its ``space_digest``;
+    * every trial holds one value per dimension, each a value of that
+      space: an exact int (not a bool) within the bounds of an int axis, a
+      finite int or float within the bounds of a real axis, one of the
+      listed values of a categorical axis;
+    * each trial's status, score and error agree: the score is finite or
+      -inf, and -inf exactly when an error string is present; a ``failed``
+      trial carries an error, an ``evaluated`` one none, and a
+      ``cached-hit`` carries the error of the failure it repeats, if any.
 
     Lines end at a newline (U+000A) only.  A string value may hold U+2028,
     U+2029 or U+0085 unescaped, which str.splitlines() would take for line
@@ -214,7 +242,72 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
             raise LogError(f"{path}: iteration {rec.iteration} at position {i}; expected consecutive numbering")
     if len(records) != header.budget:
         raise LogError(f"{path}: {len(records)} records but header declares budget {header.budget}")
+    try:
+        space = space_from_dict(header.space)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise LogError(f"{path}: header space does not parse: {exc}") from exc
+    if space_digest(space) != header.space_digest:
+        raise LogError(f"{path}: header space does not match its space_digest")
+    _check_values(space, records)
+    for rec in records:
+        score, error = rec.score, rec.error
+        if error is None:
+            agree = math.isfinite(score) and rec.status in ("evaluated", "cached-hit")
+        else:
+            agree = score == FAILED_SCORE and type(error) is str and rec.status in ("failed", "cached-hit")
+        if not agree:
+            raise LogError(f"trial {rec.iteration}: status {rec.status!r}, score {score!r} and error {error!r} do not agree")
     return header, records
+
+
+def _check_values(space: SearchSpace, records: Sequence[TrialRecord]) -> None:
+    """Raise LogError unless every record holds one value of each dimension.
+
+    The check runs one pass per dimension down its column.  Only when a
+    column fails does a row scan name the first bad value in record order.
+    """
+    d = len(space)
+    for rec in records:
+        if len(rec.values) != d:
+            raise LogError(f"trial {rec.iteration}: {len(rec.values)} values, but the space has {d} dimensions")
+    columns = zip(*(rec.values for rec in records))
+    if all(map(_column_in_dimension, space.dimensions, columns)):
+        return
+    for rec in records:
+        for dim, v in zip(space.dimensions, rec.values):
+            if not _in_dimension(dim, v):
+                raise LogError(f"trial {rec.iteration}: {dim.name}={v!r} is not a value of the space")
+
+
+def _column_in_dimension(dim: Dimension, column: tuple) -> bool:
+    """Whether every value of a column passes _in_dimension."""
+    if dim.kind == "cat":
+        try:
+            return set(column) <= set(dim.values)
+        except TypeError:  # an unhashable value, such as a JSON list
+            return False
+    types = set(map(type, column))
+    if dim.kind == "int":
+        return types <= {int} and dim.low <= min(column) and max(column) <= dim.high
+    if not types <= {int, float}:
+        return False
+    try:
+        x = np.asarray(column, dtype=float)
+    except OverflowError:
+        return False
+    return bool(np.all((x >= dim.low) & (x <= dim.high)))  # NaN fails both comparisons
+
+
+def _in_dimension(dim: Dimension, v: Any) -> bool:
+    """Whether v is a value of dim, as JSON decoding can produce it."""
+    if dim.kind == "cat":
+        return v in dim.values
+    if dim.kind == "int":
+        return type(v) is int and dim.low <= v <= dim.high
+    try:
+        return type(v) in (int, float) and dim.low <= float(v) <= dim.high
+    except OverflowError:
+        return False
 
 
 def record_fingerprint(record: TrialRecord, with_phase: bool = True) -> dict:
