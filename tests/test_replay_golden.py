@@ -171,7 +171,7 @@ GOLDEN = {
     "mixed-broken-wrs-s0": "ed5d3551e93c0889d03e0676285aa6c27698e77dae134c77bc49aacef4ce699e",
     "mixed-broken-wrs-init0-s0": "2898c3f593ead7836326bc11bfcaba724a2034ed1e0b1c12aaccb8da369cd8ce",
     "mixed-broken-rs-s0": "256e417f887720ecc9b93ff4a7424b7cbbdcf6ecd43f3751d56c9bd4b6c890f9",
-    "mixed-broken-pso-swarm5-s0": "af0f37ff990f308853e73c9c96a015f9d9432849ed0d6f66245729fc86eb534a",
+    "mixed-broken-pso-swarm5-s0": "2898c3f593ead7836326bc11bfcaba724a2034ed1e0b1c12aaccb8da369cd8ce",
     "mixed-poly-rs-s1": "33596a3884516ae664c73aa00ba1a016b4c08dec9fa64161c45f6b6a49f16f89",
     "mixed-poly-sobol-s1": "f2db76beb3ab014b536d0d6f87972f31844b4717868e48a39be43f23a5c6a1f4",
     "mixed-poly-nm-s1": "c843523567d4201860726e358eb50f374143440f9a79efd0e13502c23e00ac6b",
@@ -204,7 +204,7 @@ GOLDEN = {
     "mixed-broken-wrs-s1": "ed5d3551e93c0889d03e0676285aa6c27698e77dae134c77bc49aacef4ce699e",
     "mixed-broken-wrs-init0-s1": "2898c3f593ead7836326bc11bfcaba724a2034ed1e0b1c12aaccb8da369cd8ce",
     "mixed-broken-rs-s1": "256e417f887720ecc9b93ff4a7424b7cbbdcf6ecd43f3751d56c9bd4b6c890f9",
-    "mixed-broken-pso-swarm5-s1": "a68ab7f93fcbb231caf5a65b133601e89cf938b1b6b0e646bc0cf7b138813819",
+    "mixed-broken-pso-swarm5-s1": "2898c3f593ead7836326bc11bfcaba724a2034ed1e0b1c12aaccb8da369cd8ce",
     "int-poly-rs-s0": "417238599cbd1bd7ef1278aa0023d823031dfa5365870151a64fb0f4cf838e03",
     "int-poly-sobol-s0": "0ac393e10bb606859be916e327c09de256c14783cb24c0b0e1b8a14dfe8fcd8d",
     "int-poly-nm-s0": "d02d9665cf0953e104095e96dbcd56b2488b2be04affe7f442040bac4899b4e3",
@@ -237,7 +237,7 @@ GOLDEN = {
     "int-broken-wrs-s0": "ed5d3551e93c0889d03e0676285aa6c27698e77dae134c77bc49aacef4ce699e",
     "int-broken-wrs-init0-s0": "2898c3f593ead7836326bc11bfcaba724a2034ed1e0b1c12aaccb8da369cd8ce",
     "int-broken-rs-s0": "256e417f887720ecc9b93ff4a7424b7cbbdcf6ecd43f3751d56c9bd4b6c890f9",
-    "int-broken-pso-swarm5-s0": "505d74ae966ed61c3997fc8b55e987713ed57f7dad1a6f5828d7845dfd248928",
+    "int-broken-pso-swarm5-s0": "2898c3f593ead7836326bc11bfcaba724a2034ed1e0b1c12aaccb8da369cd8ce",
     "int-poly-rs-s1": "df5d67810b768598053a978958df86cc6d168dc66c0afbf988decbe33efe904a",
     "int-poly-sobol-s1": "f624aa7285f93d463889afbe3d45d3f8af4a42300922726384bd15786e6f4103",
     "int-poly-nm-s1": "0b2a0a2a112364c9640e026bc26e1115120af10d07fef5c6b832c459879d6312",
@@ -270,7 +270,7 @@ GOLDEN = {
     "int-broken-wrs-s1": "ed5d3551e93c0889d03e0676285aa6c27698e77dae134c77bc49aacef4ce699e",
     "int-broken-wrs-init0-s1": "2898c3f593ead7836326bc11bfcaba724a2034ed1e0b1c12aaccb8da369cd8ce",
     "int-broken-rs-s1": "256e417f887720ecc9b93ff4a7424b7cbbdcf6ecd43f3751d56c9bd4b6c890f9",
-    "int-broken-pso-swarm5-s1": "58ae57a9b0b2c5216cee5b198a87a5d2339d148cfa5729f17a9205d22afb90fb",
+    "int-broken-pso-swarm5-s1": "2898c3f593ead7836326bc11bfcaba724a2034ed1e0b1c12aaccb8da369cd8ce",
     "mixed-poly-nm-a1.5-r0.25-s0": "c30c1736aca96cfc66fe97528c0f6302930a1e17e2ab0005e437867e50bd3447",
     "mixed-poly-nm-a1.5-r0.25-s1": "0613fa673f155ac2a1613251fa1522ac9832cdcc2d765fe2a13ff14839462efc",
     "mixed-flaky-nm-a1.5-r0.25-s1": "e36df8decd212f11101fc4e830352c6d0de4dd6cfa28002440c02681ca4f6edc",
