@@ -469,7 +469,8 @@ CORRUPTIONS = {
 
 @pytest.mark.parametrize("case", list(CORRUPTIONS))
 def test_corrupted_log_exits_1_with_one_line(case, tmp_path, capsys):
-    log = str(tmp_path / "mixed.jsonl")
+    path = tmp_path / "mixed.jsonl"
+    log = str(path)
     header = RunHeader(
         strategy="rs", budget=len(MIXED_TRIALS), init=0, seed=1, objective="external:mixed",
         space=MIXED_SPACE, space_digest=space_digest(space_from_dict(MIXED_SPACE)),
@@ -483,14 +484,13 @@ def test_corrupted_log_exits_1_with_one_line(case, tmp_path, capsys):
     for argv in commands:
         assert run_cli(argv) == 0
     edits, message = CORRUPTIONS[case]
-    lines = [json.loads(line) for line in open(log, encoding="utf-8")]
+    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
     for (*keys, last), value in edits:
         target = lines
         for k in keys:
             target = target[k]
         target[last] = value
-    with open(log, "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(line) + "\n" for line in lines)
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
     capsys.readouterr()
     for argv in commands:
         assert run_cli(argv) == 1
