@@ -5,7 +5,8 @@ Subcommands: run (execute one optimization and write its log), report
 (re-estimate weights/probabilities from a log).
 
 Exit codes: 0 success, 1 runtime failure (failed run, unreadable or
-degenerate log), 2 usage or configuration error.
+degenerate log, unwritable output), 2 usage or configuration error.  The
+commands raise; main alone turns an error into one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -75,8 +76,19 @@ def _assignment(text: str, conv, flag: str):
         raise ConfigError(f"{flag}: cannot parse value in {text!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are one ``error:`` line and exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
+class _WriteError(Exception):
+    """An output or log file that cannot be written: a runtime failure."""
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="wrsopt", description="Derivative-free hyperparameter search with importance-weighted resampling.")
+    parser = _Parser(prog="wrsopt", description="Derivative-free hyperparameter search with importance-weighted resampling.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="execute one optimization run and write its trial log")
@@ -112,58 +124,42 @@ def build_parser() -> argparse.ArgumentParser:
     imp.add_argument("--max-depth", type=_positive_int, default=64)
     imp.add_argument("--min-leaf", type=_positive_int, default=2)
     imp.add_argument("--no-bootstrap", action="store_true")
-    imp.add_argument("--seed", type=int, default=None, help="forest seed (default: the log's run seed)")
+    imp.add_argument("--seed", type=_non_negative_int, default=None, help="forest seed (default: the log's run seed)")
     imp.add_argument("--csv", default=None)
     imp.set_defaults(func=cmd_importance)
 
     return parser
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
-def _write_output(path: str, text: str) -> int:
-    """Write one requested output file; exit status 1 when it cannot be written."""
+def _write_output(path: str, text: str) -> None:
+    """Write one requested output file."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        return _fail(f"cannot write {path}: {exc}", 1)
-    return 0
+        raise _WriteError(f"cannot write {path}: {exc}") from None
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else secrets.randbits(32)
-    try:
-        space = load_space(args.space)
-        spec = parse_objective_spec(args.objective)
-        objective = make_objective(spec, space)
-        config = RunConfig(
-            strategy=args.strategy,
-            budget=args.budget,
-            init=args.init,
-            seed=seed,
-            prob_overrides=tuple(_assignment(s, float, "--set-prob") for s in args.set_prob),
-            kmin_overrides=tuple(_assignment(s, int, "--set-kmin") for s in args.set_kmin),
-            sampler_options=tuple(_assignment(s, float, "--opt") for s in args.opt),
-        )
-        config.validate(space)
-    except OSError as exc:
-        return _fail(f"cannot read space file: {exc}", 2)
-    except (SpaceError, ObjectiveError, ConfigError) as exc:
-        return _fail(str(exc), 2)
+    space = load_space(args.space)
+    objective = make_objective(parse_objective_spec(args.objective), space)
+    config = RunConfig(
+        strategy=args.strategy,
+        budget=args.budget,
+        init=args.init,
+        seed=seed,
+        prob_overrides=tuple(_assignment(s, float, "--set-prob") for s in args.set_prob),
+        kmin_overrides=tuple(_assignment(s, int, "--set-kmin") for s in args.set_kmin),
+        sampler_options=tuple(_assignment(s, float, "--opt") for s in args.opt),
+    )
+    config.validate(space)
 
     print(f"seed: {seed}")
     try:
         result = execute_run(space, objective, config)
-    except ConfigError as exc:
-        return _fail(str(exc), 2)
     except AllTrialsFailedError as exc:
-        return _fail(f"{exc}; no log written", 1)
-    except EngineError as exc:
-        return _fail(str(exc), 1)
+        raise AllTrialsFailedError(f"{exc}; no log written") from None
 
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -172,7 +168,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         write_log(out, result.header, result.records)
     except OSError as exc:
-        return _fail(f"cannot write log {out}: {exc}", 1)
+        raise _WriteError(f"cannot write log {out}: {exc}") from None
 
     best = result.best
     n_eval = sum(1 for r in result.records if r.status == "evaluated")
@@ -190,49 +186,33 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    try:
-        header, records = read_log(args.log)
-    except LogError as exc:
-        return _fail(str(exc), 1)
+    header, records = read_log(args.log)
     if args.window > len(records):
         print(f"warning: window {args.window} exceeds {len(records)} trials; clamped", file=sys.stderr)
-    try:
-        report = summarize(header, records, window=args.window, degree=args.degree, source=args.log)
-    except ReportError as exc:
-        return _fail(str(exc), 1)
+    report = summarize(header, records, window=args.window, degree=args.degree, source=args.log)
 
     sys.stdout.write(render_report_text(report))
     if args.csv:
-        if _write_output(args.csv, render_table_csv(ComparisonTable(rows=(report,), budget_mismatch=False))):
-            return 1
+        _write_output(args.csv, render_table_csv(ComparisonTable(rows=(report,), budget_mismatch=False)))
     if args.fit:
         if report.fit is None:
             print("warning: no fit produced; fit file not written", file=sys.stderr)
         else:
-            return _write_output(args.fit, json.dumps(fit_to_dict(report.fit), indent=2) + "\n")
+            _write_output(args.fit, json.dumps(fit_to_dict(report.fit), indent=2) + "\n")
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    reports = []
-    for path in args.logs:
-        try:
-            header, records = read_log(path)
-            reports.append(summarize(header, records, window=args.window, source=path))
-        except (LogError, ReportError) as exc:
-            return _fail(str(exc), 1)
+    reports = [summarize(*read_log(path), window=args.window, source=path) for path in args.logs]
     table = compare(reports)
     sys.stdout.write(render_table_text(table))
     if args.csv:
-        return _write_output(args.csv, render_table_csv(table))
+        _write_output(args.csv, render_table_csv(table))
     return 0
 
 
 def cmd_importance(args: argparse.Namespace) -> int:
-    try:
-        header, records = read_log(args.log)
-    except LogError as exc:
-        return _fail(str(exc), 1)
+    header, records = read_log(args.log)
     space = space_from_dict(header.space)
     seed = args.seed if args.seed is not None else header.seed
     config = ForestConfig(
@@ -244,23 +224,28 @@ def cmd_importance(args: argparse.Namespace) -> int:
     # same stream a run's own importance fit uses, so an rs log of length n0
     # reproduces the profile a wrs run with init=n0 and this seed would compute
     rng = RngBundle.from_seed(seed).forest
-    try:
-        forest = fit_forest(records, space, config, rng)
-        weights = main_effect_fractions(forest, space)
-        probs = weights_to_probabilities(weights)
-    except ImportanceError as exc:
-        return _fail(str(exc), 1)
+    forest = fit_forest(records, space, config, rng)
+    weights = main_effect_fractions(forest, space)
+    probs = weights_to_probabilities(weights)
 
     sys.stdout.write(render_importance_text(space, weights.fractions, probs))
     if args.csv:
-        return _write_output(args.csv, render_importance_csv(space, weights.fractions, probs))
+        _write_output(args.csv, render_importance_csv(space, weights.fractions, probs))
     return 0
 
 
+# any other exception is a bug and keeps its traceback
+_USER_ERRORS = (SpaceError, ObjectiveError, ConfigError)
+_RUNTIME_ERRORS = (EngineError, LogError, ReportError, ImportanceError, _WriteError)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except _USER_ERRORS + _RUNTIME_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, _USER_ERRORS) else 1
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ sequence exactly.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -91,6 +92,8 @@ class RunConfig:
             raise ConfigError("budget must be at least 1")
         if not 0 <= self.init < self.budget:
             raise ConfigError(f"need 0 <= init < budget, got init={self.init} budget={self.budget}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.strategy != "wrs":
             if self.init != 0:
                 raise ConfigError("--init only applies to the wrs strategy")
@@ -115,7 +118,11 @@ class RunConfig:
         for key, value in self.sampler_options:
             if key not in allowed:
                 raise ConfigError(f"option {key!r} does not apply to strategy {self.strategy!r}")
-            if key == "swarm" and int(value) < 2:
+            if not math.isfinite(value):
+                raise ConfigError(f"option {key!r} must be finite, got {value}")
+            if key == "swarm" and value != int(value):
+                raise ConfigError(f"swarm must be a whole number of particles, got {value}")
+            if key == "swarm" and value < 2:
                 raise ConfigError("swarm must hold at least 2 particles")
 
 

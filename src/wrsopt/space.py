@@ -58,12 +58,14 @@ class Dimension:
 
     def __post_init__(self) -> None:
         _check(isinstance(self.name, str) and self.name != "", "dimension name must be a non-empty string")
-        kind = _KIND_ALIASES.get(self.kind)
+        kind = _KIND_ALIASES.get(self.kind) if isinstance(self.kind, str) else None
         _check(kind is not None, f"{self.name}: unknown kind {self.kind!r}")
         object.__setattr__(self, "kind", kind)
 
         if kind == "cat":
             _check(self.low is None and self.high is None, f"{self.name}: categorical dimensions take values, not bounds")
+            for key in ("values", "weights"):
+                _check(isinstance(getattr(self, key), (list, tuple, type(None))), f"{self.name}: {key} must be a list")
             _check(self.values is not None and len(self.values) > 0, f"{self.name}: categorical dimension needs at least one value")
             object.__setattr__(self, "values", tuple(self.values))
             seen = set()
@@ -75,7 +77,7 @@ class Dimension:
                     raise SpaceError(f"{self.name}: categorical values must be hashable") from None
                 _check(not dup, f"{self.name}: duplicate categorical value {v!r}")
             if self.weights is not None:
-                w = tuple(float(x) for x in self.weights)
+                w = _floats(self.weights, f"{self.name}: weights must be finite numbers")
                 _check(len(w) == len(self.values), f"{self.name}: weights length must match values length")
                 _check(all(math.isfinite(x) and x > 0 for x in w), f"{self.name}: weights must be finite and positive")
                 object.__setattr__(self, "weights", w)
@@ -91,10 +93,20 @@ class Dimension:
             object.__setattr__(self, "low", int(self.low))
             object.__setattr__(self, "high", int(self.high))
         else:
-            object.__setattr__(self, "low", float(self.low))
-            object.__setattr__(self, "high", float(self.high))
+            low, high = _floats((self.low, self.high), f"{self.name}: real bounds must be finite numbers")
+            object.__setattr__(self, "low", low)
+            object.__setattr__(self, "high", high)
             _check(math.isfinite(self.low) and math.isfinite(self.high), f"{self.name}: real bounds must be finite")
         _check(self.low <= self.high, f"{self.name}: low must not exceed high")
+
+
+def _floats(xs: Sequence[Any], msg: str) -> tuple[float, ...]:
+    """xs as floats; SpaceError(msg) for an entry that is no number or lies
+    beyond float range."""
+    try:
+        return tuple(float(x) for x in xs)
+    except (TypeError, ValueError, OverflowError):
+        raise SpaceError(msg) from None
 
 
 def sample_dimension(dim: Dimension, rng: np.random.Generator) -> Any:
@@ -210,16 +222,14 @@ def dimension_from_dict(d: dict) -> Dimension:
         raise SpaceError(f"dimension entry must be a mapping, got {type(d).__name__}")
     known = {"name", "kind", "low", "high", "values", "weights"}
     extra = set(d) - known
-    _check(not extra, f"unknown dimension fields: {sorted(extra)}")
-    values = d.get("values")
-    weights = d.get("weights")
+    _check(not extra, f"unknown dimension fields: {sorted(extra, key=str)}")
     return Dimension(
         name=d.get("name", ""),
         kind=d.get("kind", ""),
         low=d.get("low"),
         high=d.get("high"),
-        values=tuple(values) if values is not None else None,
-        weights=tuple(weights) if weights is not None else None,
+        values=d.get("values"),
+        weights=d.get("weights"),
     )
 
 
@@ -234,11 +244,13 @@ def space_from_dict(payload: dict) -> SearchSpace:
 
 def load_space(path: str) -> SearchSpace:
     """Load a space from a YAML file (JSON is a YAML subset and also works)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             payload = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise SpaceError(f"{path}: not valid YAML: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpaceError(f"cannot read space file: {exc}") from None
+    except yaml.YAMLError as exc:
+        raise SpaceError(f"{path}: not valid YAML: {exc}") from exc
     if payload is None:
         raise SpaceError(f"{path}: file is empty")
     return space_from_dict(payload)

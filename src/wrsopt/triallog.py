@@ -25,7 +25,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .space import Dimension, SearchSpace, space_digest, space_from_dict
+from .space import Dimension, SearchSpace, SpaceError, space_digest, space_from_dict
 
 SCHEMA_VERSION = 1
 VALID_STATUS = ("evaluated", "cached-hit", "failed")
@@ -34,6 +34,41 @@ FAILED_SCORE = float("-inf")
 
 class LogError(ValueError):
     """Malformed, inconsistent, or unreadable trial log."""
+
+
+# The JSON types write_log writes for a field, and their name.  json.loads
+# yields exactly these classes, so a type() test keeps bools out of the int
+# and number fields.  A field whose types include null may also be absent.
+_INT = ((int,), "an int")
+_NUMBER = ((int, float), "a number")
+_STR = ((str,), "a string")
+_LIST = ((list,), "a list")
+_OBJECT = ((dict,), "an object")
+_STR_OR_NULL = ((str, type(None)), "a string")
+_OBJECT_OR_NULL = ((dict, type(None)), "an object or null")
+_TRIAL_FIELDS = (
+    ("iteration", _INT),
+    ("values", _LIST),
+    ("score", _NUMBER),
+    ("phase", _STR),
+    ("status", _STR),
+    ("wall_time", _NUMBER),
+    ("error", _STR_OR_NULL),
+)
+
+
+def _field(d: dict, key: str, kind: tuple[tuple[type, ...], str], where: str) -> Any:
+    """d[key] if it has one of the types of kind; LogError naming where
+    otherwise."""
+    types, name = kind
+    if key not in d:
+        if type(None) in types:
+            return None
+        raise LogError(f"{where}: missing {key!r}")
+    v = d[key]
+    if type(v) not in types:
+        raise LogError(f"{where}: {key} must be {name}, got {v!r}")
+    return v
 
 
 @dataclass
@@ -74,22 +109,24 @@ class TrialRecord:
         return self.score == FAILED_SCORE
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TrialRecord":
-        try:
-            rec = cls(
-                iteration=int(d["iteration"]),
-                values=tuple(d["values"]),
-                score=float(d["score"]),
-                phase=str(d["phase"]),
-                status=str(d["status"]),
-                wall_time=float(d["wall_time"]),
-                error=d.get("error"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise LogError(f"bad trial record: {exc}") from exc
-        if rec.status not in VALID_STATUS:
-            raise LogError(f"trial {rec.iteration}: unknown status {rec.status!r}")
-        return rec
+    def from_dict(cls, d: dict, where: str = "bad trial record") -> "TrialRecord":
+        """The record d holds; LogError, prefixed with where, unless each
+        field has the JSON type write_log gives it."""
+        if type(d) is not dict:
+            raise LogError(f"{where}: not an object")
+        get = d.get
+        iteration, values, score, phase = get("iteration"), get("values"), get("score"), get("phase")
+        status, wall_time, error = get("status"), get("wall_time"), get("error")
+        # one test for the common case; _field names the first bad field
+        if not (
+            type(iteration) is int and type(values) is list and type(score) in _NUMBER[0] and type(phase) is str
+            and type(status) is str and type(wall_time) in _NUMBER[0] and type(error) in _STR_OR_NULL[0]
+        ):
+            for key, kind in _TRIAL_FIELDS:
+                _field(d, key, kind, where)
+        if status not in VALID_STATUS:
+            raise LogError(f"{where}: unknown status {status!r}")
+        return cls(iteration, tuple(values), score, phase, status, wall_time, error)
 
 
 @dataclass
@@ -129,26 +166,26 @@ class RunHeader:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunHeader":
-        if d.get("kind") != "header":
+        """The header d holds; LogError unless each field has the JSON type
+        write_log gives it."""
+        if type(d) is not dict or d.get("kind") != "header":
             raise LogError("first line is not a header record")
         schema = d.get("schema")
-        if schema != SCHEMA_VERSION:
+        if type(schema) is not int or schema != SCHEMA_VERSION:
             raise LogError(f"unsupported log schema {schema!r}")
-        try:
-            return cls(
-                strategy=str(d["strategy"]),
-                budget=int(d["budget"]),
-                init=int(d["init"]),
-                seed=int(d["seed"]),
-                objective=str(d["objective"]),
-                space=dict(d["space"]),
-                space_digest=str(d["space_digest"]),
-                profile=d.get("profile"),
-                options=dict(d.get("options") or {}),
-                schema=int(schema),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise LogError(f"bad header record: {exc}") from exc
+        where = "bad header record"
+        return cls(
+            strategy=_field(d, "strategy", _STR, where),
+            budget=_field(d, "budget", _INT, where),
+            init=_field(d, "init", _INT, where),
+            seed=_field(d, "seed", _INT, where),
+            objective=_field(d, "objective", _STR, where),
+            space=_field(d, "space", _OBJECT, where),
+            space_digest=_field(d, "space_digest", _STR, where),
+            profile=_field(d, "profile", _OBJECT_OR_NULL, where),
+            options=_field(d, "options", _OBJECT, where),
+            schema=schema,
+        )
 
 
 # One encoder for every line.  json.dumps with non-default arguments builds a
@@ -201,6 +238,10 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
     """Parse and validate a log.  Raises LogError unless all of these hold:
 
     * the first line is a header of the supported schema;
+    * every header and trial field has the JSON type write_log writes: an
+      int (never a bool) for counts, iterations and the seed, an int or
+      float (never a bool) for score and wall_time, a string for the text
+      fields and a list for values;
     * every trial has a known status, iterations run 1, 2, ... and the
       record count equals the declared budget;
     * the header's space parses and matches its ``space_digest``;
@@ -236,7 +277,7 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
     if not payloads:
         raise LogError(f"{path}: empty log")
     header = RunHeader.from_dict(payloads[0])
-    records = [TrialRecord.from_dict(p) for p in payloads[1:]]
+    records = [TrialRecord.from_dict(p, f"trial {i}") for i, p in enumerate(payloads[1:], start=1)]
     for i, rec in enumerate(records, start=1):
         if rec.iteration != i:
             raise LogError(f"{path}: iteration {rec.iteration} at position {i}; expected consecutive numbering")
@@ -244,7 +285,7 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
         raise LogError(f"{path}: {len(records)} records but header declares budget {header.budget}")
     try:
         space = space_from_dict(header.space)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except SpaceError as exc:
         raise LogError(f"{path}: header space does not parse: {exc}") from exc
     if space_digest(space) != header.space_digest:
         raise LogError(f"{path}: header space does not match its space_digest")
@@ -254,7 +295,7 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
         if error is None:
             agree = math.isfinite(score) and rec.status in ("evaluated", "cached-hit")
         else:
-            agree = score == FAILED_SCORE and type(error) is str and rec.status in ("failed", "cached-hit")
+            agree = score == FAILED_SCORE and rec.status in ("failed", "cached-hit")
         if not agree:
             raise LogError(f"trial {rec.iteration}: status {rec.status!r}, score {score!r} and error {error!r} do not agree")
     return header, records

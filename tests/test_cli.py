@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import shlex
 import sys
 
 import pytest
@@ -464,6 +465,11 @@ CORRUPTIONS = {
     ),
     "minus-infinity-without-error": ([((5, "error"), None)], "trial 5: status 'cached-hit', score -inf and error None do not agree"),
     "plus-infinity-score": ([((6, "score"), math.inf)], "trial 6: status 'evaluated', score inf and error None do not agree"),
+    "values-a-string": ([((1, "values"), "ab")], "trial 1: values must be a list, got 'ab'"),
+    "fractional-iteration": ([((1, "iteration"), 1.7)], "trial 1: iteration must be an int, got 1.7"),
+    "score-a-string": ([((1, "score"), "1.5")], "trial 1: score must be a number, got '1.5'"),
+    "phase-a-number": ([((1, "phase"), 7)], "trial 1: phase must be a string, got 7"),
+    "wall-time-a-bool": ([((1, "wall_time"), True)], "trial 1: wall_time must be a number, got True"),
 }
 
 
@@ -526,3 +532,62 @@ def test_no_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# one dimension entry each; every one must be refused as a space error
+BAD_SPACES = {
+    "bound-not-a-number": "{name: x, kind: real, low: a, high: 1}",
+    "weight-not-a-number": "{name: c, kind: cat, values: [p, q], weights: [x, 1]}",
+    "null-weight": "{name: c, kind: cat, values: [p], weights: [null]}",
+    "bound-a-list": "{name: x, kind: real, low: 0, high: [1]}",
+    "values-not-a-list": "{name: c, kind: cat, values: 5}",
+    "kind-not-a-string": "{name: n, kind: [int], low: 0, high: 1}",
+    "bound-beyond-float-range": '{"name": "x", "kind": "real", "low": 0, "high": 1' + "0" * 400 + "}",
+    "values-a-string": "{name: c, kind: cat, values: abc}",
+}
+
+
+# an objective that takes any space, categorical axes included, so that only
+# the space or the options can refuse the run
+ANY_SPACE_OBJECTIVE = f"external:{shlex.quote(sys.executable)} -c print(1)"
+
+
+def _run(strategy, *extra):
+    return ["run", "--space", "SPACE", "--objective", ANY_SPACE_OBJECTIVE, "--strategy", strategy, *extra]
+
+
+USER_ERRORS = {
+    "budget-zero": _run("rs", "--budget", "0"),
+    "window-zero": ["report", "run.jsonl", "--window", "0"],
+    "missing-space-flag": ["run", "--objective", "builtin:sphere", "--strategy", "rs", "--budget", "3"],
+    **{case: _run("rs", "--budget", "3") for case in BAD_SPACES},
+    "unreadable-space-file": _run("rs", "--budget", "3"),
+    "negative-seed": _run("rs", "--budget", "3", "--seed", "-1"),
+    "negative-forest-seed": ["importance", "run.jsonl", "--seed", "-1"],
+    "infinite-swarm": _run("pso", "--budget", "3", "--opt", "swarm=inf"),
+    "nan-swarm": _run("pso", "--budget", "3", "--opt", "swarm=nan"),
+    "fractional-swarm": _run("pso", "--budget", "3", "--opt", "swarm=2.5"),
+    "nan-alpha": _run("nelder-mead", "--budget", "3", "--opt", "alpha=nan"),
+}
+
+
+@pytest.mark.parametrize("case", list(USER_ERRORS))
+def test_user_error_exits_2_with_one_line(case, space_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    space = space_file
+    if case in BAD_SPACES:
+        space = tmp_path / "bad.yaml"
+        space.write_text(f"dimensions:\n  - {BAD_SPACES[case]}\n")
+    elif case == "unreadable-space-file":
+        space = tmp_path / "missing.yaml"
+    argv = [str(space) if a == "SPACE" else a for a in USER_ERRORS[case]]
+    try:
+        code = run_cli(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert not list(tmp_path.glob("*.jsonl"))

@@ -54,6 +54,22 @@ class TestRunConfig:
             RunConfig(**kwargs).validate(real_space(2))
         assert isinstance(exc.value, ValueError)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(strategy="rs", budget=10, seed=-1),
+            dict(strategy="pso", budget=10, sampler_options=(("swarm", math.inf),)),
+            dict(strategy="pso", budget=10, sampler_options=(("swarm", math.nan),)),
+            dict(strategy="pso", budget=10, sampler_options=(("swarm", 2.5),)),
+            dict(strategy="pso", budget=10, sampler_options=(("omega", math.inf),)),
+            dict(strategy="nelder-mead", budget=10, sampler_options=(("alpha", math.nan),)),
+        ],
+        ids=["negative-seed", "infinite-swarm", "nan-swarm", "fractional-swarm", "infinite-omega", "nan-alpha"],
+    )
+    def test_seed_and_sampler_options_are_config_errors(self, kwargs):
+        with pytest.raises(ConfigError):
+            RunConfig(**kwargs).validate(real_space(2))
+
     def test_sobol_limited_to_its_direction_numbers(self):
         RunConfig(strategy="sobol", budget=10).validate(real_space(21))
         with pytest.raises(ConfigError, match="at most 21 dimensions"):

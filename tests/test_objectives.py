@@ -227,7 +227,9 @@ class TestExternalProtocol:
         command = f"sh -c 'touch {started}; sleep 1; touch {marker}'"
         driver = subprocess.Popen([
             sys.executable, "-c",
-            "import sys; from wrsopt.objectives import evaluate_external; "
+            # the default handler, even when this suite runs with SIGINT ignored
+            "import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); "
+            "from wrsopt.objectives import evaluate_external; "
             "from wrsopt.space import Dimension, SearchSpace; "
             "space = SearchSpace((Dimension(name='n', kind='int', low=0, high=1),)); "
             "evaluate_external(sys.argv[1], (0,), space, timeout=30)",

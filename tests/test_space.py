@@ -236,6 +236,34 @@ def test_space_from_dict_rejects_junk():
         space_from_dict({"dimensions": [{"name": "a", "kind": "int", "low": 0, "high": 1, "bogus": 2}]})
 
 
+# JSON-shaped junk, with numbers beyond float range among the ints
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(10**308, 10**400) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_scalars = st.integers(-5, 5) | st.floats(-5, 5) | st.sampled_from(("a", "b", "1e-4"))
+# dimension entries that are mostly nearly right, each field sometimes junk
+_dimension_entry = st.fixed_dictionaries({}, optional={
+    "name": st.sampled_from(("a", "b", "")) | _json,
+    "kind": st.sampled_from(("int", "real", "cat", "choice")) | _json,
+    "low": _scalars | _json,
+    "high": _scalars | _json,
+    "values": st.lists(_scalars, max_size=3) | _json,
+    "weights": st.lists(_scalars, max_size=3) | _json,
+}) | _json
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_dimension_entry, max_size=3))
+def test_space_from_dict_raises_only_space_error(entries):
+    try:
+        space = space_from_dict({"dimensions": entries})
+    except SpaceError:
+        return
+    assert isinstance(space, SearchSpace)
+
+
 @given(
     st.integers(min_value=-50, max_value=50),
     st.integers(min_value=0, max_value=100),
