@@ -92,11 +92,16 @@ class Dimension:
                 _check(isinstance(v, int) or (isinstance(v, float) and v.is_integer()), f"{self.name}: integer bound {side}={v!r} is not integral")
             object.__setattr__(self, "low", int(self.low))
             object.__setattr__(self, "high", int(self.high))
+            # sampling and the importance fit take the bounds and the count
+            # of values as floats
+            _floats((self.low, self.high, self.high - self.low + 1), f"{self.name}: integer bounds and their span must lie within float range")
         else:
             low, high = _floats((self.low, self.high), f"{self.name}: real bounds must be finite numbers")
             object.__setattr__(self, "low", low)
             object.__setattr__(self, "high", high)
             _check(math.isfinite(self.low) and math.isfinite(self.high), f"{self.name}: real bounds must be finite")
+            # value_at scales the width; an infinite one would draw only inf
+            _check(math.isfinite(self.high - self.low), f"{self.name}: real bounds must lie within float range of each other")
         _check(self.low <= self.high, f"{self.name}: low must not exceed high")
 
 
@@ -251,6 +256,10 @@ def load_space(path: str) -> SearchSpace:
         raise SpaceError(f"cannot read space file: {exc}") from None
     except yaml.YAMLError as exc:
         raise SpaceError(f"{path}: not valid YAML: {exc}") from exc
+    except ValueError as exc:
+        # a scalar YAML resolves but Python cannot build: an integer of more
+        # digits than int() converts, a date such as 2020-13-01
+        raise SpaceError(f"{path}: cannot read a value: {exc}") from None
     if payload is None:
         raise SpaceError(f"{path}: file is empty")
     return space_from_dict(payload)

@@ -237,6 +237,8 @@ def write_log(path: str, header: RunHeader, records: Sequence[TrialRecord]) -> N
 def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
     """Parse and validate a log.  Raises LogError unless all of these hold:
 
+    * every line parses as JSON, with no integer of more digits than
+      Python's int() converts;
     * the first line is a header of the supported schema;
     * every header and trial field has the JSON type write_log writes: an
       int (never a bool) for counts, iterations and the seed, an int or
@@ -272,7 +274,8 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
             continue
         try:
             payloads.append(json.loads(line))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # JSONDecodeError, or an integer too long for int()
             raise LogError(f"{path}: invalid JSON on line {lineno}") from exc
     if not payloads:
         raise LogError(f"{path}: empty log")

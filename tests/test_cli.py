@@ -451,7 +451,8 @@ MIXED_TRIALS = [  # values, score, status, error
 
 
 # each case: the (path, value) edits to make, line 0 being the header and
-# line k trial k, and the message every command must give
+# line k trial k, or a function that rewrites the log's text; and the
+# message every command must give
 CORRUPTIONS = {
     "edited-header-space": ([((0, "space", "dimensions", 1, "high"), 2.0)], "LOG: header space does not match its space_digest"),
     "int-out-of-range": ([((4, "values", 0), 9)], "trial 4: n=9 is not a value of the space"),
@@ -470,6 +471,12 @@ CORRUPTIONS = {
     "score-a-string": ([((1, "score"), "1.5")], "trial 1: score must be a number, got '1.5'"),
     "phase-a-number": ([((1, "phase"), 7)], "trial 1: phase must be a string, got 7"),
     "wall-time-a-bool": ([((1, "wall_time"), True)], "trial 1: wall_time must be a number, got True"),
+    # more digits than int() converts, which json.loads refuses with a ValueError
+    "iteration-of-5001-digits": (
+        lambda text: text.replace('{"iteration": 2,', '{"iteration": 2' + "0" * 5000 + ",", 1),
+        "LOG: invalid JSON on line 3",
+    ),
+    "truncated-last-line": (lambda text: text[:-12], "LOG: invalid JSON on line 9"),
 }
 
 
@@ -490,13 +497,18 @@ def test_corrupted_log_exits_1_with_one_line(case, tmp_path, capsys):
     for argv in commands:
         assert run_cli(argv) == 0
     edits, message = CORRUPTIONS[case]
-    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-    for (*keys, last), value in edits:
-        target = lines
-        for k in keys:
-            target = target[k]
-        target[last] = value
-    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    text = path.read_text(encoding="utf-8")
+    if callable(edits):
+        text = edits(text)
+    else:
+        lines = [json.loads(line) for line in text.splitlines()]
+        for (*keys, last), value in edits:
+            target = lines
+            for k in keys:
+                target = target[k]
+            target[last] = value
+        text = "".join(json.dumps(line) + "\n" for line in lines)
+    path.write_text(text, encoding="utf-8")
     capsys.readouterr()
     for argv in commands:
         assert run_cli(argv) == 1
@@ -544,6 +556,10 @@ BAD_SPACES = {
     "kind-not-a-string": "{name: n, kind: [int], low: 0, high: 1}",
     "bound-beyond-float-range": '{"name": "x", "kind": "real", "low": 0, "high": 1' + "0" * 400 + "}",
     "values-a-string": "{name: c, kind: cat, values: abc}",
+    "int-bound-beyond-float-range": "{name: n, kind: int, low: 0, high: 1" + "0" * 400 + "}",
+    "int-bound-of-5001-digits": "{name: n, kind: int, low: 0, high: 1" + "0" * 5000 + "}",
+    "date-bound": "{name: n, kind: int, low: 2020-13-01, high: 3}",
+    "real-width-beyond-float-range": "{name: x, kind: real, low: -1.5e308, high: 1.5e308}",
 }
 
 

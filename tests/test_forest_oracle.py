@@ -7,6 +7,7 @@ from dataclasses import replace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from wrsopt import importance
@@ -98,3 +99,79 @@ def test_tree_deeper_than_64_levels_equals_oracle():
     got = fit_forest(trials, space, config, np.random.default_rng(0))
     assert len(got.trees[0].leaf_means) > 100
     assert_same_trees(got.trees, oracle_forest(trials, space, config, np.random.default_rng(0)))
+
+
+# The tests below drive the nodes whose split the prefix-sum gains alone
+# cannot decide, which the fit re-scores as the recursion does.
+
+def _trials(rows, scores):
+    return [
+        TrialRecord(iteration=i, values=tuple(v), score=float(s), phase="rs", status="evaluated", wall_time=0.0)
+        for i, (v, s) in enumerate(zip(rows, scores), start=1)
+    ]
+
+
+def _fit_equals_oracle(space, trials, config):
+    got = fit_forest(trials, space, config, np.random.default_rng(0))
+    assert_same_trees(got.trees, oracle_forest(trials, space, config, np.random.default_rng(0)))
+    return got
+
+
+@pytest.mark.parametrize("second", ["identical", "reordered-within-sides"])
+def test_tied_columns_split_on_the_first(second):
+    # both columns induce the same best partition, so the re-scored gains
+    # tie exactly; the reordered copy sums its prefixes in another order
+    n = 40
+    a = [i / n for i in range(n)]
+    b = a if second == "identical" else [a[(7 * i) % 20 + 20 * (i >= 20)] for i in range(n)]
+    scores = [3.0 * (i >= 20) + ((i * 7919) % 97) / 97.0 * 0.2 for i in range(n)]
+    space = SearchSpace(tuple(Dimension(name=k, kind="real", low=0.0, high=1.0) for k in "ab"))
+    config = ForestConfig(n_trees=20, max_depth=1, min_leaf=1)
+    got = _fit_equals_oracle(space, _trials(zip(a, b), scores), config)
+    assert all(tree.split_dims == (0,) for tree in got.trees)
+
+
+def _root_gains(x, y):
+    """Prefix-sum and re-scored gain of the best cut of a one-dimensional root."""
+    yc = y - y.mean()
+    base = float(yc @ yc)
+    ys = yc[np.argsort(x, kind="stable")]
+    cut = np.flatnonzero(np.diff(np.sort(x)) > 0)
+    nl = cut + 1
+    s, s2 = np.cumsum(ys), np.cumsum(ys**2)
+    sse = (s2[cut] - s[cut] ** 2 / nl) + ((s2[-1] - s2[cut]) - (s[-1] - s[cut]) ** 2 / (x.size - nl))
+    j = int(np.argmin(sse))
+    left = x <= np.sort(x)[cut[j]]
+    yl, yr = yc[left], yc[~left]
+    return base - sse[j], base - float(((yl - yl.mean()) ** 2).sum() + ((yr - yr.mean()) ** 2).sum())
+
+
+@pytest.mark.parametrize(
+    "n, scale, splits",
+    [(40, float.fromhex("0x1.4cbd4f77d119fp-27"), False), (80, float.fromhex("0x1.c9728ffb773a0p-28"), True)],
+    ids=["prefix-above-rescored-below", "prefix-below-rescored-above"],
+)
+def test_best_gain_at_the_1e_15_floor_is_rescored(n, scale, splits):
+    # scores scaled so the root's best gain sits within rounding of 1e-15:
+    # the prefix-sum gain and the re-scored one fall on its two sides, and
+    # neither is 1e-15 itself
+    x = np.arange(n, dtype=float)
+    y = ((x >= n // 2) + (((np.arange(n) * 104729) % 97) / 97.0 - 0.5) * 1.5) * scale
+    prefix, rescored = _root_gains(x, y)
+    assert (rescored > 1e-15) == splits and (prefix > 1e-15) != splits and 1e-15 not in (prefix, rescored)
+    space = SearchSpace((Dimension(name="x", kind="int", low=0, high=n - 1),))
+    config = ForestConfig(n_trees=1, max_depth=1, min_leaf=1, bootstrap=False)
+    got = _fit_equals_oracle(space, _trials([(int(v),) for v in x], y), config)
+    assert len(got.trees[0].leaf_means) == (2 if splits else 1)
+
+
+def test_overflowing_sse_is_rescored():
+    # the outlier's square overflows the node's SSE to inf, so every
+    # prefix-sum gain is NaN; its cut still re-scores to an infinite gain
+    xs = [0] + [1 + i % 3 for i in range(11)]
+    scores = [1e154] + [-1e154 * (1 + 1e-3 * x) for x in xs[1:]]
+    space = SearchSpace((Dimension(name="x", kind="int", low=0, high=3),))
+    config = ForestConfig(n_trees=1, max_depth=3, min_leaf=1, bootstrap=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _fit_equals_oracle(space, _trials([(x,) for x in xs], scores), config)
+    assert len(got.trees[0].leaf_means) == 4

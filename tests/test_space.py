@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wrsopt.importance import root_box
 from wrsopt.space import (
     Dimension,
     SearchSpace,
@@ -262,6 +263,16 @@ def test_space_from_dict_raises_only_space_error(entries):
     except SpaceError:
         return
     assert isinstance(space, SearchSpace)
+    # a space it accepts can be sampled and boxed for the importance fit
+    validate_candidate(space, space.sample(np.random.default_rng(0)))
+    assert np.isfinite(root_box(space)).all()
+
+
+@pytest.mark.parametrize("bounds", [(0, 10**400), (-(10**400), 0), (-(10**308), 10**308)])
+def test_int_bounds_beyond_float_range_are_refused(bounds):
+    low, high = bounds
+    with pytest.raises(SpaceError, match="integer bounds and their span must lie within float range"):
+        Dimension(name="n", kind="int", low=low, high=high)
 
 
 @given(
