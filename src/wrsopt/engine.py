@@ -37,7 +37,6 @@ from .importance import (
     ZeroVarianceError,
     fit_forest,
     main_effect_fractions,
-    min_samples_schedule,
     weights_to_probabilities,
 )
 from .objectives import Objective, ObjectiveFailure
@@ -85,6 +84,17 @@ class RunConfig:
     kmin_overrides: tuple[tuple[str, int], ...] = ()
     sampler_options: tuple[tuple[str, float], ...] = ()
 
+    def settings(self) -> dict[str, dict]:
+        """The NAME=VALUE settings the run applies and its header records:
+        for a name given twice the last value wins, '*' included, keys are
+        sorted and empty groups left out.  Nothing else reads the pairs."""
+        groups = {
+            "sampler": self.sampler_options,
+            "prob_overrides": self.prob_overrides,
+            "kmin_overrides": self.kmin_overrides,
+        }
+        return {key: dict(sorted(dict(pairs).items())) for key, pairs in groups.items() if pairs}
+
     def validate(self, space: SearchSpace) -> None:
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}; choose from {STRATEGIES}")
@@ -94,28 +104,29 @@ class RunConfig:
             raise ConfigError(f"need 0 <= init < budget, got init={self.init} budget={self.budget}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        settings = self.settings()
+        prob_over, kmin_over = settings.get("prob_overrides", {}), settings.get("kmin_overrides", {})
         if self.strategy != "wrs":
             if self.init != 0:
                 raise ConfigError("--init only applies to the wrs strategy")
-            if self.prob_overrides or self.kmin_overrides:
+            if prob_over or kmin_over:
                 raise ConfigError("probability/k-min overrides only apply to the wrs strategy")
-        for name, p in self.prob_overrides:
+        for name, p in prob_over.items():
             if name != "*":
                 space.index_of(name)  # raises SpaceError on unknown names
             if not 0.0 < p <= 1.0:
                 raise ConfigError(f"override probability for {name!r} must lie in (0, 1], got {p}")
-        for name, k in self.kmin_overrides:
+        for name, k in kmin_over.items():
             if name != "*":
                 space.index_of(name)
             if k < 0:
                 raise ConfigError(f"k-min override for {name!r} must be non-negative")
-        prob_over = _resolve_overrides(space, self.prob_overrides)
-        if len(prob_over) == len(space):  # full coverage: no fitted weight can supply the 1
-            _frozen_profile(list(prob_over.values()), [0] * len(space), [0] * len(space))
+        if len(_resolve_overrides(space, prob_over)) == len(space):  # full coverage: no fitted weight can supply the 1
+            _build_profile(space, self, (), None, [])
         if self.strategy == "sobol" and len(space) > SOBOL_MAX_DIM:
             raise ConfigError(f"sobol supports at most {SOBOL_MAX_DIM} dimensions; the space has {len(space)}")
         allowed = _SAMPLER_OPTION_KEYS.get(self.strategy, ())
-        for key, value in self.sampler_options:
+        for key, value in settings.get("sampler", {}).items():
             if key not in allowed:
                 raise ConfigError(f"option {key!r} does not apply to strategy {self.strategy!r}")
             if not math.isfinite(value):
@@ -215,17 +226,12 @@ def _all_failed(records: Sequence[TrialRecord]) -> bool:
     return bool(records) and all(r.failed for r in records)
 
 
-def _resolve_overrides(space: SearchSpace, pairs: Sequence[tuple[str, float]]) -> dict[int, float]:
-    """Name-keyed overrides to index-keyed; '*' covers every dimension and
-    is applied before specific names regardless of flag order."""
-    out: dict[int, float] = {}
-    for name, v in pairs:
-        if name == "*":
-            for i in range(len(space)):
-                out.setdefault(i, v)
-    for name, v in pairs:
-        if name != "*":
-            out[space.index_of(name)] = v
+def _resolve_overrides(space: SearchSpace, settings: dict[str, float]) -> dict[int, float]:
+    """One group of RunConfig.settings, keyed by dimension index.  '*'
+    covers every dimension and a named value replaces it whatever the flag
+    order; for a name given twice, '*' included, the last value wins."""
+    out = dict.fromkeys(range(len(space)), settings["*"]) if "*" in settings else {}
+    out.update((space.index_of(name), v) for name, v in settings.items() if name != "*")
     return out
 
 
@@ -233,53 +239,49 @@ def _build_profile(
     space: SearchSpace,
     config: RunConfig,
     phase1: Sequence[TrialRecord],
-    forest_rng: np.random.Generator,
+    forest_rng: np.random.Generator | None,
     warnings: list[str],
 ) -> tuple[ChangeProfile, list[float] | None]:
-    """Importance fit plus overrides, frozen into the phase-2 profile.
+    """Importance fit plus overrides, frozen into the phase-2 profile; the
+    one place a ChangeProfile is built.
 
     Returns (profile, weights); weights is None when no forest was fit
-    (full override coverage or a fallback to uniform probabilities).
+    (full override coverage or a fallback to uniform probabilities).  Full
+    coverage needs no phase-1 trials, so validate builds that profile before
+    the run.  A profile that breaks ChangeProfile's rules can only come from
+    the overrides, so that is a configuration error.
     """
     d = len(space)
-    prob_over = _resolve_overrides(space, config.prob_overrides)
-    kmin_over = {i: int(v) for i, v in _resolve_overrides(space, config.kmin_overrides).items()}
+    settings = config.settings()
+    prob_over = _resolve_overrides(space, settings.get("prob_overrides", {}))
+    kmin_over = _resolve_overrides(space, settings.get("kmin_overrides", {}))
 
-    weights: list[float] | None = None
-    if len(prob_over) == d:
-        probs = [prob_over[i] for i in range(d)]
-    else:
-        base: Sequence[float] | None = None
-        fallback_reason = None
+    weights, base, fallback = None, [1.0] * d, None
+    if len(prob_over) < d:  # full coverage needs no fit
         if config.init < 2:
-            fallback_reason = "phase 1 too short to estimate importance"
+            fallback = "phase 1 too short to estimate importance"
         else:
             try:
                 forest = fit_forest(phase1, space, ForestConfig(), forest_rng)
                 fractions = main_effect_fractions(forest, space)
-                weights = list(fractions.fractions)
-                base = weights_to_probabilities(fractions)
+                weights, base = list(fractions.fractions), weights_to_probabilities(fractions)
             except ZeroVarianceError:
-                fallback_reason = "phase-1 scores carried no variance"
+                fallback = "phase-1 scores carried no variance"
             except ImportanceError as exc:
-                fallback_reason = f"importance estimation failed ({exc})"
-        if base is None:
-            warnings.append(f"{fallback_reason}; using uniform change probabilities")
-            base = [1.0] * d
-            weights = None
-        probs = [prob_over.get(i, base[i]) for i in range(d)]
-
-    k_mins = min_samples_schedule(probs, config.init, config.budget, kmin_over)
-    return _frozen_profile(probs, k_mins, [config.init] * d), weights
-
-
-def _frozen_profile(probs: Sequence[float], k_mins: Sequence[int], gen_counts: list[int]) -> ChangeProfile:
-    """The phase-2 profile; a probability vector that breaks its rules can
-    only come from the overrides, so that is a configuration error."""
+                fallback = f"importance estimation failed ({exc})"
+    if fallback:
+        warnings.append(f"{fallback}; using uniform change probabilities")
     try:
-        return ChangeProfile(probs=tuple(probs), k_mins=k_mins, gen_counts=gen_counts)
+        profile = ChangeProfile(
+            probs=tuple(prob_over.get(i, base[i]) for i in range(d)),
+            # phase 1 drew init fresh values on every axis, so a default
+            # k_min of init forces a resample on the first weighted step only
+            k_mins=tuple(kmin_over.get(i, config.init) for i in range(d)),
+            gen_counts=[config.init] * d,
+        )
     except SamplerError as exc:
         raise ConfigError(f"override produces an invalid profile: {exc}") from exc
+    return profile, weights
 
 
 class WeightedSearch:
@@ -323,7 +325,7 @@ class WeightedSearch:
 
 
 def _make_strategy(space: SearchSpace, config: RunConfig, rngs: RngBundle, result: RunResult):
-    options = dict(config.sampler_options)
+    options = config.settings().get("sampler", {})
     if config.strategy == "wrs":
         return WeightedSearch(space, config, rngs, result)
     if config.strategy == "rs":
@@ -339,13 +341,6 @@ def execute_run(space: SearchSpace, objective: Objective, config: RunConfig) -> 
     """Validate, write the header, then drive the requested strategy for
     exactly config.budget trials into one RunResult."""
     config.validate(space)
-    options: dict = {}
-    if config.sampler_options:
-        options["sampler"] = {k: v for k, v in sorted(config.sampler_options)}
-    if config.prob_overrides:
-        options["prob_overrides"] = {k: v for k, v in sorted(config.prob_overrides)}
-    if config.kmin_overrides:
-        options["kmin_overrides"] = {k: v for k, v in sorted(config.kmin_overrides)}
     result = RunResult(
         header=RunHeader(
             strategy=config.strategy,
@@ -355,7 +350,7 @@ def execute_run(space: SearchSpace, objective: Objective, config: RunConfig) -> 
             objective=objective.spec.text or f"{objective.spec.kind}:{objective.spec.target}",
             space=space_to_dict(space),
             space_digest=space_digest(space),
-            options=options,
+            options=config.settings(),
         )
     )
     strategy = _make_strategy(space, config, RngBundle.from_seed(config.seed), result)

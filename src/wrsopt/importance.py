@@ -1,6 +1,6 @@
 """Per-dimension importance from phase-1 trials, via regression-forest
 functional ANOVA, and the mapping from importance weights to change
-probabilities and minimum fresh-sample counts.
+probabilities.
 
 Trees are fit by greedy variance reduction on an ordinal encoding of the
 space (categoricals by list index).  Main-effect variances are computed
@@ -531,27 +531,3 @@ def weights_to_probabilities(weights: ImportanceWeights | Sequence[float]) -> tu
     if top == 0.0:
         raise ImportanceError("all weights are zero; probabilities undefined")
     return tuple(float(max(x / top, P_MIN)) for x in w)
-
-
-def min_samples_schedule(
-    probs: Sequence[float],
-    n0: int,
-    n: int,
-    overrides: dict[int, int] | None = None,
-) -> tuple[int, ...]:
-    """Minimum fresh-value counts k_i, default n0 for every dimension.
-
-    Phase 1 already produces n0 fresh values per dimension, so the default
-    keeps the unconditional-resampling rule from extending past the first
-    weighted step.  Individual dimensions can be overridden.
-    """
-    if not 0 <= n0 < n:
-        raise ImportanceError(f"need 0 <= n0 < n, got n0={n0} n={n}")
-    k = [int(n0)] * len(probs)
-    for i, v in (overrides or {}).items():
-        if not 0 <= i < len(k):
-            raise ImportanceError(f"override index {i} out of range")
-        if v < 0:
-            raise ImportanceError("k_min overrides must be non-negative")
-        k[i] = int(v)
-    return tuple(k)

@@ -169,17 +169,7 @@ class SobolSampler:
             raise SamplerError(str(exc)) from exc
 
     def ask(self) -> tuple:
-        out = []
-        for dim, u in zip(self.space.dimensions, self._engine.next_point().tolist()):
-            if dim.kind == "real":
-                out.append(dim.low + u * (dim.high - dim.low))
-            elif dim.kind == "int":
-                v = int(round(dim.low + u * (dim.high - dim.low)))
-                out.append(min(max(v, dim.low), dim.high))
-            else:
-                k = len(dim.values)
-                out.append(dim.values[min(int(u * k), k - 1)])
-        return tuple(out)
+        return tuple(map(value_at, self.space.dimensions, self._engine.next_point().tolist()))
 
     def tell(self, score: float) -> None:
         pass

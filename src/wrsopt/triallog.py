@@ -319,12 +319,13 @@ def _check_values(space: SearchSpace, records: Sequence[TrialRecord]) -> None:
         return
     for rec in records:
         for dim, v in zip(space.dimensions, rec.values):
-            if not _in_dimension(dim, v):
+            if not _column_in_dimension(dim, (v,)):
                 raise LogError(f"trial {rec.iteration}: {dim.name}={v!r} is not a value of the space")
 
 
 def _column_in_dimension(dim: Dimension, column: tuple) -> bool:
-    """Whether every value of a column passes _in_dimension."""
+    """Whether every value of a column is a value of dim, as JSON decoding
+    can produce it."""
     if dim.kind == "cat":
         try:
             return set(column) <= set(dim.values)
@@ -340,18 +341,6 @@ def _column_in_dimension(dim: Dimension, column: tuple) -> bool:
     except OverflowError:
         return False
     return bool(np.all((x >= dim.low) & (x <= dim.high)))  # NaN fails both comparisons
-
-
-def _in_dimension(dim: Dimension, v: Any) -> bool:
-    """Whether v is a value of dim, as JSON decoding can produce it."""
-    if dim.kind == "cat":
-        return v in dim.values
-    if dim.kind == "int":
-        return type(v) is int and dim.low <= v <= dim.high
-    try:
-        return type(v) in (int, float) and dim.low <= float(v) <= dim.high
-    except OverflowError:
-        return False
 
 
 def record_fingerprint(record: TrialRecord, with_phase: bool = True) -> dict:

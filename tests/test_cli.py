@@ -7,8 +7,11 @@ import sys
 import pytest
 
 from wrsopt.cli import main
+from wrsopt.engine import RunConfig, execute_run
 from wrsopt.space import space_digest, space_from_dict
-from wrsopt.triallog import RunHeader, TrialRecord, read_log, write_log
+from wrsopt.triallog import RunHeader, TrialRecord, read_log, record_fingerprint, write_log
+
+from _util import mixed_space, python_objective
 
 SPACE_2D = """\
 dimensions:
@@ -102,6 +105,30 @@ class TestRun:
         header, _ = read_log(out)
         assert header.profile["probs"] == [1.0, 1.0]
         assert header.profile["weights"] is None
+
+    def test_repeated_option_applies_and_records_its_last_value(self, space_file, tmp_path):
+        logs = []
+        for opts in (["--opt", "swarm=10", "--opt", "swarm=5"], ["--opt", "swarm=5"]):
+            out = str(tmp_path / f"pso{len(opts)}.jsonl")
+            assert run_cli([
+                "run", "--space", space_file, "--objective", "builtin:sphere",
+                "--strategy", "pso", "--budget", "25", "--seed", "2", "--out", out, *opts,
+            ]) == 0
+            logs.append(read_log(out))
+        (twice, twice_records), (once, once_records) = logs
+        assert twice.options == once.options == {"sampler": {"swarm": 5.0}}
+        assert [record_fingerprint(r) for r in twice_records] == [record_fingerprint(r) for r in once_records]
+
+    def test_repeated_star_applies_and_records_its_last_value(self, space_file, tmp_path):
+        out = str(tmp_path / "wrs.jsonl")
+        assert run_cli([
+            "run", "--space", space_file, "--objective", "builtin:sphere",
+            "--strategy", "wrs", "--budget", "10", "--init", "4", "--seed", "2", "--out", out,
+            "--set-prob", "*=0.3", "--set-prob", "*=0.5", "--set-prob", "x0=1",
+        ]) == 0
+        header, _ = read_log(out)
+        assert header.options == {"prob_overrides": {"*": 0.5, "x0": 1.0}}
+        assert header.profile["probs"] == [1.0, 0.5]
 
     def test_fallback_warning_on_stderr(self, space_file, tmp_path, capsys):
         out = str(tmp_path / "wrs0.jsonl")
@@ -366,6 +393,26 @@ class TestImportance:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "row,x0,x1"
         assert lines[1].startswith("weight,") and lines[2].startswith("probability,")
+
+    @pytest.mark.parametrize("seed,n0", [(7, 40), (3, 25)])
+    def test_rs_log_reproduces_the_wrs_profile(self, seed, n0, tmp_path):
+        # README: importance on an rs log of N0 trials gives the profile of a
+        # wrs run with the same seed and --init N0
+        def score(values):
+            lr, layers, act = values
+            return -((lr - 0.3) ** 2) - 0.05 * layers + (0.2 if act == "tanh" else 0.0)
+
+        space = mixed_space()
+        rs = execute_run(space, python_objective(score), RunConfig(strategy="rs", budget=n0, seed=seed))
+        wrs = execute_run(space, python_objective(score), RunConfig(strategy="wrs", budget=n0 + 20, init=n0, seed=seed))
+        for name, run in (("rs", rs), ("wrs", wrs)):
+            write_log(tmp_path / f"{name}.jsonl", run.header, run.records)
+        csv_path = tmp_path / "imp.csv"
+        assert run_cli(["importance", str(tmp_path / "rs.jsonl"), "--csv", str(csv_path)]) == 0
+        profile = read_log(tmp_path / "wrs.jsonl")[0].profile
+        _, weights, probs = csv_path.read_text().splitlines()
+        assert weights == "weight," + ",".join(map(repr, profile["weights"]))
+        assert probs == "probability," + ",".join(map(repr, profile["probs"]))
 
     def test_header_space_not_matching_its_digest_exits_1(self, space_file, tmp_path, capsys):
         log = str(tmp_path / "rs.jsonl")

@@ -1,8 +1,10 @@
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from wrsopt.engine import (
     AllTrialsFailedError,
@@ -17,7 +19,7 @@ from wrsopt.engine import (
 )
 from wrsopt.objectives import ObjectiveFailure
 from wrsopt.space import Dimension, SearchSpace, candidate_key
-from wrsopt.triallog import TrialRecord, record_fingerprint
+from wrsopt.triallog import RunHeader, TrialRecord, record_fingerprint
 
 from _util import int_space, mixed_space, python_objective, real_space
 
@@ -47,6 +49,7 @@ class TestRunConfig:
             dict(strategy="pso", budget=10, sampler_options=(("bogus", 1.0),)),
             dict(strategy="pso", budget=10, sampler_options=(("swarm", 1),)),
             dict(strategy="nelder-mead", budget=10, sampler_options=(("swarm", 5),)),
+            dict(strategy="wrs", budget=10, prob_overrides=(("x0", 0.5), ("x0", 1.5))),
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -427,3 +430,86 @@ class TestHeaderContents:
         assert a.decisions.random() == b.decisions.random()
         draws = {round(g.random(), 12) for g in (RngBundle.from_seed(5).values, RngBundle.from_seed(5).decisions, RngBundle.from_seed(5).forest)}
         assert len(draws) == 3
+
+
+def _config_from_header(header: RunHeader) -> RunConfig:
+    """The run a header describes, rebuilt from its options alone."""
+    options = header.options
+    return RunConfig(
+        strategy=header.strategy,
+        budget=header.budget,
+        init=header.init,
+        seed=header.seed,
+        prob_overrides=tuple(options.get("prob_overrides", {}).items()),
+        kmin_overrides=tuple(options.get("kmin_overrides", {}).items()),
+        sampler_options=tuple(options.get("sampler", {}).items()),
+    )
+
+
+_MIXED_NAMES = ("*", "lr", "layers", "act")
+_OPTION_VALUES = {
+    "pso": {"swarm": (2.0, 3.0, 5.0, 10.0), "omega": (0.3, 0.5, 0.9)},
+    "nelder-mead": {"alpha": (0.5, 1.0, 2.0), "rho": (0.25, 0.5), "init_step": (0.05, 0.2)},
+}
+
+
+@st.composite
+def repeated_settings(draw):
+    """A run whose settings repeat names and mix '*' with names, in random
+    flag order."""
+    strategy = draw(st.sampled_from(("wrs", "pso", "nelder-mead")))
+    kwargs = dict(strategy=strategy, budget=30, seed=draw(st.integers(0, 3)))
+    if strategy == "wrs":
+        names = st.sampled_from(_MIXED_NAMES)
+        kwargs["init"] = draw(st.sampled_from((0, 1, 10)))
+        kwargs["prob_overrides"] = tuple(draw(st.lists(st.tuples(names, st.sampled_from((0.3, 0.6, 1.0))), max_size=6)))
+        kwargs["kmin_overrides"] = tuple(draw(st.lists(st.tuples(names, st.integers(0, 15)), max_size=5)))
+    else:
+        values = _OPTION_VALUES[strategy]
+        keys = st.sampled_from(sorted(values))
+        pairs = st.lists(keys.flatmap(lambda k: st.tuples(st.just(k), st.sampled_from(values[k]))), max_size=6)
+        kwargs["sampler_options"] = tuple(draw(pairs))
+    return RunConfig(**kwargs)
+
+
+class TestRepeatedSettings:
+    @settings(max_examples=80, deadline=None)
+    @given(repeated_settings())
+    def test_run_rebuilt_from_its_header_replays(self, config):
+        try:
+            run = execute_run(mixed_space(), python_objective(sphere_score_mixed), config)
+        except ConfigError:
+            assume(False)  # a full override without a 1, or an override that removes the fitted 1
+        header = RunHeader.from_dict(json.loads(json.dumps(run.header.to_dict())))
+        rerun = execute_run(mixed_space(), python_objective(sphere_score_mixed), _config_from_header(header))
+        assert rerun.header.to_dict() == run.header.to_dict()
+        assert [record_fingerprint(r) for r in rerun.records] == [record_fingerprint(r) for r in run.records]
+
+    def test_last_value_wins_star_included(self):
+        config = RunConfig(
+            strategy="wrs",
+            budget=20,
+            init=5,
+            seed=3,
+            prob_overrides=(("*", 0.3), ("x1", 0.9), ("*", 0.5), ("x0", 1.0), ("x1", 0.7)),
+            kmin_overrides=(("x0", 7), ("x0", 3)),
+        )
+        result = execute_run(real_space(2), python_objective(sphere_score), config)
+        assert result.header.options == {
+            "prob_overrides": {"*": 0.5, "x0": 1.0, "x1": 0.7},
+            "kmin_overrides": {"x0": 3},
+        }
+        assert result.header.profile["probs"] == [1.0, 0.7]
+        assert result.header.profile["k_mins"] == [3, 5]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(strategy="wrs", budget=10, prob_overrides=(("x0", 1.5), ("x0", 0.5))),
+            dict(strategy="wrs", budget=10, kmin_overrides=(("*", -1), ("*", 2))),
+            dict(strategy="pso", budget=10, sampler_options=(("swarm", 1), ("swarm", 4))),
+        ],
+        ids=["probability", "k-min", "swarm"],
+    )
+    def test_replaced_bad_value_is_not_refused(self, kwargs):
+        RunConfig(**kwargs).validate(real_space(2))

@@ -12,7 +12,6 @@ from wrsopt.importance import (
     encode_trials,
     fit_forest,
     main_effect_fractions,
-    min_samples_schedule,
     root_box,
     weights_to_probabilities,
 )
@@ -252,25 +251,6 @@ class TestProbabilityMapping:
             weights_to_probabilities((-1.0, 2.0))
         with pytest.raises(ImportanceError):
             weights_to_probabilities(())
-
-
-class TestMinSamples:
-    def test_default_is_phase_one_length(self):
-        assert min_samples_schedule((1.0, 0.5), n0=110, n=300) == (110, 110)
-
-    def test_zero_phase_one(self):
-        assert min_samples_schedule((1.0,), n0=0, n=10) == (0,)
-
-    def test_override_single_dimension(self):
-        assert min_samples_schedule((1.0, 0.5, 0.2), n0=110, n=300, overrides={2: 150}) == (110, 110, 150)
-
-    def test_bounds_checked(self):
-        with pytest.raises(ImportanceError):
-            min_samples_schedule((1.0,), n0=5, n=5)
-        with pytest.raises(ImportanceError):
-            min_samples_schedule((1.0,), n0=0, n=5, overrides={3: 1})
-        with pytest.raises(ImportanceError):
-            min_samples_schedule((1.0,), n0=0, n=5, overrides={0: -2})
 
 
 class TestRendering:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -72,3 +74,20 @@ def test_sequence_is_seed_free_and_deterministic():
     s1 = SobolSampler(SearchSpace((Dimension(name="x", kind="real", low=0, high=1),)))
     s2 = SobolSampler(SearchSpace((Dimension(name="x", kind="real", low=0, high=1),)))
     assert [s1.ask() for _ in range(50)] == [s2.ask() for _ in range(50)]
+
+
+def test_values_map_as_random_search_maps_them():
+    # the sampler turns each coordinate into a value through space.value_at,
+    # as rs does: int ends get a full share, and category weights count
+    space = SearchSpace(
+        (
+            Dimension(name="i", kind="int", low=3, high=6),
+            Dimension(name="c", kind="cat", values=("a", "b"), weights=(9, 1)),
+            Dimension(name="j", kind="int", low=-5, high=5),
+        )
+    )
+    sampler = SobolSampler(space)
+    i, c, j = zip(*(sampler.ask() for _ in range(1024)))
+    assert Counter(i) == dict.fromkeys(range(3, 7), 256)
+    assert Counter(c) == {"a": 922, "b": 102}
+    assert set(Counter(j)) == set(range(-5, 6)) and set(Counter(j).values()) <= {93, 94}
