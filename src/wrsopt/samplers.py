@@ -64,11 +64,6 @@ class ChangeProfile:
         if any(k < 0 for k in self.k_mins) or any(g < 0 for g in self.gen_counts):
             raise SamplerError("k_mins and gen_counts must be non-negative")
 
-    @classmethod
-    def all_ones(cls, d: int) -> "ChangeProfile":
-        """Uniform profile: every dimension always changes (plain RS)."""
-        return cls(probs=(1.0,) * d, k_mins=(0,) * d, gen_counts=[0] * d)
-
 
 def rs_step(space: SearchSpace, rng: np.random.Generator) -> tuple:
     """Fresh uniform candidate; one rng.random() per dimension."""

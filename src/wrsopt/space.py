@@ -114,15 +114,6 @@ def _floats(xs: Sequence[Any], msg: str) -> tuple[float, ...]:
         raise SpaceError(msg) from None
 
 
-def sample_dimension(dim: Dimension, rng: np.random.Generator) -> Any:
-    """Draw one value, consuming exactly one uniform from rng.
-
-    The single-draw contract keeps candidate streams reproducible across
-    samplers that interleave draws from a shared generator.
-    """
-    return value_at(dim, rng.random())
-
-
 def value_at(dim: Dimension, u: float) -> Any:
     """The value a uniform u in [0, 1) selects on dim."""
     if dim.kind == "real":

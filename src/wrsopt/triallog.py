@@ -71,7 +71,7 @@ def _field(d: dict, key: str, kind: tuple[tuple[type, ...], str], where: str) ->
     return v
 
 
-@dataclass
+@dataclass(slots=True)
 class TrialRecord:
     """One budget unit of a run.
 
@@ -234,11 +234,32 @@ def write_log(path: str, header: RunHeader, records: Sequence[TrialRecord]) -> N
     os.replace(tmp, path)
 
 
+# One decoder for every line.  json.loads(s) skips JSON whitespace, calls
+# this decoder's raw_decode and refuses anything but JSON whitespace after the
+# value; _loads does the same without the wrapper's per-call checks.
+_raw_decode = json.JSONDecoder().raw_decode
+_JSON_SPACE = " \t\n\r"
+
+
+def _loads(line: str) -> Any:
+    """json.loads(line): the same object, or a ValueError for exactly the
+    lines json.loads refuses (a leading BOM included)."""
+    obj, end = _raw_decode(line, len(line) - len(line.lstrip(_JSON_SPACE)))
+    if line[end:].strip(_JSON_SPACE):
+        raise ValueError(f"extra data at character {end}")
+    return obj
+
+
+# The checks that run line by line, in the order read_log applies them: a
+# failure found by one is reported only if no line fails an earlier one.
+_JSON, _HEADER, _FIELDS, _NUMBERING, _NONE = range(5)
+
+
 def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
     """Parse and validate a log.  Raises LogError unless all of these hold:
 
-    * every line parses as JSON, with no integer of more digits than
-      Python's int() converts;
+    * every line is UTF-8 text and parses as JSON, with no integer of more
+      digits than Python's int() converts;
     * the first line is a header of the supported schema;
     * every header and trial field has the JSON type write_log writes: an
       int (never a bool) for counts, iterations and the seed, an int or
@@ -256,34 +277,59 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
       trial carries an error, an ``evaluated`` one none, and a
       ``cached-hit`` carries the error of the failure it repeats, if any.
 
-    Lines end at a newline (U+000A) only.  A string value may hold U+2028,
-    U+2029 or U+0085 unescaped, which str.splitlines() would take for line
-    breaks.  Blank lines are skipped but still counted in the line numbers
-    of errors.
+    Lines end at a newline (U+000A) only: a carriage return is JSON
+    whitespace, so CRLF line ends and a lone CR between tokens are read as
+    they would be within one line.  A string value may hold U+2028, U+2029
+    or U+0085 unescaped, which str.splitlines() would take for line breaks.
+    Blank lines are skipped but still counted in the line numbers of errors.
+
+    The file is read in one pass: each line becomes its record at once, so
+    the reader holds the records and one line, never the whole text.  Every
+    record shares one string object per distinct phase and status.
     """
+    header, records = None, []
+    strings: dict[str, str] = {}
+    failure, rank = None, _NONE  # the first failure of the earliest check any line fails
+    offset = 0  # of the line in the file, in bytes
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise LogError(f"{path}: not UTF-8 text (byte {offset + exc.start})") from exc
+                offset += len(raw)
+                if rank == _JSON or line.isspace():
+                    continue
+                try:
+                    payload = _loads(line)
+                except ValueError:
+                    # JSONDecodeError, or an integer too long for int()
+                    failure, rank = LogError(f"{path}: invalid JSON on line {lineno}"), _JSON
+                    continue
+                if rank <= _FIELDS:
+                    continue
+                i = len(records) + 1
+                try:
+                    if header is None:
+                        header = RunHeader.from_dict(payload)
+                        continue
+                    rec = TrialRecord.from_dict(payload, f"trial {i}")
+                except LogError as exc:
+                    failure, rank = exc, (_HEADER if header is None else _FIELDS)
+                    continue
+                rec.phase = strings.setdefault(rec.phase, rec.phase)
+                rec.status = strings.setdefault(rec.status, rec.status)
+                if rec.iteration != i and rank == _NONE:
+                    failure = LogError(f"{path}: iteration {rec.iteration} at position {i}; expected consecutive numbering")
+                    rank = _NUMBERING
+                records.append(rec)
     except OSError as exc:
         raise LogError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise LogError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
-    payloads = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            payloads.append(json.loads(line))
-        except ValueError as exc:
-            # JSONDecodeError, or an integer too long for int()
-            raise LogError(f"{path}: invalid JSON on line {lineno}") from exc
-    if not payloads:
+    if failure is not None:
+        raise failure
+    if header is None:
         raise LogError(f"{path}: empty log")
-    header = RunHeader.from_dict(payloads[0])
-    records = [TrialRecord.from_dict(p, f"trial {i}") for i, p in enumerate(payloads[1:], start=1)]
-    for i, rec in enumerate(records, start=1):
-        if rec.iteration != i:
-            raise LogError(f"{path}: iteration {rec.iteration} at position {i}; expected consecutive numbering")
     if len(records) != header.budget:
         raise LogError(f"{path}: {len(records)} records but header declares budget {header.budget}")
     try:
@@ -343,11 +389,8 @@ def _column_in_dimension(dim: Dimension, column: tuple) -> bool:
     return bool(np.all((x >= dim.low) & (x <= dim.high)))  # NaN fails both comparisons
 
 
-def record_fingerprint(record: TrialRecord, with_phase: bool = True) -> dict:
-    """Canonical comparison form of a trial: everything except wall_time,
-    optionally also ignoring the phase tag."""
+def record_fingerprint(record: TrialRecord) -> dict:
+    """Canonical comparison form of a trial: everything except wall_time."""
     d = record.to_dict()
     d.pop("wall_time")
-    if not with_phase:
-        d.pop("phase")
     return d

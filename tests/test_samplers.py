@@ -30,10 +30,6 @@ class TestChangeProfile:
         with pytest.raises(SamplerError):
             ChangeProfile(**kwargs)
 
-    def test_all_ones_constructor(self):
-        p = ChangeProfile.all_ones(4)
-        assert p.probs == (1.0,) * 4 and p.k_mins == (0,) * 4
-
 
 class TestRsStep:
     def test_deterministic_under_reseeding(self):
@@ -106,7 +102,7 @@ class TestWrsStep:
 
     def test_all_ones_profile_reproduces_rs_stream_bitwise(self):
         space = mixed_space()
-        profile = ChangeProfile.all_ones(len(space))
+        profile = ChangeProfile(probs=(1.0,) * len(space), k_mins=(0,) * len(space))
         rs_rng = np.random.default_rng(99)
         wrs_value = np.random.default_rng(99)
         wrs_decision = np.random.default_rng(1234)
@@ -118,7 +114,7 @@ class TestWrsStep:
 
     def test_dimension_mismatch_rejected(self):
         space = real_space(2)
-        profile = ChangeProfile.all_ones(3)
+        profile = ChangeProfile(probs=(1.0,) * 3, k_mins=(0,) * 3)
         with pytest.raises(SamplerError):
             wrs_step(space, (0.0, 0.0), profile, np.random.default_rng(0), np.random.default_rng(1))
 

@@ -11,7 +11,6 @@ from wrsopt.space import (
     SpaceError,
     candidate_key,
     load_space,
-    sample_dimension,
     space_digest,
     space_from_dict,
     space_to_dict,
@@ -65,7 +64,7 @@ def test_space_requires_unique_names_and_nonempty():
 def test_degenerate_int_range_samples_its_only_value():
     dim = Dimension(name="a", kind="int", low=5, high=5)
     rng = np.random.default_rng(0)
-    assert all(sample_dimension(dim, rng) == 5 for _ in range(20))
+    assert all(value_at(dim, rng.random()) == 5 for _ in range(20))
 
 
 def test_sampling_respects_bounds_and_types():
@@ -103,10 +102,10 @@ def test_weighted_categorical_draw_sequence_is_pinned():
     # recorded with the running totals summed by np.cumsum on every draw
     dim = Dimension(name="c", kind="cat", values=("a", "b", "c", "d", "e"), weights=(0.1, 2.5, 1.0, 3.75, 0.4))
     rng = np.random.default_rng(2024)
-    assert "".join(sample_dimension(dim, rng) for _ in range(40)) == "dbbdebbbcbddbdadeddbbcbdbbdbbbdbdbdddedb"
+    assert "".join(value_at(dim, rng.random()) for _ in range(40)) == "dbbdebbbcbddbdadeddbbcbdbbdbbbdbdbdddedb"
     tiny = Dimension(name="t", kind="cat", values=(10, 20, 30), weights=(1.0, 1e-12, 1.0))
     rng = np.random.default_rng(5)
-    assert [sample_dimension(tiny, rng) for _ in range(12)] == [30, 30, 30, 10, 10, 10, 10, 10, 10, 30, 30, 10]
+    assert [value_at(tiny, rng.random()) for _ in range(12)] == [30, 30, 30, 10, 10, 10, 10, 10, 10, 30, 30, 10]
 
 
 class _FixedUniforms:
@@ -131,7 +130,7 @@ def test_weighted_draw_on_a_running_total_takes_the_next_value():
 def test_weighted_categorical_matches_per_draw_cumsum(weights, seed):
     dim = Dimension(name="c", kind="cat", values=tuple(range(len(weights))), weights=weights)
     a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert [sample_dimension(dim, a) for _ in range(30)] == [draw_dimension(dim, b) for _ in range(30)]
+    assert [value_at(dim, a.random()) for _ in range(30)] == [draw_dimension(dim, b) for _ in range(30)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -148,7 +147,7 @@ def test_sample_matches_per_dimension_draws(space, seed):
 def test_weighted_categorical_prefers_heavy_value():
     dim = Dimension(name="c", kind="cat", values=("rare", "common"), weights=(1.0, 9.0))
     rng = np.random.default_rng(3)
-    draws = [sample_dimension(dim, rng) for _ in range(4000)]
+    draws = [value_at(dim, rng.random()) for _ in range(4000)]
     frac = draws.count("common") / len(draws)
     assert 0.87 < frac < 0.93
 
@@ -283,5 +282,5 @@ def test_int_bounds_beyond_float_range_are_refused(bounds):
 def test_int_sampling_always_in_bounds(low, span, seed):
     dim = Dimension(name="n", kind="int", low=low, high=low + span)
     rng = np.random.default_rng(seed)
-    v = sample_dimension(dim, rng)
+    v = value_at(dim, rng.random())
     assert low <= v <= low + span
