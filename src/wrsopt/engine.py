@@ -245,11 +245,16 @@ def _build_profile(
     """Importance fit plus overrides, frozen into the phase-2 profile; the
     one place a ChangeProfile is built.
 
+    A dimension without a prob override gets p_i = max(w_i / w_max, P_MIN),
+    with w_max the largest fitted weight among those dimensions, so one of
+    them is at 1 whatever the overrides say.  When all of their weights are
+    0, they all get 1, as in every other fallback to uniform probabilities.
+
     Returns (profile, weights); weights is None when no forest was fit
     (full override coverage or a fallback to uniform probabilities).  Full
     coverage needs no phase-1 trials, so validate builds that profile before
     the run.  A profile that breaks ChangeProfile's rules can only come from
-    the overrides, so that is a configuration error.
+    a full override, so that is a configuration error.
     """
     d = len(space)
     settings = config.settings()
@@ -263,8 +268,11 @@ def _build_profile(
         else:
             try:
                 forest = fit_forest(phase1, space, ForestConfig(), forest_rng)
-                fractions = main_effect_fractions(forest, space)
-                weights, base = list(fractions.fractions), weights_to_probabilities(fractions)
+                fractions = main_effect_fractions(forest, space).fractions
+                free = [i for i in range(d) if i not in prob_over]
+                for i, p in zip(free, weights_to_probabilities([fractions[i] for i in free])):
+                    base[i] = p
+                weights = list(fractions)
             except ZeroVarianceError:
                 fallback = "phase-1 scores carried no variance"
             except ImportanceError as exc:

@@ -140,6 +140,20 @@ class TestRun:
         assert "uniform change probabilities" in capsys.readouterr().err
 
 
+    def test_partial_prob_override_below_the_fitted_argmax_runs(self, tmp_path, capsys):
+        space = tmp_path / "ab.yaml"
+        space.write_text("dimensions:\n  - {name: a, kind: real, low: 0.0, high: 1.0}\n"
+                         "  - {name: b, kind: real, low: 0.0, high: 1.0}\n")
+        out = str(tmp_path / "wrs.jsonl")
+        code = run_cli([
+            "run", "--space", str(space), "--objective", "builtin:additive-anova?coeffs=5,1",
+            "--strategy", "wrs", "--budget", "40", "--init", "30", "--seed", "0", "--out", out,
+            "--set-prob", "a=0.5",
+        ])
+        assert code == 0, capsys.readouterr().err
+        header, _ = read_log(out)
+        assert header.profile["probs"] == [0.5, 1.0]
+
 class TestRunErrors:
     def test_missing_space_file_exits_2(self, tmp_path, capsys):
         code = run_cli([

@@ -17,6 +17,7 @@ from wrsopt.engine import (
     execute_run,
     update_best,
 )
+from wrsopt.importance import P_MIN
 from wrsopt.objectives import ObjectiveFailure
 from wrsopt.space import Dimension, SearchSpace, candidate_key
 from wrsopt.triallog import RunHeader, TrialRecord, record_fingerprint
@@ -280,6 +281,32 @@ class TestWrsProfile:
         )
         assert result.header.profile["probs"][1] == 0.77
         assert result.header.profile["weights"] is not None
+
+    def test_partial_override_below_the_fitted_argmax_rescales_the_rest(self):
+        # lowering the dimension the fit puts at 1 leaves another one at 1
+        space = real_space(3, low=0.0, high=1.0)
+        objective = python_objective(lambda v: 5.0 * v[0] + 2.0 * v[1] + v[2])
+        config = RunConfig(strategy="wrs", budget=60, init=30, seed=7, prob_overrides=(("x0", 0.5),))
+        result = execute_run(space, objective, config)
+        profile = result.header.profile
+        weights = profile["weights"]
+        assert weights[0] > weights[1] > weights[2] > 0.0
+        assert profile["probs"] == [0.5, 1.0, max(weights[2] / weights[1], P_MIN)]
+        assert result.warnings == [] and len(result.records) == 60
+
+    def test_partial_override_leaving_only_zero_weights_falls_back_to_uniform(self):
+        space = SearchSpace(
+            (
+                Dimension(name="a", kind="real", low=0.0, high=1.0),
+                Dimension(name="fixed", kind="real", low=2.0, high=2.0),
+            )
+        )
+        objective = python_objective(lambda v: v[0])
+        config = RunConfig(strategy="wrs", budget=40, init=20, seed=3, prob_overrides=(("a", 0.5),))
+        result = execute_run(space, objective, config)
+        assert result.header.profile["probs"] == [0.5, 1.0]
+        assert result.header.profile["weights"] is None
+        assert len(result.warnings) == 1 and "uniform" in result.warnings[0]
 
     def test_kmin_override_applies(self):
         space = real_space(2)
