@@ -149,7 +149,7 @@ GOLDEN = {
     "mixed-poly-wrs-init1-s0": "1b57aa2cb4a23cbca33eb8f218a32c5033453e0187a2f5901f65c999b0d2a6a3",
     "mixed-poly-wrs-init3-s0": "f0e0368f55e8c2dec97c95045b3dfdf4fee3ec388a8bae3f8f30012d5e1c9ac7",
     "mixed-poly-wrs-star-s0": "d9b99e0394ca6c8b344004b03489ec1b91bfc24e38587e455b221c9b846af34c",
-    "mixed-poly-wrs-named-s0": "d9b99e0394ca6c8b344004b03489ec1b91bfc24e38587e455b221c9b846af34c",
+    "mixed-poly-wrs-named-s0": "764b90bffd3e9a0137f1d9b8b82e214c842399232016480b1de0cb050b60e96a",
     "mixed-poly-wrs-star-full-s0": "7a3dadc2664c5ac336abecf9df2512227c800a749cd59484861fcbf8134e3b9e",
     "mixed-poly-wrs-kmin-s0": "1860c7fa30cbe6d61b8224d6c30aaae4cf373baa9462523e2e0222ec7838a182",
     "mixed-flaky-rs-s0": "35241fd4a0e7c60a4665e211be150063fa32d18e15f25052bd552d280f212ea6",
@@ -162,7 +162,7 @@ GOLDEN = {
     "mixed-flaky-wrs-init1-s0": "448a3cee206bed97b57047316b842ea6cf77676f41a604e0ba26473894ce02fc",
     "mixed-flaky-wrs-init3-s0": "daae1b5626c63a98e0ffdff4805bb32f6aca0ac33e65c48585978d5813edf5fc",
     "mixed-flaky-wrs-star-s0": "d9b99e0394ca6c8b344004b03489ec1b91bfc24e38587e455b221c9b846af34c",
-    "mixed-flaky-wrs-named-s0": "d9b99e0394ca6c8b344004b03489ec1b91bfc24e38587e455b221c9b846af34c",
+    "mixed-flaky-wrs-named-s0": "547095eaa514c90b4e967e0fe3e4086c8f7829f2e0709de36624fdd0caf58522",
     "mixed-flaky-wrs-star-full-s0": "761c546ecc4155d6ab8930f0b67aaf66c80a474d0c8f3a13e6a2a69286eb5765",
     "mixed-flaky-wrs-kmin-s0": "c324c4b49cfb411f44112e306a026744a3d7e7defdf6bf1932c4c59ab831548f",
     "mixed-constant-wrs-s0": "5639799b04d694299b508d1c1c4dba92322a02e4b06d9f0d1c4d09d229941e10",
@@ -215,7 +215,7 @@ GOLDEN = {
     "int-poly-wrs-init1-s0": "45d9bffe3fae18961765740729b733f735433ee07a85baab15c6cd4cc55e0e62",
     "int-poly-wrs-init3-s0": "1550ad0042cd682d813b5ea15c86036e391ad0fbe2a2a7dbcd54f9841df468ab",
     "int-poly-wrs-star-s0": "d9b99e0394ca6c8b344004b03489ec1b91bfc24e38587e455b221c9b846af34c",
-    "int-poly-wrs-named-s0": "d9b99e0394ca6c8b344004b03489ec1b91bfc24e38587e455b221c9b846af34c",
+    "int-poly-wrs-named-s0": "4d3843f6f0b96eb0c08a275a1b6007c0b16387be7bf3075d3e74d05613d1e756",
     "int-poly-wrs-star-full-s0": "67a6ee75252c35ec1267e02009af54bc3828d68aab8312460eed6fee636c0b50",
     "int-poly-wrs-kmin-s0": "762966ffb20654f64400802a9071392dbb30db71da7b277325dbc2660b7a998e",
     "int-flaky-rs-s0": "7a5eaf4e2804c64e1acfebd85483819bb65a7a6af5819cc59bc7633198ecc6f7",
@@ -261,7 +261,7 @@ GOLDEN = {
     "int-flaky-wrs-init1-s1": "2a03505dc1c7a6c80043ea1f6dba8acff69c764d69c8e1cc500e2770dd38594a",
     "int-flaky-wrs-init3-s1": "9d002077e314a17958499a6936f66e6f2d5265374ddd062ab55d334781d08e96",
     "int-flaky-wrs-star-s1": "d9b99e0394ca6c8b344004b03489ec1b91bfc24e38587e455b221c9b846af34c",
-    "int-flaky-wrs-named-s1": "d9b99e0394ca6c8b344004b03489ec1b91bfc24e38587e455b221c9b846af34c",
+    "int-flaky-wrs-named-s1": "ac98ec2d867428a2ca20b41f489b5cb24e9576096f6afe14cd0551aebf662577",
     "int-flaky-wrs-star-full-s1": "f859b1516e3dd63ed46e6b361d24d4398322f683d5912d1ee08828b3a3ad4058",
     "int-flaky-wrs-kmin-s1": "c1804045203da8a06c0e7615ec95a50ccb81661a76c6f1ed3117a43bfe699cce",
     "int-constant-wrs-s1": "6850a4bc1d93487561c0eb9500ca391f2f560cf2f41bd650a00a82a3c7be4086",
