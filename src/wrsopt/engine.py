@@ -41,6 +41,7 @@ from .importance import (
 )
 from .objectives import Objective, ObjectiveFailure
 from .samplers import (
+    PSO_SWARM,
     ChangeProfile,
     NelderMeadSampler,
     PsoSampler,
@@ -342,7 +343,10 @@ def _make_strategy(space: SearchSpace, config: RunConfig, rngs: RngBundle, resul
         return SobolSampler(space)
     if config.strategy == "nelder-mead":
         return NelderMeadSampler(space, rngs.values, **options)
-    return PsoSampler(space, rngs.values, **options)
+    # a run never asks past its budget, so particles beyond it are never
+    # emitted; the first generation's positions are a prefix of one stream
+    swarm = max(2, min(options.get("swarm", PSO_SWARM), config.budget))
+    return PsoSampler(space, rngs.values, **{**options, "swarm": swarm})
 
 
 def execute_run(space: SearchSpace, objective: Objective, config: RunConfig) -> RunResult:

@@ -15,6 +15,7 @@ part of the command itself.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import shlex
@@ -60,6 +61,10 @@ class ObjectiveSpec:
 
 def parse_objective_spec(text: str) -> ObjectiveSpec:
     """Parse a spec string; see the module docstring for the grammar."""
+    try:
+        text.encode("utf-8")  # the log header records it; argv brings a non-UTF-8 byte as a lone surrogate
+    except UnicodeEncodeError:
+        raise ObjectiveError(f"objective spec {text!r} is not UTF-8 text") from None
     if ":" not in text:
         raise ObjectiveError(f"objective spec {text!r} needs a 'builtin:' or 'external:' prefix")
     kind, rest = text.split(":", 1)
@@ -75,8 +80,13 @@ def parse_objective_spec(text: str) -> ObjectiveSpec:
             for c in chunks:
                 k, v = c.split("=", 1)
                 params[k.strip()] = v.strip()
-    if target == "":
+    if target.strip() == "":
         raise ObjectiveError(f"objective spec {text!r} has an empty target")
+    if kind == "external":
+        try:
+            shlex.split(target)  # the split evaluate_external makes on every trial
+        except ValueError as exc:  # an unclosed quote, or a backslash at the end
+            raise ObjectiveError(f"external command {target!r} does not split into words: {exc}") from None
 
     direction = params.pop("direction", "minimize")
     if direction not in ("minimize", "maximize"):
@@ -249,23 +259,25 @@ def evaluate_external(command: str, values: tuple, space: SearchSpace, timeout: 
 
     The command is launched with one name=value argument per dimension in
     space order.  The final line of stdout must parse as a decimal score and
-    the exit code must be 0; anything else raises ObjectiveFailure.  The
+    the exit code must be 0; anything else raises ObjectiveFailure.  Output
+    is decoded as UTF-8, a byte that is not UTF-8 becoming U+FFFD.  The
     command runs in a session of its own, so a timeout kills its whole
     process group, background grandchildren included.
     """
     argv = shlex.split(command)
-    if not argv:
-        raise ObjectiveError("external command is empty")
     argv += [format_argument(d.kind, d.name, v) for d, v in zip(space.dimensions, values)]
     try:
-        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True)
+        proc = subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, encoding="utf-8", errors="replace", start_new_session=True
+        )
     except OSError as exc:
         raise ObjectiveFailure(f"spawn failed: {exc}") from None
     with proc:
         try:
             stdout, _ = proc.communicate(timeout=timeout)
         except BaseException as exc:  # a timeout, or a Ctrl-C that the command's own session never sees
-            os.killpg(proc.pid, signal.SIGKILL)  # the unreaped child keeps its group alive until wait()
+            with contextlib.suppress(ProcessLookupError):  # a Ctrl-C can land after communicate() reaped the command
+                os.killpg(proc.pid, signal.SIGKILL)  # the unreaped child keeps its group alive until wait()
             proc.wait()
             if isinstance(exc, subprocess.TimeoutExpired):
                 raise ObjectiveFailure("timeout") from None

@@ -272,6 +272,9 @@ class NelderMeadSampler:
                 losses[j] = yield vertices[j]
 
 
+PSO_SWARM = 20  # default particle count
+
+
 class PsoSampler:
     """Particle swarm with the standard constriction coefficients.
 
@@ -289,7 +292,7 @@ class PsoSampler:
         self,
         space: SearchSpace,
         rng: np.random.Generator,
-        swarm: int = 20,
+        swarm: int = PSO_SWARM,
         omega: float = 0.7298,
         c1: float = 1.49618,
         c2: float = 1.49618,

@@ -58,6 +58,7 @@ class Dimension:
 
     def __post_init__(self) -> None:
         _check(isinstance(self.name, str) and self.name != "", "dimension name must be a non-empty string")
+        _check_utf8(self.name, "dimension name")
         kind = _KIND_ALIASES.get(self.kind) if isinstance(self.kind, str) else None
         _check(kind is not None, f"{self.name}: unknown kind {self.kind!r}")
         object.__setattr__(self, "kind", kind)
@@ -76,6 +77,8 @@ class Dimension:
                 except TypeError:
                     raise SpaceError(f"{self.name}: categorical values must be hashable") from None
                 _check(not dup, f"{self.name}: duplicate categorical value {v!r}")
+                if isinstance(v, str):
+                    _check_utf8(v, f"{self.name}: categorical value")
             if self.weights is not None:
                 w = _floats(self.weights, f"{self.name}: weights must be finite numbers")
                 _check(len(w) == len(self.values), f"{self.name}: weights length must match values length")
@@ -103,6 +106,15 @@ class Dimension:
             # value_at scales the width; an infinite one would draw only inf
             _check(math.isfinite(self.high - self.low), f"{self.name}: real bounds must lie within float range of each other")
         _check(self.low <= self.high, f"{self.name}: low must not exceed high")
+
+
+def _check_utf8(text: str, what: str) -> None:
+    """SpaceError unless text encodes as UTF-8, as a log must write it: a
+    lone surrogate, such as YAML's "\\ud800", does not."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise SpaceError(f"{what} {text!r} is not UTF-8 text (it holds a lone surrogate)") from None
 
 
 def _floats(xs: Sequence[Any], msg: str) -> tuple[float, ...]:

@@ -17,6 +17,7 @@ the records it is given.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -224,14 +225,21 @@ def record_line(rec: TrialRecord) -> str:
 
 
 def write_log(path: str, header: RunHeader, records: Sequence[TrialRecord]) -> None:
-    """Write the whole log in one pass (header first, trials in order)."""
+    """Write the whole log in one pass (header first, trials in order) to
+    PATH.tmp, then rename it to path; on any failure PATH.tmp is removed."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        # insertion order is the documented field order; -inf serializes as -Infinity
-        fh.write(_encode(header.to_dict()) + "\n")
-        for rec in records:
-            fh.write(record_line(rec) + "\n")
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            # insertion order is the documented field order; -inf serializes as -Infinity
+            fh.write(_encode(header.to_dict()) + "\n")
+            for rec in records:
+                fh.write(record_line(rec) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # the caller sees the first error
+            os.remove(tmp)
+        raise
 
 
 # One decoder for every line.  json.loads(s) skips JSON whitespace, calls
@@ -248,11 +256,6 @@ def _loads(line: str) -> Any:
     if line[end:].strip(_JSON_SPACE):
         raise ValueError(f"extra data at character {end}")
     return obj
-
-
-# The checks that run line by line, in the order read_log applies them: a
-# failure found by one is reported only if no line fails an earlier one.
-_JSON, _HEADER, _FIELDS, _NUMBERING, _NONE = range(5)
 
 
 def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
@@ -283,51 +286,37 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
     or U+0085 unescaped, which str.splitlines() would take for line breaks.
     Blank lines are skipped but still counted in the line numbers of errors.
 
-    The file is read in one pass: each line becomes its record at once, so
-    the reader holds the records and one line, never the whole text.  Every
-    record shares one string object per distinct phase and status.
+    The file is read in one pass, each line becoming its record at once, so
+    the first line that fails a check of its own ends the read; the checks
+    that need every record then run in the order above.  Every record
+    shares one string object per distinct phase and status.
     """
     header, records = None, []
     strings: dict[str, str] = {}
-    failure, rank = None, _NONE  # the first failure of the earliest check any line fails
-    offset = 0  # of the line in the file, in bytes
     try:
         with open(path, "rb") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 try:
                     line = raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise LogError(f"{path}: not UTF-8 text (byte {offset + exc.start})") from exc
-                offset += len(raw)
-                if rank == _JSON or line.isspace():
-                    continue
-                try:
+                    if line.isspace():
+                        continue
                     payload = _loads(line)
-                except ValueError:
-                    # JSONDecodeError, or an integer too long for int()
-                    failure, rank = LogError(f"{path}: invalid JSON on line {lineno}"), _JSON
-                    continue
-                if rank <= _FIELDS:
+                except UnicodeDecodeError as exc:
+                    raise LogError(f"{path}: not UTF-8 text (byte {fh.tell() - len(raw) + exc.start})") from exc
+                except ValueError:  # JSONDecodeError, or an integer too long for int()
+                    raise LogError(f"{path}: invalid JSON on line {lineno}") from None
+                if header is None:
+                    header = RunHeader.from_dict(payload)
                     continue
                 i = len(records) + 1
-                try:
-                    if header is None:
-                        header = RunHeader.from_dict(payload)
-                        continue
-                    rec = TrialRecord.from_dict(payload, f"trial {i}")
-                except LogError as exc:
-                    failure, rank = exc, (_HEADER if header is None else _FIELDS)
-                    continue
+                rec = TrialRecord.from_dict(payload, f"trial {i}")
+                if rec.iteration != i:
+                    raise LogError(f"{path}: iteration {rec.iteration} at position {i}; expected consecutive numbering")
                 rec.phase = strings.setdefault(rec.phase, rec.phase)
                 rec.status = strings.setdefault(rec.status, rec.status)
-                if rec.iteration != i and rank == _NONE:
-                    failure = LogError(f"{path}: iteration {rec.iteration} at position {i}; expected consecutive numbering")
-                    rank = _NUMBERING
                 records.append(rec)
     except OSError as exc:
         raise LogError(f"cannot read {path}: {exc}") from exc
-    if failure is not None:
-        raise failure
     if header is None:
         raise LogError(f"{path}: empty log")
     if len(records) != header.budget:

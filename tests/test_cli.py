@@ -250,6 +250,17 @@ class TestRunErrors:
         assert capsys.readouterr().err.splitlines() == ["error: all 12 trials of the rs phase failed; no log written"]
         assert not out.exists()
 
+    def test_out_naming_a_directory_exits_1_and_leaves_no_tmp(self, space_file, tmp_path, capsys):
+        out = tmp_path / "outdir"
+        out.mkdir()
+        code = run_cli([
+            "run", "--space", space_file, "--objective", "builtin:sphere",
+            "--strategy", "rs", "--budget", "3", "--seed", "1", "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write log {out}: ")
+        assert list(tmp_path.glob("*.tmp")) == []
+
 
 class TestReport:
     @pytest.fixture
@@ -621,6 +632,9 @@ BAD_SPACES = {
     "int-bound-of-5001-digits": "{name: n, kind: int, low: 0, high: 1" + "0" * 5000 + "}",
     "date-bound": "{name: n, kind: int, low: 2020-13-01, high: 3}",
     "real-width-beyond-float-range": "{name: x, kind: real, low: -1.5e308, high: 1.5e308}",
+    # a lone surrogate, which a UTF-8 log cannot hold
+    "surrogate-in-a-name": '{name: "x\\ud800", kind: real, low: 0, high: 1}',
+    "surrogate-in-a-category": '{name: c, kind: cat, values: [p, "q\\udfff"]}',
 }
 
 
@@ -629,8 +643,8 @@ BAD_SPACES = {
 ANY_SPACE_OBJECTIVE = f"external:{shlex.quote(sys.executable)} -c print(1)"
 
 
-def _run(strategy, *extra):
-    return ["run", "--space", "SPACE", "--objective", ANY_SPACE_OBJECTIVE, "--strategy", strategy, *extra]
+def _run(strategy, *extra, objective=ANY_SPACE_OBJECTIVE):
+    return ["run", "--space", "SPACE", "--objective", objective, "--strategy", strategy, *extra]
 
 
 USER_ERRORS = {
@@ -645,6 +659,10 @@ USER_ERRORS = {
     "nan-swarm": _run("pso", "--budget", "3", "--opt", "swarm=nan"),
     "fractional-swarm": _run("pso", "--budget", "3", "--opt", "swarm=2.5"),
     "nan-alpha": _run("nelder-mead", "--budget", "3", "--opt", "alpha=nan"),
+    # argv delivers a byte that is not UTF-8 as a lone surrogate
+    "objective-not-utf8": _run("rs", "--budget", "3", objective=f"{ANY_SPACE_OBJECTIVE} \udcff"),
+    "unclosed-quote-in-command": _run("rs", "--budget", "3", objective="external:echo 'unclosed"),
+    "blank-external-command": _run("rs", "--budget", "3", objective="external:   "),
 }
 
 

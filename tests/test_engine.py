@@ -13,12 +13,14 @@ from wrsopt.engine import (
     EvalCache,
     RngBundle,
     RunConfig,
+    _make_strategy,
     evaluate_with_cache,
     execute_run,
     update_best,
 )
 from wrsopt.importance import P_MIN
 from wrsopt.objectives import ObjectiveFailure
+from wrsopt.samplers import PsoSampler
 from wrsopt.space import Dimension, SearchSpace, candidate_key
 from wrsopt.triallog import RunHeader, TrialRecord, record_fingerprint
 
@@ -184,6 +186,23 @@ class TestBudgets:
         result = execute_run(space, objective, config)
         assert len(result.records) == 25
         assert objective.calls <= 25  # duplicates may be served from cache
+
+    def test_pso_builds_no_more_particles_than_its_budget_can_emit(self):
+        config = RunConfig(strategy="pso", budget=10, seed=1, sampler_options=(("swarm", 1000),))
+        assert _make_strategy(real_space(2), config, RngBundle.from_seed(1), None).swarm == 10
+
+    @pytest.mark.parametrize("budget,swarm", [(5, 20), (1, 20), (19, 20), (20, 50)])
+    def test_pso_capped_at_its_budget_asks_what_the_full_swarm_would(self, budget, swarm):
+        space = real_space(3)
+        config = RunConfig(strategy="pso", budget=budget, seed=4, sampler_options=(("swarm", swarm),))
+        result = execute_run(space, python_objective(sphere_score), config)
+        full = PsoSampler(space, RngBundle.from_seed(4).values, swarm=swarm)
+        asked = []
+        for rec in result.records:
+            asked.append(full.ask())
+            full.tell(rec.score)
+        assert [rec.values for rec in result.records] == asked
+        assert result.header.options == {"sampler": {"swarm": swarm}}
 
     def test_wrs_phase_tags(self):
         space = real_space(2)

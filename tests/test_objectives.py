@@ -56,6 +56,11 @@ class TestSpecParsing:
             "builtin:sphere?timeout=3",
             "external:cmd?timeout=0",
             "external:cmd?timeout=soon",
+            "external:   ",
+            "external:echo 'unclosed",
+            "external:echo trailing\\",
+            "external:echo \udcff",  # a non-UTF-8 byte, as argv delivers it
+            "builtin:additive-anova?coeffs=1\ud800",
         ],
     )
     def test_rejects(self, text):
@@ -248,6 +253,17 @@ class TestExternalProtocol:
         space = int_space(1)
         cmd = f"{sys.executable} -c " + "\"print('accuracy great')\""
         with pytest.raises(ObjectiveFailure, match="unparseable"):
+            evaluate_external(cmd, (1,), space, timeout=30)
+
+    def test_output_that_is_not_utf8_is_decoded_with_replacement(self):
+        space = int_space(1)
+        cmd = f"{sys.executable} -c " + '"import sys; sys.stdout.buffer.write(b\'\\xff\\n0.5\\n\')"'
+        assert evaluate_external(cmd, (1,), space, timeout=30) == 0.5
+
+    def test_a_line_that_is_not_utf8_is_unparseable_output(self):
+        space = int_space(1)
+        cmd = f"{sys.executable} -c " + '"import sys; sys.stdout.buffer.write(b\'\\xff\\n\')"'
+        with pytest.raises(ObjectiveFailure, match="^unparseable output '\ufffd'$"):
             evaluate_external(cmd, (1,), space, timeout=30)
 
     def test_silent_command_fails(self):

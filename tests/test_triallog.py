@@ -91,6 +91,14 @@ class TestRoundTrip:
         write_log(path, make_header(), make_records(3))
         assert not (tmp_path / "run.jsonl.tmp").exists()
 
+    def test_a_failed_write_leaves_no_tmp(self, tmp_path):
+        path = str(tmp_path / "run.jsonl")
+        records = make_records(3)
+        records[1].phase = "x\ud800"  # a lone surrogate, which UTF-8 cannot encode
+        with pytest.raises(UnicodeEncodeError):
+            write_log(path, make_header(), records)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestValidation:
     def test_missing_file(self, tmp_path):
@@ -136,23 +144,29 @@ class TestValidation:
         with pytest.raises(LogError, match=rf"not UTF-8 text \(byte {at}\)$"):
             read_log(path)
 
-    def test_a_bad_line_anywhere_outranks_a_bad_field_before_it(self, tmp_path):
-        # every line is parsed before any field is checked, as when the
-        # reader held the whole file
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            ("bad-field", "bad-json", "^trial 1: phase must be a string, got 7$"),
+            ("gap", "bad-status", "iteration 9 at position 1; expected consecutive numbering$"),
+            ("bad-json", "not-utf8", "invalid JSON on line 2$"),
+        ],
+        ids=["field-then-json", "gap-then-status", "json-then-utf8"],
+    )
+    def test_a_log_with_faults_on_two_lines_names_the_earlier(self, tmp_path, first, second, message):
         path = str(tmp_path / "run.jsonl")
         write_log(path, make_header(budget=3), make_records(3))
-        header, first, second, third = open(path).read().splitlines()
-        open(path, "w").write("\n".join([header, first.replace('"rs"', "7"), second, third[:-1]]) + "\n")
-        with pytest.raises(LogError, match="invalid JSON on line 4$"):
-            read_log(path)
-
-    def test_a_bad_field_anywhere_outranks_a_gap_in_the_numbering_before_it(self, tmp_path):
-        path = str(tmp_path / "run.jsonl")
-        records = make_records(3)
-        records[0].iteration = 9
-        records[2].status = "maybe"
-        write_log(path, make_header(budget=3), records)
-        with pytest.raises(LogError, match="^trial 3: unknown status 'maybe'$"):
+        lines = open(path, "rb").read().splitlines()
+        faults = {
+            "bad-field": lambda line: line.replace(b'"rs"', b"7"),
+            "bad-json": lambda line: line[:-1],
+            "gap": lambda line: line.replace(b'"iteration": 1,', b'"iteration": 9,'),
+            "bad-status": lambda line: line.replace(b'"evaluated"', b'"maybe"'),
+            "not-utf8": lambda line: line.replace(b'"rs"', b'"\xff"'),
+        }
+        lines[1], lines[3] = faults[first](lines[1]), faults[second](lines[3])
+        open(path, "wb").write(b"\n".join(lines) + b"\n")
+        with pytest.raises(LogError, match=message):
             read_log(path)
 
     def test_first_line_must_be_header(self, tmp_path):
