@@ -5,8 +5,9 @@ Subcommands: run (execute one optimization and write its log), report
 (re-estimate weights/probabilities from a log).
 
 Exit codes: 0 success, 1 runtime failure (failed run, unreadable or
-degenerate log, unwritable output), 2 usage or configuration error.  The
-commands raise; main alone turns an error into one ``error:`` line.
+degenerate log, unwritable output, Ctrl-C), 2 usage or configuration
+error.  The commands raise; main alone turns an error into one ``error:``
+line.
 """
 
 from __future__ import annotations
@@ -156,31 +157,31 @@ def cmd_run(args: argparse.Namespace) -> int:
     config.validate(space)
 
     print(f"seed: {seed}")
-    try:
-        result = execute_run(space, objective, config)
-    except AllTrialsFailedError as exc:
-        raise AllTrialsFailedError(f"{exc}; no log written") from None
-
-    for w in result.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-
     out = args.out or f"{config.strategy}-seed{seed}.jsonl"
     try:
-        write_log(out, result.header, result.records)
-    except OSError as exc:
-        raise _WriteError(f"cannot write log {out}: {exc}") from None
+        result = execute_run(space, objective, config)
+        for w in result.warnings:
+            print(f"warning: {w}", file=sys.stderr)
+        try:
+            write_log(out, result.header, result.records)
+        except OSError as exc:
+            raise _WriteError(f"cannot write log {out}: {exc}") from None
+    except AllTrialsFailedError as exc:
+        raise AllTrialsFailedError(f"{exc}; no log written") from None
+    except KeyboardInterrupt:
+        raise EngineError("interrupted; no log written") from None
 
-    best = result.best
     n_eval = sum(1 for r in result.records if r.status == "evaluated")
     n_cached = sum(1 for r in result.records if r.status == "cached-hit")
     n_failed = sum(1 for r in result.records if r.failed)
     print(f"log: {out}")
+    best = result.best
     if best.candidate is not None:
-        pairs = " ".join(f"{n}={v}" for n, v in zip(space.names, best.candidate))
-        # first iteration reaching the best score, so this line agrees with
-        # `report` even when a later duplicate re-ties the incumbent
-        first = min(r.iteration for r in result.records if r.score == best.score)
-        print(f"best: {best.score:.6g} at iteration {first} ({pairs})")
+        # the first trial reaching the best score, and its values, so this
+        # line agrees with `report` even when a later trial ties the incumbent
+        first = next(r for r in result.records if r.score == best.score)
+        pairs = " ".join(f"{n}={v}" for n, v in zip(space.names, first.values))
+        print(f"best: {best.score:.6g} at iteration {first.iteration} ({pairs})")
     print(f"trials: {len(result.records)} (evaluated {n_eval}, cached {n_cached}, failed {n_failed})")
     return 0
 
@@ -246,6 +247,9 @@ def main(argv: list[str] | None = None) -> int:
     except _USER_ERRORS + _RUNTIME_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, _USER_ERRORS) else 1
+    except KeyboardInterrupt:  # outside a run's trials and log write, which cmd_run words itself
+        print("error: interrupted", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@ sequence exactly.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -46,7 +45,6 @@ from .samplers import (
     NelderMeadSampler,
     PsoSampler,
     RandomSearch,
-    SamplerError,
     SobolSampler,
     rs_step,
     wrs_step,
@@ -57,10 +55,19 @@ from .triallog import FAILED_SCORE, RunHeader, TrialRecord
 
 STRATEGIES = ("wrs", "rs", "sobol", "nelder-mead", "pso")
 
-_SAMPLER_OPTION_KEYS = {
-    "nelder-mead": ("alpha", "gamma", "rho", "sigma", "init_step"),
-    "pso": ("swarm", "omega", "c1", "c2"),
+# each strategy's sampler options and the range a value must lie in; swarm
+# must also be a whole number
+_SAMPLER_OPTIONS = {
+    "nelder-mead": {"alpha": "(0, 10]", "gamma": "(0, 10]", "rho": "(0, 1)", "sigma": "(0, 1)", "init_step": "(0, 1]"},
+    "pso": {"swarm": "[2, inf)", "omega": "[0, 1)", "c1": "[0, 4]", "c2": "[0, 4]"},
 }
+
+
+def _in_interval(x: float, interval: str) -> bool:
+    """Whether x lies in an interval written as "(0, 1]": a bracket is a
+    closed end, a parenthesis an open one."""
+    low, high = map(float, interval[1:-1].split(","))
+    return (low <= x if interval[0] == "[" else low < x) and (x <= high if interval[-1] == "]" else x < high)
 
 
 class ConfigError(ValueError):
@@ -122,20 +129,19 @@ class RunConfig:
                 space.index_of(name)
             if k < 0:
                 raise ConfigError(f"k-min override for {name!r} must be non-negative")
-        if len(_resolve_overrides(space, prob_over)) == len(space):  # full coverage: no fitted weight can supply the 1
-            _build_profile(space, self, (), None, [])
+        probs = _resolve_overrides(space, prob_over)
+        if len(probs) == len(space) and max(probs.values()) != 1.0:  # full coverage: no fitted weight can supply the 1
+            raise ConfigError("override produces an invalid profile: at least one change probability must be exactly 1")
         if self.strategy == "sobol" and len(space) > SOBOL_MAX_DIM:
             raise ConfigError(f"sobol supports at most {SOBOL_MAX_DIM} dimensions; the space has {len(space)}")
-        allowed = _SAMPLER_OPTION_KEYS.get(self.strategy, ())
+        ranges = _SAMPLER_OPTIONS.get(self.strategy, {})
         for key, value in settings.get("sampler", {}).items():
-            if key not in allowed:
+            if key not in ranges:
                 raise ConfigError(f"option {key!r} does not apply to strategy {self.strategy!r}")
-            if not math.isfinite(value):
-                raise ConfigError(f"option {key!r} must be finite, got {value}")
+            if not _in_interval(value, ranges[key]):  # nan lies in none
+                raise ConfigError(f"option {key!r} must lie in {ranges[key]}, got {value}")
             if key == "swarm" and value != int(value):
                 raise ConfigError(f"swarm must be a whole number of particles, got {value}")
-            if key == "swarm" and value < 2:
-                raise ConfigError("swarm must hold at least 2 particles")
 
 
 @dataclass(frozen=True)
@@ -252,10 +258,8 @@ def _build_profile(
     0, they all get 1, as in every other fallback to uniform probabilities.
 
     Returns (profile, weights); weights is None when no forest was fit
-    (full override coverage or a fallback to uniform probabilities).  Full
-    coverage needs no phase-1 trials, so validate builds that profile before
-    the run.  A profile that breaks ChangeProfile's rules can only come from
-    a full override, so that is a configuration error.
+    (full override coverage or a fallback to uniform probabilities).  The
+    config has passed validate, so the profile keeps ChangeProfile's rules.
     """
     d = len(space)
     settings = config.settings()
@@ -280,16 +284,13 @@ def _build_profile(
                 fallback = f"importance estimation failed ({exc})"
     if fallback:
         warnings.append(f"{fallback}; using uniform change probabilities")
-    try:
-        profile = ChangeProfile(
-            probs=tuple(prob_over.get(i, base[i]) for i in range(d)),
-            # phase 1 drew init fresh values on every axis, so a default
-            # k_min of init forces a resample on the first weighted step only
-            k_mins=tuple(kmin_over.get(i, config.init) for i in range(d)),
-            gen_counts=[config.init] * d,
-        )
-    except SamplerError as exc:
-        raise ConfigError(f"override produces an invalid profile: {exc}") from exc
+    profile = ChangeProfile(
+        probs=tuple(prob_over.get(i, base[i]) for i in range(d)),
+        # phase 1 drew init fresh values on every axis, so a default
+        # k_min of init forces a resample on the first weighted step only
+        k_mins=tuple(kmin_over.get(i, config.init) for i in range(d)),
+        gen_counts=[config.init] * d,
+    )
     return profile, weights
 
 

@@ -259,7 +259,9 @@ def evaluate_external(command: str, values: tuple, space: SearchSpace, timeout: 
 
     The command is launched with one name=value argument per dimension in
     space order.  The final line of stdout must parse as a decimal score and
-    the exit code must be 0; anything else raises ObjectiveFailure.  Output
+    the exit code must be 0; anything else raises ObjectiveFailure.  A score
+    that parses but is not finite, such as "nan", is returned as it is:
+    Objective, which every evaluation goes through, refuses it.  Output
     is decoded as UTF-8, a byte that is not UTF-8 becoming U+FFFD.  The
     command runs in a session of its own, so a timeout kills its whole
     process group, background grandchildren included.
@@ -288,9 +290,6 @@ def evaluate_external(command: str, values: tuple, space: SearchSpace, timeout: 
     if not lines:
         raise ObjectiveFailure("no output")
     try:
-        score = float(lines[-1].strip())
+        return float(lines[-1].strip())
     except ValueError:
         raise ObjectiveFailure(f"unparseable output {lines[-1].strip()!r}") from None
-    if not math.isfinite(score):
-        raise ObjectiveFailure("non-finite value")
-    return score

@@ -18,10 +18,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .engine import STRATEGIES
 from .space import SearchSpace
 from .triallog import RunHeader, TrialRecord
 
-STRATEGY_ORDER = {"wrs": 0, "rs": 1, "sobol": 2, "nelder-mead": 3, "pso": 4}
+STRATEGY_ORDER = {name: i for i, name in enumerate(STRATEGIES)}
 
 CSV_COLUMNS = ("strategy", "best", "best_lastW", "mean", "mean_lastW", "sd", "sd_lastW")
 

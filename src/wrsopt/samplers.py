@@ -158,10 +158,7 @@ class SobolSampler:
 
     def __init__(self, space: SearchSpace):
         self.space = space
-        try:
-            self._engine = SobolEngine(len(space))
-        except ValueError as exc:
-            raise SamplerError(str(exc)) from exc
+        self._engine = SobolEngine(len(space))
 
     def ask(self) -> tuple:
         return tuple(map(value_at, self.space.dimensions, self._engine.next_point().tolist()))

@@ -71,12 +71,10 @@ class Dimension:
             object.__setattr__(self, "values", tuple(self.values))
             seen = set()
             for v in self.values:
-                try:
-                    dup = v in seen
-                    seen.add(v)
-                except TypeError:
-                    raise SpaceError(f"{self.name}: categorical values must be hashable") from None
-                _check(not dup, f"{self.name}: duplicate categorical value {v!r}")
+                # what a JSON log can write; every one of these is hashable
+                _check(v is None or isinstance(v, (str, int, float)), f"{self.name}: categorical value {v!r} is not a string, number, boolean or null")
+                _check(v not in seen, f"{self.name}: duplicate categorical value {v!r}")
+                seen.add(v)
                 if isinstance(v, str):
                     _check_utf8(v, f"{self.name}: categorical value")
             if self.weights is not None:

@@ -56,6 +56,19 @@ _TRIAL_FIELDS = (
     ("wall_time", _NUMBER),
     ("error", _STR_OR_NULL),
 )
+# the header's fields after "schema" and "kind", in the order write_log
+# writes them
+_HEADER_FIELDS = (
+    ("strategy", _STR),
+    ("budget", _INT),
+    ("init", _INT),
+    ("seed", _INT),
+    ("objective", _STR),
+    ("space", _OBJECT),
+    ("space_digest", _STR),
+    ("profile", _OBJECT_OR_NULL),
+    ("options", _OBJECT),
+)
 
 
 def _field(d: dict, key: str, kind: tuple[tuple[type, ...], str], where: str) -> Any:
@@ -151,19 +164,7 @@ class RunHeader:
     schema: int = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "kind": "header",
-            "strategy": self.strategy,
-            "budget": self.budget,
-            "init": self.init,
-            "seed": self.seed,
-            "objective": self.objective,
-            "space": self.space,
-            "space_digest": self.space_digest,
-            "profile": self.profile,
-            "options": self.options,
-        }
+        return {"schema": self.schema, "kind": "header", **{key: getattr(self, key) for key, _ in _HEADER_FIELDS}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunHeader":
@@ -174,19 +175,7 @@ class RunHeader:
         schema = d.get("schema")
         if type(schema) is not int or schema != SCHEMA_VERSION:
             raise LogError(f"unsupported log schema {schema!r}")
-        where = "bad header record"
-        return cls(
-            strategy=_field(d, "strategy", _STR, where),
-            budget=_field(d, "budget", _INT, where),
-            init=_field(d, "init", _INT, where),
-            seed=_field(d, "seed", _INT, where),
-            objective=_field(d, "objective", _STR, where),
-            space=_field(d, "space", _OBJECT, where),
-            space_digest=_field(d, "space_digest", _STR, where),
-            profile=_field(d, "profile", _OBJECT_OR_NULL, where),
-            options=_field(d, "options", _OBJECT, where),
-            schema=schema,
-        )
+        return cls(**{key: _field(d, key, kind, "bad header record") for key, kind in _HEADER_FIELDS}, schema=schema)
 
 
 # One encoder for every line.  json.dumps with non-default arguments builds a

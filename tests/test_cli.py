@@ -2,7 +2,10 @@ import json
 import math
 import re
 import shlex
+import signal
+import subprocess
 import sys
+import time
 
 import pytest
 
@@ -154,6 +157,23 @@ class TestRun:
         header, _ = read_log(out)
         assert header.profile["probs"] == [0.5, 1.0]
 
+    def test_best_line_names_the_values_of_the_trial_it_names(self, tmp_path, capsys):
+        # four corners tie at the best score 2; the incumbent is the last to reach it
+        space = tmp_path / "ab.yaml"
+        space.write_text("dimensions:\n  - {name: a, kind: int, low: -1, high: 1}\n"
+                         "  - {name: b, kind: int, low: -1, high: 1}\n")
+        out = str(tmp_path / "rs.jsonl")
+        assert run_cli([
+            "run", "--space", str(space), "--objective", "builtin:sphere?direction=maximize",
+            "--strategy", "rs", "--budget", "20", "--seed", "0", "--out", out,
+        ]) == 0
+        _, records = read_log(out)
+        ties = [r for r in records if r.score == 2.0]
+        assert len({r.values for r in ties}) > 1
+        assert f"best: 2 at iteration {ties[0].iteration} (a={ties[0].values[0]} b={ties[0].values[1]})" in (
+            capsys.readouterr().out.splitlines()
+        )
+
 class TestRunErrors:
     def test_missing_space_file_exits_2(self, tmp_path, capsys):
         code = run_cli([
@@ -296,6 +316,13 @@ class TestReport:
         assert lines[1].startswith("rs,")
         fit = json.loads(fit_path.read_text())
         assert fit["degree"] == 5 and len(fit["coefficients"]) == 6
+
+    def test_fit_file_not_written_without_a_fit(self, rs_log, tmp_path, capsys):
+        fit_path = tmp_path / "fit.json"
+        capsys.readouterr()
+        assert run_cli(["report", rs_log, "--window", "10", "--degree", "30", "--fit", str(fit_path)]) == 0
+        assert capsys.readouterr().err == "warning: no fit produced; fit file not written\n"
+        assert not fit_path.exists()
 
     def test_run_and_report_count_failures_alike(self, tmp_path, capsys):
         # n < 2 fails, so the cached repeats of those candidates are failures too
@@ -543,6 +570,11 @@ CORRUPTIONS = {
     "score-a-string": ([((1, "score"), "1.5")], "trial 1: score must be a number, got '1.5'"),
     "phase-a-number": ([((1, "phase"), 7)], "trial 1: phase must be a string, got 7"),
     "wall-time-a-bool": ([((1, "wall_time"), True)], "trial 1: wall_time must be a number, got True"),
+    "trial-a-json-array": ([((1,), [1, 2])], "trial 1: not an object"),
+    "trial-missing-score": (lambda text: text.replace('"score": 1.0, ', "", 1), "trial 1: missing 'score'"),
+    "header-missing-budget": (lambda text: text.replace('"budget": 8, ', "", 1), "bad header record: missing 'budget'"),
+    # beyond float range, so the column check cannot compare it as a float
+    "real-value-of-401-digits": ([((4, "values", 1), 10**400)], f"trial 4: x={10**400} is not a value of the space"),
     # more digits than int() converts, which json.loads refuses with a ValueError
     "iteration-of-5001-digits": (
         lambda text: text.replace('{"iteration": 2,', '{"iteration": 2' + "0" * 5000 + ",", 1),
@@ -635,6 +667,9 @@ BAD_SPACES = {
     # a lone surrogate, which a UTF-8 log cannot hold
     "surrogate-in-a-name": '{name: "x\\ud800", kind: real, low: 0, high: 1}',
     "surrogate-in-a-category": '{name: c, kind: cat, values: [p, "q\\udfff"]}',
+    # values a JSON log cannot write: a date, and an unhashable list
+    "date-category": "{name: c, kind: cat, values: [2020-01-01, 3]}",
+    "list-category": "{name: c, kind: cat, values: [[1], 3]}",
 }
 
 
@@ -659,6 +694,11 @@ USER_ERRORS = {
     "nan-swarm": _run("pso", "--budget", "3", "--opt", "swarm=nan"),
     "fractional-swarm": _run("pso", "--budget", "3", "--opt", "swarm=2.5"),
     "nan-alpha": _run("nelder-mead", "--budget", "3", "--opt", "alpha=nan"),
+    # coefficients outside their documented ranges, which used to overflow
+    "init-step-beyond-1": _run("nelder-mead", "--budget", "3", "--opt", "init_step=1e308"),
+    "c1-beyond-4": _run("pso", "--budget", "3", "--opt", "c1=1e308"),
+    "set-prob-without-a-name": _run("wrs", "--budget", "3", "--set-prob", "=0.5"),
+    "set-prob-not-a-number": _run("wrs", "--budget", "3", "--set-prob", "x0=x"),
     # argv delivers a byte that is not UTF-8 as a lone surrogate
     "objective-not-utf8": _run("rs", "--budget", "3", objective=f"{ANY_SPACE_OBJECTIVE} \udcff"),
     "unclosed-quote-in-command": _run("rs", "--budget", "3", objective="external:echo 'unclosed"),
@@ -686,3 +726,39 @@ def test_user_error_exits_2_with_one_line(case, space_file, tmp_path, capsys, mo
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
     assert not list(tmp_path.glob("*.jsonl"))
+
+
+def test_ctrl_c_during_a_run_prints_one_line_and_writes_no_log(space_file, tmp_path):
+    started = tmp_path / "started"
+    scorer = tmp_path / "slow.py"
+    scorer.write_text(f"import pathlib, time\npathlib.Path({str(started)!r}).touch()\ntime.sleep(30)\nprint(1)\n")
+    log = tmp_path / "run.jsonl"
+    driver = subprocess.Popen([
+        sys.executable, "-c",
+        # the default handler, even when this suite runs with SIGINT ignored
+        "import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); "
+        "from wrsopt.cli import main; sys.exit(main(sys.argv[1:]))",
+        "run", "--space", space_file, "--objective", f"external:{shlex.quote(sys.executable)} {shlex.quote(str(scorer))}",
+        "--strategy", "rs", "--budget", "5", "--seed", "1", "--out", str(log),
+    ], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    deadline = time.monotonic() + 10
+    while not started.exists() and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert started.exists()
+    driver.send_signal(signal.SIGINT)
+    out, err = driver.communicate(timeout=10)
+    assert (driver.returncode, out, err) == (1, "seed: 1\n", "error: interrupted; no log written\n")
+    assert not list(tmp_path.glob("run.jsonl*"))
+
+
+def test_ctrl_c_outside_a_run_prints_one_line(monkeypatch, capsys):
+    def interrupted(path):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("wrsopt.cli.read_log", interrupted)
+    try:
+        code = run_cli(["report", "run.jsonl"])
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt escaped main")
+    assert code == 1
+    assert capsys.readouterr().err == "error: interrupted\n"

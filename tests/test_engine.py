@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import warnings
@@ -20,9 +21,9 @@ from wrsopt.engine import (
 )
 from wrsopt.importance import P_MIN
 from wrsopt.objectives import ObjectiveFailure
-from wrsopt.samplers import PsoSampler
+from wrsopt.samplers import NelderMeadSampler, PsoSampler
 from wrsopt.space import Dimension, SearchSpace, candidate_key
-from wrsopt.triallog import RunHeader, TrialRecord, record_fingerprint
+from wrsopt.triallog import RunHeader, TrialRecord, read_log, record_fingerprint, write_log
 
 from _util import int_space, mixed_space, python_objective, real_space
 
@@ -84,6 +85,67 @@ class TestRunConfig:
     def test_unknown_dimension_name_in_override(self):
         with pytest.raises(ValueError):
             RunConfig(strategy="wrs", budget=10, prob_overrides=(("nope", 0.5),)).validate(real_space(2))
+
+
+# a real and an int axis: the relaxation rounds one and not the other
+_AB_SPACE = SearchSpace(
+    (Dimension(name="a", kind="real", low=-1.0, high=1.0), Dimension(name="b", kind="int", low=-3, high=3))
+)
+
+
+class TestSamplerOptionRanges:
+    @pytest.mark.parametrize(
+        "strategy,key,value",
+        [
+            ("nelder-mead", "alpha", 0.0),
+            ("nelder-mead", "alpha", 10.5),
+            ("nelder-mead", "gamma", -1.0),
+            ("nelder-mead", "gamma", 1e308),
+            ("nelder-mead", "rho", 0.0),
+            ("nelder-mead", "rho", 1.0),
+            ("nelder-mead", "sigma", 0.0),
+            ("nelder-mead", "sigma", 1.0),
+            ("nelder-mead", "init_step", 0.0),
+            ("nelder-mead", "init_step", 1.5),
+            ("nelder-mead", "init_step", 1e308),
+            ("pso", "omega", -0.1),
+            ("pso", "omega", 1.0),
+            ("pso", "c1", -1.0),
+            ("pso", "c1", 1e308),
+            ("pso", "c2", 4.5),
+            ("pso", "swarm", 1.0),
+        ],
+    )
+    def test_a_value_outside_its_range_is_refused(self, strategy, key, value):
+        config = RunConfig(strategy=strategy, budget=10, sampler_options=((key, value),))
+        with pytest.raises(ConfigError, match=f"^option '{key}' must lie in "):
+            config.validate(_AB_SPACE)
+
+    @pytest.mark.parametrize("sampler", [NelderMeadSampler, PsoSampler], ids=["nelder-mead", "pso"])
+    def test_every_default_is_accepted(self, sampler):
+        params = inspect.signature(sampler).parameters
+        defaults = tuple((k, float(p.default)) for k, p in params.items() if k not in ("space", "rng", "init_vertex"))
+        RunConfig(strategy=sampler.phase, budget=10, sampler_options=defaults).validate(_AB_SPACE)
+
+    @pytest.mark.parametrize(
+        "strategy,options",
+        [
+            ("nelder-mead", (("alpha", 10.0), ("gamma", 10.0), ("rho", 1e-9), ("sigma", 1 - 1e-9), ("init_step", 1.0))),
+            ("nelder-mead", (("alpha", 1e-9), ("gamma", 1e-9), ("rho", 1 - 1e-9), ("sigma", 1e-9), ("init_step", 1e-9))),
+            ("pso", (("omega", 1 - 1e-9), ("c1", 4.0), ("c2", 4.0), ("swarm", 2.0))),
+            ("pso", (("omega", 0.0), ("c1", 0.0), ("c2", 0.0))),
+        ],
+        ids=["nm-high", "nm-low", "pso-high", "pso-zero"],
+    )
+    @pytest.mark.parametrize("space", [_AB_SPACE, real_space(2)], ids=["real-int", "real-real"])
+    def test_values_at_the_ends_of_the_ranges_give_a_log_that_reads(self, strategy, options, space, tmp_path):
+        config = RunConfig(strategy=strategy, budget=200, seed=1, sampler_options=options)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = execute_run(space, python_objective(sphere_score), config)
+        path = str(tmp_path / "run.jsonl")
+        write_log(path, result.header, result.records)
+        assert len(read_log(path)[1]) == 200
 
 
 class TestBestTracking:
@@ -525,7 +587,7 @@ class TestRepeatedSettings:
         try:
             run = execute_run(mixed_space(), python_objective(sphere_score_mixed), config)
         except ConfigError:
-            assume(False)  # a full override without a 1, or an override that removes the fitted 1
+            assume(False)  # a full override without a 1
         header = RunHeader.from_dict(json.loads(json.dumps(run.header.to_dict())))
         rerun = execute_run(mixed_space(), python_objective(sphere_score_mixed), _config_from_header(header))
         assert rerun.header.to_dict() == run.header.to_dict()

@@ -21,6 +21,7 @@ from wrsopt.objectives import (
     sphere,
     styblinski_tang,
 )
+from wrsopt.engine import EvalCache, evaluate_with_cache
 from wrsopt.space import Dimension, SearchSpace
 
 from _util import int_space, real_space
@@ -165,6 +166,15 @@ class TestMakeObjective:
         with pytest.raises(ObjectiveError):
             make_objective("builtin:sphere?coeffs=1,1", real_space(2))
 
+    def test_additive_anova_coeffs_must_be_numbers(self):
+        with pytest.raises(ObjectiveError, match="is not a comma-separated number list"):
+            make_objective("builtin:additive-anova?coeffs=3,x", real_space(2))
+
+    def test_additive_anova_needs_every_axis_wider_than_a_point(self):
+        space = SearchSpace((Dimension(name="a", kind="real", low=0, high=1), Dimension(name="b", kind="int", low=2, high=2)))
+        with pytest.raises(ObjectiveError, match="strictly positive ranges"):
+            make_objective("builtin:additive-anova?coeffs=3,1", space)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_value_becomes_failure(self):
         space = real_space(1, low=0, high=1e200)
@@ -265,6 +275,18 @@ class TestExternalProtocol:
         cmd = f"{sys.executable} -c " + '"import sys; sys.stdout.buffer.write(b\'\\xff\\n\')"'
         with pytest.raises(ObjectiveFailure, match="^unparseable output '\ufffd'$"):
             evaluate_external(cmd, (1,), space, timeout=30)
+
+    def test_command_that_cannot_be_spawned_fails(self, tmp_path):
+        with pytest.raises(ObjectiveFailure, match="^spawn failed: "):
+            evaluate_external(shlex.quote(str(tmp_path / "no-such-command")), (1,), int_space(1), timeout=30)
+
+    @pytest.mark.parametrize("printed", ["nan", "inf", "-inf"])
+    def test_a_non_finite_score_is_a_failed_trial(self, printed):
+        # evaluate_external passes the parsed value on; Objective refuses it
+        space = int_space(1)
+        objective = make_objective(f"external:{shlex.quote(sys.executable)} -c \"print('{printed}')\"", space)
+        record = evaluate_with_cache(objective, space, (1,), EvalCache(), 1, "rs")
+        assert (record.status, record.score, record.error) == ("failed", -math.inf, "non-finite value")
 
     def test_silent_command_fails(self):
         space = int_space(1)

@@ -87,6 +87,11 @@ class TestSummarize:
         with pytest.raises(ReportError):
             summarize(make_header(), recs([1.0]), window=0)
 
+    def test_window_whose_trials_all_failed_has_no_statistics(self):
+        r = summarize(make_header(budget=4), recs([1.0, 2.0, -math.inf, -math.inf], ["evaluated", "evaluated", "failed", "failed"]), window=2)
+        assert (r.best, r.mean, r.n_failed) == (2.0, 1.5, 2)
+        assert all(math.isnan(x) for x in (r.best_window, r.mean_window, r.sd_window))
+
     def test_fit_skipped_when_too_few_points(self):
         report = summarize(make_header(), recs([1.0, 2.0, 3.0]), window=10, degree=5)
         assert report.fit is None

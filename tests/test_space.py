@@ -1,4 +1,6 @@
+import datetime
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +48,11 @@ def test_int_bounds_must_be_integral():
         dict(name="a", kind="cat", values=("x", "y"), weights=(1.0, -2.0)),
         dict(name="a", kind="int", low=0, high=3, values=("x",)),
         dict(name="a", kind="cat", values=("x",), low=0),
+        # categorical values a JSON log cannot write
+        dict(name="a", kind="cat", values=(datetime.date(2020, 1, 1), 3)),
+        dict(name="a", kind="cat", values=([1], 3)),
+        dict(name="a", kind="cat", values=((1, 2), 3)),
+        dict(name="a", kind="cat", values=(b"x", 3)),
     ],
 )
 def test_invalid_dimensions_rejected(kwargs):
@@ -227,6 +234,23 @@ def test_load_space_yaml_and_json(tmp_path):
     empty.write_text("")
     with pytest.raises(SpaceError):
         load_space(str(empty))
+
+
+def test_categorical_values_may_be_any_json_scalar():
+    values = ("a", 2, 2.5, True, None)
+    assert Dimension(name="c", kind="cat", values=values).values == values
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [("dimensions: 5\n", "'dimensions' must be a list"), ("dimensions: [\n", "not valid YAML")],
+    ids=["dimensions-not-a-list", "yaml-that-does-not-parse"],
+)
+def test_load_space_refuses_a_file_of_the_wrong_shape(tmp_path, text, message):
+    path = tmp_path / "s.yaml"
+    path.write_text(text)
+    with pytest.raises(SpaceError, match=re.escape(message)):
+        load_space(str(path))
 
 
 def test_space_from_dict_rejects_junk():

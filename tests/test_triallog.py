@@ -216,6 +216,14 @@ class TestValidation:
             read_log(path)
 
 
+    def test_header_without_a_profile_reads_as_one_without(self, tmp_path):
+        header = make_header(budget=1).to_dict()
+        del header["profile"]
+        path = tmp_path / "run.jsonl"
+        path.write_text(json.dumps(header) + "\n" + record_line(make_records(1)[0]) + "\n")
+        assert read_log(str(path))[0].profile is None
+
+
 class TestFingerprint:
     def test_wall_time_excluded(self):
         a = TrialRecord(iteration=1, values=(1,), score=2.0, phase="rs", status="evaluated", wall_time=0.123)
