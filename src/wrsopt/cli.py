@@ -35,7 +35,6 @@ from .importance import (
 )
 from .objectives import ObjectiveError, make_objective, parse_objective_spec
 from .reporting import (
-    ComparisonTable,
     ReportError,
     compare,
     fit_to_dict,
@@ -45,6 +44,7 @@ from .reporting import (
     render_table_csv,
     render_table_text,
     summarize,
+    trend,
 )
 from .space import SpaceError, load_space, space_from_dict
 from .triallog import LogError, read_log, write_log
@@ -171,18 +171,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         raise EngineError("interrupted; no log written") from None
 
-    n_eval = sum(1 for r in result.records if r.status == "evaluated")
-    n_cached = sum(1 for r in result.records if r.status == "cached-hit")
-    n_failed = sum(1 for r in result.records if r.failed)
+    report = summarize(result.header, result.records)
     print(f"log: {out}")
-    best = result.best
-    if best.candidate is not None:
-        # the first trial reaching the best score, and its values, so this
-        # line agrees with `report` even when a later trial ties the incumbent
-        first = next(r for r in result.records if r.score == best.score)
-        pairs = " ".join(f"{n}={v}" for n, v in zip(space.names, first.values))
-        print(f"best: {best.score:.6g} at iteration {first.iteration} ({pairs})")
-    print(f"trials: {len(result.records)} (evaluated {n_eval}, cached {n_cached}, failed {n_failed})")
+    pairs = " ".join(f"{n}={v}" for n, v in zip(space.names, report.best_values))
+    print(f"best: {report.best:.6g} at iteration {report.best_iteration} ({pairs})")
+    print(f"trials: {len(result.records)} (evaluated {report.n_evaluated}, cached {report.n_cached}, failed {report.n_failed})")
     return 0
 
 
@@ -190,25 +183,26 @@ def cmd_report(args: argparse.Namespace) -> int:
     header, records = read_log(args.log)
     if args.window > len(records):
         print(f"warning: window {args.window} exceeds {len(records)} trials; clamped", file=sys.stderr)
-    report = summarize(header, records, window=args.window, degree=args.degree, source=args.log)
+    report = summarize(header, records, window=args.window, source=args.log)
+    fit = trend(records, args.degree)
 
-    sys.stdout.write(render_report_text(report))
+    sys.stdout.write(render_report_text(report, fit))
     if args.csv:
-        _write_output(args.csv, render_table_csv(ComparisonTable(rows=(report,), budget_mismatch=False)))
+        _write_output(args.csv, render_table_csv((report,)))
     if args.fit:
-        if report.fit is None:
+        if fit is None:
             print("warning: no fit produced; fit file not written", file=sys.stderr)
         else:
-            _write_output(args.fit, json.dumps(fit_to_dict(report.fit), indent=2) + "\n")
+            _write_output(args.fit, json.dumps(fit_to_dict(fit), indent=2) + "\n")
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     reports = [summarize(*read_log(path), window=args.window, source=path) for path in args.logs]
-    table = compare(reports)
-    sys.stdout.write(render_table_text(table))
+    rows = compare(reports)
+    sys.stdout.write(render_table_text(rows))
     if args.csv:
-        _write_output(args.csv, render_table_csv(table))
+        _write_output(args.csv, render_table_csv(rows))
     return 0
 
 

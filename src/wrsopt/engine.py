@@ -8,12 +8,13 @@ holds exactly N records.
 Every strategy follows the ask/tell pattern.  ``ask()`` returns the next
 candidate, ``tell(score)`` reports its score, and the ``phase`` attribute
 names the phase that the candidate's record carries.  ``execute_run`` calls
-them in strict alternation, once per budget unit, and alone owns the cache,
-the records, the incumbent and the check that not every trial failed.  A
-strategy never evaluates anything itself; a run simply stops asking when the
-budget is spent, even in the middle of a PSO generation.  The wrs strategy
-reads the records and the incumbent from the ``RunResult`` the loop fills,
-and writes its frozen profile into that result's header.
+them in strict alternation, once per budget unit, alone owns the cache, the
+records and the incumbent, and refuses a run whose every trial failed, as
+the wrs strategy does at the end of its phase 1.  A strategy never evaluates
+anything itself; a run simply stops asking when the budget is spent, even in
+the middle of a PSO generation.  The wrs strategy reads the records and the
+incumbent from the ``RunResult`` the loop fills, and writes its frozen
+profile into that result's header.
 
 Randomness is split into three independent streams derived from the run
 seed: candidate values, per-step change decisions, and forest bootstrapping.

@@ -423,11 +423,13 @@ def fit_forest(
     root = root_box(space)
     streams = rng.spawn(config.n_trees)
     batch = max(1, FIT_ELEMENT_BUDGET // len(y))
-    trees = tuple(
-        tree
-        for first in range(0, config.n_trees, batch)
-        for tree in _grow_trees(X, y, root, config, streams[first : first + batch])
-    )
+    # scores near float range overflow the split sums; their weights are refused later
+    with np.errstate(over="ignore", invalid="ignore"):
+        trees = tuple(
+            tree
+            for first in range(0, config.n_trees, batch)
+            for tree in _grow_trees(X, y, root, config, streams[first : first + batch])
+        )
     return Forest(trees=trees, n_dims=len(space))
 
 
@@ -508,7 +510,8 @@ def main_effect_fractions(forest: Forest, space: SearchSpace) -> ImportanceWeigh
         raise ImportanceError("forest and space dimensionality differ")
     root = root_box(space)
     counting = _is_counting(space)
-    per_tree = [f for t in forest.trees if (f := _tree_fractions(t, root, counting)) is not None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_tree = [f for t in forest.trees if (f := _tree_fractions(t, root, counting)) is not None]
     if not per_tree:
         raise ImportanceError("every tree in the forest is constant")
     return ImportanceWeights(fractions=tuple(float(v) for v in np.mean(per_tree, axis=0)))

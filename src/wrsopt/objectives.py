@@ -228,6 +228,8 @@ def make_objective(spec: ObjectiveSpec | str, space: SearchSpace) -> Objective:
         if np.any(highs <= lows):
             raise ObjectiveError("additive-anova needs strictly positive ranges for normalization")
 
+        # a value beyond float range is the failed trial "non-finite value", not a warning
+        @np.errstate(over="ignore", invalid="ignore")
         def fn(values: tuple, _c=coeffs, _lo=lows, _span=highs - lows) -> float:
             z = (_numeric_vector(space, values) - _lo) / _span
             return float(np.sum(_c * additive_component(z)))
@@ -238,6 +240,7 @@ def make_objective(spec: ObjectiveSpec | str, space: SearchSpace) -> Objective:
         raise ObjectiveError(f"builtin {name!r} takes no parameters, got {sorted(params)}")
     base = BUILTINS[name]
 
+    @np.errstate(over="ignore", invalid="ignore")
     def fn(values: tuple, _base=base) -> float:
         return _base(_numeric_vector(space, values))
 

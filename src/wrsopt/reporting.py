@@ -1,5 +1,6 @@
-"""Log analysis and rendering: per-run summaries, polynomial trend fits, the
-cross-strategy comparison table, and the importance table.
+"""Log analysis and rendering: the one per-log summary that run, report and
+compare print from, the trend fit only report makes, the comparison table,
+and the importance table.
 
 Statistics conventions, also recorded in the CSV/text schemas: best/mean/SD
 are computed over all trials and, in parentheses, over the trailing window
@@ -86,36 +87,39 @@ class RunReport:
     source: str
     budget: int
     window: int
+    n_evaluated: int
     n_failed: int
     n_cached: int
     best: float
     best_iteration: int
+    best_values: tuple
     best_window: float
     mean: float
     mean_window: float
     sd: float
     sd_window: float
-    fit: FitResult | None
 
 
 def _stats(records: Sequence[TrialRecord]) -> tuple[float, float, float]:
     scores = np.array([r.score for r in records], dtype=float)
     if scores.size == 0:
         return math.nan, math.nan, math.nan
-    return float(scores.max()), float(scores.mean()), float(scores.std(ddof=0))
+    # scores near float range overflow the sum or the variance: inf, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(scores.max()), float(scores.mean()), float(scores.std(ddof=0))
 
 
 def summarize(
     header: RunHeader,
     records: Sequence[TrialRecord],
     window: int = 100,
-    degree: int = 5,
     source: str = "",
 ) -> RunReport:
     """Condense one log into its report row.
 
     The trailing window covers exactly min(window, N) records by position;
-    failed trials inside it stay excluded from the statistics.
+    failed trials inside it stay excluded from the statistics.  The best
+    trial is the first to reach the best score.
     """
     if not records:
         raise ReportError("log holds no trials")
@@ -130,15 +134,7 @@ def summarize(
 
     best, mean, sd = _stats(valid)
     best_w, mean_w, sd_w = _stats(tail_valid)
-    best_iteration = next(r.iteration for r in valid if r.score == best)
-
-    fit = None
-    if len(valid) > degree:
-        fit = polyfit(
-            [r.score for r in valid],
-            degree=degree,
-            x=[float(r.iteration) for r in valid],
-        )
+    first_best = next(r for r in valid if r.score == best)
 
     return RunReport(
         strategy=header.strategy,
@@ -146,52 +142,54 @@ def summarize(
         source=source,
         budget=header.budget,
         window=w_eff,
+        n_evaluated=sum(1 for r in records if r.status == "evaluated"),
         n_failed=len(records) - len(valid),
         n_cached=sum(1 for r in records if r.status == "cached-hit"),
         best=best,
-        best_iteration=best_iteration,
+        best_iteration=first_best.iteration,
+        best_values=first_best.values,
         best_window=best_w,
         mean=mean,
         mean_window=mean_w,
         sd=sd,
         sd_window=sd_w,
-        fit=fit,
     )
 
 
-@dataclass(frozen=True)
-class ComparisonTable:
-    rows: tuple[RunReport, ...]
-    budget_mismatch: bool
+def trend(records: Sequence[TrialRecord], degree: int) -> FitResult | None:
+    """Polynomial of the successful trials' scores against their iterations;
+    None when they number fewer than two or no more than ``degree``."""
+    valid = [r for r in records if not r.failed]
+    if len(valid) < 2 or len(valid) <= degree:
+        return None
+    return polyfit([r.score for r in valid], degree=degree, x=[float(r.iteration) for r in valid])
 
 
-def compare(reports: Sequence[RunReport]) -> ComparisonTable:
-    """Order reports for side-by-side rendering and flag unequal budgets."""
+def compare(reports: Sequence[RunReport]) -> tuple[RunReport, ...]:
+    """Order reports for side-by-side rendering."""
     if not reports:
         raise ReportError("nothing to compare")
-    rows = tuple(
+    return tuple(
         sorted(reports, key=lambda r: (STRATEGY_ORDER.get(r.strategy, len(STRATEGY_ORDER)), r.strategy, r.seed, r.source))
     )
-    budgets = {r.budget for r in rows}
-    return ComparisonTable(rows=rows, budget_mismatch=len(budgets) > 1)
 
 
 def _pair(value: float, window_value: float) -> str:
     return f"{value:.2f}({window_value:.2f})"
 
 
-def render_table_text(table: ComparisonTable) -> str:
+def render_table_text(reports: Sequence[RunReport]) -> str:
     """Fixed-width text table, one row per run: best, mean, SD, each with the
-    trailing-window figure in parentheses."""
+    trailing-window figure in parentheses; a banner flags unequal budgets."""
     header = ("strategy", "seed", "best", "mean", "sd")
     body = [
         (r.strategy, str(r.seed), _pair(r.best, r.best_window), _pair(r.mean, r.mean_window), _pair(r.sd, r.sd_window))
-        for r in table.rows
+        for r in reports
     ]
     widths = [max(len(h), *(len(row[i]) for row in body)) for i, h in enumerate(header)]
     lines = []
-    if table.budget_mismatch:
-        budgets = sorted({r.budget for r in table.rows})
+    budgets = sorted({r.budget for r in reports})
+    if len(budgets) > 1:
         lines.append(f"warning: logs differ in budget {budgets}; rows are not under the same computational budget")
     lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
     for row in body:
@@ -199,27 +197,26 @@ def render_table_text(table: ComparisonTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_table_csv(table: ComparisonTable) -> str:
+def render_table_csv(reports: Sequence[RunReport]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in table.rows:
+    for r in reports:
         writer.writerow(
             [r.strategy, repr(r.best), repr(r.best_window), repr(r.mean), repr(r.mean_window), repr(r.sd), repr(r.sd_window)]
         )
     return buf.getvalue()
 
 
-def render_report_text(report: RunReport) -> str:
-    """Single-run detail block: the table row plus context lines."""
-    table = ComparisonTable(rows=(report,), budget_mismatch=False)
-    lines = [render_table_text(table).rstrip("\n")]
+def render_report_text(report: RunReport, fit: FitResult | None) -> str:
+    """Single-run detail block: the table row, context lines and the trend."""
+    lines = [render_table_text((report,)).rstrip("\n")]
     lines.append(f"budget: {report.budget}  window: {report.window}")
     lines.append(f"best: {report.best:.6g} at iteration {report.best_iteration}")
     lines.append(f"failed: {report.n_failed}  cached: {report.n_cached}")
-    if report.fit is not None:
-        coeffs = " ".join(f"{c:.6g}" for c in report.fit.coefficients)
-        lines.append(f"fit: degree {report.fit.degree} over iterations [{report.fit.domain[0]:.0f}, {report.fit.domain[1]:.0f}], coefficients {coeffs}")
+    if fit is not None:
+        coeffs = " ".join(f"{c:.6g}" for c in fit.coefficients)
+        lines.append(f"fit: degree {fit.degree} over iterations [{fit.domain[0]:.0f}, {fit.domain[1]:.0f}], coefficients {coeffs}")
     else:
         lines.append("fit: skipped (too few successful trials)")
     return "\n".join(lines) + "\n"

@@ -156,6 +156,29 @@ class TestForestFitting:
         assert box.tolist() == [[3.0, 7.0], [-1.0, 2.0], [0.0, 3.0]]
 
 
+class TestScoresNearFloatRange:
+    """Split sums and leaf variances of such scores overflow: the fit and the
+    fractions go on without a RuntimeWarning, and the weights are refused."""
+
+    @pytest.fixture
+    def trials(self):
+        # additive-anova with coefficients 1e300 and 1, as a run would score it
+        return make_trials(real_space(2, low=0.0, high=1.0), lambda v: 1e300 * (2 * v[0] - 1) + (2 * v[1] - 1), 20, seed=1)
+
+    def test_forest_fit_raises_no_warning(self, trials):
+        forest = fit_forest(trials, real_space(2, low=0.0, high=1.0), rng=np.random.default_rng(1))
+        assert len(forest.trees) == ForestConfig().n_trees
+
+    def test_fractions_raise_no_warning_and_the_weights_are_refused(self, trials):
+        space = real_space(2, low=0.0, high=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the fit's own guard is the test above
+            forest = fit_forest(trials, space, rng=np.random.default_rng(1))
+        weights = main_effect_fractions(forest, space)
+        with pytest.raises(ImportanceError, match="weights must be finite and non-negative"):
+            weights_to_probabilities(weights)
+
+
 class TestMainEffects:
     def test_linear_single_dimension_dominates(self):
         space = real_space(3, low=0.0, high=1.0)

@@ -175,12 +175,21 @@ class TestMakeObjective:
         with pytest.raises(ObjectiveError, match="strictly positive ranges"):
             make_objective("builtin:additive-anova?coeffs=3,1", space)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_value_becomes_failure(self):
         space = real_space(1, low=0, high=1e200)
         obj = make_objective("builtin:sphere", space)
         with pytest.raises(ObjectiveFailure):
             obj((1e200,))  # overflows to inf
+
+    @pytest.mark.parametrize("spec", [
+        "builtin:rastrigin", "builtin:rosenbrock", "builtin:branin", "builtin:styblinski-tang",
+        "builtin:additive-anova?coeffs=1e308,1e308",
+    ])
+    def test_value_beyond_float_range_fails_without_a_warning(self, spec):
+        # as sphere above; a RuntimeWarning is an error under this suite's settings
+        obj = make_objective(spec, real_space(2, low=-1e300, high=1e300))
+        with pytest.raises(ObjectiveFailure, match="^non-finite value$"):
+            obj((1e300, 1e300))
 
 
 class TestExternalProtocol:

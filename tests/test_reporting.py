@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from wrsopt import reporting
+from wrsopt.cli import main
 from wrsopt.reporting import (
     CSV_COLUMNS,
-    ComparisonTable,
     FitResult,
     ReportError,
     compare,
@@ -17,6 +18,7 @@ from wrsopt.reporting import (
     render_table_csv,
     render_table_text,
     summarize,
+    trend,
 )
 from wrsopt.triallog import RunHeader, TrialRecord
 
@@ -93,19 +95,45 @@ class TestSummarize:
         assert all(math.isnan(x) for x in (r.best_window, r.mean_window, r.sd_window))
 
     def test_fit_skipped_when_too_few_points(self):
-        report = summarize(make_header(), recs([1.0, 2.0, 3.0]), window=10, degree=5)
-        assert report.fit is None
-        assert "skipped" in render_report_text(report)
+        records = recs([1.0, 2.0, 3.0])
+        assert trend(records, 5) is None
+        assert "skipped" in render_report_text(summarize(make_header(), records, window=10), None)
 
     def test_fit_positions_use_iteration_indices(self):
         scores = [1.0, float("-inf"), 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
         statuses = ["evaluated", "failed"] + ["evaluated"] * 6
-        report = summarize(make_header(), recs(scores, statuses), window=100, degree=1)
+        fit = trend(recs(scores, statuses), 1)
         # scores grow linearly in iteration, so the linear fit is exact even
         # with a hole at iteration 2
-        assert report.fit is not None
-        got = report.fit(np.array([1.0, 8.0]))
+        assert fit is not None
+        got = fit(np.array([1.0, 8.0]))
         assert np.allclose(got, [1.0, 8.0], atol=1e-9)
+
+    def test_best_values_are_those_of_the_trial_best_iteration_names(self):
+        records = [
+            TrialRecord(iteration=i, values=(v,), score=s, phase="rs", status="evaluated", wall_time=0.0)
+            for i, (v, s) in enumerate([(0.1, 1.0), (0.2, 5.0), (0.3, 5.0)], start=1)
+        ]
+        report = summarize(make_header(), records, window=10)
+        assert (report.best_iteration, report.best_values) == (2, (0.2,))
+
+    def test_trials_counted_by_status(self):
+        records = recs([1.0, 1.0, float("-inf"), float("-inf")], statuses=["evaluated", "cached-hit", "failed", "cached-hit"])
+        report = summarize(make_header(budget=4), records, window=10)
+        # a cached repeat of a failure counts as cached and as failed
+        assert (report.n_evaluated, report.n_cached, report.n_failed) == (1, 2, 2)
+
+    def test_scores_near_float_range_give_an_infinite_sd_without_a_warning(self):
+        report = summarize(make_header(), recs([1.7e300, -1.7e300, 1e300]), window=2)
+        assert report.sd == math.inf and report.sd_window == math.inf
+        assert report.best == 1.7e300
+
+
+class TestTrend:
+    def test_one_successful_trial_has_no_trend_at_degree_0(self):
+        records = recs([2.0, float("-inf")], statuses=["evaluated", "failed"])
+        assert trend(records, 0) is None
+        assert trend(recs([2.0, 3.0]), 0).coefficients == pytest.approx((2.5,))
 
 
 class TestPolyfit:
@@ -157,16 +185,14 @@ class TestCompare:
         return out
 
     def test_strategy_order_then_seed(self):
-        table = compare(self.reports())
-        assert [(r.strategy, r.seed) for r in table.rows] == [("wrs", 1), ("rs", 1), ("rs", 2), ("pso", 1)]
-        assert not table.budget_mismatch
+        rows = compare(self.reports())
+        assert [(r.strategy, r.seed) for r in rows] == [("wrs", 1), ("rs", 1), ("rs", 2), ("pso", 1)]
+        assert not render_table_text(rows).startswith("warning:")
 
     def test_budget_mismatch_flagged_and_rendered(self):
         reports = self.reports()
         reports.append(summarize(make_header(strategy="sobol", budget=99), recs([1.0]), window=10))
-        table = compare(reports)
-        assert table.budget_mismatch
-        text = render_table_text(table)
+        text = render_table_text(compare(reports))
         assert text.splitlines()[0].startswith("warning:")
         assert "budget" in text.splitlines()[0]
 
@@ -177,8 +203,7 @@ class TestCompare:
     def test_unknown_strategy_sorts_last(self):
         known = summarize(make_header(strategy="pso"), recs([1.0]), window=5)
         odd = summarize(make_header(strategy="zzz-custom"), recs([1.0]), window=5)
-        table = compare([odd, known])
-        assert [r.strategy for r in table.rows] == ["pso", "zzz-custom"]
+        assert [r.strategy for r in compare([odd, known])] == ["pso", "zzz-custom"]
 
 
 class TestRendering:
@@ -200,14 +225,14 @@ class TestRendering:
 
     def test_report_text_mentions_best_iteration(self):
         report = summarize(make_header(), recs([1.0, 9.0, 2.0]), window=2)
-        text = render_report_text(report)
+        text = render_report_text(report, None)
         assert "best: 9 at iteration 2" in text
         assert "budget: 3" in text
         assert "failed: 0" in text
 
     def test_fit_line_present_when_fit_exists(self):
-        report = summarize(make_header(budget=10), recs([float(i) for i in range(1, 11)]), window=5)
-        text = render_report_text(report)
+        records = recs([float(i) for i in range(1, 11)])
+        text = render_report_text(summarize(make_header(budget=10), records, window=5), trend(records, 5))
         assert "fit: degree 5" in text
 
 
@@ -223,3 +248,39 @@ class TestInvariance:
         a = compare(reports)
         b = compare(list(reversed(reports)))
         assert a == b
+
+
+SPACE_1D = "dimensions:\n  - {name: x, kind: real, low: 0.0, high: 1.0}\n"
+
+
+def run_log(tmp_path, budget):
+    space = tmp_path / "space.yaml"
+    space.write_text(SPACE_1D)
+    log = str(tmp_path / "rs.jsonl")
+    assert main(["run", "--space", str(space), "--objective", "builtin:sphere", "--strategy", "rs", "--budget", str(budget), "--seed", "1", "--out", log]) == 0
+    return log
+
+
+class TestOnlyReportFits:
+    def test_report_degree_0_on_one_trial_skips_the_fit(self, tmp_path, capsys):
+        log = run_log(tmp_path, 1)
+        fit_path = tmp_path / "fit.json"
+        capsys.readouterr()
+        assert main(["report", log, "--degree", "0", "--fit", str(fit_path)]) == 0
+        captured = capsys.readouterr()
+        assert "fit: skipped (too few successful trials)" in captured.out
+        assert captured.err.endswith("warning: no fit produced; fit file not written\n")
+        assert not fit_path.exists()
+
+    def test_run_and_compare_make_no_fit(self, tmp_path, monkeypatch):
+        class Fitted(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Fitted
+
+        monkeypatch.setattr(reporting, "polyfit", refuse)
+        log = run_log(tmp_path, 20)
+        assert main(["compare", log, log]) == 0
+        with pytest.raises(Fitted):
+            main(["report", log])
