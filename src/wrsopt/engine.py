@@ -6,15 +6,16 @@ failures, consumes exactly one unit of the budget, so a completed run always
 holds exactly N records.
 
 Every strategy follows the ask/tell pattern.  ``ask()`` returns the next
-candidate, ``tell(score)`` reports its score, and the ``phase`` attribute
-names the phase that the candidate's record carries.  ``execute_run`` calls
-them in strict alternation, once per budget unit, alone owns the cache, the
-records and the incumbent, and refuses a run whose every trial failed, as
-the wrs strategy does at the end of its phase 1.  A strategy never evaluates
-anything itself; a run simply stops asking when the budget is spent, even in
-the middle of a PSO generation.  The wrs strategy reads the records and the
-incumbent from the ``RunResult`` the loop fills, and writes its frozen
-profile into that result's header.
+candidate and ``tell(score)`` reports its score.  ``execute_run`` calls them
+in strict alternation, once per budget unit, and alone tags each record's
+phase: "rs" for the first ``init`` trials, the strategy's name after them.
+It alone owns the cache, the records and the incumbent, and refuses a run
+whose every trial failed, as the wrs strategy does at the end of its
+phase 1.  A strategy never evaluates anything itself; a run simply stops
+asking when the budget is spent, even in the middle of a PSO generation.
+The wrs strategy, like Nelder-Mead and PSO, is one generator stepped by
+ask(); it reads the records and the incumbent from the ``RunResult`` the
+loop fills, and writes its frozen profile into that result's header.
 
 Randomness is split into three independent streams derived from the run
 seed: candidate values, per-step change decisions, and forest bootstrapping.
@@ -296,43 +297,41 @@ def _build_profile(
 
 
 class WeightedSearch:
-    """The two-phase wrs strategy.
+    """The two-phase wrs strategy as one generator behind ask/tell.
 
-    The first config.init asks are plain random-search steps (phase "rs").
-    The first ask after them aborts if every one of those trials failed,
-    then runs the one importance fit and freezes the profile.  Every later
-    ask is a weighted step against the run's incumbent (phase "wrs").
+    _search makes config.init plain random-search steps, aborts if every one
+    of those trials failed, runs the one importance fit and freezes the
+    profile, then makes weighted steps against the run's incumbent forever.
     """
 
     def __init__(self, space: SearchSpace, config: RunConfig, rngs: RngBundle, result: RunResult):
-        self.space, self.config, self.rngs, self.result = space, config, rngs, result
-        self.phase = "rs"
-        self.profile: ChangeProfile | None = None
+        self._search_steps = self._search(space, config, rngs, result)
 
     def ask(self) -> tuple:
-        records = self.result.records
-        if len(records) < self.config.init:
-            return rs_step(self.space, self.rngs.values)
-        if self.profile is None:
-            if _all_failed(records):
-                raise AllTrialsFailedError(f"all {self.config.init} trials of the rs phase failed")
-            self.profile, weights = _build_profile(self.space, self.config, records, self.rngs.forest, self.result.warnings)
-            self.result.header.profile = {
-                "weights": weights,
-                "probs": list(self.profile.probs),
-                "k_mins": list(self.profile.k_mins),
-            }
-            self.phase = "wrs"
-        if self.result.best.candidate is not None:
-            incumbent = self.result.best.candidate
-        elif records:
-            incumbent = records[-1].values  # every trial so far failed; copy coordinates from the last attempt
-        else:
-            incumbent = None  # init=0 first step: gen_counts <= k_mins forces a full resample
-        return wrs_step(self.space, incumbent, self.profile, self.rngs.values, self.rngs.decisions)
+        return next(self._search_steps)
 
     def tell(self, score: float) -> None:
         pass
+
+    @staticmethod
+    def _search(space: SearchSpace, config: RunConfig, rngs: RngBundle, result: RunResult):
+        """Yield each candidate; the records and the incumbent are read from
+        the result the run loop fills between yields."""
+        for _ in range(config.init):
+            yield rs_step(space, rngs.values)
+        records = result.records
+        if _all_failed(records):
+            raise AllTrialsFailedError(f"all {config.init} trials of the rs phase failed")
+        profile, weights = _build_profile(space, config, records, rngs.forest, result.warnings)
+        result.header.profile = {"weights": weights, "probs": list(profile.probs), "k_mins": list(profile.k_mins)}
+        while True:
+            if result.best.candidate is not None:
+                incumbent = result.best.candidate
+            elif records:
+                incumbent = records[-1].values  # every trial so far failed; copy coordinates from the last attempt
+            else:
+                incumbent = None  # init=0 first step: gen_counts <= k_mins forces a full resample
+            yield wrs_step(space, incumbent, profile, rngs.values, rngs.decisions)
 
 
 def _make_strategy(space: SearchSpace, config: RunConfig, rngs: RngBundle, result: RunResult):
@@ -371,7 +370,7 @@ def execute_run(space: SearchSpace, objective: Objective, config: RunConfig) -> 
     cache = EvalCache()
     for it in range(1, config.budget + 1):
         values = strategy.ask()
-        rec = evaluate_with_cache(objective, space, values, cache, it, strategy.phase)
+        rec = evaluate_with_cache(objective, space, values, cache, it, "rs" if it <= config.init else config.strategy)
         result.records.append(rec)
         result.best = update_best(result.best, rec)
         strategy.tell(rec.score)

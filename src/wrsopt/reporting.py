@@ -174,8 +174,14 @@ def compare(reports: Sequence[RunReport]) -> tuple[RunReport, ...]:
     )
 
 
+def _cell(x: float) -> str:
+    """Two decimals below a magnitude of 1e15; six significant digits from
+    there up, where two decimals would print up to 309 digits."""
+    return f"{x:.2f}" if abs(x) < 1e15 else f"{x:.6g}"
+
+
 def _pair(value: float, window_value: float) -> str:
-    return f"{value:.2f}({window_value:.2f})"
+    return f"{_cell(value)}({_cell(window_value)})"
 
 
 def render_table_text(reports: Sequence[RunReport]) -> str:

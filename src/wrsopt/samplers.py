@@ -2,9 +2,11 @@
 and the baseline strategies (Sobol sequence, Nelder-Mead, particle swarm).
 
 The strategy classes share the engine's ask/tell contract: ask() returns one
-candidate, tell(score) takes its score, and the phase attribute is the tag
-the engine writes into that candidate's record.  Nelder-Mead's ask() and
-tell() only step one generator that yields each point and receives its loss.
+candidate and tell(score) takes its score; the engine's run loop, not the
+strategy, tags each record's phase.  Nelder-Mead and particle swarm are each
+one generator behind ask() and tell(): it yields each point to try and
+receives that point's loss or score at the yield, so a search step reads
+top to bottom.
 
 Random draws follow a strict budget per operation so that entire candidate
 streams are reproducible: rs_step consumes exactly one uniform per dimension,
@@ -138,8 +140,6 @@ def emit_relaxed(space: SearchSpace, x: np.ndarray) -> tuple:
 class RandomSearch:
     """Plain random search: every ask is a fresh rs_step."""
 
-    phase = "rs"
-
     def __init__(self, space: SearchSpace, rng: np.random.Generator):
         self.space = space
         self.rng = rng
@@ -153,8 +153,6 @@ class RandomSearch:
 
 class SobolSampler:
     """Deterministic low-discrepancy candidate stream over the space."""
-
-    phase = "sobol"
 
     def __init__(self, space: SearchSpace):
         self.space = space
@@ -179,8 +177,6 @@ class NelderMeadSampler:
     sampler reports convergence and keeps re-emitting the best vertex; the
     engine's cache turns those into zero-cost trials.
     """
-
-    phase = "nelder-mead"
 
     def __init__(
         self,
@@ -273,17 +269,17 @@ PSO_SWARM = 20  # default particle count
 
 
 class PsoSampler:
-    """Particle swarm with the standard constriction coefficients.
+    """Particle swarm with the standard constriction coefficients, as one
+    generator behind ask/tell.
 
-    ask() returns one particle's position at a time, in swarm order; the
-    first generation is the uniform initial swarm.  The velocity update, with
-    its r1/r2 draws, runs on the first ask of every later generation, and the
-    tell that completes a generation refreshes personal and global bests.
-    Positions are clamped to bounds after each velocity update; integer and
+    _search holds the swarm as local arrays and yields each particle's
+    position in swarm order, receiving its score at the yield; the first
+    generation is the uniform initial swarm.  The tell that completes a
+    generation refreshes personal and global bests, then draws r1 and r2 and
+    moves the swarm, so every ask of a generation is fixed before any of its
+    tells.  Positions are clamped to bounds after each move; integer and
     categorical axes are rounded at emission.
     """
-
-    phase = "pso"
 
     def __init__(
         self,
@@ -297,51 +293,40 @@ class PsoSampler:
         if swarm < 2:
             raise SamplerError("swarm size must be at least 2")
         self.space = space
-        self.rng = rng
-        self.swarm = int(swarm)
-        self.omega, self.c1, self.c2 = omega, c1, c2
-        self._lo, self._hi = relaxed_bounds(space)
-        d = len(space)
-        self._x = self._lo + rng.random((self.swarm, d)) * (self._hi - self._lo)
-        self._v = np.zeros((self.swarm, d))
-        self._pbest = self._x.copy()
-        self._pbest_score = np.full(self.swarm, -np.inf)
-        self._gbest = self._x[0].copy()
-        self._gbest_score = -np.inf
-        self._scores = np.full(self.swarm, -np.inf)
-        self._slot = 0  # particle the next ask emits
-        self._initialized = False
         self._awaiting = False
+        self._search_steps = self._search(rng, int(swarm), omega, c1, c2)
+        self._current = next(self._search_steps)
 
     def ask(self) -> tuple:
         if self._awaiting:
             raise SamplerError("ask() called twice without tell()")
         self._awaiting = True
-        if self._slot == 0 and self._initialized:
-            r1 = self.rng.random(self._x.shape)
-            r2 = self.rng.random(self._x.shape)
-            self._v = (
-                self.omega * self._v
-                + self.c1 * r1 * (self._pbest - self._x)
-                + self.c2 * r2 * (self._gbest - self._x)
-            )
-            self._x = (self._x + self._v).clip(self._lo, self._hi)
-        return emit_relaxed(self.space, self._x[self._slot])
+        return emit_relaxed(self.space, self._current)
 
     def tell(self, score: float) -> None:
         if not self._awaiting:
             raise SamplerError("tell() without a pending ask()")
         self._awaiting = False
-        self._scores[self._slot] = score
-        self._slot += 1
-        if self._slot < self.swarm:
-            return
-        self._slot = 0
-        self._initialized = True
-        improved = self._scores > self._pbest_score
-        self._pbest[improved] = self._x[improved]
-        self._pbest_score[improved] = self._scores[improved]
-        top = int(self._pbest_score.argmax())
-        if self._pbest_score[top] > self._gbest_score:
-            self._gbest = self._pbest[top].copy()
-            self._gbest_score = float(self._pbest_score[top])
+        self._current = self._search_steps.send(score)
+
+    def _search(self, rng: np.random.Generator, swarm: int, omega: float, c1: float, c2: float):
+        """Yield each particle's position; receive its score at the yield."""
+        lo, hi = relaxed_bounds(self.space)
+        x = lo + rng.random((swarm, len(self.space))) * (hi - lo)
+        v = np.zeros(x.shape)
+        pbest, pbest_score = x.copy(), np.full(swarm, -np.inf)
+        gbest, gbest_score = x[0].copy(), -np.inf
+        scores = np.empty(swarm)
+        while True:
+            for i in range(swarm):
+                scores[i] = yield x[i]
+            improved = scores > pbest_score
+            pbest[improved] = x[improved]
+            pbest_score[improved] = scores[improved]
+            top = int(pbest_score.argmax())
+            if pbest_score[top] > gbest_score:
+                gbest, gbest_score = pbest[top].copy(), pbest_score[top]
+            r1 = rng.random(x.shape)
+            r2 = rng.random(x.shape)
+            v = omega * v + c1 * r1 * (pbest - x) + c2 * r2 * (gbest - x)
+            x = (x + v).clip(lo, hi)

@@ -187,7 +187,10 @@ def validate_candidate(space: SearchSpace, values: Sequence[Any]) -> tuple:
             _check(dim.low <= v <= dim.high, f"{dim.name}: {v} outside [{dim.low}, {dim.high}]")
         elif dim.kind == "real":
             _check(isinstance(v, (int, float, np.floating, np.integer)) and not isinstance(v, bool), f"{dim.name}: expected real, got {v!r}")
-            v = float(v)
+            try:
+                v = float(v)
+            except OverflowError:  # an int beyond float range
+                v = math.inf
             _check(math.isfinite(v), f"{dim.name}: value must be finite")
             _check(dim.low <= v <= dim.high, f"{dim.name}: {v} outside [{dim.low}, {dim.high}]")
         else:

@@ -257,6 +257,7 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
       int (never a bool) for counts, iterations and the seed, an int or
       float (never a bool) for score and wall_time, a string for the text
       fields and a list for values;
+    * the header declares a budget of at least 1;
     * every trial has a known status, iterations run 1, 2, ... and the
       record count equals the declared budget;
     * the header's space parses and matches its ``space_digest``;
@@ -296,6 +297,8 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
                     raise LogError(f"{path}: invalid JSON on line {lineno}") from None
                 if header is None:
                     header = RunHeader.from_dict(payload)
+                    if header.budget < 1:
+                        raise LogError(f"{path}: header declares budget {header.budget}; a run holds at least 1 trial")
                     continue
                 i = len(records) + 1
                 rec = TrialRecord.from_dict(payload, f"trial {i}")

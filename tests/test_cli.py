@@ -573,6 +573,11 @@ CORRUPTIONS = {
     "trial-a-json-array": ([((1,), [1, 2])], "trial 1: not an object"),
     "trial-missing-score": (lambda text: text.replace('"score": 1.0, ', "", 1), "trial 1: missing 'score'"),
     "header-missing-budget": (lambda text: text.replace('"budget": 8, ', "", 1), "bad header record: missing 'budget'"),
+    # run never writes such a log; without the check report warned of a clamped window first
+    "budget-0-and-no-trials": (
+        lambda text: text[: text.index("\n") + 1].replace('"budget": 8, ', '"budget": 0, ', 1),
+        "LOG: header declares budget 0; a run holds at least 1 trial",
+    ),
     # beyond float range, so the column check cannot compare it as a float
     "real-value-of-401-digits": ([((4, "values", 1), 10**400)], f"trial 4: x={10**400} is not a value of the space"),
     # more digits than int() converts, which json.loads refuses with a ValueError

@@ -121,11 +121,13 @@ class TestSamplerOptionRanges:
         with pytest.raises(ConfigError, match=f"^option '{key}' must lie in "):
             config.validate(_AB_SPACE)
 
-    @pytest.mark.parametrize("sampler", [NelderMeadSampler, PsoSampler], ids=["nelder-mead", "pso"])
-    def test_every_default_is_accepted(self, sampler):
+    @pytest.mark.parametrize(
+        "strategy,sampler", [("nelder-mead", NelderMeadSampler), ("pso", PsoSampler)], ids=["nelder-mead", "pso"]
+    )
+    def test_every_default_is_accepted(self, strategy, sampler):
         params = inspect.signature(sampler).parameters
         defaults = tuple((k, float(p.default)) for k, p in params.items() if k not in ("space", "rng", "init_vertex"))
-        RunConfig(strategy=sampler.phase, budget=10, sampler_options=defaults).validate(_AB_SPACE)
+        RunConfig(strategy=strategy, budget=10, sampler_options=defaults).validate(_AB_SPACE)
 
     @pytest.mark.parametrize(
         "strategy,options",
@@ -250,8 +252,13 @@ class TestBudgets:
         assert objective.calls <= 25  # duplicates may be served from cache
 
     def test_pso_builds_no_more_particles_than_its_budget_can_emit(self):
+        # the initial swarm takes one uniform per particle and axis: 10 x 2
         config = RunConfig(strategy="pso", budget=10, seed=1, sampler_options=(("swarm", 1000),))
-        assert _make_strategy(real_space(2), config, RngBundle.from_seed(1), None).swarm == 10
+        rngs = RngBundle.from_seed(1)
+        _make_strategy(real_space(2), config, rngs, None)
+        expected = RngBundle.from_seed(1).values
+        expected.random(10 * 2)
+        assert rngs.values.bit_generator.state == expected.bit_generator.state
 
     @pytest.mark.parametrize("budget,swarm", [(5, 20), (1, 20), (19, 20), (20, 50)])
     def test_pso_capped_at_its_budget_asks_what_the_full_swarm_would(self, budget, swarm):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wrsopt.objectives import sphere
-from wrsopt.samplers import PsoSampler, SamplerError
+from wrsopt.samplers import PsoSampler, SamplerError, relaxed_bounds
 from wrsopt.space import validate_candidate
 
+from _pso_oracle import SlotPsoSampler
+from _stream_oracle import spaces
 from _util import mixed_space, real_space
 
 
@@ -23,31 +26,35 @@ def test_swarm_size_floor():
 
 
 def test_first_batch_is_initial_swarm_of_requested_size():
+    space = real_space(3)
     rng = np.random.default_rng(0)
-    pso = PsoSampler(real_space(3), rng, swarm=7)
-    initial = pso._x.copy()
-    state = rng.bit_generator.state
-    batch = run_generation(pso, [0.0] * 7)
+    pso = PsoSampler(space, rng, swarm=7)
+    lo, hi = relaxed_bounds(space)
+    expected = np.random.default_rng(0)
+    initial = lo + expected.random((7, 3)) * (hi - lo)
+    assert rng.bit_generator.state == expected.bit_generator.state
+    batch = run_generation(pso, [0.0] * 6)
+    # the move draws nothing until the tell that completes the generation
+    assert rng.bit_generator.state == expected.bit_generator.state
+    batch += run_generation(pso, [0.0])
     assert batch == [tuple(x) for x in initial]
     for cand in batch:
-        validate_candidate(real_space(3), cand)
-    # the velocity update draws only on the first ask of the next generation
-    assert rng.bit_generator.state == state
+        validate_candidate(space, cand)
+    expected.random((7, 3))  # r1
+    expected.random((7, 3))  # r2
+    assert rng.bit_generator.state == expected.bit_generator.state
     pso.ask()
-    assert rng.bit_generator.state != state
+    assert rng.bit_generator.state == expected.bit_generator.state
 
 
-def test_fixed_point_when_swarm_collapsed():
-    # all particles at the same position with zero velocity: pbest == gbest == x,
-    # so the velocity update is exactly zero and positions stay put
-    space = real_space(2, low=0, high=1)
-    pso = PsoSampler(space, np.random.default_rng(1), swarm=3)
-    point = np.array([0.25, 0.75])
-    pso._x = np.tile(point, (3, 1))
-    pso._pbest = pso._x.copy()
-    run_generation(pso, [1.0, 1.0, 1.0])
-    batch = run_generation(pso, [1.0, 1.0, 1.0])
-    assert all(c == (0.25, 0.75) for c in batch)
+def test_fixed_point_when_every_coefficient_is_zero():
+    # omega = c1 = c2 = 0 makes every velocity exactly zero, so positions
+    # stay put and each generation asks the initial swarm again
+    space = mixed_space()
+    pso = PsoSampler(space, np.random.default_rng(1), swarm=3, omega=0.0, c1=0.0, c2=0.0)
+    first = run_generation(pso, [1.0, 3.0, 2.0])
+    for scores in ([5.0, 0.0, 0.0], [-np.inf] * 3):
+        assert run_generation(pso, scores) == first
 
 
 def test_positions_always_inside_bounds():
@@ -87,11 +94,41 @@ def test_ask_and_tell_must_alternate():
 
 
 def test_gbest_tracks_the_running_maximum():
-    space = real_space(1, low=0, high=10)
-    pso = PsoSampler(space, np.random.default_rng(4), swarm=3)
-    run_generation(pso, [1.0, 5.0])
-    assert pso._gbest_score == -np.inf  # bests refresh when the generation completes
-    run_generation(pso, [3.0])
-    assert pso._gbest_score == 5.0
-    run_generation(pso, [0.0, 0.0, 0.0])  # no improvement; gbest unchanged
-    assert pso._gbest_score == 5.0
+    # with omega = 0 a particle standing at its personal best and at the
+    # global best has zero velocity; every other particle moves toward gbest
+    space = real_space(2, low=0, high=10)
+
+    def swarm_after(second_scores):
+        pso = PsoSampler(space, np.random.default_rng(4), swarm=3, omega=0.0)
+        first = run_generation(pso, [1.0, 5.0, 3.0])
+        second = run_generation(pso, second_scores)
+        return first, second, run_generation(pso, [0.0] * 3)
+
+    first, second, third = swarm_after([0.0, 0.0, 0.0])
+    assert second[1] == first[1]  # the best of generation 1 is gbest
+    assert second[0] != first[0] and second[2] != first[2]
+    assert third[1] == first[1]  # no improvement; gbest unchanged
+    first, second, third = swarm_after([9.0, 0.0, 0.0])
+    assert third[0] == second[0]  # a better score moves gbest
+    assert third[1] != second[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    spaces(),
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 8),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(0.0, 4.0),
+    st.floats(0.0, 4.0),
+    st.lists(st.floats(-1e6, 1e6) | st.sampled_from((-np.inf, 0.0, 1.0)), min_size=1, max_size=40),
+)
+def test_asks_what_the_slot_counter_sampler_asks(space, seed, swarm, omega, c1, c2, scores):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    pso = PsoSampler(space, rng, swarm=swarm, omega=omega, c1=c1, c2=c2)
+    oracle = SlotPsoSampler(space, oracle_rng, swarm=swarm, omega=omega, c1=c1, c2=c2)
+    for score in scores:
+        assert pso.ask() == oracle.ask()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        pso.tell(score)
+        oracle.tell(score)

@@ -215,6 +215,17 @@ class TestRendering:
         assert "0.70(0.70)" in lines[1]
         assert "0.60(0.65)" in lines[1]
 
+    def test_scores_near_float_range_use_six_significant_digits(self):
+        report = summarize(make_header(), recs([1.7e300, -1.7e300, 1e300]), window=2)
+        row = render_table_text((report,)).splitlines()[1]
+        assert row.split() == ["rs", "1", "1.7e+300(1e+300)", "3.33333e+299(-3.5e+299)", "inf(inf)"]
+        assert max(len(line) for line in render_report_text(report, None).splitlines()) < 120
+        assert float(render_table_csv((report,)).splitlines()[1].split(",")[1]) == 1.7e300  # csv keeps repr
+        # two decimals up to 15 integer digits
+        report = summarize(make_header(), recs([999999999999999.9, -1e15]), window=1)
+        row = render_table_text((report,)).splitlines()[1]
+        assert row.split()[2:4] == ["999999999999999.88(-1e+15)", "-0.06(-1e+15)"]
+
     def test_csv_columns_and_full_precision(self):
         report = summarize(make_header(), recs([0.1, 0.2, 0.30000000000004]), window=2)
         out = render_table_csv(compare([report]))

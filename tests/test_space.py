@@ -168,7 +168,7 @@ def test_validate_candidate_normalizes_and_rejects():
         )
     )
     assert validate_candidate(space, [np.int64(3), 0, "b"]) == (3, 0.0, "b")
-    for bad in ([6, 0.5, "a"], [3, 1.5, "a"], [3, 0.5, "z"], [3, 0.5], [3, math.nan, "a"], [True, 0.5, "a"]):
+    for bad in ([6, 0.5, "a"], [3, 1.5, "a"], [3, 0.5, "z"], [3, 0.5], [3, math.nan, "a"], [True, 0.5, "a"], [3, 10**400, "a"]):
         with pytest.raises(SpaceError):
             validate_candidate(space, bad)
 

@@ -207,6 +207,13 @@ class TestValidation:
         with pytest.raises(LogError, match="budget"):
             read_log(path)
 
+    @pytest.mark.parametrize("budget,n", [(0, 0), (-1, 0), (0, 1)])
+    def test_budget_below_1_refused_at_the_header(self, budget, n, tmp_path):
+        path = str(tmp_path / "run.jsonl")
+        write_log(path, make_header(budget=budget), make_records(n))
+        with pytest.raises(LogError, match=f"header declares budget {budget}; a run holds at least 1 trial$"):
+            read_log(path)
+
     def test_header_space_that_does_not_parse(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
         header = make_header()
