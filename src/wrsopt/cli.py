@@ -65,14 +65,13 @@ def _non_negative_int(text: str) -> int:
 
 
 def _assignment(text: str, conv, flag: str):
-    if "=" not in text:
-        raise ConfigError(f"{flag} expects NAME=VALUE, got {text!r}")
-    name, raw = text.split("=", 1)
-    name = name.strip()
-    if not name:
+    """(NAME, VALUE), split at the last '=', which no number holds; NAME is
+    kept as written, since a dimension name may hold '=' or end in a space."""
+    name, eq, raw = text.rpartition("=")
+    if not (eq and name):
         raise ConfigError(f"{flag} expects NAME=VALUE, got {text!r}")
     try:
-        return name, conv(raw.strip())
+        return name, conv(raw)
     except ValueError:
         raise ConfigError(f"{flag}: cannot parse value in {text!r}") from None
 

@@ -221,8 +221,10 @@ def render_report_text(report: RunReport, fit: FitResult | None) -> str:
     lines.append(f"best: {report.best:.6g} at iteration {report.best_iteration}")
     lines.append(f"failed: {report.n_failed}  cached: {report.n_cached}")
     if fit is not None:
-        coeffs = " ".join(f"{c:.6g}" for c in fit.coefficients)
-        lines.append(f"fit: degree {fit.degree} over iterations [{fit.domain[0]:.0f}, {fit.domain[1]:.0f}], coefficients {coeffs}")
+        lines.append(f"fit: degree {fit.degree} over iterations [{fit.domain[0]:.0f}, {fit.domain[1]:.0f}], coefficients:")
+        # a .6g coefficient takes up to 13 characters, so a line of 8 stays within 120
+        cells = [f"{c:.6g}" for c in fit.coefficients]
+        lines.extend("  " + " ".join(cells[k : k + 8]) for k in range(0, len(cells), 8))
     else:
         lines.append("fit: skipped (too few successful trials)")
     return "\n".join(lines) + "\n"

@@ -3,6 +3,9 @@
 A candidate is a plain tuple of values, one entry per dimension in declaration
 order.  Integer dimensions produce ints, real dimensions floats, categorical
 dimensions one of their listed values.
+
+This module alone decides what a valid value is (``values_in_dimension``);
+``triallog`` decides what a valid record is and asks it.
 """
 
 from __future__ import annotations
@@ -176,27 +179,37 @@ class SearchSpace:
         return tuple(map(value_at, self.dimensions, rng.random(len(self.dimensions)).tolist()))
 
 
+def values_in_dimension(dim: Dimension, column: Sequence[Any]) -> bool:
+    """Whether every value of a non-empty column is a value of dim; the one
+    rule, which read_log applies per log column and validate_candidate per
+    value.  An int axis takes an int (not a bool) within its bounds, a real
+    axis a finite int or float (not a bool, nor an int beyond float range)
+    within its bounds, a categorical axis one of its listed values."""
+    if dim.kind == "cat":
+        try:
+            return set(column) <= set(dim.values)
+        except TypeError:  # an unhashable value, such as a JSON list
+            return False
+    types = set(map(type, column))
+    if dim.kind == "int":
+        return types <= {int} and dim.low <= min(column) and max(column) <= dim.high
+    if not types <= {int, float}:
+        return False
+    try:
+        x = np.asarray(column, dtype=float)
+    except OverflowError:
+        return False
+    return bool(np.all((x >= dim.low) & (x <= dim.high)))  # NaN fails both comparisons
+
+
 def validate_candidate(space: SearchSpace, values: Sequence[Any]) -> tuple:
-    """Check values against the space, returning them as a normalized tuple."""
-    _check(len(values) == len(space), f"candidate has {len(values)} values, space has {len(space)} dimensions")
-    out = []
-    for dim, v in zip(space.dimensions, values):
-        if dim.kind == "int":
-            _check(isinstance(v, (int, np.integer)) and not isinstance(v, bool), f"{dim.name}: expected int, got {v!r}")
-            v = int(v)
-            _check(dim.low <= v <= dim.high, f"{dim.name}: {v} outside [{dim.low}, {dim.high}]")
-        elif dim.kind == "real":
-            _check(isinstance(v, (int, float, np.floating, np.integer)) and not isinstance(v, bool), f"{dim.name}: expected real, got {v!r}")
-            try:
-                v = float(v)
-            except OverflowError:  # an int beyond float range
-                v = math.inf
-            _check(math.isfinite(v), f"{dim.name}: value must be finite")
-            _check(dim.low <= v <= dim.high, f"{dim.name}: {v} outside [{dim.low}, {dim.high}]")
-        else:
-            _check(v in dim.values, f"{dim.name}: {v!r} not among listed values")
-        out.append(v)
-    return tuple(out)
+    """values as a tuple of Python values, each numpy scalar by the value it
+    holds; SpaceError unless it holds one value of each dimension."""
+    _check(len(values) == len(space), f"{len(values)} values, but the space has {len(space)} dimensions")
+    out = tuple(v.item() if isinstance(v, np.generic) else v for v in values)
+    for dim, v in zip(space.dimensions, out):
+        _check(values_in_dimension(dim, (v,)), f"{dim.name}={v!r} is not a value of the space")
+    return out
 
 
 def candidate_key(space: SearchSpace, values: Sequence[Any]) -> tuple:

@@ -12,7 +12,7 @@ json extension of JSON number syntax; any reader using Python's json module
 
 This module alone decides what a valid trial record is (``read_log``) and
 what a failed trial is (``TrialRecord.failed``); every other module trusts
-the records it is given.
+the records it is given.  What a valid value is, ``space`` decides.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-import numpy as np
-
-from .space import Dimension, SearchSpace, SpaceError, space_digest, space_from_dict
+from .space import SearchSpace, SpaceError, space_digest, space_from_dict, validate_candidate, values_in_dimension
 
 SCHEMA_VERSION = 1
 VALID_STATUS = ("evaluated", "cached-hit", "failed")
@@ -262,9 +260,7 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
       record count equals the declared budget;
     * the header's space parses and matches its ``space_digest``;
     * every trial holds one value per dimension, each a value of that
-      space: an exact int (not a bool) within the bounds of an int axis, a
-      finite int or float within the bounds of a real axis, one of the
-      listed values of a categorical axis;
+      space as ``space.values_in_dimension`` decides;
     * each trial's status, score and error agree: the score is finite or
       -inf, and -inf exactly when an error string is present; a ``failed``
       trial carries an error, an ``evaluated`` one none, and a
@@ -334,40 +330,19 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
 def _check_values(space: SearchSpace, records: Sequence[TrialRecord]) -> None:
     """Raise LogError unless every record holds one value of each dimension.
 
-    The check runs one pass per dimension down its column.  Only when a
-    column fails does a row scan name the first bad value in record order.
+    The first record of the wrong length is named before any stray value.
+    Otherwise the check runs one pass per dimension down its column, and
+    only when a column fails does a row scan name the first bad value in
+    record order.  Either way the words are validate_candidate's.
     """
-    d = len(space)
-    for rec in records:
-        if len(rec.values) != d:
-            raise LogError(f"trial {rec.iteration}: {len(rec.values)} values, but the space has {d} dimensions")
-    columns = zip(*(rec.values for rec in records))
-    if all(map(_column_in_dimension, space.dimensions, columns)):
+    misfits = [rec for rec in records if len(rec.values) != len(space)]
+    if not misfits and all(map(values_in_dimension, space.dimensions, zip(*(rec.values for rec in records)))):
         return
-    for rec in records:
-        for dim, v in zip(space.dimensions, rec.values):
-            if not _column_in_dimension(dim, (v,)):
-                raise LogError(f"trial {rec.iteration}: {dim.name}={v!r} is not a value of the space")
-
-
-def _column_in_dimension(dim: Dimension, column: tuple) -> bool:
-    """Whether every value of a column is a value of dim, as JSON decoding
-    can produce it."""
-    if dim.kind == "cat":
+    for rec in misfits or records:
         try:
-            return set(column) <= set(dim.values)
-        except TypeError:  # an unhashable value, such as a JSON list
-            return False
-    types = set(map(type, column))
-    if dim.kind == "int":
-        return types <= {int} and dim.low <= min(column) and max(column) <= dim.high
-    if not types <= {int, float}:
-        return False
-    try:
-        x = np.asarray(column, dtype=float)
-    except OverflowError:
-        return False
-    return bool(np.all((x >= dim.low) & (x <= dim.high)))  # NaN fails both comparisons
+            validate_candidate(space, rec.values)
+        except SpaceError as exc:
+            raise LogError(f"trial {rec.iteration}: {exc}") from None
 
 
 def record_fingerprint(record: TrialRecord) -> dict:

@@ -133,6 +133,24 @@ class TestRun:
         assert header.options == {"prob_overrides": {"*": 0.5, "x0": 1.0}}
         assert header.profile["probs"] == [1.0, 0.5]
 
+    def test_override_names_are_taken_as_written(self, tmp_path, capsys):
+        # a name may hold '=' or end in whitespace, U+2028 included
+        space = tmp_path / "names.yaml"
+        space.write_text('dimensions:\n  - {name: "a=b", kind: real, low: 0.0, high: 1.0}\n'
+                         '  - {name: "c\\u2028", kind: real, low: 0.0, high: 1.0}\n'
+                         '  - {name: "c", kind: real, low: 0.0, high: 1.0}\n')
+        out = str(tmp_path / "wrs.jsonl")
+        code = run_cli([
+            "run", "--space", str(space), "--objective", "builtin:sphere",
+            "--strategy", "wrs", "--budget", "10", "--init", "4", "--seed", "2", "--out", out,
+            "--set-prob", "a=b=0.5", "--set-prob", "c\u2028=0.25", "--set-kmin", "c\u2028=2",
+        ])
+        assert code == 0, capsys.readouterr().err
+        header, _ = read_log(out)
+        assert header.options == {"prob_overrides": {"a=b": 0.5, "c\u2028": 0.25}, "kmin_overrides": {"c\u2028": 2}}
+        assert header.profile["probs"][:2] == [0.5, 0.25]
+        assert header.profile["k_mins"] == [4, 2, 4]
+
     def test_fallback_warning_on_stderr(self, space_file, tmp_path, capsys):
         out = str(tmp_path / "wrs0.jsonl")
         code = run_cli([
@@ -207,6 +225,20 @@ class TestRunErrors:
         ])
         assert code == 2
         assert "NAME=VALUE" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strategy, flag, text, message", [
+        ("wrs", "--set-prob", "x0 = 0.5", "error: no dimension named 'x0 '"),
+        ("wrs", "--set-kmin", " x0=2", "error: no dimension named ' x0'"),
+        ("pso", "--opt", "swarm = 20", "error: option 'swarm ' does not apply to strategy 'pso'"),
+    ])
+    def test_whitespace_around_a_name_is_part_of_it(self, space_file, capsys, strategy, flag, text, message):
+        init = ["--init", "2"] if strategy == "wrs" else []
+        code = run_cli([
+            "run", "--space", space_file, "--objective", "builtin:sphere",
+            "--strategy", strategy, "--budget", "10", *init, flag, text,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [message]
 
     def test_impossible_full_override_exits_2_before_any_trial(self, space_file, capsys):
         code = run_cli([

@@ -246,6 +246,17 @@ class TestRendering:
         text = render_report_text(summarize(make_header(budget=10), records, window=5), trend(records, 5))
         assert "fit: degree 5" in text
 
+    @pytest.mark.parametrize("degree", [5, 17])
+    def test_fit_coefficients_in_e_notation_keep_every_line_within_120(self, degree):
+        coefficients = tuple((-1) ** k * 1.23456e300 for k in range(degree + 1))
+        fit = FitResult(degree=degree, coefficients=coefficients, domain=(1.0, 30.0))
+        text = render_report_text(summarize(make_header(budget=3), recs([1.0, 2.0, 3.0]), window=3), fit)
+        lines = text.splitlines()
+        first = next(i for i, line in enumerate(lines) if line.startswith("fit: "))
+        assert lines[first] == f"fit: degree {degree} over iterations [1, 30], coefficients:"
+        assert " ".join(lines[first + 1 :]).split() == [f"{c:.6g}" for c in coefficients]
+        assert max(map(len, lines)) <= 120
+
 
 class TestInvariance:
     def test_score_shift_moves_mean_not_sd(self):

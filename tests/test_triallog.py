@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from wrsopt.space import Dimension, SearchSpace, SpaceError, space_digest, space_from_dict, space_to_dict, validate_candidate
+from wrsopt.space import (
+    Dimension,
+    SearchSpace,
+    SpaceError,
+    space_digest,
+    space_from_dict,
+    space_to_dict,
+    validate_candidate,
+    values_in_dimension,
+)
 from wrsopt.triallog import (
     SCHEMA_VERSION,
     LogError,
@@ -456,23 +465,49 @@ def test_a_stray_in_the_middle_of_a_column_is_named(tmp_path, kind, stray):
         read_log(path)
 
 
-def _oracle_problem(space: SearchSpace, iteration: int, values: list) -> str | None:
-    """The message read_log must give for this record's values, or None."""
-    try:
-        validate_candidate(space, values)
-    except SpaceError:
-        for dim, v in zip(space.dimensions, values):
-            try:
-                validate_candidate(SearchSpace((dim,)), [v])
-            except SpaceError:
-                return f"trial {iteration}: {dim.name}={v!r} is not a value of the space"
-        raise
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), space=_log_spaces())
+def test_a_column_is_in_a_dimension_exactly_when_each_of_its_values_is(data, space):
+    # read_log tests whole columns and scans rows only when a column fails,
+    # so a column must fail exactly when one of its values does
+    for dim in space.dimensions:
+        column = [_value(dim, data.draw) for _ in range(data.draw(st.integers(1, 6)))]
+        assert values_in_dimension(dim, column)
+        for _ in range(data.draw(st.integers(0, 3))):
+            column[data.draw(st.integers(0, len(column) - 1))] = _stray(dim, data.draw)
+        assert values_in_dimension(dim, column) == all(values_in_dimension(dim, (v,)) for v in column)
+
+
+def _refusal(space: SearchSpace, rows: list) -> str | None:
+    """The message read_log must give for a log of these rows, or None: the
+    first record of the wrong length, else the first record that
+    validate_candidate refuses, in its words."""
+    d = len(space)
+    for k, row in enumerate(rows, start=1):
+        if len(row) != d:
+            return f"trial {k}: {len(row)} values, but the space has {d} dimensions"
+    for k, row in enumerate(rows, start=1):
+        try:
+            assert validate_candidate(space, row) == tuple(row)
+        except SpaceError as exc:
+            return f"trial {k}: {exc}"
     return None
 
 
-@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def _write_rows(path: str, space: SearchSpace, rows: list) -> None:
+    header = RunHeader(
+        strategy="rs", budget=len(rows), init=0, seed=0, objective="builtin:sphere",
+        space=space_to_dict(space), space_digest=space_digest(space),
+    )
+    write_log(path, header, [
+        TrialRecord(iteration=k, values=tuple(values), score=0.5, phase="rs", status="evaluated", wall_time=0.0)
+        for k, values in enumerate(rows, start=1)
+    ])
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), space=_log_spaces())
-def test_read_log_accepts_exactly_the_values_validate_candidate_accepts(tmp_path, data, space):
+def test_read_log_and_validate_candidate_refuse_a_record_with_the_same_text(tmp_path, data, space):
     n, d = data.draw(st.integers(1, 6)), len(space)
     rows = [[_value(dim, data.draw) for dim in space.dimensions] for _ in range(n)]
     for _ in range(data.draw(st.integers(0, 3))):
@@ -481,26 +516,34 @@ def test_read_log_accepts_exactly_the_values_validate_candidate_accepts(tmp_path
     if data.draw(st.integers(0, 9)) == 0:  # a record one value short or long
         i = data.draw(st.integers(0, n - 1))
         rows[i] = rows[i][:-1] if data.draw(st.booleans()) else rows[i] + [rows[i][-1]]
-    header = RunHeader(
-        strategy="rs", budget=n, init=0, seed=0, objective="builtin:sphere",
-        space=space_to_dict(space), space_digest=space_digest(space),
-    )
-    records = [
-        TrialRecord(iteration=i, values=tuple(values), score=0.5, phase="rs", status="evaluated", wall_time=0.0)
-        for i, values in enumerate(rows, start=1)
-    ]
     path = str(tmp_path / "run.jsonl")
-    write_log(path, header, records)
-    short = [(i, len(v)) for i, v in enumerate(rows, start=1) if len(v) != d]
-    if short:
-        i, k = short[0]
-        expected = f"trial {i}: {k} values, but the space has {d} dimensions"
-    else:
-        expected = next((p for i, v in enumerate(rows, start=1) if (p := _oracle_problem(space, i, v))), None)
+    _write_rows(path, space, rows)
+    expected = _refusal(space, rows)
     if expected is None:
-        _, got = read_log(path)
-        assert [list(r.values) for r in got] == rows
+        assert [list(r.values) for r in read_log(path)[1]] == rows
     else:
-        with pytest.raises(LogError) as exc:
+        with pytest.raises(LogError) as got:
             read_log(path)
-        assert str(exc.value) == expected
+        assert str(got.value) == expected
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        # strays in two columns: the earlier record is named, not the earlier column
+        ([[0.5, 1], [0.5, 9], [7.0, 1]], "trial 2: y=9 is not a value of the space"),
+        # a wrong length anywhere is named before any stray
+        ([[0.5, 1], [7.0, 1], [0.5]], "trial 3: 1 values, but the space has 2 dimensions"),
+        ([[0.5, 9], [0.5, 1, 1]], "trial 2: 3 values, but the space has 2 dimensions"),
+    ],
+)
+def test_read_log_names_the_first_bad_record(tmp_path, rows, expected):
+    space = space_from_dict({"dimensions": [
+        {"name": "x", "kind": "real", "low": 0, "high": 1},
+        {"name": "y", "kind": "int", "low": 0, "high": 1},
+    ]})
+    path = str(tmp_path / "run.jsonl")
+    _write_rows(path, space, rows)
+    assert _refusal(space, rows) == expected
+    with pytest.raises(LogError, match=re.escape(expected) + "$"):
+        read_log(path)
