@@ -8,14 +8,15 @@ holds exactly N records.
 Every strategy follows the ask/tell pattern.  ``ask()`` returns the next
 candidate and ``tell(score)`` reports its score.  ``execute_run`` calls them
 in strict alternation, once per budget unit, and alone tags each record's
-phase: "rs" for the first ``init`` trials, the strategy's name after them.
-It alone owns the cache, the records and the incumbent, and refuses a run
-whose every trial failed, as the wrs strategy does at the end of its
-phase 1.  A strategy never evaluates anything itself; a run simply stops
-asking when the budget is spent, even in the middle of a PSO generation.
-The wrs strategy, like Nelder-Mead and PSO, is one generator stepped by
-ask(); it reads the records and the incumbent from the ``RunResult`` the
-loop fills, and writes its frozen profile into that result's header.
+phase: "rs" for the ``RunConfig.rs_trials`` trials of the random-search
+phase, the strategy's name after them.  It alone owns the cache, the records
+and the incumbent, and alone refuses a run whose rs phase, or whole run,
+failed in every trial.  A strategy never evaluates anything itself; a run
+simply stops asking when the budget is spent, even in the middle of a PSO
+generation.  The wrs strategy, like Nelder-Mead and PSO, is one generator
+stepped by ask(), and an rs run is its random-search phase run to the budget.
+It reads the records and the incumbent from the ``RunResult`` the loop
+fills, and writes its frozen profile into that result's header.
 
 Randomness is split into three independent streams derived from the run
 seed: candidate values, per-step change decisions, and forest bootstrapping.
@@ -46,7 +47,6 @@ from .samplers import (
     ChangeProfile,
     NelderMeadSampler,
     PsoSampler,
-    RandomSearch,
     SobolSampler,
     rs_step,
     wrs_step,
@@ -81,7 +81,7 @@ class EngineError(RuntimeError):
 
 
 class AllTrialsFailedError(EngineError):
-    """Every trial of a run (or of the whole initial phase) failed."""
+    """Every trial of a run, or of its rs phase, failed."""
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,11 @@ class RunConfig:
     prob_overrides: tuple[tuple[str, float], ...] = ()
     kmin_overrides: tuple[tuple[str, int], ...] = ()
     sampler_options: tuple[tuple[str, float], ...] = ()
+
+    @property
+    def rs_trials(self) -> int:
+        """Length of the random-search phase: budget for rs, init for wrs, else 0."""
+        return {"rs": self.budget, "wrs": self.init}.get(self.strategy, 0)
 
     def settings(self) -> dict[str, dict]:
         """The NAME=VALUE settings the run applies and its header records:
@@ -223,16 +228,12 @@ class RunResult:
     """The one object a run fills: a header complete before trial 1 except
     for its profile, then every record, the incumbent and any warnings.  The
     wrs strategy reads the records and the incumbent from it and writes its
-    frozen profile into ``header.profile``; other strategies leave it None."""
+    frozen profile into ``header.profile``; rs and the others leave it None."""
 
     header: RunHeader
     records: list[TrialRecord] = field(default_factory=list)
     best: BestState = field(default_factory=BestState)
     warnings: list[str] = field(default_factory=list)
-
-
-def _all_failed(records: Sequence[TrialRecord]) -> bool:
-    return bool(records) and all(r.failed for r in records)
 
 
 def _resolve_overrides(space: SearchSpace, settings: dict[str, float]) -> dict[int, float]:
@@ -297,12 +298,11 @@ def _build_profile(
 
 
 class WeightedSearch:
-    """The two-phase wrs strategy as one generator behind ask/tell.
-
-    _search makes config.init plain random-search steps, aborts if every one
-    of those trials failed, runs the one importance fit and freezes the
-    profile, then makes weighted steps against the run's incumbent forever.
-    """
+    """The two-phase wrs strategy as one generator behind ask/tell; an rs run
+    is its random-search phase run to the budget.  _search makes
+    config.rs_trials plain random-search steps, runs the one importance fit
+    and freezes the profile, then makes weighted steps against the run's
+    incumbent forever."""
 
     def __init__(self, space: SearchSpace, config: RunConfig, rngs: RngBundle, result: RunResult):
         self._search_steps = self._search(space, config, rngs, result)
@@ -317,11 +317,9 @@ class WeightedSearch:
     def _search(space: SearchSpace, config: RunConfig, rngs: RngBundle, result: RunResult):
         """Yield each candidate; the records and the incumbent are read from
         the result the run loop fills between yields."""
-        for _ in range(config.init):
+        for _ in range(config.rs_trials):
             yield rs_step(space, rngs.values)
         records = result.records
-        if _all_failed(records):
-            raise AllTrialsFailedError(f"all {config.init} trials of the rs phase failed")
         profile, weights = _build_profile(space, config, records, rngs.forest, result.warnings)
         result.header.profile = {"weights": weights, "probs": list(profile.probs), "k_mins": list(profile.k_mins)}
         while True:
@@ -336,10 +334,8 @@ class WeightedSearch:
 
 def _make_strategy(space: SearchSpace, config: RunConfig, rngs: RngBundle, result: RunResult):
     options = config.settings().get("sampler", {})
-    if config.strategy == "wrs":
+    if config.strategy in ("wrs", "rs"):
         return WeightedSearch(space, config, rngs, result)
-    if config.strategy == "rs":
-        return RandomSearch(space, rngs.values)
     if config.strategy == "sobol":
         return SobolSampler(space)
     if config.strategy == "nelder-mead":
@@ -368,14 +364,15 @@ def execute_run(space: SearchSpace, objective: Objective, config: RunConfig) -> 
     )
     strategy = _make_strategy(space, config, RngBundle.from_seed(config.seed), result)
     cache = EvalCache()
+    rs_trials = config.rs_trials
     for it in range(1, config.budget + 1):
         values = strategy.ask()
-        rec = evaluate_with_cache(objective, space, values, cache, it, "rs" if it <= config.init else config.strategy)
+        rec = evaluate_with_cache(objective, space, values, cache, it, "rs" if it <= rs_trials else config.strategy)
         result.records.append(rec)
-        result.best = update_best(result.best, rec)
+        result.best = update_best(result.best, rec)  # a failed trial never becomes the incumbent
         strategy.tell(rec.score)
-    if _all_failed(result.records):
-        if config.strategy == "rs":  # the whole run is one rs phase; word it as the wrs phase-1 abort
-            raise AllTrialsFailedError(f"all {config.budget} trials of the rs phase failed")
+        if it == rs_trials and result.best.candidate is None:
+            raise AllTrialsFailedError(f"all {rs_trials} trials of the rs phase failed")
+    if result.best.candidate is None:
         raise AllTrialsFailedError("every trial of the run failed")
     return result

@@ -137,20 +137,6 @@ def emit_relaxed(space: SearchSpace, x: np.ndarray) -> tuple:
     return tuple(out)
 
 
-class RandomSearch:
-    """Plain random search: every ask is a fresh rs_step."""
-
-    def __init__(self, space: SearchSpace, rng: np.random.Generator):
-        self.space = space
-        self.rng = rng
-
-    def ask(self) -> tuple:
-        return rs_step(self.space, self.rng)
-
-    def tell(self, score: float) -> None:
-        pass
-
-
 class SobolSampler:
     """Deterministic low-discrepancy candidate stream over the space."""
 

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
 import numpy as np
-import yaml
 
 
 class SpaceError(ValueError):
@@ -264,18 +264,33 @@ def space_from_dict(payload: dict) -> SearchSpace:
     return SearchSpace(tuple(dimension_from_dict(d) for d in dims))
 
 
-def load_space(path: str) -> SearchSpace:
-    """Load a space from a YAML file (JSON is a YAML subset and also works)."""
+def _parse(text: str, path: str) -> Any:
+    """JSON text by JSON's rules, so 1e+300 is a number and not YAML 1.1's
+    string; any other text, a BOM or an empty file included, as YAML."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = yaml.safe_load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SpaceError(f"cannot read space file: {exc}") from None
+        return json.loads(text)
+    except json.JSONDecodeError:
+        import yaml  # only a YAML space pays for the import
+    stream = io.StringIO(text)
+    stream.name = path  # error marks name the file, as when YAML reads it
+    try:
+        return yaml.safe_load(stream)
     except yaml.YAMLError as exc:
         raise SpaceError(f"{path}: not valid YAML: {exc}") from exc
+
+
+def load_space(path: str) -> SearchSpace:
+    """Load a space from a JSON or YAML file, parsed by ``_parse``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = _parse(fh.read(), path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpaceError(f"cannot read space file: {exc}") from None
+    except SpaceError:
+        raise
     except ValueError as exc:
-        # a scalar YAML resolves but Python cannot build: an integer of more
-        # digits than int() converts, a date such as 2020-13-01
+        # a scalar that parses but Python cannot build: an integer of more
+        # digits than int() converts, a YAML date such as 2020-13-01
         raise SpaceError(f"{path}: cannot read a value: {exc}") from None
     if payload is None:
         raise SpaceError(f"{path}: file is empty")

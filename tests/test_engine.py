@@ -321,6 +321,17 @@ class TestReproducibility:
         fps_wrs = [{k: v for k, v in record_fingerprint(r).items() if k != "phase"} for r in wrs.records]
         assert fps_rs == fps_wrs
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rs_run_is_the_rs_phase_of_a_wrs_run(self, seed):
+        # with the importance fit run, unlike under a full override
+        space = mixed_space()
+        rs = execute_run(space, python_objective(sphere_score_mixed), RunConfig(strategy="rs", budget=40, seed=seed))
+        wrs = execute_run(
+            space, python_objective(sphere_score_mixed), RunConfig(strategy="wrs", budget=40, init=15, seed=seed)
+        )
+        assert [record_fingerprint(r) for r in rs.records[:15]] == [record_fingerprint(r) for r in wrs.records[:15]]
+        assert rs.header.profile is None and wrs.header.profile["weights"] is not None
+
 
 def sphere_score_mixed(values):
     lr, layers, act = values
@@ -478,8 +489,10 @@ class TestFailureHandling:
             (RunConfig(strategy="nelder-mead", budget=12, seed=1), "every trial of the run failed"),
             (RunConfig(strategy="pso", budget=12, seed=1), "every trial of the run failed"),
             (RunConfig(strategy="wrs", budget=12, init=4, seed=1), "all 4 trials of the rs phase failed"),
+            (RunConfig(strategy="wrs", budget=12, init=0, seed=1), "every trial of the run failed"),
+            (RunConfig(strategy="wrs", budget=12, init=11, seed=1), "all 11 trials of the rs phase failed"),
         ],
-        ids=["rs", "sobol", "nelder-mead", "pso", "wrs"],
+        ids=["rs", "sobol", "nelder-mead", "pso", "wrs", "wrs-init0", "wrs-init11"],
     )
     def test_cached_repeats_of_failures_count_as_failed(self, config, message):
         # two candidates only, so most trials are cached repeats of a failure

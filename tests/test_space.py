@@ -1,4 +1,5 @@
 import datetime
+import json
 import math
 import re
 
@@ -234,6 +235,28 @@ def test_load_space_yaml_and_json(tmp_path):
     empty.write_text("")
     with pytest.raises(SpaceError):
         load_space(str(empty))
+
+
+def test_load_space_reads_a_json_space_by_json_number_rules(tmp_path):
+    # YAML 1.1 reads 1e+300 as a string; JSON reads it as the float it wrote
+    payload = {
+        "dimensions": [
+            {"name": "c", "kind": "cat", "values": [1e300, 2]},
+            {"name": "x", "kind": "real", "low": 0.0, "high": 1e5},
+        ]
+    }
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(payload))
+    cat, real = load_space(str(path)).dimensions
+    assert [(v, type(v)) for v in cat.values] == [(1e300, float), (2, int)]
+    assert (real.high, type(real.high)) == (1e5, float)
+
+
+def test_load_space_refuses_a_json_integer_beyond_int_conversion(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text('{"dimensions": [{"name": "n", "kind": "int", "low": 0, "high": 1%s}]}' % ("0" * 5000))
+    with pytest.raises(SpaceError, match="cannot read a value"):
+        load_space(str(path))
 
 
 def test_categorical_values_may_be_any_json_scalar():
