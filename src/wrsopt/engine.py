@@ -11,7 +11,9 @@ in strict alternation, once per budget unit, and alone tags each record's
 phase: "rs" for the ``RunConfig.rs_trials`` trials of the random-search
 phase, the strategy's name after them.  It alone owns the cache, the records
 and the incumbent, and alone refuses a run whose rs phase, or whole run,
-failed in every trial.  A strategy never evaluates anything itself; a run
+failed in every trial.  ``RunConfig.validate`` is the one signal for a
+configuration a run cannot take: the samplers, whose only caller is this
+loop, check nothing again.  A strategy never evaluates anything itself; a run
 simply stops asking when the budget is spent, even in the middle of a PSO
 generation.  The wrs strategy, like Nelder-Mead and PSO, is one generator
 stepped by ask(), and an rs run is its random-search phase run to the budget.
@@ -288,10 +290,11 @@ def _build_profile(
     if fallback:
         warnings.append(f"{fallback}; using uniform change probabilities")
     profile = ChangeProfile(
-        probs=tuple(prob_over.get(i, base[i]) for i in range(d)),
+        # float() and int(): an override given as 1 or True is written 1.0 and 1
+        probs=tuple(float(prob_over.get(i, base[i])) for i in range(d)),
         # phase 1 drew init fresh values on every axis, so a default
         # k_min of init forces a resample on the first weighted step only
-        k_mins=tuple(kmin_over.get(i, config.init) for i in range(d)),
+        k_mins=tuple(int(kmin_over.get(i, config.init)) for i in range(d)),
         gen_counts=[config.init] * d,
     )
     return profile, weights

@@ -5,12 +5,13 @@ matching the benchmark conventions) are wrapped by negation at this boundary,
 so a stored score of 2.5 for a minimize objective means f(x) = -2.5.
 
 Spec strings:
-    builtin:NAME[?param=value&...]
+    builtin:NAME[?direction=maximize]
+    builtin:additive-anova?coeffs=C1,C2,...[&direction=maximize]
     external:COMMAND LINE[?timeout=SECONDS&direction=maximize]
 
 Everything after the last '?' is treated as the parameter block when every
 '&'-separated chunk has the key=value shape; otherwise the '?' is taken to be
-part of the command itself.
+part of the command itself.  A key the objective does not read is refused.
 """
 
 from __future__ import annotations
@@ -210,6 +211,8 @@ def make_objective(spec: ObjectiveSpec | str, space: SearchSpace) -> Objective:
         spec = parse_objective_spec(spec)
 
     if spec.kind == "external":
+        if spec.params:
+            raise ObjectiveError(f"external objectives take only timeout and direction, got {sorted(spec.param_map())}")
         def fn(values: tuple, _spec=spec, _space=space) -> float:
             return evaluate_external(_spec.target, values, _space, _spec.timeout)
         return Objective(spec=spec, fn=fn)
@@ -227,6 +230,8 @@ def make_objective(spec: ObjectiveSpec | str, space: SearchSpace) -> Objective:
         highs = np.array([d.high for d in space], dtype=float)
         if np.any(highs <= lows):
             raise ObjectiveError("additive-anova needs strictly positive ranges for normalization")
+        if unread := sorted(params.keys() - {"coeffs"}):
+            raise ObjectiveError(f"builtin 'additive-anova' takes only coeffs and direction, got {unread}")
 
         # a value beyond float range is the failed trial "non-finite value", not a warning
         @np.errstate(over="ignore", invalid="ignore")

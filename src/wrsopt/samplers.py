@@ -1,12 +1,13 @@
 """Candidate generation: weighted random search steps, plain random search,
 and the baseline strategies (Sobol sequence, Nelder-Mead, particle swarm).
 
-The strategy classes share the engine's ask/tell contract: ask() returns one
-candidate and tell(score) takes its score; the engine's run loop, not the
-strategy, tags each record's phase.  Nelder-Mead and particle swarm are each
-one generator behind ask() and tell(): it yields each point to try and
-receives that point's loss or score at the yield, so a search step reads
-top to bottom.
+Each strategy class has ask(), which returns one candidate, and tell(score).
+Their one caller is the engine's run loop: it builds the one ChangeProfile,
+calls ask, evaluate and tell in turn and tags each record's phase, all after
+RunConfig.validate, the one signal for a run that cannot go; so nothing here
+checks its arguments again.  Nelder-Mead and particle swarm are each one
+generator behind ask() and tell(): it yields each point to try and receives
+that point's loss or score at the yield, so a search step reads top to bottom.
 
 Random draws follow a strict budget per operation so that entire candidate
 streams are reproducible: rs_step consumes exactly one uniform per dimension,
@@ -30,10 +31,6 @@ from .sobol import SobolEngine
 from .space import SearchSpace, value_at
 
 
-class SamplerError(RuntimeError):
-    """Sampler misuse: bad profile, wrong ask/tell order, unsupported space."""
-
-
 @dataclass
 class ChangeProfile:
     """Per-dimension resampling policy for WRS.
@@ -49,22 +46,8 @@ class ChangeProfile:
     gen_counts: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self.probs = tuple(float(p) for p in self.probs)
-        self.k_mins = tuple(int(k) for k in self.k_mins)
         if not self.gen_counts:
             self.gen_counts = [0] * len(self.probs)
-        self.gen_counts = [int(g) for g in self.gen_counts]
-        d = len(self.probs)
-        if d == 0:
-            raise SamplerError("profile must cover at least one dimension")
-        if len(self.k_mins) != d or len(self.gen_counts) != d:
-            raise SamplerError("probs, k_mins, gen_counts must have equal length")
-        if any(not 0.0 < p <= 1.0 for p in self.probs):
-            raise SamplerError("change probabilities must lie in (0, 1]")
-        if max(self.probs) != 1.0:
-            raise SamplerError("at least one change probability must be exactly 1")
-        if any(k < 0 for k in self.k_mins) or any(g < 0 for g in self.gen_counts):
-            raise SamplerError("k_mins and gen_counts must be non-negative")
 
 
 def rs_step(space: SearchSpace, rng: np.random.Generator) -> tuple:
@@ -92,15 +75,9 @@ def wrs_step(
     (gen_counts still at or below k_mins), i.e. on the very first step of a
     run without an initial phase.
     """
-    if len(profile.probs) != len(space):
-        raise SamplerError(f"profile covers {len(profile.probs)} dimensions, space has {len(space)}")
-    if best is not None and len(best) != len(space):
-        raise SamplerError("incumbent does not match the space")
     p = decision_rng.random()
     probs, k_mins, gen_counts = profile.probs, profile.k_mins, profile.gen_counts
     drawn = [i for i in range(len(probs)) if probs[i] >= p or gen_counts[i] <= k_mins[i]]
-    if best is None and len(drawn) < len(probs):
-        raise SamplerError("no incumbent to copy from")
     out = list(best) if best is not None else [None] * len(probs)
     for i, u in zip(drawn, value_rng.random(len(drawn)).tolist()):
         out[i] = value_at(space.dimensions[i], u)
@@ -183,8 +160,6 @@ class NelderMeadSampler:
             base = self._lo + rng.random(d) * (self._hi - self._lo)
         else:
             base = np.clip(np.asarray(init_vertex, dtype=float), self._lo, self._hi)
-            if base.shape != (d,):
-                raise SamplerError("init_vertex must match the space dimensionality")
         vertices = [base]
         for i in range(d):
             v = base.copy()
@@ -193,20 +168,13 @@ class NelderMeadSampler:
             v[i] = v[i] + delta if v[i] + delta <= self._hi[i] else v[i] - delta
             vertices.append(v)
         self.converged = False
-        self._awaiting = False
         self._search_steps = self._search(np.array(vertices))
         self._current = next(self._search_steps)
 
     def ask(self) -> tuple:
-        if self._awaiting:
-            raise SamplerError("ask() called twice without tell()")
-        self._awaiting = True
         return emit_relaxed(self.space, self._current)
 
     def tell(self, score: float) -> None:
-        if not self._awaiting:
-            raise SamplerError("tell() without a pending ask()")
-        self._awaiting = False
         self._current = self._search_steps.send(-float(score))
 
     def _search(self, vertices: np.ndarray):
@@ -276,23 +244,14 @@ class PsoSampler:
         c1: float = 1.49618,
         c2: float = 1.49618,
     ):
-        if swarm < 2:
-            raise SamplerError("swarm size must be at least 2")
         self.space = space
-        self._awaiting = False
         self._search_steps = self._search(rng, int(swarm), omega, c1, c2)
         self._current = next(self._search_steps)
 
     def ask(self) -> tuple:
-        if self._awaiting:
-            raise SamplerError("ask() called twice without tell()")
-        self._awaiting = True
         return emit_relaxed(self.space, self._current)
 
     def tell(self, score: float) -> None:
-        if not self._awaiting:
-            raise SamplerError("tell() without a pending ask()")
-        self._awaiting = False
         self._current = self._search_steps.send(score)
 
     def _search(self, rng: np.random.Generator, swarm: int, omega: float, c1: float, c2: float):

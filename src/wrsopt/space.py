@@ -93,7 +93,8 @@ class Dimension:
         _check(self.low is not None and self.high is not None, f"{self.name}: range dimension needs low and high")
         if kind == "int":
             for side, v in (("low", self.low), ("high", self.high)):
-                _check(isinstance(v, int) or (isinstance(v, float) and v.is_integer()), f"{self.name}: integer bound {side}={v!r} is not integral")
+                # type() rather than isinstance() keeps out bool, YAML's yes and no
+                _check(type(v) is int or (isinstance(v, float) and v.is_integer()), f"{self.name}: integer bound {side}={v!r} is not integral")
             object.__setattr__(self, "low", int(self.low))
             object.__setattr__(self, "high", int(self.high))
             # sampling and the importance fit take the bounds and the count
@@ -119,8 +120,10 @@ def _check_utf8(text: str, what: str) -> None:
 
 
 def _floats(xs: Sequence[Any], msg: str) -> tuple[float, ...]:
-    """xs as floats; SpaceError(msg) for an entry that is no number or lies
-    beyond float range."""
+    """xs as floats; SpaceError(msg) for an entry that is no number, a
+    boolean (YAML's yes and no) included, or lies beyond float range."""
+    if any(isinstance(x, (bool, np.bool_)) for x in xs):
+        raise SpaceError(msg)
     try:
         return tuple(float(x) for x in xs)
     except (TypeError, ValueError, OverflowError):

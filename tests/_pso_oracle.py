@@ -11,8 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from wrsopt.samplers import PSO_SWARM, SamplerError, emit_relaxed, relaxed_bounds
+from wrsopt.samplers import PSO_SWARM, emit_relaxed, relaxed_bounds
 from wrsopt.space import SearchSpace
+
+
+class OracleError(RuntimeError):
+    """Misuse of the reference sampler: too small a swarm, or asks and
+    tells out of turn."""
 
 
 class SlotPsoSampler:
@@ -26,7 +31,7 @@ class SlotPsoSampler:
         c2: float = 1.49618,
     ):
         if swarm < 2:
-            raise SamplerError("swarm size must be at least 2")
+            raise OracleError("swarm size must be at least 2")
         self.space = space
         self.rng = rng
         self.swarm = int(swarm)
@@ -46,7 +51,7 @@ class SlotPsoSampler:
 
     def ask(self) -> tuple:
         if self._awaiting:
-            raise SamplerError("ask() called twice without tell()")
+            raise OracleError("ask() called twice without tell()")
         self._awaiting = True
         if self._slot == 0 and self._initialized:
             r1 = self.rng.random(self._x.shape)
@@ -61,7 +66,7 @@ class SlotPsoSampler:
 
     def tell(self, score: float) -> None:
         if not self._awaiting:
-            raise SamplerError("tell() without a pending ask()")
+            raise OracleError("tell() without a pending ask()")
         self._awaiting = False
         self._scores[self._slot] = score
         self._slot += 1

@@ -13,8 +13,12 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from wrsopt.samplers import ChangeProfile, SamplerError
+from wrsopt.samplers import ChangeProfile
 from wrsopt.space import Dimension, SearchSpace
+
+
+class OracleError(RuntimeError):
+    """A step the reference loop cannot take."""
 
 
 def draw_dimension(dim: Dimension, rng: np.random.Generator):
@@ -54,7 +58,7 @@ def wrs_step_by_dimension(
             profile.gen_counts[i] += 1
         else:
             if best is None:
-                raise SamplerError("no incumbent to copy from")
+                raise OracleError("no incumbent to copy from")
             out.append(best[i])
     return tuple(out)
 

@@ -252,6 +252,22 @@ class TestRunErrors:
             "error: override produces an invalid profile: at least one change probability must be exactly 1"
         ]
 
+    @pytest.mark.parametrize("objective, message", [
+        ("builtin:additive-anova?coeffs=1,2&centre=0.5&direction=maximize",
+         "error: builtin 'additive-anova' takes only coeffs and direction, got ['centre']"),
+        ("external:sh e.sh?run=1", "error: external objectives take only timeout and direction, got ['run']"),
+    ])
+    def test_a_key_the_objective_does_not_read_exits_2(self, space_file, tmp_path, capsys, objective, message):
+        out = tmp_path / "run.jsonl"
+        code = run_cli([
+            "run", "--space", space_file, "--objective", objective,
+            "--strategy", "rs", "--budget", "3", "--seed", "0", "--out", str(out),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err.splitlines()) == ("", [message])
+        assert not out.exists()
+
     def test_override_on_baseline_exits_2(self, space_file, capsys):
         code = run_cli([
             "run", "--space", space_file, "--objective", "builtin:sphere",
@@ -707,6 +723,10 @@ BAD_SPACES = {
     # values a JSON log cannot write: a date, and an unhashable list
     "date-category": "{name: c, kind: cat, values: [2020-01-01, 3]}",
     "list-category": "{name: c, kind: cat, values: [[1], 3]}",
+    # YAML booleans, which are not numbers
+    "boolean-int-bounds": "{name: n, kind: int, low: no, high: yes}",
+    "boolean-real-bound": "{name: r, kind: real, low: false, high: 2}",
+    "boolean-weight": "{name: c, kind: cat, values: [p, q], weights: [true, 1]}",
 }
 
 

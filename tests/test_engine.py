@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import math
@@ -14,6 +15,7 @@ from wrsopt.engine import (
     EvalCache,
     RngBundle,
     RunConfig,
+    _build_profile,
     _make_strategy,
     evaluate_with_cache,
     execute_run,
@@ -21,10 +23,11 @@ from wrsopt.engine import (
 )
 from wrsopt.importance import P_MIN
 from wrsopt.objectives import ObjectiveFailure
-from wrsopt.samplers import NelderMeadSampler, PsoSampler
+from wrsopt.samplers import NelderMeadSampler, PsoSampler, rs_step
 from wrsopt.space import Dimension, SearchSpace, candidate_key
-from wrsopt.triallog import RunHeader, TrialRecord, read_log, record_fingerprint, write_log
+from wrsopt.triallog import FAILED_SCORE, RunHeader, TrialRecord, read_log, record_fingerprint, write_log
 
+from _stream_oracle import spaces
 from _util import int_space, mixed_space, python_objective, real_space
 
 
@@ -457,6 +460,86 @@ class TestWrsProfile:
         result = execute_run(space, objective, RunConfig(strategy="wrs", budget=8, init=4, seed=11))
         assert result.header.profile["probs"] == [1.0]
         assert len(result.warnings) == 1
+
+
+@st.composite
+def profile_inputs(draw):
+    """A space, a wrs config that validate accepts and the phase-1 records a
+    run would hand _build_profile: scores varied, constant, or partly failed."""
+    space = draw(spaces())
+    init = draw(st.integers(0, 12))
+    names = st.sampled_from(("*", *space.names))
+    prob = st.floats(min_value=0.0, max_value=1.0, exclude_min=True) | st.sampled_from((1, True, 0.01))
+    kmin = st.integers(0, 20) | st.booleans()
+    prob_overrides = draw(st.lists(st.tuples(names, prob), max_size=len(space) + 1))
+    config = RunConfig(
+        strategy="wrs",
+        budget=init + 1,
+        init=init,
+        prob_overrides=tuple(prob_overrides),
+        kmin_overrides=tuple(draw(st.lists(st.tuples(names, kmin), max_size=len(space) + 1))),
+    )
+    try:
+        config.validate(space)
+    except ConfigError:  # a full override without a 1: give one axis the 1
+        config = dataclasses.replace(config, prob_overrides=(*prob_overrides, (space.names[0], 1.0)))
+        config.validate(space)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = draw(st.sampled_from(("varied", "constant", "partly-failed")))
+    records = []
+    for it in range(1, init + 1):
+        score = 1.0 if scores == "constant" else float(rng.normal())
+        failed = scores == "partly-failed" and it > 1 and rng.random() < 0.5
+        records.append(TrialRecord(
+            iteration=it,
+            values=rs_step(space, rng),
+            score=FAILED_SCORE if failed else score,
+            phase="rs",
+            status="failed" if failed else "evaluated",
+            wall_time=0.0,
+            error="exit 1" if failed else None,
+        ))
+    return space, config, records, scores
+
+
+class TestBuildProfile:
+    """_build_profile is the one place a ChangeProfile is made, and wrs_step
+    trusts what it makes."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(profile_inputs(), st.integers(0, 2**32 - 1))
+    def test_every_profile_of_a_valid_config_keeps_the_profile_rules(self, inputs, forest_seed):
+        space, config, records, scores = inputs
+        warnings_out = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            profile, weights = _build_profile(space, config, records, np.random.default_rng(forest_seed), warnings_out)
+        d = len(space)
+        assert len(profile.probs) == len(profile.k_mins) == len(profile.gen_counts) == d
+        assert all(type(p) is float and 0.0 < p <= 1.0 for p in profile.probs)
+        assert max(profile.probs) == 1.0
+        assert all(type(k) is int and k >= 0 for k in profile.k_mins)
+        assert profile.gen_counts == [config.init] * d
+        assert weights is None or len(weights) == d
+        prob_over = config.settings().get("prob_overrides", {})
+        if not ("*" in prob_over or len(prob_over) == d) and (config.init < 2 or scores == "constant"):
+            assert weights is None and len(warnings_out) == 1 and "uniform" in warnings_out[0]
+
+    def test_overrides_given_as_1_or_true_write_the_profile_of_1_0(self, tmp_path):
+        # a library caller may pass overrides as int or bool; the profile in
+        # the header is written as floats and ints all the same
+        space = real_space(2)
+        profiles = set()
+        for one, k in ((1.0, 1), (1, True), (True, 1)):
+            config = RunConfig(
+                strategy="wrs", budget=6, init=3, seed=5,
+                prob_overrides=(("*", 0.5), ("x0", one)), kmin_overrides=(("x1", k),),
+            )
+            result = execute_run(space, python_objective(sphere_score), config)
+            log = tmp_path / "run.jsonl"
+            write_log(str(log), result.header, result.records)
+            profiles.add(json.dumps(json.loads(log.read_text().splitlines()[0])["profile"]))
+        assert profiles == {'{"weights": null, "probs": [1.0, 0.5], "k_mins": [3, 1]}'}
 
 
 class TestFailureHandling:

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from wrsopt.objectives import sphere
-from wrsopt.samplers import NelderMeadSampler, SamplerError
+from wrsopt.samplers import NelderMeadSampler
 from wrsopt.space import Dimension, SearchSpace, validate_candidate
 
 from _util import mixed_space, real_space
@@ -148,16 +148,6 @@ def test_proposals_respect_bounds_and_types():
         cand = nm.ask()
         validate_candidate(space, cand)
         nm.tell(float(rng.normal()))
-
-
-def test_ask_tell_discipline_enforced():
-    nm = NelderMeadSampler(real_space(1), np.random.default_rng(0))
-    nm.ask()
-    with pytest.raises(SamplerError):
-        nm.ask()
-    nm.tell(0.0)
-    with pytest.raises(SamplerError):
-        nm.tell(0.0)
 
 
 def test_single_value_integer_axis_is_harmless():

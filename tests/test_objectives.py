@@ -1,4 +1,5 @@
 import math
+import re
 import shlex
 import signal
 import subprocess
@@ -165,6 +166,24 @@ class TestMakeObjective:
     def test_extra_params_rejected(self):
         with pytest.raises(ObjectiveError):
             make_objective("builtin:sphere?coeffs=1,1", real_space(2))
+
+    @pytest.mark.parametrize("spec, message", [
+        ("builtin:additive-anova?coeffs=1,2&centre=0.5&direction=maximize",
+         "builtin 'additive-anova' takes only coeffs and direction, got ['centre']"),
+        ("builtin:additive-anova?shift=1&coeffs=1,2&centre=0", "builtin 'additive-anova' takes only coeffs and direction, got ['centre', 'shift']"),
+        ("external:sh e.sh?run=1", "external objectives take only timeout and direction, got ['run']"),
+        ("external:sh e.sh?run=1&timeout=5&direction=maximize", "external objectives take only timeout and direction, got ['run']"),
+        # an existing refusal comes first
+        ("builtin:additive-anova?centre=0.5", "additive-anova needs a coeffs parameter, e.g. coeffs=3,1"),
+        ("builtin:sphere?centre=0.5", "builtin 'sphere' takes no parameters, got ['centre']"),
+    ])
+    def test_a_key_the_objective_does_not_read_is_refused(self, spec, message):
+        with pytest.raises(ObjectiveError, match=f"^{re.escape(message)}$"):
+            make_objective(spec, real_space(2))
+
+    def test_external_objective_takes_timeout_and_direction(self):
+        obj = make_objective("external:sh e.sh?timeout=5&direction=maximize", real_space(2))
+        assert (obj.spec.target, obj.spec.timeout, obj.spec.direction, obj.spec.params) == ("sh e.sh", 5.0, "maximize", ())
 
     def test_additive_anova_coeffs_must_be_numbers(self):
         with pytest.raises(ObjectiveError, match="is not a comma-separated number list"):

@@ -1,9 +1,8 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from wrsopt.objectives import sphere
-from wrsopt.samplers import PsoSampler, SamplerError, relaxed_bounds
+from wrsopt.samplers import PsoSampler, relaxed_bounds
 from wrsopt.space import validate_candidate
 
 from _pso_oracle import SlotPsoSampler
@@ -18,11 +17,6 @@ def run_generation(pso, scores):
         out.append(pso.ask())
         pso.tell(s)
     return out
-
-
-def test_swarm_size_floor():
-    with pytest.raises(SamplerError):
-        PsoSampler(real_space(2), np.random.default_rng(0), swarm=1)
 
 
 def test_first_batch_is_initial_swarm_of_requested_size():
@@ -79,18 +73,6 @@ def test_sphere_5d_reference_performance():
             pso.tell(-f)  # engine convention: maximize
         bests.append(best)
     assert float(np.median(bests)) < 1e-2
-
-
-def test_ask_and_tell_must_alternate():
-    pso = PsoSampler(real_space(2), np.random.default_rng(0), swarm=4)
-    with pytest.raises(SamplerError):
-        pso.tell(1.0)
-    pso.ask()
-    with pytest.raises(SamplerError):
-        pso.ask()
-    pso.tell(1.0)
-    with pytest.raises(SamplerError):
-        pso.tell(2.0)
 
 
 def test_gbest_tracks_the_running_maximum():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wrsopt.samplers import ChangeProfile, SamplerError, rs_step, wrs_step
+from wrsopt.samplers import ChangeProfile, rs_step, wrs_step
 from wrsopt.space import SpaceError, validate_candidate
 
 from _stream_oracle import spaces, wrs_step_by_dimension
@@ -13,22 +13,6 @@ class TestChangeProfile:
     def test_valid_profile(self):
         p = ChangeProfile(probs=(1.0, 0.45), k_mins=(3, 3))
         assert p.gen_counts == [0, 0]
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(probs=(), k_mins=()),
-            dict(probs=(0.9, 0.5), k_mins=(0, 0)),          # no dimension at 1
-            dict(probs=(1.0, 0.0), k_mins=(0, 0)),          # zero probability
-            dict(probs=(1.0, 1.2), k_mins=(0, 0)),
-            dict(probs=(1.0,), k_mins=(0, 0)),
-            dict(probs=(1.0, 0.5), k_mins=(0, -1)),
-            dict(probs=(1.0, 0.5), k_mins=(0, 0), gen_counts=[-1, 0]),
-        ],
-    )
-    def test_invalid_profiles(self, kwargs):
-        with pytest.raises(SamplerError):
-            ChangeProfile(**kwargs)
 
 
 class TestRsStep:
@@ -112,22 +96,11 @@ class TestWrsStep:
             got = wrs_step(space, best, profile, wrs_value, wrs_decision)
             assert got == expected
 
-    def test_dimension_mismatch_rejected(self):
-        space = real_space(2)
-        profile = ChangeProfile(probs=(1.0,) * 3, k_mins=(0,) * 3)
-        with pytest.raises(SamplerError):
-            wrs_step(space, (0.0, 0.0), profile, np.random.default_rng(0), np.random.default_rng(1))
-
     def test_missing_incumbent_only_allowed_for_forced_steps(self):
         space = real_space(2)
         forced = ChangeProfile(probs=(1.0, 0.5), k_mins=(1, 1), gen_counts=[0, 0])
         out = wrs_step(space, None, forced, np.random.default_rng(0), np.random.default_rng(1))
         validate_candidate(space, out)
-
-        lazy = ChangeProfile(probs=(1.0, 1e-9), k_mins=(0, 0), gen_counts=[5, 5])
-        with pytest.raises(SamplerError):
-            # second dimension will try to copy from a missing incumbent
-            wrs_step(space, None, lazy, np.random.default_rng(0), np.random.default_rng(1))
 
     @settings(max_examples=50)
     @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=0, max_value=2**31))

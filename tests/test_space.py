@@ -61,6 +61,22 @@ def test_invalid_dimensions_rejected(kwargs):
         Dimension(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(name="n", kind="int", low=False, high=True), "n: integer bound low=False is not integral"),
+        (dict(name="n", kind="int", low=0, high=True), "n: integer bound high=True is not integral"),
+        (dict(name="r", kind="real", low=False, high=2), "r: real bounds must be finite numbers"),
+        (dict(name="r", kind="real", low=0.0, high=np.bool_(True)), "r: real bounds must be finite numbers"),
+        (dict(name="c", kind="cat", values=("p", "q"), weights=(True, 1)), "c: weights must be finite numbers"),
+    ],
+)
+def test_a_boolean_is_not_a_number_of_a_bound_or_weight(kwargs, message):
+    # YAML reads yes, no, true and false as booleans, which int and float accept
+    with pytest.raises(SpaceError, match=f"^{re.escape(message)}$"):
+        Dimension(**kwargs)
+
+
 def test_space_requires_unique_names_and_nonempty():
     with pytest.raises(SpaceError):
         SearchSpace(())
