@@ -200,15 +200,7 @@ def evaluate_with_cache(
         except ObjectiveFailure as exc:
             score, status, error = FAILED_SCORE, "failed", exc.reason
         cache[key] = (score, error)
-    return TrialRecord(
-        iteration=iteration,
-        values=tuple(values),
-        score=score,
-        phase=phase,
-        status=status,
-        wall_time=time.perf_counter() - start,
-        error=error,
-    )
+    return TrialRecord(iteration, key, score, phase, status, time.perf_counter() - start, error)
 
 
 @dataclass

@@ -11,7 +11,8 @@ Spec strings:
 
 Everything after the last '?' is treated as the parameter block when every
 '&'-separated chunk has the key=value shape; otherwise the '?' is taken to be
-part of the command itself.  A key the objective does not read is refused.
+part of the command itself.  A key OBJECTIVE_KEYS does not list for the
+objective is refused: "builtin 'sphere' takes only direction, got ['centre']".
 """
 
 from __future__ import annotations
@@ -94,9 +95,7 @@ def parse_objective_spec(text: str) -> ObjectiveSpec:
         raise ObjectiveError(f"direction must be minimize or maximize, got {direction!r}")
 
     timeout = DEFAULT_TIMEOUT
-    if "timeout" in params:
-        if kind != "external":
-            raise ObjectiveError("timeout only applies to external objectives")
+    if kind == "external" and "timeout" in params:
         try:
             timeout = float(params.pop("timeout"))
         except ValueError:
@@ -106,6 +105,9 @@ def parse_objective_spec(text: str) -> ObjectiveSpec:
 
     if kind == "builtin" and target not in BUILTIN_NAMES:
         raise ObjectiveError(f"no builtin named {target!r}; choose from {sorted(BUILTIN_NAMES)}")
+    keys = OBJECTIVE_KEYS[target if kind == "builtin" else kind]
+    if unread := sorted(params.keys() - keys):
+        raise ObjectiveError(f"{kind} {target!r} takes only {' and '.join(keys)}, got {unread}")
 
     return ObjectiveSpec(
         kind=kind,
@@ -159,6 +161,12 @@ BUILTINS: dict[str, Callable[[np.ndarray], float]] = {
 }
 # additive-anova is built by make_objective: it needs coefficients and bounds
 BUILTIN_NAMES = (*BUILTINS, "additive-anova")
+# the keys each objective reads, by builtin name or "external"
+OBJECTIVE_KEYS: dict[str, tuple[str, ...]] = {
+    **dict.fromkeys(BUILTINS, ("direction",)),
+    "additive-anova": ("coeffs", "direction"),
+    "external": ("timeout", "direction"),
+}
 
 
 def _parse_coeffs(params: Mapping[str, str], d: int) -> np.ndarray:
@@ -195,59 +203,40 @@ class Objective:
         return -raw if self.spec.direction == "minimize" else raw
 
 
-def _numeric_vector(space: SearchSpace, values: tuple) -> np.ndarray:
-    return np.array([float(v) for v in values], dtype=float)
-
-
-def _check_numeric_space(space: SearchSpace, name: str) -> None:
-    for dim in space:
-        if dim.kind == "cat":
-            raise ObjectiveError(f"builtin {name!r} needs numeric dimensions; {dim.name} is categorical")
-
-
 def make_objective(spec: ObjectiveSpec | str, space: SearchSpace) -> Objective:
     """Bind a spec to a space, returning the engine-facing callable."""
     if isinstance(spec, str):
         spec = parse_objective_spec(spec)
 
     if spec.kind == "external":
-        if spec.params:
-            raise ObjectiveError(f"external objectives take only timeout and direction, got {sorted(spec.param_map())}")
         def fn(values: tuple, _spec=spec, _space=space) -> float:
             return evaluate_external(_spec.target, values, _space, _spec.timeout)
         return Objective(spec=spec, fn=fn)
 
     name = spec.target
-    params = spec.param_map()
-    _check_numeric_space(space, name)
+    for dim in space:
+        if dim.kind == "cat":
+            raise ObjectiveError(f"builtin {name!r} needs numeric dimensions; {dim.name} is categorical")
 
     if name == "branin" and len(space) != 2:
         raise ObjectiveError(f"branin is 2-dimensional; space has {len(space)} dimensions")
 
     if name == "additive-anova":
-        coeffs = _parse_coeffs(params, len(space))
+        coeffs = _parse_coeffs(spec.param_map(), len(space))
         lows = np.array([d.low for d in space], dtype=float)
         highs = np.array([d.high for d in space], dtype=float)
         if np.any(highs <= lows):
             raise ObjectiveError("additive-anova needs strictly positive ranges for normalization")
-        if unread := sorted(params.keys() - {"coeffs"}):
-            raise ObjectiveError(f"builtin 'additive-anova' takes only coeffs and direction, got {unread}")
 
-        # a value beyond float range is the failed trial "non-finite value", not a warning
-        @np.errstate(over="ignore", invalid="ignore")
-        def fn(values: tuple, _c=coeffs, _lo=lows, _span=highs - lows) -> float:
-            z = (_numeric_vector(space, values) - _lo) / _span
-            return float(np.sum(_c * additive_component(z)))
+        def base(x: np.ndarray, _c=coeffs, _lo=lows, _span=highs - lows) -> float:
+            return float(np.sum(_c * additive_component((x - _lo) / _span)))
+    else:
+        base = BUILTINS[name]
 
-        return Objective(spec=spec, fn=fn)
-
-    if params:
-        raise ObjectiveError(f"builtin {name!r} takes no parameters, got {sorted(params)}")
-    base = BUILTINS[name]
-
+    # a value beyond float range is the failed trial "non-finite value", not a warning
     @np.errstate(over="ignore", invalid="ignore")
     def fn(values: tuple, _base=base) -> float:
-        return _base(_numeric_vector(space, values))
+        return _base(np.array([float(v) for v in values], dtype=float))
 
     return Objective(spec=spec, fn=fn)
 

@@ -246,9 +246,9 @@ def render_importance_text(space: SearchSpace, weights: Sequence[float], probs: 
 
 
 def render_importance_csv(space: SearchSpace, weights: Sequence[float], probs: Sequence[float]) -> str:
-    lines = [
-        "row," + ",".join(space.names),
-        "weight," + ",".join(repr(float(w)) for w in weights),
-        "probability," + ",".join(repr(float(p)) for p in probs),
-    ]
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["row", *space.names])
+    writer.writerow(["weight", *(repr(float(w)) for w in weights)])
+    writer.writerow(["probability", *(repr(float(p)) for p in probs)])
+    return buf.getvalue()

@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
@@ -93,8 +94,9 @@ class Dimension:
         _check(self.low is not None and self.high is not None, f"{self.name}: range dimension needs low and high")
         if kind == "int":
             for side, v in (("low", self.low), ("high", self.high)):
-                # type() rather than isinstance() keeps out bool, YAML's yes and no
-                _check(type(v) is int or (isinstance(v, float) and v.is_integer()), f"{self.name}: integer bound {side}={v!r} is not integral")
+                # bool, YAML's yes and no, is an Integral; np.bool_ is not
+                integral = isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                _check(integral or (isinstance(v, float) and v.is_integer()), f"{self.name}: integer bound {side}={v!r} is not integral")
             object.__setattr__(self, "low", int(self.low))
             object.__setattr__(self, "high", int(self.high))
             # sampling and the importance fit take the bounds and the count

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -11,6 +12,7 @@ import pytest
 
 from wrsopt.cli import main
 from wrsopt.engine import RunConfig, execute_run
+from wrsopt.objectives import BUILTIN_NAMES
 from wrsopt.space import space_digest, space_from_dict
 from wrsopt.triallog import RunHeader, TrialRecord, read_log, record_fingerprint, write_log
 
@@ -255,7 +257,7 @@ class TestRunErrors:
     @pytest.mark.parametrize("objective, message", [
         ("builtin:additive-anova?coeffs=1,2&centre=0.5&direction=maximize",
          "error: builtin 'additive-anova' takes only coeffs and direction, got ['centre']"),
-        ("external:sh e.sh?run=1", "error: external objectives take only timeout and direction, got ['run']"),
+        ("external:sh e.sh?run=1", "error: external 'sh e.sh' takes only timeout and direction, got ['run']"),
     ])
     def test_a_key_the_objective_does_not_read_exits_2(self, space_file, tmp_path, capsys, objective, message):
         out = tmp_path / "run.jsonl"
@@ -266,6 +268,33 @@ class TestRunErrors:
         assert code == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err.splitlines()) == ("", [message])
+        assert not out.exists()
+
+    # README "Objective specs": the keys each objective reads, and the message that refuses any other
+    KEYS_TABLE = [
+        ("builtin", "sphere", "direction=maximize", "direction"),
+        ("builtin", "rastrigin", "direction=minimize", "direction"),
+        ("builtin", "rosenbrock", "direction=maximize", "direction"),
+        ("builtin", "branin", "direction=maximize", "direction"),
+        ("builtin", "styblinski-tang", "direction=maximize", "direction"),
+        ("builtin", "additive-anova", "coeffs=3,1&direction=maximize", "coeffs and direction"),
+        ("external", f"{shlex.quote(sys.executable)} -c 'print(0.5)'", "timeout=30&direction=maximize", "timeout and direction"),
+    ]
+
+    def test_the_keys_table_names_every_builtin(self):
+        assert sorted(target for kind, target, _, _ in self.KEYS_TABLE if kind == "builtin") == sorted(BUILTIN_NAMES)
+
+    @pytest.mark.parametrize("kind, target, keys, reads", KEYS_TABLE, ids=[row[1] if row[0] == "builtin" else row[0] for row in KEYS_TABLE])
+    def test_each_objective_takes_exactly_its_keys(self, space_file, tmp_path, capsys, kind, target, keys, reads):
+        out = tmp_path / "run.jsonl"
+        argv = ["run", "--space", space_file, "--strategy", "rs", "--budget", "3", "--seed", "0", "--out", str(out)]
+        assert run_cli([*argv, "--objective", f"{kind}:{target}?{keys}"]) == 0
+        assert read_log(str(out))[0].objective == f"{kind}:{target}?{keys}"
+        out.unlink()
+        capsys.readouterr()
+        assert run_cli([*argv, "--objective", f"{kind}:{target}?{keys}&shift=1"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err.splitlines()) == ("", [f"error: {kind} {target!r} takes only {reads}, got ['shift']"])
         assert not out.exists()
 
     def test_override_on_baseline_exits_2(self, space_file, capsys):
@@ -493,6 +522,23 @@ class TestImportance:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "row,x0,x1"
         assert lines[1].startswith("weight,") and lines[2].startswith("probability,")
+
+    def test_importance_csv_quotes_names_that_need_it(self, tmp_path, capsys):
+        names = ["a,b", 'q"x', "line\nbreak"]
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"dimensions": [{"name": n, "kind": "real", "low": 0.0, "high": 1.0} for n in names]}))
+        log = str(tmp_path / "rs.jsonl")
+        assert run_cli([
+            "run", "--space", str(space), "--objective", "builtin:sphere",
+            "--strategy", "rs", "--budget", "30", "--seed", "2", "--out", log,
+        ]) == 0
+        csv_path = tmp_path / "imp.csv"
+        assert run_cli(["importance", log, "--csv", str(csv_path)]) == 0
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [4, 4, 4]
+        assert [row[0] for row in rows] == ["row", "weight", "probability"]
+        assert rows[0][1:] == names
 
     @pytest.mark.parametrize("seed,n0", [(7, 40), (3, 25)])
     def test_rs_log_reproduces_the_wrs_profile(self, seed, n0, tmp_path):

@@ -171,11 +171,11 @@ class TestMakeObjective:
         ("builtin:additive-anova?coeffs=1,2&centre=0.5&direction=maximize",
          "builtin 'additive-anova' takes only coeffs and direction, got ['centre']"),
         ("builtin:additive-anova?shift=1&coeffs=1,2&centre=0", "builtin 'additive-anova' takes only coeffs and direction, got ['centre', 'shift']"),
-        ("external:sh e.sh?run=1", "external objectives take only timeout and direction, got ['run']"),
-        ("external:sh e.sh?run=1&timeout=5&direction=maximize", "external objectives take only timeout and direction, got ['run']"),
-        # an existing refusal comes first
-        ("builtin:additive-anova?centre=0.5", "additive-anova needs a coeffs parameter, e.g. coeffs=3,1"),
-        ("builtin:sphere?centre=0.5", "builtin 'sphere' takes no parameters, got ['centre']"),
+        ("external:sh e.sh?run=1", "external 'sh e.sh' takes only timeout and direction, got ['run']"),
+        ("external:sh e.sh?run=1&timeout=5&direction=maximize", "external 'sh e.sh' takes only timeout and direction, got ['run']"),
+        # an unread key is refused before a missing coeffs
+        ("builtin:additive-anova?centre=0.5", "builtin 'additive-anova' takes only coeffs and direction, got ['centre']"),
+        ("builtin:sphere?centre=0.5", "builtin 'sphere' takes only direction, got ['centre']"),
     ])
     def test_a_key_the_objective_does_not_read_is_refused(self, spec, message):
         with pytest.raises(ObjectiveError, match=f"^{re.escape(message)}$"):
@@ -209,6 +209,19 @@ class TestMakeObjective:
         obj = make_objective(spec, real_space(2, low=-1e300, high=1e300))
         with pytest.raises(ObjectiveFailure, match="^non-finite value$"):
             obj((1e300, 1e300))
+
+    @pytest.mark.parametrize("spec, space, values, score", [
+        ("builtin:sphere", real_space(2, low=-5, high=5), (0.1 + 0.2, -1.7), -2.9799999999999995),
+        ("builtin:rastrigin", real_space(2, low=-5, high=5), (0.1 + 0.2, -1.7), -29.160339887498953),
+        ("builtin:rosenbrock", real_space(2, low=-5, high=5), (0.1 + 0.2, -1.7), -320.9),
+        ("builtin:branin", real_space(2, low=-5, high=5), (0.1 + 0.2, -1.7), -71.50634518911265),
+        ("builtin:styblinski-tang", real_space(2, low=-5, high=5), (0.1 + 0.2, -1.7), 23.159899999999997),
+        ("builtin:additive-anova?coeffs=3,0.7&direction=maximize", real_space(2, low=-5, high=5), (0.1 + 0.2, -1.7), -0.10045894683899464),
+        ("builtin:additive-anova?coeffs=3,0.7", int_space(2, low=0, high=10), (3, 7), 1.5934867429633675),
+    ])
+    def test_scores_are_pinned_to_the_bit(self, spec, space, values, score):
+        # the float operations of each builtin, in their order; == on a repr literal is exact
+        assert make_objective(spec, space)(values) == score
 
 
 class TestExternalProtocol:

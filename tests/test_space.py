@@ -20,6 +20,7 @@ from wrsopt.space import (
     validate_candidate,
     value_at,
 )
+from wrsopt.triallog import RunHeader, write_log
 
 from _stream_oracle import draw_dimension, sample_by_dimension, spaces
 
@@ -75,6 +76,21 @@ def test_a_boolean_is_not_a_number_of_a_bound_or_weight(kwargs, message):
     # YAML reads yes, no, true and false as booleans, which int and float accept
     with pytest.raises(SpaceError, match=f"^{re.escape(message)}$"):
         Dimension(**kwargs)
+
+
+def test_numpy_integer_bounds_are_python_ints(tmp_path):
+    def header_bytes(low, high):
+        space = SearchSpace((Dimension(name="n", kind="int", low=low, high=high),))
+        header = RunHeader(strategy="rs", budget=1, init=0, seed=0, objective="builtin:sphere",
+                           space=space_to_dict(space), space_digest=space_digest(space))
+        write_log(str(tmp_path / "h.jsonl"), header, [])
+        return (tmp_path / "h.jsonl").read_bytes()
+
+    assert header_bytes(np.int64(-2), np.uint8(3)) == header_bytes(-2, 3)
+    dim = Dimension(name="n", kind="int", low=np.int32(0), high=np.int64(3))
+    assert (type(dim.low), type(dim.high)) == (int, int)
+    with pytest.raises(SpaceError, match=re.escape(f"n: integer bound low={np.bool_(True)!r} is not integral")):
+        Dimension(name="n", kind="int", low=np.bool_(True), high=3)
 
 
 def test_space_requires_unique_names_and_nonempty():
