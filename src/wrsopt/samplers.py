@@ -128,6 +128,9 @@ class SobolSampler:
         pass
 
 
+NM_TOL = 1e-4  # share of a real axis's width within which the simplex has collapsed
+
+
 class NelderMeadSampler:
     """Downhill simplex (Nelder & Mead, 1965) as one generator behind ask/tell.
 
@@ -136,9 +139,11 @@ class NelderMeadSampler:
     pending point and tell(score) sends the loss and advances to the next.
     The simplex lives in the real relaxation; candidates are rounded at
     emission.  Scores are maximized (the engine convention), so the simplex
-    orders vertices by loss = -score.  Once every vertex is identical the
-    sampler reports convergence and keeps re-emitting the best vertex; the
-    engine's cache turns those into zero-cost trials.
+    orders vertices by loss = -score.  The simplex has converged once every
+    vertex emits the same value on each int and categorical axis and the
+    vertices lie within NM_TOL times the width of each real axis; the
+    sampler then reports convergence and keeps re-emitting the best vertex,
+    which the engine's cache turns into zero-cost trials.
     """
 
     def __init__(
@@ -155,6 +160,9 @@ class NelderMeadSampler:
         self.space = space
         self.alpha, self.gamma, self.rho, self.sigma = alpha, gamma, rho, sigma
         self._lo, self._hi = relaxed_bounds(space)
+        self._discrete = np.array([dim.kind != "real" for dim in space])
+        # the vertex spread each axis allows at convergence: none once rounded
+        self._spread = np.where(self._discrete, 0.0, NM_TOL * (self._hi - self._lo))
         d = len(space)
         if init_vertex is None:
             base = self._lo + rng.random(d) * (self._hi - self._lo)
@@ -186,7 +194,7 @@ class NelderMeadSampler:
         while True:
             order = losses.argsort(kind="stable")
             vertices, losses = vertices[order], losses[order]
-            if (vertices == vertices[0]).all():
+            if self._collapsed(vertices):
                 self.converged = True
                 while True:
                     yield vertices[0]
@@ -217,6 +225,14 @@ class NelderMeadSampler:
             for j in range(1, len(vertices)):
                 vertices[j] = (vertices[0] + self.sigma * (vertices[j] - vertices[0])).clip(lo, hi)
                 losses[j] = yield vertices[j]
+
+    def _collapsed(self, vertices: np.ndarray) -> bool:
+        """Whether the simplex has converged: int and categorical axes
+        rounded as emit_relaxed rounds them (clamped, then round half to
+        even), every axis spans at most its _spread."""
+        x = vertices.clip(self._lo, self._hi)
+        x[:, self._discrete] = x[:, self._discrete].round()
+        return bool((x.max(axis=0) - x.min(axis=0) <= self._spread).all())
 
 
 PSO_SWARM = 20  # default particle count

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from wrsopt.objectives import sphere
-from wrsopt.samplers import NelderMeadSampler
+from wrsopt.engine import RngBundle, RunConfig, execute_run
+from wrsopt.objectives import make_objective, sphere
+from wrsopt.samplers import NM_TOL, NelderMeadSampler, emit_relaxed
 from wrsopt.space import Dimension, SearchSpace, validate_candidate
 
-from _util import mixed_space, real_space
+from _util import int_space, mixed_space, real_space
 
 
 def drive(sampler, fn, steps):
@@ -138,6 +139,78 @@ def test_degenerate_simplex_reports_convergence_and_reemits_best():
     assert nm.ask() == (5, 2)
     nm.tell(-1.0)
     assert nm.ask() == (5, 2)
+
+
+def test_collapse_rounds_int_and_cat_axes_and_allows_nm_tol_of_a_real_width():
+    space = SearchSpace(
+        (
+            Dimension(name="x", kind="real", low=-1.0, high=3.0),
+            Dimension(name="n", kind="int", low=0, high=5),
+            Dimension(name="c", kind="cat", values=("p", "q", "r")),
+        )
+    )
+    nm = NelderMeadSampler(space, np.random.default_rng(0))
+    width = 4.0 * NM_TOL
+
+    def collapsed(*rows):
+        return nm._collapsed(np.array(rows, dtype=float))
+
+    # 2.5 rounds half to even, to 2, as emit_relaxed rounds it; -0.4 clamps to 0
+    assert collapsed((1.0, 1.6, -0.4), (1.0 + width, 2.5, 0.4), (1.0, 2.4, 0.0))
+    assert not collapsed((1.0, 1.6, 0.0), (1.0 + 2 * width, 2.4, 0.0), (1.0, 2.0, 0.0))
+    assert not collapsed((1.0, 2.4, 0.0), (1.0, 2.6, 0.0), (1.0, 2.0, 0.0))
+    assert not collapsed((1.0, 2.0, 0.4), (1.0, 2.0, 0.6), (1.0, 2.0, 0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_collapse_agrees_with_the_candidates_emit_relaxed_gives(data):
+    # mixed_space: lr real in [0, 1], layers int in [1, 8], act cat of 3
+    space = mixed_space()
+    nm = NelderMeadSampler(space, np.random.default_rng(0))
+    base = [data.draw(st.floats(-0.5, 1.5)), data.draw(st.floats(0.0, 9.0)), data.draw(st.floats(-1.0, 3.0))]
+    real_step = st.sampled_from((0.0, 0.5, 1.0, 2.0)).map(lambda k: k * NM_TOL)
+    rounded_step = st.sampled_from((0.0, 0.1, -0.1, 0.5, -0.5, 1.0))
+    vertices = np.array([
+        [base[0] + data.draw(real_step), base[1] + data.draw(rounded_step), base[2] + data.draw(rounded_step)]
+        for _ in range(4)
+    ])
+    emitted = [emit_relaxed(space, v) for v in vertices]
+    lr = vertices[:, 0].clip(0.0, 1.0)
+    expected = len({c[1:] for c in emitted}) == 1 and lr.max() - lr.min() <= NM_TOL
+    assert nm._collapsed(vertices) == expected
+
+
+def test_constant_objective_on_a_4_int_space_converges():
+    # under exact equality two vertices stayed one ulp apart after 3000 trials
+    nm = NelderMeadSampler(int_space(4, low=0, high=5), RngBundle.from_seed(0).values)
+    for _ in range(50):
+        nm.ask()
+        nm.tell(1.5)
+    assert nm.converged
+
+
+def test_no_new_candidate_after_convergence_on_a_real_space():
+    nm = NelderMeadSampler(real_space(3), np.random.default_rng(1))
+    seen, new_after_convergence = set(), 0
+    for _ in range(1000):
+        cand = nm.ask()
+        if cand not in seen:
+            seen.add(cand)
+            new_after_convergence += nm.converged
+        nm.tell(-sphere(np.asarray(cand)))
+    assert nm.converged
+    assert new_after_convergence == 0
+
+
+def test_a_converged_run_evaluates_no_trial_more_on_a_larger_budget():
+    space = real_space(3)
+    objective = make_objective("builtin:sphere", space)
+    evaluated = [
+        sum(rec.status == "evaluated" for rec in execute_run(space, objective, RunConfig(strategy="nelder-mead", budget=budget, seed=1)).records)
+        for budget in (1000, 2000)
+    ]
+    assert evaluated[0] == evaluated[1] < 1000
 
 
 def test_proposals_respect_bounds_and_types():

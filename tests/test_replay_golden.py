@@ -141,7 +141,7 @@ def _case_id(case: tuple[str, str, str, int]) -> str:
 GOLDEN = {
     "mixed-poly-rs-s0": "5a5fde6447c71813ff7d931887e60506629db01ef7d025e9370a1cc8fa130140",
     "mixed-poly-sobol-s0": "52631f708d79d1fe74c35883bf10c3d83f2cd4b269d724d378dc089f0ef8ee06",
-    "mixed-poly-nm-s0": "b71c650812859d6acd8bb3a704c2d7bb65c0c56d4eaa9462f1dabcf9a940eadf",
+    "mixed-poly-nm-s0": "588c8963419578025b134d951f4c551c68957b595170c5e12609465645cbc3ba",
     "mixed-poly-pso-s0": "f9503363b93810a01de6b8c93a96d9e6d54e056255541ee87d0c9ab347aed7bd",
     "mixed-poly-pso-swarm5-s0": "c56b9f05d55edb11b0817320eb58b4da9f4da295174520d79a2ca4a2964f98c7",
     "mixed-poly-wrs-s0": "743566d109735ae90936c72691081b6480d8d8cfbbae2b149aff0e301d228dbb",
@@ -154,7 +154,7 @@ GOLDEN = {
     "mixed-poly-wrs-kmin-s0": "1860c7fa30cbe6d61b8224d6c30aaae4cf373baa9462523e2e0222ec7838a182",
     "mixed-flaky-rs-s0": "35241fd4a0e7c60a4665e211be150063fa32d18e15f25052bd552d280f212ea6",
     "mixed-flaky-sobol-s0": "6fa45056306b2c7751b954202ee46b78cef0cf82f83834a16badabb57589ada9",
-    "mixed-flaky-nm-s0": "50d1745f86f4b725c62a64ab8669cd426491e6557e57b957d4c0415925033ca3",
+    "mixed-flaky-nm-s0": "6fad75330fa790c26b771bde5e6621ec9585aa12232fdf80b2d0d07c5528c425",
     "mixed-flaky-pso-s0": "2a9bab49630979d22f206a7a9aa4f2fdf39eac3859191cc97435b18ca1e3a6a8",
     "mixed-flaky-pso-swarm5-s0": "1899299ec0d09e3c7dc7414183f7ce1d1d248d1e3dceb8b1275c056722c08de1",
     "mixed-flaky-wrs-s0": "8429460b130326951949d1b1e8aa4d7f490d50bbfd5b09ea564b4182d1b73c51",
@@ -220,7 +220,7 @@ GOLDEN = {
     "int-poly-wrs-kmin-s0": "762966ffb20654f64400802a9071392dbb30db71da7b277325dbc2660b7a998e",
     "int-flaky-rs-s0": "7a5eaf4e2804c64e1acfebd85483819bb65a7a6af5819cc59bc7633198ecc6f7",
     "int-flaky-sobol-s0": "a97d4b34c197979e4b64ee675832cd388ab38c8eb0c7fbdbe81a93fdd0ff58bf",
-    "int-flaky-nm-s0": "cfca3de33cc9629bc3eb0f292b70ef5fe2eee0da8a5997ddcbb1785c43938ad7",
+    "int-flaky-nm-s0": "7f391fd72a7abd4d80577e9804ed8c56c5177b42e55f6156088d533986f76808",
     "int-flaky-pso-s0": "c4086278f5f4d724707c96e7a67c3b6b1ea218d61868706771c0fba124358c87",
     "int-flaky-pso-swarm5-s0": "550fd4bfc541f180d0b9016f5b0235cf7fd5ed0de4cec39738b9a1d2d56e810f",
     "int-flaky-wrs-s0": "60b8b0faead91ae441bf9a9456b9d2f4e9f7785f444f8176e9478ad2d8d01a25",
@@ -240,7 +240,7 @@ GOLDEN = {
     "int-broken-pso-swarm5-s0": "2898c3f593ead7836326bc11bfcaba724a2034ed1e0b1c12aaccb8da369cd8ce",
     "int-poly-rs-s1": "df5d67810b768598053a978958df86cc6d168dc66c0afbf988decbe33efe904a",
     "int-poly-sobol-s1": "45a88a7ce0e814e77f38b8a65ac8538ee0031abcbc39ffdd35ad528fb63598db",
-    "int-poly-nm-s1": "0b2a0a2a112364c9640e026bc26e1115120af10d07fef5c6b832c459879d6312",
+    "int-poly-nm-s1": "e24c357b16ed268a4d32537b23fc0ffa813db5c3f00efe856fb9fe9e2a69ed47",
     "int-poly-pso-s1": "60dd7336ddff5ed234030263144558fecf318e569457a3bf1a79f52be9594f02",
     "int-poly-pso-swarm5-s1": "b1103dd29c5f666569e7e0529472cf0b06025ffe159c9b890b9227158de5a481",
     "int-poly-wrs-s1": "3d114e27ab2ad8aadbe94147f82497904a595ee3b03d912b973fcf002c793f99",
@@ -253,7 +253,7 @@ GOLDEN = {
     "int-poly-wrs-kmin-s1": "9c31ddc811559b5de33fdc1d63320edc3d92b981f43fbb273ffbc01992d7447e",
     "int-flaky-rs-s1": "6e873649ae91562a561f3994656982e016654fd3092e222528dbe1f0a29682b3",
     "int-flaky-sobol-s1": "84cc47cc51298c666079755fbc3ce0b3a2a701234accaa2a6780a5e795dd6647",
-    "int-flaky-nm-s1": "296d9327e6d064d0a947392360fd641f6beed14f7a86e2b07658357de93861ff",
+    "int-flaky-nm-s1": "578f4fd8655db8ea13731d4c922bd5e125a4e641cce27b982e2e349becbaf1f3",
     "int-flaky-pso-s1": "0d4c8bd2e0feaaa5ea4b2c8a29fcfef7f6dba16d74f1fefb8f992998dc5488e2",
     "int-flaky-pso-swarm5-s1": "f524daca78d0b9c3c84fc883784ae16739babdf9947145d46959fec662dfde47",
     "int-flaky-wrs-s1": "510ab61febc1df4c68442668b4f8eb9c6481d92586d6dcba63ce1b3660c67ba3",
@@ -274,7 +274,7 @@ GOLDEN = {
     "mixed-poly-nm-a1.5-r0.25-s0": "c30c1736aca96cfc66fe97528c0f6302930a1e17e2ab0005e437867e50bd3447",
     "mixed-poly-nm-a1.5-r0.25-s1": "0613fa673f155ac2a1613251fa1522ac9832cdcc2d765fe2a13ff14839462efc",
     "mixed-flaky-nm-a1.5-r0.25-s1": "e36df8decd212f11101fc4e830352c6d0de4dd6cfa28002440c02681ca4f6edc",
-    "mixed-constant-nm-a1.5-r0.25-s0": "78db001009486ce9deb986f1a878a0cbbf8d78b2adb7aa1e1f5a98a80a52c7d3",
+    "mixed-constant-nm-a1.5-r0.25-s0": "d8f62d0fd1af38eae0b80f50871489270950c16f2d0cc11ca9e4602aabcd5b00",
     "mixed-poly-nm-a2-r0.25-s0": "032925f95b98e8a543ca55a24e02a6dc8d46e5ee1959396b7f4aa59f1cd05de9",
     "int-flaky-nm-a2-r0.25-s0": "bc3cb474b5c651d91b36b77a4ade2a7f45ea07b450b4240af6bcfe61644fe76b",
 }
