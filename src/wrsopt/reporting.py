@@ -246,9 +246,17 @@ def render_importance_text(space: SearchSpace, weights: Sequence[float], probs: 
 
 
 def render_importance_csv(space: SearchSpace, weights: Sequence[float], probs: Sequence[float]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["row", *space.names])
-    writer.writerow(["weight", *(repr(float(w)) for w in weights)])
-    writer.writerow(["probability", *(repr(float(p)) for p in probs)])
-    return buf.getvalue()
+    rows = (
+        ["row", *space.names],
+        ["weight", *(repr(float(w)) for w in weights)],
+        ["probability", *(repr(float(p)) for p in probs)],
+    )
+    lines = []
+    for row in rows:
+        # csv.writer quotes a cell that holds a character of its line
+        # terminator: "\r\n" quotes a bare CR as well as a LF, where "\n"
+        # would leave a CR bare for csv.reader to end the row at
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines)

@@ -229,42 +229,26 @@ def write_log(path: str, header: RunHeader, records: Sequence[TrialRecord]) -> N
         raise
 
 
-# One decoder for every line.  json.loads(s) skips JSON whitespace, calls
-# this decoder's raw_decode and refuses anything but JSON whitespace after the
-# value; _loads does the same without the wrapper's per-call checks.
-_raw_decode = json.JSONDecoder().raw_decode
-_JSON_SPACE = " \t\n\r"
-
-
-def _loads(line: str) -> Any:
-    """json.loads(line): the same object, or a ValueError for exactly the
-    lines json.loads refuses (a leading BOM included)."""
-    obj, end = _raw_decode(line, len(line) - len(line.lstrip(_JSON_SPACE)))
-    if line[end:].strip(_JSON_SPACE):
-        raise ValueError(f"extra data at character {end}")
-    return obj
-
-
 def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
     """Parse and validate a log.  Raises LogError unless all of these hold:
 
-    * every line is UTF-8 text and parses as JSON, with no integer of more
-      digits than Python's int() converts;
+    * every line is UTF-8 text and parses as JSON (json.loads), with no
+      integer of more digits than Python's int() converts;
     * the first line is a header of the supported schema;
     * every header and trial field has the JSON type write_log writes: an
       int (never a bool) for counts, iterations and the seed, an int or
       float (never a bool) for score and wall_time, a string for the text
       fields and a list for values;
-    * the header declares a budget of at least 1;
-    * every trial has a known status, iterations run 1, 2, ... and the
-      record count equals the declared budget;
-    * the header's space parses and matches its ``space_digest``;
+    * the header declares a budget of at least 1, its space parses and
+      matches its ``space_digest``;
+    * every trial has a known status, iterations run 1, 2, ..., and each
+      trial's status, score and error agree: the score is finite or -inf,
+      and -inf exactly when an error string is present; a ``failed`` trial
+      carries an error, an ``evaluated`` one none, and a ``cached-hit``
+      carries the error of the failure it repeats, if any;
+    * the record count equals the declared budget;
     * every trial holds one value per dimension, each a value of that
-      space as ``space.values_in_dimension`` decides;
-    * each trial's status, score and error agree: the score is finite or
-      -inf, and -inf exactly when an error string is present; a ``failed``
-      trial carries an error, an ``evaluated`` one none, and a
-      ``cached-hit`` carries the error of the failure it repeats, if any.
+      space as ``space.values_in_dimension`` decides.
 
     Lines end at a newline (U+000A) only: a carriage return is JSON
     whitespace, so CRLF line ends and a lone CR between tokens are read as
@@ -272,10 +256,14 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
     or U+0085 unescaped, which str.splitlines() would take for line breaks.
     Blank lines are skipped but still counted in the line numbers of errors.
 
-    The file is read in one pass, each line becoming its record at once, so
-    the first line that fails a check of its own ends the read; the checks
-    that need every record then run in the order above.  Every record
-    shares one string object per distinct phase and status.
+    The file is read in one pass, in the order above: the header line is
+    checked whole, space and digest included, before any trial, and each
+    trial line whole before the next, so the first faulty line ends the
+    read.  After the last line come the record count and the value check,
+    which runs down each column.  Every message starts with the path, as
+    "PATH: ...", except "cannot read PATH: ..." for a file that cannot be
+    read.  Every record shares one string object per distinct phase and
+    status.
     """
     header, records = None, []
     strings: dict[str, str] = {}
@@ -286,44 +274,45 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
                     line = raw.decode("utf-8")
                     if line.isspace():
                         continue
-                    payload = _loads(line)
+                    payload = json.loads(line)
                 except UnicodeDecodeError as exc:
-                    raise LogError(f"{path}: not UTF-8 text (byte {fh.tell() - len(raw) + exc.start})") from exc
+                    raise LogError(f"not UTF-8 text (byte {fh.tell() - len(raw) + exc.start})") from exc
                 except ValueError:  # JSONDecodeError, or an integer too long for int()
-                    raise LogError(f"{path}: invalid JSON on line {lineno}") from None
+                    raise LogError(f"invalid JSON on line {lineno}") from None
                 if header is None:
                     header = RunHeader.from_dict(payload)
                     if header.budget < 1:
-                        raise LogError(f"{path}: header declares budget {header.budget}; a run holds at least 1 trial")
+                        raise LogError(f"header declares budget {header.budget}; a run holds at least 1 trial")
+                    try:
+                        space = space_from_dict(header.space)
+                    except SpaceError as exc:
+                        raise LogError(f"header space does not parse: {exc}") from exc
+                    if space_digest(space) != header.space_digest:
+                        raise LogError("header space does not match its space_digest")
                     continue
                 i = len(records) + 1
                 rec = TrialRecord.from_dict(payload, f"trial {i}")
                 if rec.iteration != i:
-                    raise LogError(f"{path}: iteration {rec.iteration} at position {i}; expected consecutive numbering")
+                    raise LogError(f"iteration {rec.iteration} at position {i}; expected consecutive numbering")
+                score, status, error = rec.score, rec.status, rec.error
+                if error is None:
+                    agree = math.isfinite(score) and status in ("evaluated", "cached-hit")
+                else:
+                    agree = score == FAILED_SCORE and status in ("failed", "cached-hit")
+                if not agree:
+                    raise LogError(f"trial {i}: status {status!r}, score {score!r} and error {error!r} do not agree")
                 rec.phase = strings.setdefault(rec.phase, rec.phase)
-                rec.status = strings.setdefault(rec.status, rec.status)
+                rec.status = strings.setdefault(status, status)
                 records.append(rec)
+        if header is None:
+            raise LogError("empty log")
+        if len(records) != header.budget:
+            raise LogError(f"{len(records)} records but header declares budget {header.budget}")
+        _check_values(space, records)
     except OSError as exc:
         raise LogError(f"cannot read {path}: {exc}") from exc
-    if header is None:
-        raise LogError(f"{path}: empty log")
-    if len(records) != header.budget:
-        raise LogError(f"{path}: {len(records)} records but header declares budget {header.budget}")
-    try:
-        space = space_from_dict(header.space)
-    except SpaceError as exc:
-        raise LogError(f"{path}: header space does not parse: {exc}") from exc
-    if space_digest(space) != header.space_digest:
-        raise LogError(f"{path}: header space does not match its space_digest")
-    _check_values(space, records)
-    for rec in records:
-        score, error = rec.score, rec.error
-        if error is None:
-            agree = math.isfinite(score) and rec.status in ("evaluated", "cached-hit")
-        else:
-            agree = score == FAILED_SCORE and rec.status in ("failed", "cached-hit")
-        if not agree:
-            raise LogError(f"trial {rec.iteration}: status {rec.status!r}, score {score!r} and error {error!r} do not agree")
+    except LogError as exc:
+        raise LogError(f"{path}: {exc}") from exc
     return header, records
 
 

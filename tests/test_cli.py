@@ -540,6 +540,22 @@ class TestImportance:
         assert [row[0] for row in rows] == ["row", "weight", "probability"]
         assert rows[0][1:] == names
 
+    def test_importance_csv_quotes_a_name_that_holds_a_bare_cr(self, tmp_path):
+        names = ["a\rb", "z"]
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"dimensions": [{"name": n, "kind": "real", "low": 0.0, "high": 1.0} for n in names]}))
+        log = str(tmp_path / "rs.jsonl")
+        assert run_cli([
+            "run", "--space", str(space), "--objective", "builtin:sphere",
+            "--strategy", "rs", "--budget", "30", "--seed", "2", "--out", log,
+        ]) == 0
+        csv_path = tmp_path / "imp.csv"
+        assert run_cli(["importance", log, "--csv", str(csv_path)]) == 0
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [3, 3, 3]
+        assert rows[0] == ["row", "a\rb", "z"]
+
     @pytest.mark.parametrize("seed,n0", [(7, 40), (3, 25)])
     def test_rs_log_reproduces_the_wrs_profile(self, seed, n0, tmp_path):
         # README: importance on an rs log of N0 trials gives the profile of a
@@ -623,7 +639,7 @@ class TestImportance:
         assert run_cli(["importance", log]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == ["error: trial 1: c='zz' is not a value of the space"]
+        assert captured.err.splitlines() == [f"error: {log}: trial 1: c='zz' is not a value of the space"]
 
 
 MIXED_SPACE = {"dimensions": [
@@ -648,32 +664,32 @@ MIXED_TRIALS = [  # values, score, status, error
 # message every command must give
 CORRUPTIONS = {
     "edited-header-space": ([((0, "space", "dimensions", 1, "high"), 2.0)], "LOG: header space does not match its space_digest"),
-    "int-out-of-range": ([((4, "values", 0), 9)], "trial 4: n=9 is not a value of the space"),
-    "true-on-int-axis": ([((4, "values", 0), True)], "trial 4: n=True is not a value of the space"),
-    "nan-mid-real-column": ([((4, "values", 1), math.nan)], "trial 4: x=nan is not a value of the space"),
-    "too-few-values": ([((4, "values"), [1, 0.3])], "trial 4: 2 values, but the space has 3 dimensions"),
-    "failed-with-finite-score": ([((3, "score"), 0.25)], "trial 3: status 'failed', score 0.25 and error 'exit 3' do not agree"),
+    "int-out-of-range": ([((4, "values", 0), 9)], "LOG: trial 4: n=9 is not a value of the space"),
+    "true-on-int-axis": ([((4, "values", 0), True)], "LOG: trial 4: n=True is not a value of the space"),
+    "nan-mid-real-column": ([((4, "values", 1), math.nan)], "LOG: trial 4: x=nan is not a value of the space"),
+    "too-few-values": ([((4, "values"), [1, 0.3])], "LOG: trial 4: 2 values, but the space has 3 dimensions"),
+    "failed-with-finite-score": ([((3, "score"), 0.25)], "LOG: trial 3: status 'failed', score 0.25 and error 'exit 3' do not agree"),
     "evaluated-with-minus-infinity": (
         [((4, "score"), -math.inf), ((4, "error"), "exit 3")],
-        "trial 4: status 'evaluated', score -inf and error 'exit 3' do not agree",
+        "LOG: trial 4: status 'evaluated', score -inf and error 'exit 3' do not agree",
     ),
-    "minus-infinity-without-error": ([((5, "error"), None)], "trial 5: status 'cached-hit', score -inf and error None do not agree"),
-    "plus-infinity-score": ([((6, "score"), math.inf)], "trial 6: status 'evaluated', score inf and error None do not agree"),
-    "values-a-string": ([((1, "values"), "ab")], "trial 1: values must be a list, got 'ab'"),
-    "fractional-iteration": ([((1, "iteration"), 1.7)], "trial 1: iteration must be an int, got 1.7"),
-    "score-a-string": ([((1, "score"), "1.5")], "trial 1: score must be a number, got '1.5'"),
-    "phase-a-number": ([((1, "phase"), 7)], "trial 1: phase must be a string, got 7"),
-    "wall-time-a-bool": ([((1, "wall_time"), True)], "trial 1: wall_time must be a number, got True"),
-    "trial-a-json-array": ([((1,), [1, 2])], "trial 1: not an object"),
-    "trial-missing-score": (lambda text: text.replace('"score": 1.0, ', "", 1), "trial 1: missing 'score'"),
-    "header-missing-budget": (lambda text: text.replace('"budget": 8, ', "", 1), "bad header record: missing 'budget'"),
+    "minus-infinity-without-error": ([((5, "error"), None)], "LOG: trial 5: status 'cached-hit', score -inf and error None do not agree"),
+    "plus-infinity-score": ([((6, "score"), math.inf)], "LOG: trial 6: status 'evaluated', score inf and error None do not agree"),
+    "values-a-string": ([((1, "values"), "ab")], "LOG: trial 1: values must be a list, got 'ab'"),
+    "fractional-iteration": ([((1, "iteration"), 1.7)], "LOG: trial 1: iteration must be an int, got 1.7"),
+    "score-a-string": ([((1, "score"), "1.5")], "LOG: trial 1: score must be a number, got '1.5'"),
+    "phase-a-number": ([((1, "phase"), 7)], "LOG: trial 1: phase must be a string, got 7"),
+    "wall-time-a-bool": ([((1, "wall_time"), True)], "LOG: trial 1: wall_time must be a number, got True"),
+    "trial-a-json-array": ([((1,), [1, 2])], "LOG: trial 1: not an object"),
+    "trial-missing-score": (lambda text: text.replace('"score": 1.0, ', "", 1), "LOG: trial 1: missing 'score'"),
+    "header-missing-budget": (lambda text: text.replace('"budget": 8, ', "", 1), "LOG: bad header record: missing 'budget'"),
     # run never writes such a log; without the check report warned of a clamped window first
     "budget-0-and-no-trials": (
         lambda text: text[: text.index("\n") + 1].replace('"budget": 8, ', '"budget": 0, ', 1),
         "LOG: header declares budget 0; a run holds at least 1 trial",
     ),
     # beyond float range, so the column check cannot compare it as a float
-    "real-value-of-401-digits": ([((4, "values", 1), 10**400)], f"trial 4: x={10**400} is not a value of the space"),
+    "real-value-of-401-digits": ([((4, "values", 1), 10**400)], f"LOG: trial 4: x={10**400} is not a value of the space"),
     # more digits than int() converts, which json.loads refuses with a ValueError
     "iteration-of-5001-digits": (
         lambda text: text.replace('{"iteration": 2,', '{"iteration": 2' + "0" * 5000 + ",", 1),
@@ -718,6 +734,24 @@ def test_corrupted_log_exits_1_with_one_line(case, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {message.replace('LOG', log)}"]
+
+
+def test_a_fault_in_one_of_several_logs_names_that_log(space_file, tmp_path, capsys):
+    good, bad = str(tmp_path / "good.jsonl"), str(tmp_path / "bad.jsonl")
+    assert run_cli([
+        "run", "--space", space_file, "--objective", "builtin:rastrigin",
+        "--strategy", "rs", "--budget", "10", "--seed", "5", "--out", good,
+    ]) == 0
+    lines = open(good, encoding="utf-8").read().splitlines()
+    trial = json.loads(lines[3])
+    trial["score"] = "x"
+    lines[3] = json.dumps(trial)
+    open(bad, "w", encoding="utf-8").write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli(["compare", good, bad]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {bad}: trial 3: score must be a number, got 'x'"]
 
 
 @pytest.mark.parametrize(

@@ -134,6 +134,19 @@ class TestForestFitting:
         forest = fit_forest(trials, space, ForestConfig(n_trees=1, bootstrap=False), np.random.default_rng(0))
         assert forest.trees[0].split_dims == (0,)
 
+    def test_a_forest_of_no_trees_is_refused(self):
+        with pytest.raises(ImportanceError, match="^forest configuration values must be positive$"):
+            ForestConfig(n_trees=0)
+
+    def test_only_failed_trials_encode_to_empty_arrays(self):
+        space = int_space(3)
+        failed = [
+            TrialRecord(iteration=i, values=(1, 2, 3), score=-math.inf, phase="rs", status=status, wall_time=0.0, error="exit 3")
+            for i, status in ((1, "failed"), (2, "cached-hit"))
+        ]
+        x, y = encode_trials(failed, space)
+        assert x.shape == (0, 3) and y.shape == (0,)
+
     def test_failed_trials_are_ignored(self):
         space = real_space(1, low=0.0, high=1.0)
         trials = make_trials(space, lambda v: v[0], 50, seed=3)
@@ -241,6 +254,16 @@ class TestMainEffects:
         assert all(math.isfinite(f) for f in w)
         assert w[1] == 0.0
         assert w[0] > 80.0 and 0.0 < w[2] < 15.0
+
+    def test_negative_share_is_refused(self):
+        with pytest.raises(ImportanceError, match="^variance fractions cannot be negative$"):
+            ImportanceWeights((50.0, -0.5))
+
+    def test_space_of_another_dimensionality_is_refused(self):
+        space = real_space(2)
+        forest = fit_forest(make_trials(space, lambda v: v[0], 20, seed=0), space)
+        with pytest.raises(ImportanceError, match="^forest and space dimensionality differ$"):
+            main_effect_fractions(forest, real_space(3))
 
 
 class TestProbabilityMapping:

@@ -169,6 +169,14 @@ class TestPolyfit:
         with pytest.raises(ReportError):
             polyfit([1.0, 2.0], degree=1, x=[3.0, 3.0])
 
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ReportError, match="^degree must be non-negative$"):
+            polyfit([1.0, 2.0, 3.0], degree=-1)
+
+    def test_positions_of_another_length_rejected(self):
+        with pytest.raises(ReportError, match="^x and scores must have equal length$"):
+            polyfit([1.0, 2.0, 3.0], degree=1, x=[1.0, 2.0])
+
     def test_fit_to_dict_round_trip_evaluation(self):
         fit = polyfit([1.0, 4.0, 9.0, 16.0], degree=2)
         d = fit_to_dict(fit)

@@ -91,3 +91,10 @@ def test_values_map_as_random_search_maps_them():
     assert Counter(i) == dict.fromkeys(range(3, 7), 256)
     assert Counter(c) == {"a": 922, "b": 102}
     assert set(Counter(j)) == set(range(-5, 6)) and set(Counter(j).values()) <= {93, 94}
+
+
+def test_a_point_past_2_to_the_30_is_refused():
+    engine = SobolEngine(2)
+    engine._index = 1 << BITS  # where the last of the 2^30 points would leave it
+    with pytest.raises(RuntimeError, match="^sobol sequence exhausted$"):
+        engine.next_point()

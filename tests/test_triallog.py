@@ -22,7 +22,6 @@ from wrsopt.triallog import (
     LogError,
     RunHeader,
     TrialRecord,
-    _loads,
     read_log,
     record_fingerprint,
     record_line,
@@ -156,7 +155,7 @@ class TestValidation:
     @pytest.mark.parametrize(
         "first, second, message",
         [
-            ("bad-field", "bad-json", "^trial 1: phase must be a string, got 7$"),
+            ("bad-field", "bad-json", "run.jsonl: trial 1: phase must be a string, got 7$"),
             ("gap", "bad-status", "iteration 9 at position 1; expected consecutive numbering$"),
             ("bad-json", "not-utf8", "invalid JSON on line 2$"),
         ],
@@ -174,6 +173,28 @@ class TestValidation:
             "not-utf8": lambda line: line.replace(b'"rs"', b'"\xff"'),
         }
         lines[1], lines[3] = faults[first](lines[1]), faults[second](lines[3])
+        open(path, "wb").write(b"\n".join(lines) + b"\n")
+        with pytest.raises(LogError, match=message):
+            read_log(path)
+
+    @pytest.mark.parametrize(
+        "faults, message",
+        [
+            # the header's space and digest are checked at line 1, before any trial line
+            ({0: lambda line: line.replace(b'"high": 1.0', b'"high": 2.0'), 3: lambda line: line[:-1]},
+             "run.jsonl: header space does not match its space_digest$"),
+            # status, score and error on the trial's own line; values by column after the last line
+            ({1: lambda line: line.replace(b"[0.25]", b"[7.0]"), 3: lambda line: line.replace(b'"score": 3.0', b'"score": -Infinity')},
+             "run.jsonl: trial 3: status 'evaluated', score -inf and error None do not agree$"),
+        ],
+        ids=["header-space-then-json", "stray-value-then-disagreement"],
+    )
+    def test_each_line_is_checked_whole_where_it_is_read(self, tmp_path, faults, message):
+        path = str(tmp_path / "run.jsonl")
+        write_log(path, make_header(budget=3), make_records(3))
+        lines = open(path, "rb").read().splitlines()
+        for k, fault in faults.items():
+            lines[k] = fault(lines[k])
         open(path, "wb").write(b"\n".join(lines) + b"\n")
         with pytest.raises(LogError, match=message):
             read_log(path)
@@ -303,38 +324,6 @@ def test_a_crlf_log_reads_as_its_lf_original(tmp_path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text.replace("\n", "\r\n") + "\r\n")  # a blank CRLF line at the end too
     assert read_log(path) == (make_header(budget=3), make_records(3))
-
-
-def _parsed(parse, line: str) -> str:
-    """repr of what parse makes of line (NaN compares unequal to itself), or
-    "refused" for a ValueError."""
-    try:
-        return repr(parse(line))
-    except ValueError:
-        return "refused"
-
-
-_json_space = st.text(" \t\r\n", max_size=3)
-_not_json_space = st.sampled_from(("", "\ufeff", "\x0b", "\x0c", "\u00a0", "\u2028", "x", ",", "]", "1", "{}"))
-_json_texts = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-    max_leaves=8,
-).map(json.dumps) | st.sampled_from((
-    "-Infinity", "Infinity", "NaN", "-NaN", "infinity", "1" * 5001, "-" + "9" * 5001, "1e999", "-0", "01",
-    '{"a": 1} {"b": 2}', "[1, 2", '"\\u00e9\\ud800"', '"raw\ttab"', "", "{\"a\":\r1}",
-))
-
-
-@settings(max_examples=1000, deadline=None)
-@given(
-    lead=st.tuples(_not_json_space, _json_space).map("".join) | _json_space,
-    body=_json_texts | st.text(),
-    trail=st.tuples(_json_space, _not_json_space).map("".join) | _json_space,
-)
-def test_the_line_decoder_accepts_and_returns_what_json_loads_does(lead, body, trail):
-    line = lead + body + trail
-    assert _parsed(_loads, line) == _parsed(json.loads, line)
 
 
 def test_read_log_holds_little_more_than_its_records(tmp_path):
@@ -524,7 +513,7 @@ def test_read_log_and_validate_candidate_refuse_a_record_with_the_same_text(tmp_
     else:
         with pytest.raises(LogError) as got:
             read_log(path)
-        assert str(got.value) == expected
+        assert str(got.value) == f"{path}: {expected}"
 
 
 @pytest.mark.parametrize(
