@@ -1,24 +1,22 @@
-"""Run orchestration: one trial loop over five interchangeable strategies,
-the evaluation cache, and best-so-far tracking.
+"""Run orchestration: one trial loop over the paper's two phases, the
+evaluation cache, and best-so-far tracking.
 
 Scores are maximized throughout.  Every trial, including cache hits and
 failures, consumes exactly one unit of the budget, so a completed run always
 holds exactly N records.
 
-Every strategy follows the ask/tell pattern.  ``ask()`` returns the next
-candidate and ``tell(score)`` reports its score.  ``execute_run`` calls them
-in strict alternation, once per budget unit, and alone tags each record's
-phase: "rs" for the ``RunConfig.rs_trials`` trials of the random-search
-phase, the strategy's name after them.  It alone owns the cache, the records
-and the incumbent, and alone refuses a run whose rs phase, or whole run,
-failed in every trial.  ``RunConfig.validate`` is the one signal for a
-configuration a run cannot take: the samplers, whose only caller is this
-loop, check nothing again.  A strategy never evaluates anything itself; a run
-simply stops asking when the budget is spent, even in the middle of a PSO
-generation.  The wrs strategy, like Nelder-Mead and PSO, is one generator
-stepped by ask(), and an rs run is its random-search phase run to the budget.
-It reads the records and the incumbent from the ``RunResult`` the loop
-fills, and writes its frozen profile into that result's header.
+``execute_run`` draws the random-search phase itself: ``RunConfig.rs_trials``
+rs_step candidates, tagged "rs".  At the boundary it builds the strategy
+once; for wrs that is where the one importance fit runs and the frozen
+profile is written into the header.  The strategy then follows ask/tell for
+the rest of the budget, its records tagged with its name: ``ask()`` returns
+the next candidate and ``tell(score)`` reports its score.  The loop alone
+owns the cache, the records and the incumbent, and alone refuses a run whose
+rs phase, or whole run, failed in every trial; no strategy writes into the
+run.  ``RunConfig.validate`` is the one signal for a configuration a run
+cannot take: the samplers, whose only caller is this loop, check nothing
+again.  A run simply stops asking when the budget is spent, even in the
+middle of a PSO generation.
 
 Randomness is split into three independent streams derived from the run
 seed: candidate values, per-step change decisions, and forest bootstrapping.
@@ -220,9 +218,9 @@ class RngBundle:
 @dataclass
 class RunResult:
     """The one object a run fills: a header complete before trial 1 except
-    for its profile, then every record, the incumbent and any warnings.  The
-    wrs strategy reads the records and the incumbent from it and writes its
-    frozen profile into ``header.profile``; rs and the others leave it None."""
+    for its profile, then every record, the incumbent and any warnings.  A
+    wrs run's profile is written at the phase boundary; rs and the others
+    leave it None."""
 
     header: RunHeader
     records: list[TrialRecord] = field(default_factory=list)
@@ -293,44 +291,33 @@ def _build_profile(
 
 
 class WeightedSearch:
-    """The two-phase wrs strategy as one generator behind ask/tell; an rs run
-    is its random-search phase run to the budget.  _search makes
-    config.rs_trials plain random-search steps, runs the one importance fit
-    and freezes the profile, then makes weighted steps against the run's
-    incumbent forever."""
+    """The weighted phase of wrs: each ask is one wrs_step against the run's
+    incumbent or, while every trial has failed, the last record.  It reads
+    the RunResult the loop fills and writes nothing into it."""
 
-    def __init__(self, space: SearchSpace, config: RunConfig, rngs: RngBundle, result: RunResult):
-        self._search_steps = self._search(space, config, rngs, result)
+    def __init__(self, space: SearchSpace, profile: ChangeProfile, rngs: RngBundle, result: RunResult):
+        self.space, self.profile, self.rngs, self.result = space, profile, rngs, result
 
     def ask(self) -> tuple:
-        return next(self._search_steps)
+        # while every trial so far failed, copy the last attempt's coordinates; an
+        # init=0 first step has no record, and gen_counts <= k_mins forces a full resample
+        best, records = self.result.best.candidate, self.result.records
+        incumbent = best if best is not None else records[-1].values if records else None
+        return wrs_step(self.space, incumbent, self.profile, self.rngs.values, self.rngs.decisions)
 
     def tell(self, score: float) -> None:
         pass
 
-    @staticmethod
-    def _search(space: SearchSpace, config: RunConfig, rngs: RngBundle, result: RunResult):
-        """Yield each candidate; the records and the incumbent are read from
-        the result the run loop fills between yields."""
-        for _ in range(config.rs_trials):
-            yield rs_step(space, rngs.values)
-        records = result.records
-        profile, weights = _build_profile(space, config, records, rngs.forest, result.warnings)
-        result.header.profile = {"weights": weights, "probs": list(profile.probs), "k_mins": list(profile.k_mins)}
-        while True:
-            if result.best.candidate is not None:
-                incumbent = result.best.candidate
-            elif records:
-                incumbent = records[-1].values  # every trial so far failed; copy coordinates from the last attempt
-            else:
-                incumbent = None  # init=0 first step: gen_counts <= k_mins forces a full resample
-            yield wrs_step(space, incumbent, profile, rngs.values, rngs.decisions)
-
 
 def _make_strategy(space: SearchSpace, config: RunConfig, rngs: RngBundle, result: RunResult):
+    """The strategy for the trials after the rs phase, built once at the
+    boundary.  For wrs this is where the one importance fit runs, on the rs
+    phase's records, and where header.profile is written."""
     options = config.settings().get("sampler", {})
-    if config.strategy in ("wrs", "rs"):
-        return WeightedSearch(space, config, rngs, result)
+    if config.strategy == "wrs":
+        profile, weights = _build_profile(space, config, result.records, rngs.forest, result.warnings)
+        result.header.profile = {"weights": weights, "probs": list(profile.probs), "k_mins": list(profile.k_mins)}
+        return WeightedSearch(space, profile, rngs, result)
     if config.strategy == "sobol":
         return SobolSampler(space)
     if config.strategy == "nelder-mead":
@@ -342,8 +329,8 @@ def _make_strategy(space: SearchSpace, config: RunConfig, rngs: RngBundle, resul
 
 
 def execute_run(space: SearchSpace, objective: Objective, config: RunConfig) -> RunResult:
-    """Validate, write the header, then drive the requested strategy for
-    exactly config.budget trials into one RunResult."""
+    """Validate, write the header, then run exactly config.budget trials
+    into one RunResult: the rs phase, then the strategy built at its end."""
     config.validate(space)
     result = RunResult(
         header=RunHeader(
@@ -357,17 +344,24 @@ def execute_run(space: SearchSpace, objective: Objective, config: RunConfig) -> 
             options=config.settings(),
         )
     )
-    strategy = _make_strategy(space, config, RngBundle.from_seed(config.seed), result)
+    rngs = RngBundle.from_seed(config.seed)
     cache = EvalCache()
-    rs_trials = config.rs_trials
-    for it in range(1, config.budget + 1):
-        values = strategy.ask()
-        rec = evaluate_with_cache(objective, space, values, cache, it, "rs" if it <= rs_trials else config.strategy)
+
+    def trial(it: int, values: tuple, phase: str) -> TrialRecord:
+        rec = evaluate_with_cache(objective, space, values, cache, it, phase)
         result.records.append(rec)
         result.best = update_best(result.best, rec)  # a failed trial never becomes the incumbent
-        strategy.tell(rec.score)
-        if it == rs_trials and result.best.candidate is None:
-            raise AllTrialsFailedError(f"all {rs_trials} trials of the rs phase failed")
+        return rec
+
+    rs_trials = config.rs_trials
+    for it in range(1, rs_trials + 1):
+        trial(it, rs_step(space, rngs.values), "rs")
+    if rs_trials and result.best.candidate is None:
+        raise AllTrialsFailedError(f"all {rs_trials} trials of the rs phase failed")
+    if rs_trials < config.budget:  # an rs run has no phase after its rs phase
+        strategy = _make_strategy(space, config, rngs, result)
+        for it in range(rs_trials + 1, config.budget + 1):
+            strategy.tell(trial(it, strategy.ask(), config.strategy).score)
     if result.best.candidate is None:
         raise AllTrialsFailedError("every trial of the run failed")
     return result
