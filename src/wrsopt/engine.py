@@ -319,7 +319,7 @@ def _make_strategy(space: SearchSpace, config: RunConfig, rngs: RngBundle, resul
         result.header.profile = {"weights": weights, "probs": list(profile.probs), "k_mins": list(profile.k_mins)}
         return WeightedSearch(space, profile, rngs, result)
     if config.strategy == "sobol":
-        return SobolSampler(space)
+        return SobolSampler(space, rngs.values)
     if config.strategy == "nelder-mead":
         return NelderMeadSampler(space, rngs.values, **options)
     # a run never asks past its budget, so particles beyond it are never

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sobol import SobolEngine
+from .sobol import BITS, SobolEngine
 from .space import SearchSpace, value_at
 
 
@@ -115,14 +115,21 @@ def emit_relaxed(space: SearchSpace, x: np.ndarray) -> tuple:
 
 
 class SobolSampler:
-    """Deterministic low-discrepancy candidate stream over the space."""
+    """Sobol sequence over the space with a random digital shift (Owen,
+    1998): one seeded BITS-bit integer per axis is XORed into every point's
+    coordinates, which the engine's points hold exactly.  Each seed gives its
+    own sequence, and a shifted sequence keeps the unshifted one's dyadic
+    equidistribution."""
 
-    def __init__(self, space: SearchSpace):
+    def __init__(self, space: SearchSpace, rng: np.random.Generator):
         self.space = space
         self._engine = SobolEngine(len(space))
+        self._shift = rng.integers(0, 1 << BITS, len(space))
 
     def ask(self) -> tuple:
-        return tuple(map(value_at, self.space.dimensions, self._engine.next_point().tolist()))
+        scale = float(1 << BITS)
+        x = (self._engine.next_point() * scale).astype(np.int64) ^ self._shift
+        return tuple(map(value_at, self.space.dimensions, (x / scale).tolist()))
 
     def tell(self, score: float) -> None:
         pass

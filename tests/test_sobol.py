@@ -5,7 +5,7 @@ import pytest
 
 from wrsopt.samplers import SobolSampler
 from wrsopt.sobol import BITS, MAX_DIM, SobolEngine, direction_matrix
-from wrsopt.space import Dimension, SearchSpace
+from wrsopt.space import Dimension, SearchSpace, value_at
 
 
 def test_first_point_is_origin():
@@ -38,7 +38,7 @@ def test_dimension_limit():
         direction_matrix(MAX_DIM + 1)
     space = SearchSpace(tuple(Dimension(name=f"x{i}", kind="real", low=0, high=1) for i in range(MAX_DIM + 1)))
     with pytest.raises(ValueError):  # SobolEngine's own check; RunConfig.validate refuses such a run first
-        SobolSampler(space)
+        SobolSampler(space, np.random.default_rng(0))
 
 
 def test_points_stay_in_unit_interval():
@@ -55,10 +55,11 @@ def test_mapping_into_mixed_space():
             Dimension(name="c", kind="cat", values=("a", "b", "c")),
         )
     )
-    sampler = SobolSampler(space)
+    sampler = SobolSampler(space, np.random.default_rng(0))
     seen_ints, seen_cats = set(), set()
     first = sampler.ask()
-    assert first == (-1.0, 3, "a")  # origin maps to the low corner / first value
+    shift = np.random.default_rng(0).integers(0, 1 << BITS, 3) / float(1 << BITS)
+    assert first == tuple(map(value_at, space.dimensions, shift.tolist()))  # the origin, shifted
     for _ in range(255):
         r, i, c = sampler.ask()
         assert -1.0 <= r <= 3.0
@@ -70,10 +71,23 @@ def test_mapping_into_mixed_space():
     assert seen_cats == {"a", "b", "c"}
 
 
-def test_sequence_is_seed_free_and_deterministic():
-    s1 = SobolSampler(SearchSpace((Dimension(name="x", kind="real", low=0, high=1),)))
-    s2 = SobolSampler(SearchSpace((Dimension(name="x", kind="real", low=0, high=1),)))
-    assert [s1.ask() for _ in range(50)] == [s2.ask() for _ in range(50)]
+def test_same_seed_same_stream_two_seeds_differ():
+    space = SearchSpace((Dimension(name="x", kind="real", low=0, high=1),))
+    s1, s2, s3 = (SobolSampler(space, np.random.default_rng(seed)) for seed in (1, 1, 2))
+    first = [s1.ask() for _ in range(50)]
+    assert first == [s2.ask() for _ in range(50)]
+    assert first != [s3.ask() for _ in range(50)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_shifted_sequence_equidistributes_1d(seed):
+    # a digital shift keeps the net: among the first 2^m points, each dyadic
+    # interval of length 2^-m holds exactly one, m up to 10
+    sampler = SobolSampler(SearchSpace((Dimension(name="x", kind="real", low=0, high=1),)), np.random.default_rng(seed))
+    pts = np.array([sampler.ask()[0] for _ in range(1 << 10)])
+    for m in range(1, 11):
+        cells = np.floor(pts[: 1 << m] * (1 << m)).astype(int)
+        assert np.array_equal(np.sort(cells), np.arange(1 << m))
 
 
 def test_values_map_as_random_search_maps_them():
@@ -86,11 +100,12 @@ def test_values_map_as_random_search_maps_them():
             Dimension(name="j", kind="int", low=-5, high=5),
         )
     )
-    sampler = SobolSampler(space)
-    i, c, j = zip(*(sampler.ask() for _ in range(1024)))
-    assert Counter(i) == dict.fromkeys(range(3, 7), 256)
-    assert Counter(c) == {"a": 922, "b": 102}
-    assert set(Counter(j)) == set(range(-5, 6)) and set(Counter(j).values()) <= {93, 94}
+    for seed in range(3):
+        sampler = SobolSampler(space, np.random.default_rng(seed))
+        i, c, j = zip(*(sampler.ask() for _ in range(1024)))
+        assert Counter(i) == dict.fromkeys(range(3, 7), 256)
+        assert Counter(c)["a"] in (921, 922) and Counter(c)["b"] == 1024 - Counter(c)["a"]
+        assert set(Counter(j)) == set(range(-5, 6)) and set(Counter(j).values()) <= {93, 94}
 
 
 def test_a_point_past_2_to_the_30_is_refused():
