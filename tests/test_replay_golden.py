@@ -140,7 +140,7 @@ def _case_id(case: tuple[str, str, str, int]) -> str:
 
 GOLDEN = {
     "mixed-poly-rs-s0": "5a5fde6447c71813ff7d931887e60506629db01ef7d025e9370a1cc8fa130140",
-    "mixed-poly-sobol-s0": "52631f708d79d1fe74c35883bf10c3d83f2cd4b269d724d378dc089f0ef8ee06",
+    "mixed-poly-sobol-s0": "4165df8d4f98211b39b3fa42c03d403dd623cb9d1e143c981c5088fb2717cf2c",
     "mixed-poly-nm-s0": "588c8963419578025b134d951f4c551c68957b595170c5e12609465645cbc3ba",
     "mixed-poly-pso-s0": "f9503363b93810a01de6b8c93a96d9e6d54e056255541ee87d0c9ab347aed7bd",
     "mixed-poly-pso-swarm5-s0": "c56b9f05d55edb11b0817320eb58b4da9f4da295174520d79a2ca4a2964f98c7",
@@ -153,7 +153,7 @@ GOLDEN = {
     "mixed-poly-wrs-star-full-s0": "7a3dadc2664c5ac336abecf9df2512227c800a749cd59484861fcbf8134e3b9e",
     "mixed-poly-wrs-kmin-s0": "1860c7fa30cbe6d61b8224d6c30aaae4cf373baa9462523e2e0222ec7838a182",
     "mixed-flaky-rs-s0": "35241fd4a0e7c60a4665e211be150063fa32d18e15f25052bd552d280f212ea6",
-    "mixed-flaky-sobol-s0": "6fa45056306b2c7751b954202ee46b78cef0cf82f83834a16badabb57589ada9",
+    "mixed-flaky-sobol-s0": "0bde227985f3d3e231991a5ced05d377c07d3db68865b21c88002cbdc252911f",
     "mixed-flaky-nm-s0": "6fad75330fa790c26b771bde5e6621ec9585aa12232fdf80b2d0d07c5528c425",
     "mixed-flaky-pso-s0": "2a9bab49630979d22f206a7a9aa4f2fdf39eac3859191cc97435b18ca1e3a6a8",
     "mixed-flaky-pso-swarm5-s0": "1899299ec0d09e3c7dc7414183f7ce1d1d248d1e3dceb8b1275c056722c08de1",
@@ -173,7 +173,7 @@ GOLDEN = {
     "mixed-broken-rs-s0": "256e417f887720ecc9b93ff4a7424b7cbbdcf6ecd43f3751d56c9bd4b6c890f9",
     "mixed-broken-pso-swarm5-s0": "2898c3f593ead7836326bc11bfcaba724a2034ed1e0b1c12aaccb8da369cd8ce",
     "mixed-poly-rs-s1": "33596a3884516ae664c73aa00ba1a016b4c08dec9fa64161c45f6b6a49f16f89",
-    "mixed-poly-sobol-s1": "30ac416f4d0c7715d9de48d887d533e2985547c219e45a0449b5d9a17eb7401c",
+    "mixed-poly-sobol-s1": "59e8863039d7a9540cd78ca6b90652658ba6dee6730e3505ee5762d374264880",
     "mixed-poly-nm-s1": "c843523567d4201860726e358eb50f374143440f9a79efd0e13502c23e00ac6b",
     "mixed-poly-pso-s1": "119ad0ca09b7a494a32fa8f937b402dfb9df3c91f4d1c1422a9be9df55fe5717",
     "mixed-poly-pso-swarm5-s1": "e6c25d03c1392c15e00927bb20632f794e76aa11ab48aa616eb14af0897ddebb",
@@ -186,7 +186,7 @@ GOLDEN = {
     "mixed-poly-wrs-star-full-s1": "8a34d7ede6bf996874c4ec64a77997b1a27fcd96d85262a9cb3e892659f8922e",
     "mixed-poly-wrs-kmin-s1": "c7c1649b0210f2d305e70855200ed4899425cc06dff950a26fba31e8f84c8019",
     "mixed-flaky-rs-s1": "d4a0e2bc71729389469d9f6f50f94103e0a0c74ab8e648fbf0eec789ce9d3eb5",
-    "mixed-flaky-sobol-s1": "0373e5de69ed7750f980decd5d6e3ef0d16aa1ca96033f21bef99d96ccfe25da",
+    "mixed-flaky-sobol-s1": "9fb1e5f06441811e5210d324cc102bfdb0accb82edb1aae857730ca13620b6c6",
     "mixed-flaky-nm-s1": "0dd4a2b0873f9494d1ca1984ad5c47df52411989e6989da524f262fde24a1a46",
     "mixed-flaky-pso-s1": "c61af51e0ad6717df29df93de0d32f8a9c237957a5dee7581b7258affe211038",
     "mixed-flaky-pso-swarm5-s1": "f0c1a97a3a136d35d688af3fe116efb436ed990585cd421aca45788e3fc20dbb",
@@ -206,7 +206,7 @@ GOLDEN = {
     "mixed-broken-rs-s1": "256e417f887720ecc9b93ff4a7424b7cbbdcf6ecd43f3751d56c9bd4b6c890f9",
     "mixed-broken-pso-swarm5-s1": "2898c3f593ead7836326bc11bfcaba724a2034ed1e0b1c12aaccb8da369cd8ce",
     "int-poly-rs-s0": "417238599cbd1bd7ef1278aa0023d823031dfa5365870151a64fb0f4cf838e03",
-    "int-poly-sobol-s0": "96b75c260628ae9e99461c646c8543ed1fcf880cac59d96d0a3f4aac6f06ee22",
+    "int-poly-sobol-s0": "2443ccb678449fd5d734741762e5607bda48c86097d6e9bebf5e569e9f5d8ea5",
     "int-poly-nm-s0": "d02d9665cf0953e104095e96dbcd56b2488b2be04affe7f442040bac4899b4e3",
     "int-poly-pso-s0": "b6efff67df78b9f985ad428ce87a8099d40221fcabe8af49bd45e4bc39a51a3c",
     "int-poly-pso-swarm5-s0": "2907d1fd0b5fbe171408c7892e9027fde272fb2b2ae218ff08547ff1427f2394",
@@ -219,7 +219,7 @@ GOLDEN = {
     "int-poly-wrs-star-full-s0": "67a6ee75252c35ec1267e02009af54bc3828d68aab8312460eed6fee636c0b50",
     "int-poly-wrs-kmin-s0": "762966ffb20654f64400802a9071392dbb30db71da7b277325dbc2660b7a998e",
     "int-flaky-rs-s0": "7a5eaf4e2804c64e1acfebd85483819bb65a7a6af5819cc59bc7633198ecc6f7",
-    "int-flaky-sobol-s0": "a97d4b34c197979e4b64ee675832cd388ab38c8eb0c7fbdbe81a93fdd0ff58bf",
+    "int-flaky-sobol-s0": "dacf778ff00c02ab1c80e3cd20051da451c44ce7023748c0db6272bd1af979a9",
     "int-flaky-nm-s0": "7f391fd72a7abd4d80577e9804ed8c56c5177b42e55f6156088d533986f76808",
     "int-flaky-pso-s0": "c4086278f5f4d724707c96e7a67c3b6b1ea218d61868706771c0fba124358c87",
     "int-flaky-pso-swarm5-s0": "550fd4bfc541f180d0b9016f5b0235cf7fd5ed0de4cec39738b9a1d2d56e810f",
@@ -239,7 +239,7 @@ GOLDEN = {
     "int-broken-rs-s0": "256e417f887720ecc9b93ff4a7424b7cbbdcf6ecd43f3751d56c9bd4b6c890f9",
     "int-broken-pso-swarm5-s0": "2898c3f593ead7836326bc11bfcaba724a2034ed1e0b1c12aaccb8da369cd8ce",
     "int-poly-rs-s1": "df5d67810b768598053a978958df86cc6d168dc66c0afbf988decbe33efe904a",
-    "int-poly-sobol-s1": "45a88a7ce0e814e77f38b8a65ac8538ee0031abcbc39ffdd35ad528fb63598db",
+    "int-poly-sobol-s1": "5459b770185b90e78ef51beab440027235eeb2b9a39ca4558337a8e19e43e811",
     "int-poly-nm-s1": "e24c357b16ed268a4d32537b23fc0ffa813db5c3f00efe856fb9fe9e2a69ed47",
     "int-poly-pso-s1": "60dd7336ddff5ed234030263144558fecf318e569457a3bf1a79f52be9594f02",
     "int-poly-pso-swarm5-s1": "b1103dd29c5f666569e7e0529472cf0b06025ffe159c9b890b9227158de5a481",
@@ -252,7 +252,7 @@ GOLDEN = {
     "int-poly-wrs-star-full-s1": "638625b167dbe95a25c9af41498948c12112572820f16dcbba6ea14591df5706",
     "int-poly-wrs-kmin-s1": "9c31ddc811559b5de33fdc1d63320edc3d92b981f43fbb273ffbc01992d7447e",
     "int-flaky-rs-s1": "6e873649ae91562a561f3994656982e016654fd3092e222528dbe1f0a29682b3",
-    "int-flaky-sobol-s1": "84cc47cc51298c666079755fbc3ce0b3a2a701234accaa2a6780a5e795dd6647",
+    "int-flaky-sobol-s1": "81b4b1077132f59a12c6760389b3c2ca27d31b28f08a85bf757ff610e009e544",
     "int-flaky-nm-s1": "578f4fd8655db8ea13731d4c922bd5e125a4e641cce27b982e2e349becbaf1f3",
     "int-flaky-pso-s1": "0d4c8bd2e0feaaa5ea4b2c8a29fcfef7f6dba16d74f1fefb8f992998dc5488e2",
     "int-flaky-pso-swarm5-s1": "f524daca78d0b9c3c84fc883784ae16739babdf9947145d46959fec662dfde47",
