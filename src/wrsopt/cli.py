@@ -38,6 +38,7 @@ from .reporting import (
     ReportError,
     compare,
     fit_to_dict,
+    printable_name,
     render_importance_csv,
     render_importance_text,
     render_report_text,
@@ -172,7 +173,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     report = summarize(result.header, result.records)
     print(f"log: {out}")
-    pairs = " ".join(f"{n}={v}" for n, v in zip(space.names, report.best_values))
+    pairs = " ".join(f"{printable_name(n)}={v}" for n, v in zip(space.names, report.best_values))
     print(f"best: {report.best:.6g} at iteration {report.best_iteration} ({pairs})")
     print(f"trials: {len(result.records)} (evaluated {report.n_evaluated}, cached {report.n_cached}, failed {report.n_failed})")
     return 0

@@ -230,9 +230,14 @@ def render_report_text(report: RunReport, fit: FitResult | None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def printable_name(name: str) -> str:
+    """name, escaped as repr(name)[1:-1] if it is not str.isprintable() (a newline, a CR)."""
+    return name if name.isprintable() else repr(name)[1:-1]
+
+
 def render_importance_text(space: SearchSpace, weights: Sequence[float], probs: Sequence[float]) -> str:
     """Two-row table, dimensions in space order: weights above probabilities."""
-    names = list(space.names)
+    names = [printable_name(n) for n in space.names]
     w_cells = [f"{w:.2f}" for w in weights]
     p_cells = [f"{p:.2f}" for p in probs]
     widths = [max(len(n), len(w), len(p)) for n, w, p in zip(names, w_cells, p_cells)]

@@ -194,6 +194,23 @@ class TestRun:
             capsys.readouterr().out.splitlines()
         )
 
+    def test_best_line_escapes_a_name_that_holds_a_newline_or_a_cr(self, tmp_path, capsys):
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"dimensions": [
+            {"name": "a\nb", "kind": "int", "low": 1, "high": 1},
+            {"name": "c\rd", "kind": "int", "low": 2, "high": 2},
+            {"name": "é z", "kind": "int", "low": 3, "high": 3},
+        ]}))
+        out = str(tmp_path / "rs.jsonl")
+        assert run_cli([
+            "run", "--space", str(space), "--objective", "builtin:sphere",
+            "--strategy", "rs", "--budget", "1", "--seed", "0", "--out", out,
+        ]) == 0
+        stdout = capsys.readouterr().out
+        assert "\r" not in stdout
+        assert "best: -14 at iteration 1 (a\\nb=1 c\\rd=2 é z=3)" in stdout.splitlines()
+
+
 class TestRunErrors:
     def test_missing_space_file_exits_2(self, tmp_path, capsys):
         code = run_cli([
@@ -555,6 +572,21 @@ class TestImportance:
             rows = list(csv.reader(fh))
         assert [len(row) for row in rows] == [3, 3, 3]
         assert rows[0] == ["row", "a\rb", "z"]
+
+    def test_importance_text_escapes_a_name_that_holds_a_newline(self, tmp_path, capsys):
+        names = ["a\nb", "z"]
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"dimensions": [{"name": n, "kind": "real", "low": 0.0, "high": 1.0} for n in names]}))
+        log = str(tmp_path / "rs.jsonl")
+        assert run_cli([
+            "run", "--space", str(space), "--objective", "builtin:sphere",
+            "--strategy", "rs", "--budget", "30", "--seed", "2", "--out", log,
+        ]) == 0
+        capsys.readouterr()
+        assert run_cli(["importance", log]) == 0
+        lines = capsys.readouterr().out.split("\n")
+        assert len(lines) == 4 and lines[-1] == ""  # three lines, each ended by a newline
+        assert lines[0].split() == ["a\\nb", "z"]
 
     @pytest.mark.parametrize("seed,n0", [(7, 40), (3, 25)])
     def test_rs_log_reproduces_the_wrs_profile(self, seed, n0, tmp_path):
