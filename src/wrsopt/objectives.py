@@ -258,16 +258,16 @@ def evaluate_external(command: str, values: tuple, space: SearchSpace, timeout: 
     space order.  The final line of stdout must parse as a decimal score and
     the exit code must be 0; anything else raises ObjectiveFailure.  A score
     that parses but is not finite, such as "nan", is returned as it is:
-    Objective, which every evaluation goes through, refuses it.  Output
-    is decoded as UTF-8, a byte that is not UTF-8 becoming U+FFFD.  The
-    command runs in a session of its own, so a timeout kills its whole
-    process group, background grandchildren included.
+    Objective, which every evaluation goes through, refuses it.  stderr is
+    discarded unread.  Output is decoded as UTF-8, a byte that is not UTF-8
+    becoming U+FFFD.  The command runs in a session of its own, so a timeout
+    kills its whole process group, background grandchildren included.
     """
     argv = shlex.split(command)
     argv += [format_argument(d.kind, d.name, v) for d, v in zip(space.dimensions, values)]
     try:
         proc = subprocess.Popen(
-            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, encoding="utf-8", errors="replace", start_new_session=True
+            argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, encoding="utf-8", errors="replace", start_new_session=True
         )
     except OSError as exc:
         raise ObjectiveFailure(f"spawn failed: {exc}") from None

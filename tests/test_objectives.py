@@ -300,6 +300,25 @@ class TestExternalProtocol:
         time.sleep(1.5)
         assert not marker.exists()
 
+    def test_stderr_is_not_held_in_memory(self):
+        # 50 MB on the scorer's stderr; the driver's peak RSS, taken in a
+        # child process of its own, must not rise by more than 10 MB
+        command = f"{sys.executable} -c " + '"import sys; sys.stderr.write(\'x\' * 50_000_000); print(0.5)"'
+        driver = subprocess.run([
+            sys.executable, "-c",
+            "import resource, sys; "
+            "from wrsopt.objectives import evaluate_external; "
+            "from wrsopt.space import Dimension, SearchSpace; "
+            "space = SearchSpace((Dimension(name='n', kind='int', low=0, high=1),)); "
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+            "score = evaluate_external(sys.argv[1], (0,), space, timeout=60); "
+            "print(score, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)",
+            command,
+        ], capture_output=True, text=True, timeout=120, check=True)
+        score, rise_kb = driver.stdout.split()
+        assert float(score) == 0.5
+        assert int(rise_kb) < 10 * 1024  # ru_maxrss is in KiB on Linux
+
     def test_unparseable_output_fails(self):
         space = int_space(1)
         cmd = f"{sys.executable} -c " + "\"print('accuracy great')\""
