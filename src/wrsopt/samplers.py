@@ -23,7 +23,6 @@ dimension in declaration order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -115,11 +114,9 @@ def emit_relaxed(space: SearchSpace, x: np.ndarray) -> tuple:
 
 
 class SobolSampler:
-    """Sobol sequence over the space with a random digital shift (Owen,
-    1998): one seeded BITS-bit integer per axis is XORed into every point's
-    coordinates, which the engine's points hold exactly.  Each seed gives its
-    own sequence, and a shifted sequence keeps the unshifted one's dyadic
-    equidistribution."""
+    """Sobol sequence with a random digital shift (Owen, 1998): one seeded
+    BITS-bit integer per axis is XORed into every point's exact integer
+    coordinates, so each seed has its own sequence, as equidistributed."""
 
     def __init__(self, space: SearchSpace, rng: np.random.Generator):
         self.space = space
@@ -162,7 +159,6 @@ class NelderMeadSampler:
         rho: float = 0.5,
         sigma: float = 0.5,
         init_step: float = 0.05,
-        init_vertex: Sequence[float] | None = None,
     ):
         self.space = space
         self.alpha, self.gamma, self.rho, self.sigma = alpha, gamma, rho, sigma
@@ -171,10 +167,7 @@ class NelderMeadSampler:
         # the vertex spread each axis allows at convergence: none once rounded
         self._spread = np.where(self._discrete, 0.0, NM_TOL * (self._hi - self._lo))
         d = len(space)
-        if init_vertex is None:
-            base = self._lo + rng.random(d) * (self._hi - self._lo)
-        else:
-            base = np.clip(np.asarray(init_vertex, dtype=float), self._lo, self._hi)
+        base = self._lo + rng.random(d) * (self._hi - self._lo)
         vertices = [base]
         for i in range(d):
             v = base.copy()

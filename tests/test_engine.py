@@ -129,7 +129,7 @@ class TestSamplerOptionRanges:
     )
     def test_every_default_is_accepted(self, strategy, sampler):
         params = inspect.signature(sampler).parameters
-        defaults = tuple((k, float(p.default)) for k, p in params.items() if k not in ("space", "rng", "init_vertex"))
+        defaults = tuple((k, float(p.default)) for k, p in params.items() if k not in ("space", "rng"))
         RunConfig(strategy=strategy, budget=10, sampler_options=defaults).validate(_AB_SPACE)
 
     @pytest.mark.parametrize(

@@ -11,6 +11,17 @@ from wrsopt.space import Dimension, SearchSpace, validate_candidate
 from _util import int_space, mixed_space, real_space
 
 
+class StartAt:
+    """Stands in for the sampler's rng, whose one draw, random(d), places the
+    first vertex: it returns the given fraction of each axis's width."""
+
+    def __init__(self, *fractions):
+        self.fractions = np.array(fractions)
+
+    def random(self, d):
+        return self.fractions
+
+
 def drive(sampler, fn, steps):
     """Run the ask/tell loop, maximizing fn; returns best (candidate, score)."""
     best = (None, -np.inf)
@@ -24,11 +35,11 @@ def drive(sampler, fn, steps):
 
 
 def test_reflection_is_first_proposal_after_init():
-    # init_vertex (0,0) with step 0.05 over span 20 gives the exact simplex
+    # a first vertex at (0,0) with step 0.05 over span 20 gives the exact simplex
     # (0,0), (1,0), (0,1); with losses 1 < 2 < 3 the worst vertex (0,1) is
     # reflected through the centroid (0.5, 0) to (1, -1)
     space = real_space(2, low=-10, high=10)
-    nm = NelderMeadSampler(space, np.random.default_rng(0), init_vertex=(0.0, 0.0))
+    nm = NelderMeadSampler(space, StartAt(0.5, 0.5))
     losses = {(0.0, 0.0): 1.0, (1.0, 0.0): 2.0, (0.0, 1.0): 3.0}
     for _ in range(3):
         cand = nm.ask()
@@ -37,7 +48,7 @@ def test_reflection_is_first_proposal_after_init():
 
 
 # The branch tests below start from the exact simplex (0,0), (1,0), (0,1)
-# (init_vertex (0,0), step 0.05 over span 20) with losses 1 < 2 < 3, so the
+# (first vertex (0,0), step 0.05 over span 20) with losses 1 < 2 < 3, so the
 # centroid of the two best vertices is (0.5, 0) and the reflection of the
 # worst vertex is (1, -1).  Every point below is exact in binary floating
 # point, so the expected asks are compared with ==.
@@ -47,7 +58,7 @@ def simplex_asks(losses, n, **coefficients):
     """Drive a fresh sampler on the base simplex, telling each point the loss
     given for it; returns the first n asks (the last one is not told)."""
     space = real_space(2, low=-10, high=10)
-    nm = NelderMeadSampler(space, np.random.default_rng(0), init_vertex=(0.0, 0.0), **coefficients)
+    nm = NelderMeadSampler(space, StartAt(0.5, 0.5), **coefficients)
     losses = {(0.0, 0.0): 1.0, (1.0, 0.0): 2.0, (0.0, 1.0): 3.0, **losses}
     asks = [nm.ask()]
     while len(asks) < n:
@@ -118,7 +129,7 @@ def test_shrink_coefficient_is_configurable():
 
 def test_sphere_2d_converges_to_origin():
     space = real_space(2, low=-5, high=5)
-    nm = NelderMeadSampler(space, np.random.default_rng(3), init_vertex=(1.0, 1.0))
+    nm = NelderMeadSampler(space, StartAt(0.6, 0.6))  # first vertex (1, 1)
     best, _ = drive(nm, lambda c: -sphere(np.asarray(c)), 200)
     assert np.linalg.norm(best) < 1e-3
 
@@ -239,7 +250,7 @@ def test_single_value_integer_axis_is_harmless():
 
 def test_coefficients_are_configurable():
     space = real_space(2, low=-10, high=10)
-    nm = NelderMeadSampler(space, np.random.default_rng(0), alpha=2.0, init_vertex=(0.0, 0.0))
+    nm = NelderMeadSampler(space, StartAt(0.5, 0.5), alpha=2.0)
     losses = {(0.0, 0.0): 1.0, (1.0, 0.0): 2.0, (0.0, 1.0): 3.0}
     for _ in range(3):
         nm.tell(-losses[nm.ask()])
