@@ -310,9 +310,8 @@ class WeightedSearch:
 
 
 def _make_strategy(space: SearchSpace, config: RunConfig, rngs: RngBundle, result: RunResult):
-    """The strategy for the trials after the rs phase, built once at the
-    boundary.  For wrs this is where the one importance fit runs, on the rs
-    phase's records, and where header.profile is written."""
+    """The strategy for the trials after the rs phase, built once at its end;
+    for wrs, the one importance fit runs on the rs records and header.profile is written."""
     options = config.settings().get("sampler", {})
     if config.strategy == "wrs":
         profile, weights = _build_profile(space, config, result.records, rngs.forest, result.warnings)

@@ -90,6 +90,21 @@ def test_shifted_sequence_equidistributes_1d(seed):
         assert np.array_equal(np.sort(cells), np.arange(1 << m))
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_shifted_sequence_keeps_the_2d_net(seed):
+    # the first two axes form a (0, m, 2)-net, which a digital shift keeps and
+    # a shift added modulo 1 does not: among the first 2^m points, every box
+    # of 2^-i by 2^-(m-i) holds exactly one
+    space = SearchSpace(tuple(Dimension(name=n, kind="real", low=0, high=1) for n in "xy"))
+    sampler = SobolSampler(space, np.random.default_rng(seed))
+    pts = np.array([sampler.ask() for _ in range(1 << 8)])
+    for m in range(1, 9):
+        for i in range(m + 1):
+            cells = np.floor(pts[: 1 << m, 0] * (1 << i)).astype(int) * (1 << (m - i))
+            cells += np.floor(pts[: 1 << m, 1] * (1 << (m - i))).astype(int)
+            assert np.array_equal(np.sort(cells), np.arange(1 << m)), (m, i)
+
+
 def test_values_map_as_random_search_maps_them():
     # the sampler turns each coordinate into a value through space.value_at,
     # as rs does: int ends get a full share, and category weights count
