@@ -38,7 +38,6 @@ from .reporting import (
     ReportError,
     compare,
     fit_to_dict,
-    printable_name,
     render_importance_csv,
     render_importance_text,
     render_report_text,
@@ -47,7 +46,7 @@ from .reporting import (
     summarize,
     trend,
 )
-from .space import SpaceError, load_space, space_from_dict
+from .space import SpaceError, load_space, printable_name, space_from_dict
 from .triallog import LogError, read_log, write_log
 
 
@@ -173,7 +172,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     report = summarize(result.header, result.records)
     print(f"log: {out}")
-    pairs = " ".join(f"{printable_name(n)}={v}" for n, v in zip(space.names, report.best_values))
+    # str() of a number, a boolean or None is printable already, so only text can change
+    pairs = " ".join(f"{printable_name(n)}={printable_name(str(v))}" for n, v in zip(space.names, report.best_values))
     print(f"best: {report.best:.6g} at iteration {report.best_iteration} ({pairs})")
     print(f"trials: {len(result.records)} (evaluated {report.n_evaluated}, cached {report.n_cached}, failed {report.n_failed})")
     return 0

@@ -23,14 +23,16 @@ import os
 import shlex
 import signal
 import subprocess
+import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .space import SearchSpace
+from .space import SearchSpace, printable_name
 
 DEFAULT_TIMEOUT = 300.0
+TAIL_BYTES = 4096  # how much of the end of a scorer's stdout is read
 
 
 class ObjectiveError(ValueError):
@@ -216,7 +218,7 @@ def make_objective(spec: ObjectiveSpec | str, space: SearchSpace) -> Objective:
     name = spec.target
     for dim in space:
         if dim.kind == "cat":
-            raise ObjectiveError(f"builtin {name!r} needs numeric dimensions; {dim.name} is categorical")
+            raise ObjectiveError(f"builtin {name!r} needs numeric dimensions; {printable_name(dim.name)} is categorical")
 
     if name == "branin" and len(space) != 2:
         raise ObjectiveError(f"branin is 2-dimensional; space has {len(space)} dimensions")
@@ -254,38 +256,36 @@ def format_argument(dim_kind: str, name: str, value: Any) -> str:
 def evaluate_external(command: str, values: tuple, space: SearchSpace, timeout: float) -> float:
     """Run an external scorer once.
 
-    The command is launched with one name=value argument per dimension in
-    space order.  The final line of stdout must parse as a decimal score and
-    the exit code must be 0; anything else raises ObjectiveFailure.  A score
-    that parses but is not finite, such as "nan", is returned as it is:
-    Objective, which every evaluation goes through, refuses it.  stderr is
-    discarded unread.  Output is decoded as UTF-8, a byte that is not UTF-8
-    becoming U+FFFD.  The command runs in a session of its own, so a timeout
-    kills its whole process group, background grandchildren included.
+    The command gets one name=value argument per dimension in space order.
+    It must exit 0 with a decimal score as the last non-blank line of
+    stdout, else ObjectiveFailure; a score such as "nan" is returned for
+    Objective to refuse.  stdout goes to a temporary file whose last
+    TAIL_BYTES alone are read, as UTF-8 with replacement: a last line not
+    wholly within them is unparseable output.  stderr is discarded.  When the
+    command exits, times out or is interrupted, every process left in its
+    session is killed.  The wait polls, so a trial can end ~50 ms late.
     """
-    argv = shlex.split(command)
-    argv += [format_argument(d.kind, d.name, v) for d, v in zip(space.dimensions, values)]
-    try:
-        proc = subprocess.Popen(
-            argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, encoding="utf-8", errors="replace", start_new_session=True
-        )
-    except OSError as exc:
-        raise ObjectiveFailure(f"spawn failed: {exc}") from None
-    with proc:
+    argv = shlex.split(command) + [format_argument(d.kind, d.name, v) for d, v in zip(space.dimensions, values)]
+    with tempfile.TemporaryFile() as out:
         try:
-            stdout, _ = proc.communicate(timeout=timeout)
-        except BaseException as exc:  # a timeout, or a Ctrl-C that the command's own session never sees
-            with contextlib.suppress(ProcessLookupError):  # a Ctrl-C can land after communicate() reaped the command
-                os.killpg(proc.pid, signal.SIGKILL)  # the unreaped child keeps its group alive until wait()
+            proc = subprocess.Popen(argv, stdout=out, stderr=subprocess.DEVNULL, start_new_session=True)
+        except OSError as exc:
+            raise ObjectiveFailure(f"spawn failed: {exc}") from None
+        try:
+            proc.wait(timeout)
+        except subprocess.TimeoutExpired:
+            raise ObjectiveFailure("timeout") from None
+        finally:  # exit, timeout and Ctrl-C alike
+            with contextlib.suppress(ProcessLookupError):  # the group is empty
+                os.killpg(proc.pid, signal.SIGKILL)  # an unreaped leader keeps its group alive; a reaped one's jobs do too
             proc.wait()
-            if isinstance(exc, subprocess.TimeoutExpired):
-                raise ObjectiveFailure("timeout") from None
-            raise
+        tail = os.pread(out.fileno(), TAIL_BYTES + 1, max(0, os.fstat(out.fileno()).st_size - TAIL_BYTES - 1))
     if proc.returncode != 0:
         raise ObjectiveFailure(f"exit {proc.returncode}")
-    lines = [ln for ln in stdout.splitlines() if ln.strip()]
+    cut = len(tail) > TAIL_BYTES  # a byte more was read: the piece before the first line end may end a longer line
+    lines = [ln for ln in tail.decode("utf-8", "replace").splitlines()[cut:] if ln.strip()]
     if not lines:
-        raise ObjectiveFailure("no output")
+        raise ObjectiveFailure(f"unparseable output (no whole non-blank line in the last {TAIL_BYTES} bytes)" if cut else "no output")
     try:
         return float(lines[-1].strip())
     except ValueError:

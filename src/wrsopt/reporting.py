@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import STRATEGIES
-from .space import SearchSpace
+from .space import SearchSpace, printable_name
 from .triallog import RunHeader, TrialRecord
 
 STRATEGY_ORDER = {name: i for i, name in enumerate(STRATEGIES)}
@@ -228,11 +228,6 @@ def render_report_text(report: RunReport, fit: FitResult | None) -> str:
     else:
         lines.append("fit: skipped (too few successful trials)")
     return "\n".join(lines) + "\n"
-
-
-def printable_name(name: str) -> str:
-    """name, escaped as repr(name)[1:-1] if it is not str.isprintable() (a newline, a CR)."""
-    return name if name.isprintable() else repr(name)[1:-1]
 
 
 def render_importance_text(space: SearchSpace, weights: Sequence[float], probs: Sequence[float]) -> str:

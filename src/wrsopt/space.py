@@ -39,6 +39,12 @@ _KIND_ALIASES = {
 }
 
 
+def printable_name(name: str) -> str:
+    """name, escaped as repr(name)[1:-1] if it is not str.isprintable() (a
+    newline, a CR), so that it keeps a one-line message to one line."""
+    return name if name.isprintable() else repr(name)[1:-1]
+
+
 def _check(cond: bool, msg: str) -> None:
     if not cond:
         raise SpaceError(msg)
@@ -63,53 +69,54 @@ class Dimension:
     def __post_init__(self) -> None:
         _check(isinstance(self.name, str) and self.name != "", "dimension name must be a non-empty string")
         _check_utf8(self.name, "dimension name")
+        name = printable_name(self.name)  # the name as every message below prints it
         kind = _KIND_ALIASES.get(self.kind) if isinstance(self.kind, str) else None
-        _check(kind is not None, f"{self.name}: unknown kind {self.kind!r}")
+        _check(kind is not None, f"{name}: unknown kind {self.kind!r}")
         object.__setattr__(self, "kind", kind)
 
         if kind == "cat":
-            _check(self.low is None and self.high is None, f"{self.name}: categorical dimensions take values, not bounds")
+            _check(self.low is None and self.high is None, f"{name}: categorical dimensions take values, not bounds")
             for key in ("values", "weights"):
-                _check(isinstance(getattr(self, key), (list, tuple, type(None))), f"{self.name}: {key} must be a list")
-            _check(self.values is not None and len(self.values) > 0, f"{self.name}: categorical dimension needs at least one value")
+                _check(isinstance(getattr(self, key), (list, tuple, type(None))), f"{name}: {key} must be a list")
+            _check(self.values is not None and len(self.values) > 0, f"{name}: categorical dimension needs at least one value")
             object.__setattr__(self, "values", tuple(self.values))
             seen = set()
             for v in self.values:
                 # what a JSON log can write; every one of these is hashable
-                _check(v is None or isinstance(v, (str, int, float)), f"{self.name}: categorical value {v!r} is not a string, number, boolean or null")
-                _check(v not in seen, f"{self.name}: duplicate categorical value {v!r}")
+                _check(v is None or isinstance(v, (str, int, float)), f"{name}: categorical value {v!r} is not a string, number, boolean or null")
+                _check(v not in seen, f"{name}: duplicate categorical value {v!r}")
                 seen.add(v)
                 if isinstance(v, str):
-                    _check_utf8(v, f"{self.name}: categorical value")
+                    _check_utf8(v, f"{name}: categorical value")
             if self.weights is not None:
-                w = _floats(self.weights, f"{self.name}: weights must be finite numbers")
-                _check(len(w) == len(self.values), f"{self.name}: weights length must match values length")
-                _check(all(math.isfinite(x) and x > 0 for x in w), f"{self.name}: weights must be finite and positive")
+                w = _floats(self.weights, f"{name}: weights must be finite numbers")
+                _check(len(w) == len(self.values), f"{name}: weights length must match values length")
+                _check(all(math.isfinite(x) and x > 0 for x in w), f"{name}: weights must be finite and positive")
                 object.__setattr__(self, "weights", w)
                 # running totals that value_at searches, summed once per dimension
                 object.__setattr__(self, "_cum_weights", np.cumsum(w).tolist())
             return
 
-        _check(self.values is None and self.weights is None, f"{self.name}: range dimensions take bounds, not values")
-        _check(self.low is not None and self.high is not None, f"{self.name}: range dimension needs low and high")
+        _check(self.values is None and self.weights is None, f"{name}: range dimensions take bounds, not values")
+        _check(self.low is not None and self.high is not None, f"{name}: range dimension needs low and high")
         if kind == "int":
             for side, v in (("low", self.low), ("high", self.high)):
                 # bool, YAML's yes and no, is an Integral; np.bool_ is not
                 integral = isinstance(v, numbers.Integral) and not isinstance(v, bool)
-                _check(integral or (isinstance(v, float) and v.is_integer()), f"{self.name}: integer bound {side}={v!r} is not integral")
+                _check(integral or (isinstance(v, float) and v.is_integer()), f"{name}: integer bound {side}={v!r} is not integral")
             object.__setattr__(self, "low", int(self.low))
             object.__setattr__(self, "high", int(self.high))
             # sampling and the importance fit take the bounds and the count
             # of values as floats
-            _floats((self.low, self.high, self.high - self.low + 1), f"{self.name}: integer bounds and their span must lie within float range")
+            _floats((self.low, self.high, self.high - self.low + 1), f"{name}: integer bounds and their span must lie within float range")
         else:
-            low, high = _floats((self.low, self.high), f"{self.name}: real bounds must be finite numbers")
+            low, high = _floats((self.low, self.high), f"{name}: real bounds must be finite numbers")
             object.__setattr__(self, "low", low)
             object.__setattr__(self, "high", high)
-            _check(math.isfinite(self.low) and math.isfinite(self.high), f"{self.name}: real bounds must be finite")
+            _check(math.isfinite(self.low) and math.isfinite(self.high), f"{name}: real bounds must be finite")
             # value_at scales the width; an infinite one would draw only inf
-            _check(math.isfinite(self.high - self.low), f"{self.name}: real bounds must lie within float range of each other")
-        _check(self.low <= self.high, f"{self.name}: low must not exceed high")
+            _check(math.isfinite(self.high - self.low), f"{name}: real bounds must lie within float range of each other")
+        _check(self.low <= self.high, f"{name}: low must not exceed high")
 
 
 def _check_utf8(text: str, what: str) -> None:
@@ -213,7 +220,8 @@ def validate_candidate(space: SearchSpace, values: Sequence[Any]) -> tuple:
     _check(len(values) == len(space), f"{len(values)} values, but the space has {len(space)} dimensions")
     out = tuple(v.item() if isinstance(v, np.generic) else v for v in values)
     for dim, v in zip(space.dimensions, out):
-        _check(values_in_dimension(dim, (v,)), f"{dim.name}={v!r} is not a value of the space")
+        if not values_in_dimension(dim, (v,)):
+            raise SpaceError(f"{printable_name(dim.name)}={v!r} is not a value of the space")
     return out
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from wrsopt.cli import main
 from wrsopt.engine import RunConfig, execute_run
-from wrsopt.objectives import BUILTIN_NAMES
+from wrsopt.objectives import BUILTIN_NAMES, make_objective
 from wrsopt.space import space_digest, space_from_dict
 from wrsopt.triallog import RunHeader, TrialRecord, read_log, record_fingerprint, write_log
 
@@ -209,6 +209,36 @@ class TestRun:
         stdout = capsys.readouterr().out
         assert "\r" not in stdout
         assert "best: -14 at iteration 1 (a\\nb=1 c\\rd=2 é z=3)" in stdout.splitlines()
+
+    def test_best_line_escapes_a_categorical_value_that_holds_a_newline(self, tmp_path, capsys):
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"dimensions": [
+            {"name": "c", "kind": "cat", "values": ["x\ny"]},
+            {"name": "d", "kind": "cat", "values": ["é z"]},
+            {"name": "e", "kind": "cat", "values": [None]},
+        ]}))
+        out = str(tmp_path / "rs.jsonl")
+        assert run_cli([
+            "run", "--space", str(space), "--objective", "external:sh -c 'echo 1'",
+            "--strategy", "rs", "--budget", "1", "--seed", "0", "--out", out,
+        ]) == 0
+        stdout = capsys.readouterr().out
+        assert "best: -1 at iteration 1 (c=x\\ny d=é z e=None)" in stdout.splitlines()
+
+    def test_best_line_names_the_first_trial_to_reach_the_best_and_result_best_the_last(self, tmp_path, capsys):
+        # on ties the best: line names the first trial reaching the best score,
+        # as report does; execute_run's incumbent is the last, as ties replace it
+        payload = {"dimensions": [{"name": "n", "kind": "int", "low": -2, "high": 2}]}
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps(payload))
+        assert run_cli([
+            "run", "--space", str(space), "--objective", "builtin:sphere?direction=maximize",
+            "--strategy", "rs", "--budget", "8", "--seed", "1", "--out", str(tmp_path / "rs.jsonl"),
+        ]) == 0
+        assert "best: 4 at iteration 2 (n=-2)" in capsys.readouterr().out.splitlines()
+        parsed = space_from_dict(payload)
+        result = execute_run(parsed, make_objective("builtin:sphere?direction=maximize", parsed), RunConfig(strategy="rs", budget=8, seed=1))
+        assert (result.best.candidate, result.best.score, result.best.iteration) == ((2,), 4.0, 8)
 
 
 class TestRunErrors:
@@ -435,6 +465,23 @@ class TestReport:
         assert run_cli(["report", log]) == 0
         reported = re.search(r"^failed: (\d+)  cached: \d+$", capsys.readouterr().out, re.M)
         assert int(ran.group(1)) == int(reported.group(1)) == len(failed)
+
+    def test_a_stray_value_on_a_name_that_holds_a_newline_is_one_error_line(self, tmp_path, capsys):
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"dimensions": [{"name": "a\nb", "kind": "int", "low": 0, "high": 5}]}))
+        log = tmp_path / "rs.jsonl"
+        assert run_cli([
+            "run", "--space", str(space), "--objective", "builtin:sphere",
+            "--strategy", "rs", "--budget", "3", "--seed", "1", "--out", str(log),
+        ]) == 0
+        lines = log.read_text(encoding="utf-8").splitlines()
+        trial = json.loads(lines[2])
+        trial["values"] = [7]
+        lines[2] = json.dumps(trial)
+        log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli(["report", str(log)]) == 1
+        assert capsys.readouterr().err == f"error: {log}: trial 2: a\\nb=7 is not a value of the space\n"
 
     def test_corrupt_log_exits_1(self, tmp_path, capsys):
         p = tmp_path / "bad.jsonl"

@@ -8,8 +8,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from wrsopt.objectives import (
+    TAIL_BYTES,
     ObjectiveError,
     ObjectiveFailure,
     additive_component,
@@ -154,9 +156,10 @@ class TestMakeObjective:
         with pytest.raises(ObjectiveError):
             make_objective("builtin:additive-anova?coeffs=1,2,3", real_space(2))
 
-    def test_categorical_space_rejected_for_numeric_builtin(self):
-        space = SearchSpace((Dimension(name="c", kind="cat", values=("a", "b")),))
-        with pytest.raises(ObjectiveError):
+    @pytest.mark.parametrize("name, printed", [("c", "c"), ("c\nd", "c\\nd")])
+    def test_categorical_space_rejected_for_numeric_builtin(self, name, printed):
+        space = SearchSpace((Dimension(name=name, kind="cat", values=("a", "b")),))
+        with pytest.raises(ObjectiveError, match=f"^builtin 'sphere' needs numeric dimensions; {re.escape(printed)} is categorical$"):
             make_objective("builtin:sphere", space)
 
     def test_branin_arity_checked_against_space(self):
@@ -319,6 +322,34 @@ class TestExternalProtocol:
         assert float(score) == 0.5
         assert int(rise_kb) < 10 * 1024  # ru_maxrss is in KiB on Linux
 
+    def test_stdout_is_not_held_in_memory(self):
+        # 50 MB on the scorer's stdout before its score, measured as for stderr
+        command = f"{sys.executable} -c " + '"import sys; sys.stdout.write(\'x\' * 50_000_000 + \'\\n\'); print(0.5)"'
+        driver = subprocess.run([
+            sys.executable, "-c",
+            "import resource, sys; "
+            "from wrsopt.objectives import evaluate_external; "
+            "from wrsopt.space import Dimension, SearchSpace; "
+            "space = SearchSpace((Dimension(name='n', kind='int', low=0, high=1),)); "
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+            "score = evaluate_external(sys.argv[1], (0,), space, timeout=60); "
+            "print(score, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)",
+            command,
+        ], capture_output=True, text=True, timeout=120, check=True)
+        score, rise_kb = driver.stdout.split()
+        assert float(score) == 0.5
+        assert int(rise_kb) < 10 * 1024  # ru_maxrss is in KiB on Linux
+
+    def test_a_background_job_neither_delays_the_score_nor_outlives_the_trial(self, tmp_path):
+        # the job holds stdout open; the score counts once the command exits
+        marker = tmp_path / "marker"
+        command = f"sh -c '(sleep 2; touch {shlex.quote(str(marker))}) & echo 0.5'"
+        start = time.monotonic()
+        assert evaluate_external(command, (1,), int_space(1), timeout=5) == 0.5
+        assert time.monotonic() - start < 1
+        time.sleep(2.5)
+        assert not marker.exists()
+
     def test_unparseable_output_fails(self):
         space = int_space(1)
         cmd = f"{sys.executable} -c " + "\"print('accuracy great')\""
@@ -353,3 +384,62 @@ class TestExternalProtocol:
         cmd = f"{sys.executable} -c " + '"pass"'
         with pytest.raises(ObjectiveFailure, match="no output"):
             evaluate_external(cmd, (1,), space, timeout=30)
+
+
+# the pieces of a scorer's stdout for the window test: none of them holds a
+# line end, and a byte that is not UTF-8 (a lone continuation byte, or one
+# that never occurs in UTF-8) decodes to U+FFFD on its own
+_NOT_UTF8 = [*range(0x80, 0xC0), 0xC0, 0xC1, *range(0xF5, 0x100)]
+_LINE_CHARS = st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+_PIECES = st.one_of(
+    st.text(_LINE_CHARS, max_size=12).map(str.encode),
+    st.sampled_from([b"", b" ", b"\t", b" \t  "]),
+    st.floats(allow_nan=False).map(lambda x: repr(x).encode()),
+    st.lists(st.sampled_from(_NOT_UTF8), min_size=1, max_size=3).map(bytes),
+    # a run as long as a window: of digits it is a number, and so is any tail of it
+    st.tuples(st.sampled_from(["0", "x", " ", "\u00e9"]), st.integers(1, TAIL_BYTES + 8)).map(lambda t: (t[0] * t[1]).encode()),
+)
+_LINES = st.lists(st.tuples(st.lists(_PIECES, max_size=3).map(b"".join), st.sampled_from([b"\n", b"\r\n", b"\r"])), min_size=1, max_size=8)
+
+
+def _outcome(fn):
+    try:
+        return ("score", repr(fn()))
+    except ObjectiveFailure as exc:
+        return ("failed", exc.reason)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=_LINES, unterminated=st.booleans())
+# the last line takes up the window exactly, and one byte more
+@example(lines=[(b"0.5", b"\n"), (b"1" * (TAIL_BYTES - 1), b"\n")], unterminated=False)
+@example(lines=[(b"0.5", b"\n"), (b"1" * TAIL_BYTES, b"\n")], unterminated=False)
+@example(lines=[(b"0.5", b"\r\n"), (b"1" * TAIL_BYTES, b"")], unterminated=True)
+# a score above a window of blank lines
+@example(lines=[(b"0.5", b"\n"), (b"", b"\r\n" * (TAIL_BYTES // 2))], unterminated=False)
+def test_only_a_last_line_within_the_window_is_read(tmp_path_factory, lines, unterminated):
+    if unterminated:
+        lines = [*lines[:-1], (lines[-1][0], b"")]
+    data = b"".join(content + end for content, end in lines)
+    assume(len(data) <= 3 * TAIL_BYTES)
+    path = tmp_path_factory.mktemp("out") / "stdout"
+    path.write_bytes(data)
+    command = "sh -c " + shlex.quote("cat " + shlex.quote(str(path)))
+    got = _outcome(lambda: evaluate_external(command, (1,), int_space(1), timeout=30))
+
+    # no piece ends a line, so each non-blank drawn line is one non-blank line of the text
+    starts = np.cumsum([0] + [len(content + end) for content, end in lines])[:-1]
+    nonblank = [start for start, (content, _) in zip(starts, lines) if content.decode("utf-8", "replace").strip()]
+    if len(data) <= TAIL_BYTES or (nonblank and nonblank[-1] >= len(data) - TAIL_BYTES):
+        # the whole-output rule: the last non-blank line of the text as a float
+        text_lines = [ln for ln in data.decode("utf-8", "replace").splitlines() if ln.strip()]
+        if not text_lines:
+            assert got == ("failed", "no output")
+            return
+        try:
+            want = ("score", repr(float(text_lines[-1].strip())))
+        except ValueError:
+            want = ("failed", f"unparseable output {text_lines[-1].strip()!r}")
+        assert got == want
+    else:
+        assert got == ("failed", f"unparseable output (no whole non-blank line in the last {TAIL_BYTES} bytes)")
