@@ -137,7 +137,7 @@ def _write_output(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _WriteError(f"cannot write {path}: {exc}") from None
+        raise _WriteError(f"cannot write {printable_name(path)}: {exc}") from None
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -164,14 +164,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         try:
             write_log(out, result.header, result.records)
         except OSError as exc:
-            raise _WriteError(f"cannot write log {out}: {exc}") from None
+            raise _WriteError(f"cannot write log {printable_name(out)}: {exc}") from None
     except AllTrialsFailedError as exc:
         raise AllTrialsFailedError(f"{exc}; no log written") from None
     except KeyboardInterrupt:
         raise EngineError("interrupted; no log written") from None
 
     report = summarize(result.header, result.records)
-    print(f"log: {out}")
+    print(f"log: {printable_name(out)}")
     # str() of a number, a boolean or None is printable already, so only text can change
     pairs = " ".join(f"{printable_name(n)}={printable_name(str(v))}" for n, v in zip(space.names, report.best_values))
     print(f"best: {report.best:.6g} at iteration {report.best_iteration} ({pairs})")

@@ -13,17 +13,19 @@ sampling actually distributes points.
 The trees grow level by level, as in CART's presorted growth (Breiman et
 al., 1984): each depth handles the whole frontier of a batch of trees at
 once, with one stable row-wise sort of every padded (node, dimension) row,
-a vectorized cut search, and one stable partition into the children.  The
-forest is the one a node-by-node recursion would grow, bit for bit, because
-every rounding step keeps the operation and order of that recursion:
+one scoring of every cut of those rows, and one stable partition into the
+children.  The forest is the one a node-by-node recursion would grow, bit
+for bit, because every rounding step keeps the operation and order of that
+recursion:
 
 * node means and the re-scored sums of a cut's two sides are ``np.sum`` of
   rows of equal length, numpy's pairwise summation as on the 1-D slice;
 * a node's SSE ``yc @ yc`` is a batched ``(k, 1, L) @ (k, L, 1)`` matmul,
   the same BLAS dot;
 * prefix sums are ``np.cumsum`` along padded rows, which is sequential;
-* the cut is the first minimum of its dimension, the dimension the first
-  maximum gain above 1e-15; leaves come out depth-first, left before right.
+* the cut is the first minimum of its dimension, as ``np.argmin`` picks
+  it along the row, the dimension the first maximum gain above 1e-15;
+  leaves come out depth-first, left before right.
 
 The recursion ranks a node's dimensions by gains re-scored from each cut's
 two sides in sample order.  Only contested nodes pay for that re-score:
@@ -36,11 +38,11 @@ same split (``_best_splits`` gives the bound).
 Main effects handle all live axes of a tree at once: one stable sort ranks
 every axis's edges, one product gives every leaf's mass off each axis, and
 each segment's marginal adds its covering leaves' contributions in leaf
-order, as the per-leaf loop did, by ``np.add.reduce`` down the first axis
-of a leaf x segment coverage matrix, which adds row after row; ``v_i``
-stays one ``np.sum`` per axis.  ``FIT_ELEMENT_BUDGET``
-bounds the arrays of all of this: the trees of one batch, the nodes of one
-padded chunk and the leaves of one coverage block.
+order, as the per-leaf loop did, by ``np.bincount``, which adds its weights
+in input order; ``v_i`` stays one ``np.sum`` per axis.
+``FIT_ELEMENT_BUDGET`` bounds the arrays of all of this: the trees of one
+batch, the nodes of one padded chunk and the leaves of one block of
+marginal sums.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ P_MIN = 0.01
 # array elements the fit works on at once: the bootstrap samples of the
 # trees grown together in one batch, (node, dimension) rows x longest node
 # of one padded chunk of the split search, leaves x segments of one block
-# of the main-effect coverage matrix
+# of the main-effect marginal sums
 FIT_ELEMENT_BUDGET = 8192
 
 # share of a node's SSE within which two cut gains, or a gain and 1e-15, count
@@ -167,13 +169,6 @@ def encode_trials(trials: Sequence[TrialRecord], space: SearchSpace) -> tuple[np
     return np.array(rows), np.array(ys)
 
 
-def _run_starts(a: np.ndarray) -> np.ndarray:
-    """Mask of the positions where a new run of equal values begins."""
-    out = np.ones(a.size, dtype=bool)
-    np.not_equal(a[1:], a[:-1], out=out[1:])
-    return out
-
-
 def _equal_length_rows(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
     """Yield (selection, length, rows) for the segments ``values[s : s + length]``
     of each length, gathered as the rows of one 2-D array.
@@ -183,7 +178,10 @@ def _equal_length_rows(values: np.ndarray, starts: np.ndarray, lengths: np.ndarr
     would be summed in another order.
     """
     order = np.argsort(lengths, kind="stable")
-    cuts = np.flatnonzero(_run_starts(lengths[order])).tolist() + [order.size]
+    sizes = lengths[order]
+    begins = np.ones(order.size, dtype=bool)  # where a run of one length begins
+    np.not_equal(sizes[1:], sizes[:-1], out=begins[1:])
+    cuts = np.flatnonzero(begins).tolist() + [order.size]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         sel = order[lo:hi]
         m = int(lengths[sel[0]])
@@ -198,18 +196,24 @@ def _best_splits(X: np.ndarray, rows: np.ndarray, yc: np.ndarray, start: np.ndar
     their centered scores ``yc`` at the same positions; ``base_sse`` is
     ``yc @ yc`` per node.  Each (node, dimension) pair is one row of a
     padded chunk; padding sorts last as +inf and takes no part in a cut.
+    Every cut of every row is scored at once, and a cut that is not valid
+    scores +inf.
 
-    A dimension's cut is the first minimum of its prefix-sum SSE.  The
-    recursion ranks the dimensions, and tests the best against 1e-15, by
-    each cut's gain re-scored from its two sides in sample order.  The
-    prefix-sum gain ``base_sse - sse`` differs from that gain by rounding
-    of at most about ``4 * n**1.5 * 2**-53 * base_sse`` on a node of n
-    samples, measured at no more than 3.5e-15 * base_sse on the benchmark
-    shapes.  For n <= 2**18 that is below a sixteenth of ``CUT_MARGIN *
-    base_sse``, so where no second dimension lies within the margin of the
-    best and the best does not lie within it of 1e-15, both gains make the
-    same pick.  Only the other, contested nodes are re-scored; the rest
-    take their best prefix gain as it is.
+    A dimension's cut is the first minimum of its prefix-sum SSE, as
+    ``np.argmin`` picks it (a NaN first); in a row whose minimum is +inf
+    that is its first valid cut.  The recursion ranks the dimensions, and
+    tests the best against 1e-15, by each cut's gain re-scored from its two
+    sides in sample order.  The prefix-sum gain ``base_sse - sse`` differs
+    from that gain by rounding of at most about ``4 * n**1.5 * 2**-53 *
+    base_sse`` on a node of n samples, measured at no more than 3.5e-15 *
+    base_sse on the benchmark shapes.  For n <= 2**18 that is below a
+    sixteenth of ``CUT_MARGIN * base_sse``, so where no second dimension
+    lies within the margin of the best and the best does not lie within it
+    of 1e-15, both gains make the same pick.  Only the other, contested
+    nodes are re-scored; the rest take their best prefix gain as it is.
+    The cut after a row's last sample divides 0.0 by its empty right side,
+    and overflowed scores make inf - inf: the caller ignores invalid
+    operations, as ``fit_forest`` does.
     """
     k, d = start.size, X.shape[1]
     width = int(count.max())
@@ -222,32 +226,21 @@ def _best_splits(X: np.ndarray, rows: np.ndarray, yc: np.ndarray, start: np.ndar
     # flat gathers: row r = node * d + dim of the (k, d, width) arrays starts at r * width
     xs_s = xs.ravel()[order + np.arange(k * d).reshape(k, d, 1) * width]
     ys_s = ys.ravel()[order + np.arange(k).reshape(k, 1, 1) * width]
-    csum = np.cumsum(ys_s, axis=2).ravel()
-    csum2 = np.cumsum(ys_s**2, axis=2).ravel()
+    csum = np.cumsum(ys_s, axis=2)
+    csum2 = np.cumsum(ys_s**2, axis=2)
 
-    # cuts sit between consecutive distinct values and leave min_leaf a side
-    n_left = pos[1:]
-    sides = (n_left >= min_leaf) & (count[:, None] - n_left >= min_leaf)
-    ok = (xs_s[:, :, 1:] > xs_s[:, :, :-1]) & sides[:, None, :]
-    cr, cp = np.divmod(np.flatnonzero(ok), width - 1)
-    dims = np.full(k, -1)
-    if cr.size == 0:
-        return dims, np.zeros(k)
-    ci = cr // d
-    nl, nr = cp + 1, count[ci] - (cp + 1)
-    cut, last = cr * width + cp, cr * width + count[ci] - 1
-    sl, sl2 = csum[cut], csum2[cut]
-    sr, sr2 = csum[last] - sl, csum2[last] - sl2
-    sse = (sl2 - sl * sl / nl) + (sr2 - sr * sr / nr)
-
-    # first minimum per (node, dimension), as np.argmin picks it (a NaN first)
-    new_seg = _run_starts(cr)
-    seg = np.cumsum(new_seg) - 1
-    low = np.minimum.reduceat(sse, np.flatnonzero(new_seg))[seg]
-    hit = np.flatnonzero((sse == low) | (np.isnan(low) & np.isnan(sse)))
-    pick = hit[_run_starts(seg[hit])]
-    pr, si, sp = cr[pick], ci[pick], cp[pick]
-    a, b = xs_s.ravel()[pr * width + sp], xs_s.ravel()[pr * width + sp + 1]
+    # a cut after position p sits between consecutive distinct values and
+    # leaves min_leaf a side; padding adds 0.0, so the last column is the total
+    nl = pos[1:]
+    nr = count[:, None] - nl
+    ok = (xs_s[:, :, 1:] > xs_s[:, :, :-1]) & ((nl >= min_leaf) & (nr >= min_leaf))[:, None, :]
+    sl, sl2 = csum[:, :, :-1], csum2[:, :, :-1]
+    sr, sr2 = csum[:, :, -1:] - sl, csum2[:, :, -1:] - sl2
+    sse = np.where(ok, (sl2 - sl * sl / nl) + (sr2 - sr * sr / nr[:, None, :]), np.inf)
+    node, dim = np.ogrid[:k, :d]
+    p = np.argmin(sse, axis=2)
+    p = np.where(sse[node, dim, p] == np.inf, np.argmax(ok, axis=2), p)
+    a, b = xs_s[node, dim, p], xs_s[node, dim, p + 1]
     mid = 0.5 * (a + b)
     # a midpoint that rounds onto a (or overflows) would move the cut; b
     # itself still separates the two sides
@@ -256,47 +249,35 @@ def _best_splits(X: np.ndarray, rows: np.ndarray, yc: np.ndarray, start: np.ndar
     # a node is contested when rounding could change its pick: a second
     # dimension within the margin of the best, the best within it of
     # 1e-15, a figure that is not finite, or too many samples for the bound
-    node_first = np.flatnonzero(_run_starts(si))
-    node = si[node_first]
-    per_node = np.diff(node_first, append=si.size)
-    margin = CUT_MARGIN * base_sse[node]
-    # overflowed scores make inf - inf here; the finiteness test catches them
-    with np.errstate(invalid="ignore"):
-        gain = base_sse[si] - sse[pick]
-        top = np.maximum.reduceat(gain, node_first)
-        rivals = np.add.reduceat(gain >= np.repeat(top - margin, per_node), node_first)
-        contested = (
-            (rivals > 1)
-            | (np.abs(top - 1e-15) <= margin)
-            | ~np.logical_and.reduceat(np.isfinite(gain), node_first)
-            | (count[node] > 2**18)
-        )
+    has = ok.any(axis=2)
+    gain = np.where(has, base_sse[:, None] - sse[node, dim, p], -np.inf)
+    top = gain.max(axis=1)
+    margin = CUT_MARGIN * base_sse
+    contested = (
+        ((gain >= (top - margin)[:, None]).sum(axis=1) > 1)
+        | (np.abs(top - 1e-15) <= margin)
+        | (has & ~np.isfinite(gain)).any(axis=1)
+        | (count > 2**18)
+    )
 
     # re-score each contested node's cuts from their partitions in sample
     # order, so two dims inducing the same partition get bit-identical
     # gains and the first dim wins the tie
-    again = np.flatnonzero(np.repeat(contested, per_node))
-    if again.size:
-        ri = si[again]
-        side = np.where(inside[ri], ~(xs.reshape(k * d, width)[pr[again]] < thr[again, None]), 2)
-        parted = ys.ravel()[np.argsort(side, axis=1, kind="stable") + ri[:, None] * width].ravel()
-        row0 = np.arange(again.size) * width
-        n_l = nl[pick[again]]
+    ri, rd = np.nonzero(contested[:, None] & has)
+    if ri.size:
+        side = np.where(inside[ri], ~(xs[ri, rd] < thr[ri, rd, None]), 2)
+        parted = ys[ri[:, None], np.argsort(side, axis=1, kind="stable")].ravel()
+        row0 = np.arange(ri.size) * width
+        n_l = p[ri, rd] + 1
         starts, lengths = np.concatenate((row0, row0 + n_l)), np.concatenate((n_l, count[ri] - n_l))
-        dev = np.empty(2 * again.size)
+        dev = np.empty(2 * ri.size)
         for sel, m, v in _equal_length_rows(parted, starts, lengths):
             dev[sel] = ((v - (v.sum(axis=1) / m)[:, None]) ** 2).sum(axis=1)
-        gain[again] = base_sse[ri] - (dev[: again.size] + dev[again.size :])
-    sd = pr - si * d
-    gains = np.full((k, d), -np.inf)
-    gains[si, sd] = gain
-    gains[~(gains > 1e-15)] = -np.inf
-    best = np.argmax(gains, axis=1)
-    thrs = np.zeros((k, d))
-    thrs[si, sd] = thr
-    found = gains[np.arange(k), best] > -np.inf
-    dims[found] = best[found]
-    return dims, thrs[np.arange(k), best]
+        gain[ri, rd] = base_sse[ri] - (dev[: ri.size] + dev[ri.size :])
+    gain[~(gain > 1e-15)] = -np.inf
+    best = np.argmax(gain, axis=1)
+    pick = np.arange(k), best
+    return np.where(gain[pick] > -np.inf, best, -1), thr[pick]
 
 
 def _grow_trees(X: np.ndarray, y: np.ndarray, root: np.ndarray, config: ForestConfig,
@@ -440,7 +421,9 @@ def _tree_fractions(tree: TreeModel, root: np.ndarray, counting: np.ndarray) -> 
     (a constant bootstrap resample), which the forest average skips.  A real
     axis of zero width holds a single point: every leaf covers all of it, so
     it carries no variance and gets weight 0.  All live axes are handled at
-    once; every figure keeps the operation and order of a per-axis loop.
+    once; every figure keeps the operation and order of a per-axis loop,
+    and each segment's marginal is added in leaf order by one
+    ``np.bincount`` per block of leaves.
     """
     boxes, mus = tree.leaf_boxes, tree.leaf_means
     n_leaves, d = boxes.shape[0], root.shape[0]
@@ -469,10 +452,10 @@ def _tree_fractions(tree: TreeModel, root: np.ndarray, counting: np.ndarray) -> 
     # one column per (axis, segment), the axes one after another
     seg_start = np.cumsum(n_seg) - n_seg
     col_axis = np.repeat(np.arange(live.size), n_seg)
-    col_seg = np.arange(col_axis.size) - np.repeat(seg_start, n_seg)
+    col = np.arange(col_axis.size)
     # every axis holds one edge more than segments, so the lower edge of
     # column c on axis a is distinct edge c + a
-    edge, lower = ranked[distinct], np.arange(col_axis.size) + col_axis
+    edge, lower = ranked[distinct], col + col_axis
     seg_lo, seg_hi = edge[lower], edge[lower + 1]
 
     # w_minus of a leaf on an axis: the product of its masses on the other axes
@@ -480,21 +463,19 @@ def _tree_fractions(tree: TreeModel, root: np.ndarray, counting: np.ndarray) -> 
     contrib = np.prod(mass[:, others], axis=2) * mus[:, None]  # (leaf, axis)
 
     # each segment's marginal adds the contributions of the leaves that
-    # cover it one after another in leaf order, starting from 0.0: the sum
-    # down a leaf x segment coverage matrix, taken in blocks of leaves on
-    # top of the previous block's sums.  Reduced along its first axis, a
-    # C-ordered block of two or more columns is added row after row; a tree
-    # with variance has a split, so its live axes hold two segments or more
-    marginal = np.zeros(col_axis.size)
-    step = max(1, FIT_ELEMENT_BUDGET // col_axis.size)
+    # cover it one after another in leaf order, starting from 0.0, as
+    # np.bincount adds its weights in input order: in each block of leaves
+    # the running sums enter first (0.0 + m is m), then the covered columns
+    # of every (leaf, axis) pair, leaf-major
+    marginal = np.zeros(col.size)
+    first_col, n_cov = left + seg_start, right - left  # (leaf, axis)
+    step = max(1, FIT_ELEMENT_BUDGET // col.size)
     for first in range(0, n_leaves, step):
         blk = slice(first, first + step)
-        # left <= segment < right, as one unsigned comparison
-        into = (col_seg - np.repeat(left[blk], n_seg, axis=1)).view(np.uint64)
-        cover = into < np.repeat(right[blk] - left[blk], n_seg, axis=1).view(np.uint64)
-        block = np.where(cover, np.repeat(contrib[blk], n_seg, axis=1), 0.0)
-        block[0] += marginal
-        marginal = np.add.reduce(block, axis=0)
+        n = n_cov[blk].ravel()
+        covered = np.arange(n.sum()) + np.repeat(first_col[blk].ravel() - (np.cumsum(n) - n), n)
+        weights = np.repeat(contrib[blk].ravel(), n)
+        marginal = np.bincount(np.concatenate((col, covered)), weights=np.concatenate((marginal, weights)))
     seg_mass = _interval_mass(seg_lo, seg_hi, counting[live][col_axis]) / axis_total[live][col_axis]
     terms = seg_mass * marginal**2
     out = np.zeros(d)

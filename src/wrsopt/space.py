@@ -40,8 +40,9 @@ _KIND_ALIASES = {
 
 
 def printable_name(name: str) -> str:
-    """name, escaped as repr(name)[1:-1] if it is not str.isprintable() (a
-    newline, a CR), so that it keeps a one-line message to one line."""
+    """name (or value, or path), escaped as repr(name)[1:-1] if it is not
+    str.isprintable() (a newline, a CR), so that it keeps a one-line
+    message to one line."""
     return name if name.isprintable() else repr(name)[1:-1]
 
 
@@ -289,7 +290,7 @@ def _parse(text: str, path: str) -> Any:
     try:
         return yaml.safe_load(stream)
     except yaml.YAMLError as exc:
-        raise SpaceError(f"{path}: not valid YAML: {exc}") from exc
+        raise SpaceError(f"{printable_name(path)}: not valid YAML: {exc}") from exc
 
 
 def load_space(path: str) -> SearchSpace:
@@ -304,9 +305,9 @@ def load_space(path: str) -> SearchSpace:
     except ValueError as exc:
         # a scalar that parses but Python cannot build: an integer of more
         # digits than int() converts, a YAML date such as 2020-13-01
-        raise SpaceError(f"{path}: cannot read a value: {exc}") from None
+        raise SpaceError(f"{printable_name(path)}: cannot read a value: {exc}") from None
     if payload is None:
-        raise SpaceError(f"{path}: file is empty")
+        raise SpaceError(f"{printable_name(path)}: file is empty")
     return space_from_dict(payload)
 
 

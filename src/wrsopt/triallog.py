@@ -24,7 +24,15 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from .space import SearchSpace, SpaceError, space_digest, space_from_dict, validate_candidate, values_in_dimension
+from .space import (
+    SearchSpace,
+    SpaceError,
+    printable_name,
+    space_digest,
+    space_from_dict,
+    validate_candidate,
+    values_in_dimension,
+)
 
 SCHEMA_VERSION = 1
 VALID_STATUS = ("evaluated", "cached-hit", "failed")
@@ -262,8 +270,8 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
     read.  After the last line come the record count and the value check,
     which runs down each column.  Every message starts with the path, as
     "PATH: ...", except "cannot read PATH: ..." for a file that cannot be
-    read.  Every record shares one string object per distinct phase and
-    status.
+    read, with PATH escaped by ``printable_name``.  Every record shares one
+    string object per distinct phase and status.
     """
     header, records = None, []
     strings: dict[str, str] = {}
@@ -310,9 +318,9 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
             raise LogError(f"{len(records)} records but header declares budget {header.budget}")
         _check_values(space, records)
     except OSError as exc:
-        raise LogError(f"cannot read {path}: {exc}") from exc
+        raise LogError(f"cannot read {printable_name(path)}: {exc}") from exc
     except LogError as exc:
-        raise LogError(f"{path}: {exc}") from exc
+        raise LogError(f"{printable_name(path)}: {exc}") from exc
     return header, records
 
 

@@ -856,6 +856,45 @@ def test_unwritable_output_exits_1_with_one_line(argv, space_file, tmp_path, cap
     assert err.startswith(f"error: cannot write {bad}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["report", "DIR/ghost.jsonl"], 1, "cannot read DIR/ghost.jsonl: "),
+        (["report", "DIR/bad.jsonl"], 1, "DIR/bad.jsonl: invalid JSON on line 1"),
+        (["report", "LOG", "--window", "3", "--csv", "DIR/missing/out.csv"], 1, "cannot write DIR/missing/out.csv: "),
+        (["run", "--space", "SPACE", "--out", "DIR/missing/rs.jsonl"], 1, "cannot write log DIR/missing/rs.jsonl: "),
+        (["run", "--space", "DIR/empty.yaml"], 2, "DIR/empty.yaml: file is empty"),
+        (["run", "--space", "DIR/date.yaml"], 2, "DIR/date.yaml: cannot read a value: "),
+    ],
+    ids=["unreadable-log", "corrupt-log", "unwritable-output", "unwritable-log", "empty-space", "bad-date-space"],
+)
+def test_a_path_that_holds_a_newline_is_escaped_in_the_one_error_line(argv, code, message, space_file, tmp_path, capsys):
+    folder = tmp_path / "new\nline"
+    folder.mkdir()
+    (folder / "bad.jsonl").write_text("not json\n")
+    (folder / "empty.yaml").write_text("")
+    (folder / "date.yaml").write_text("dimensions:\n  - {name: c, kind: cat, values: [2020-13-01]}\n")
+    log = str(tmp_path / "rs.jsonl")
+    run_argv = ["--objective", "builtin:sphere", "--strategy", "rs", "--budget", "3", "--seed", "1"]
+    assert run_cli(["run", "--space", space_file, *run_argv, "--out", log]) == 0
+    capsys.readouterr()
+    argv = [a.replace("DIR", str(folder)).replace("LOG", log).replace("SPACE", space_file) for a in argv]
+    assert run_cli(argv + run_argv if argv[0] == "run" else argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.replace("DIR", f"{tmp_path}/new\\nline")) and err.count("\n") == 1
+
+
+def test_run_escapes_a_log_path_that_holds_a_newline_in_its_one_log_line(space_file, tmp_path, capsys):
+    out = tmp_path / "a\nb.jsonl"
+    assert run_cli([
+        "run", "--space", space_file, "--objective", "builtin:sphere",
+        "--strategy", "rs", "--budget", "3", "--seed", "1", "--out", str(out),
+    ]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("log:")] == [f"log: {tmp_path}/a\\nb.jsonl"]
+    assert len(read_log(str(out))[1]) == 3
+
+
 def test_no_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

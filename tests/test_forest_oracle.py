@@ -1,4 +1,4 @@
-"""The level-wise forest fit and the coverage-matrix main effects against
+"""The level-wise forest fit and the bincount-summed main effects against
 the recursive per-node fit and the per-leaf marginal loop, byte for byte."""
 
 from __future__ import annotations

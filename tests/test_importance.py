@@ -1,14 +1,19 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from wrsopt import importance
 from wrsopt.importance import (
     ForestConfig,
     ImportanceError,
     ImportanceWeights,
     ZeroVarianceError,
+    _best_splits,
+    _is_counting,
+    _tree_fractions,
     encode_trials,
     fit_forest,
     main_effect_fractions,
@@ -19,7 +24,9 @@ from wrsopt.reporting import render_importance_csv, render_importance_text
 from wrsopt.space import Dimension, SearchSpace
 from wrsopt.triallog import TrialRecord
 
+import _forest_oracle
 from _util import int_space, mixed_space, real_space
+from test_forest_golden import SHAPES
 
 
 def make_trials(space, fn, n, seed, phase="rs"):
@@ -191,6 +198,35 @@ class TestScoresNearFloatRange:
         with pytest.raises(ImportanceError, match="weights must be finite and non-negative"):
             weights_to_probabilities(weights)
 
+    def test_a_row_whose_every_cut_sse_is_inf_takes_its_first_valid_cut(self):
+        # +-a pairs tied in x keep every prefix sum at 0.0 while a*a overflows,
+        # so both valid cuts (after positions 1 and 3) score +inf, not NaN, as
+        # every invalid cut does, position 0 (min_leaf=2) first
+        X = np.array([[0.0], [0.0], [1.0], [1.0], [2.0], [2.0]])
+        yc = np.array([1.0, -1.0, 2.0, -2.0, 1e155, -1e155])
+        with np.errstate(over="ignore", invalid="ignore"):
+            dims, thrs = _best_splits(X, np.arange(6), yc, np.array([0]), np.array([6]), np.array([yc @ yc]), 2)
+        assert dims.tolist() == [-1] and thrs.tolist() == [0.5]
+
+    def test_a_cut_whose_prefix_sse_is_inf_splits_as_the_recursion_does(self):
+        # the two top scores square past float range, so the one valid cut,
+        # x < 0.5, scores +inf by prefix sums; re-scored in sample order it
+        # gains inf, and the node splits there as the recursion splits it
+        m, dev = math.sqrt(0.24 * np.finfo(float).max), math.sqrt(0.3 * np.finfo(float).max)
+        scores = [-m / 2] * 4 + [m + dev, m - dev]
+        trials = [
+            TrialRecord(iteration=i, values=(x,), score=s, phase="rs", status="evaluated", wall_time=0.0)
+            for i, (x, s) in enumerate(zip([0, 0, 0, 0, 1, 1], scores), start=1)
+        ]
+        space = int_space(1, low=0, high=1)
+        config = ForestConfig(n_trees=1, bootstrap=False)
+        tree = fit_forest(trials, space, config, np.random.default_rng(0)).trees[0]
+        X, y = encode_trials(trials, space)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _forest_oracle._fit_tree(X, y, root_box(space), config, np.random.default_rng(0))
+        assert tree.leaf_boxes.tolist() == want.leaf_boxes.tolist() == [[[0.0, 0.5]], [[0.5, 2.0]]]
+        assert tree.leaf_means.tobytes() == want.leaf_means.tobytes()
+
 
 class TestMainEffects:
     def test_linear_single_dimension_dominates(self):
@@ -254,6 +290,18 @@ class TestMainEffects:
         assert all(math.isfinite(f) for f in w)
         assert w[1] == 0.0
         assert w[0] > 80.0 and 0.0 < w[2] < 15.0
+
+    @pytest.mark.parametrize("budget", [1, 7, 8192])
+    def test_main_effects_do_not_depend_on_the_block_size(self, budget):
+        # acceptance test c04's shape grows deep trees, whose leaves fall
+        # into many blocks; every block size adds in the per-leaf loop's order
+        space, trials = SHAPES["anova"]()
+        forest = fit_forest(trials, space, rng=np.random.default_rng(200))
+        root, counting = root_box(space), _is_counting(space)
+        with mock.patch.object(importance, "FIT_ELEMENT_BUDGET", budget):
+            for tree in forest.trees:
+                want = _forest_oracle._tree_fractions(tree, root, counting)
+                assert _tree_fractions(tree, root, counting).tobytes() == want.tobytes()
 
     def test_negative_share_is_refused(self):
         with pytest.raises(ImportanceError, match="^variance fractions cannot be negative$"):
