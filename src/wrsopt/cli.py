@@ -7,7 +7,7 @@ Subcommands: run (execute one optimization and write its log), report
 Exit codes: 0 success, 1 runtime failure (failed run, unreadable or
 degenerate log, unwritable output, Ctrl-C), 2 usage or configuration
 error.  The commands raise; main alone turns an error into one ``error:``
-line.
+line, escaped by ``printable_name``, as the parser does its usage errors.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ class _Parser(argparse.ArgumentParser):
     """A parser whose usage errors are one ``error:`` line and exit 2."""
 
     def error(self, message: str):
-        self.exit(2, f"error: {message}\n")
+        self.exit(2, f"error: {printable_name(message)}\n")
 
 
 class _WriteError(Exception):
@@ -137,7 +137,7 @@ def _write_output(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _WriteError(f"cannot write {printable_name(path)}: {exc}") from None
+        raise _WriteError(f"cannot write {path}: {exc}") from None
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -164,7 +164,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         try:
             write_log(out, result.header, result.records)
         except OSError as exc:
-            raise _WriteError(f"cannot write log {printable_name(out)}: {exc}") from None
+            raise _WriteError(f"cannot write log {out}: {exc}") from None
     except AllTrialsFailedError as exc:
         raise AllTrialsFailedError(f"{exc}; no log written") from None
     except KeyboardInterrupt:
@@ -239,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except _USER_ERRORS + _RUNTIME_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {printable_name(str(exc))}", file=sys.stderr)
         return 2 if isinstance(exc, _USER_ERRORS) else 1
     except KeyboardInterrupt:  # outside a run's trials and log write, which cmd_run words itself
         print("error: interrupted", file=sys.stderr)

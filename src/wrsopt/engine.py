@@ -53,9 +53,7 @@ from .samplers import (
 )
 from .sobol import MAX_DIM as SOBOL_MAX_DIM
 from .space import SearchSpace, candidate_key, space_digest, space_to_dict
-from .triallog import FAILED_SCORE, RunHeader, TrialRecord
-
-STRATEGIES = ("wrs", "rs", "sobol", "nelder-mead", "pso")
+from .triallog import FAILED_SCORE, STRATEGIES, RunHeader, TrialRecord
 
 # each strategy's sampler options and the range a value must lie in; swarm
 # must also be a whole number

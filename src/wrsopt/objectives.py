@@ -29,7 +29,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .space import SearchSpace, printable_name
+from .space import SearchSpace
 
 DEFAULT_TIMEOUT = 300.0
 TAIL_BYTES = 4096  # how much of the end of a scorer's stdout is read
@@ -124,15 +124,15 @@ def parse_objective_spec(text: str) -> ObjectiveSpec:
 # -- built-in benchmark functions -------------------------------------------
 
 def sphere(x: np.ndarray) -> float:
-    return float(np.sum(x * x))
+    return float((x * x).sum())
 
 
 def rastrigin(x: np.ndarray) -> float:
-    return float(10.0 * x.size + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x)))
+    return float(10.0 * x.size + (x * x - 10.0 * np.cos(2.0 * np.pi * x)).sum())
 
 
 def rosenbrock(x: np.ndarray) -> float:
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+    return float((100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2).sum())
 
 
 def branin(x: np.ndarray) -> float:
@@ -146,7 +146,7 @@ def branin(x: np.ndarray) -> float:
 
 
 def styblinski_tang(x: np.ndarray) -> float:
-    return float(0.5 * np.sum(x**4 - 16.0 * x**2 + 5.0 * x))
+    return float(0.5 * (x**4 - 16.0 * x**2 + 5.0 * x).sum())
 
 
 def additive_component(z: np.ndarray) -> np.ndarray:
@@ -218,7 +218,7 @@ def make_objective(spec: ObjectiveSpec | str, space: SearchSpace) -> Objective:
     name = spec.target
     for dim in space:
         if dim.kind == "cat":
-            raise ObjectiveError(f"builtin {name!r} needs numeric dimensions; {printable_name(dim.name)} is categorical")
+            raise ObjectiveError(f"builtin {name!r} needs numeric dimensions; {dim.name} is categorical")
 
     if name == "branin" and len(space) != 2:
         raise ObjectiveError(f"branin is 2-dimensional; space has {len(space)} dimensions")
@@ -231,14 +231,14 @@ def make_objective(spec: ObjectiveSpec | str, space: SearchSpace) -> Objective:
             raise ObjectiveError("additive-anova needs strictly positive ranges for normalization")
 
         def base(x: np.ndarray, _c=coeffs, _lo=lows, _span=highs - lows) -> float:
-            return float(np.sum(_c * additive_component((x - _lo) / _span)))
+            return float((_c * additive_component((x - _lo) / _span)).sum())
     else:
         base = BUILTINS[name]
 
     # a value beyond float range is the failed trial "non-finite value", not a warning
     @np.errstate(over="ignore", invalid="ignore")
     def fn(values: tuple, _base=base) -> float:
-        return _base(np.array([float(v) for v in values], dtype=float))
+        return _base(np.array(values, dtype=float))
 
     return Objective(spec=spec, fn=fn)
 

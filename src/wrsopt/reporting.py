@@ -19,9 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import STRATEGIES
 from .space import SearchSpace, printable_name
-from .triallog import RunHeader, TrialRecord
+from .triallog import STRATEGIES, RunHeader, TrialRecord
 
 STRATEGY_ORDER = {name: i for i, name in enumerate(STRATEGIES)}
 
@@ -203,15 +202,21 @@ def render_table_text(reports: Sequence[RunReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv(rows: Sequence[Sequence[str]]) -> str:
+    """rows as CSV, each ended by "\n".  csv.writer quotes a cell that holds
+    a character of its line terminator: "\r\n" quotes a bare CR as well as
+    a LF, where "\n" would leave a CR bare for csv.reader to end the row at."""
+    lines = []
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines)
+
+
 def render_table_csv(reports: Sequence[RunReport]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for r in reports:
-        writer.writerow(
-            [r.strategy, repr(r.best), repr(r.best_window), repr(r.mean), repr(r.mean_window), repr(r.sd), repr(r.sd_window)]
-        )
-    return buf.getvalue()
+    rows = [[r.strategy, *map(repr, (r.best, r.best_window, r.mean, r.mean_window, r.sd, r.sd_window))] for r in reports]
+    return _csv([CSV_COLUMNS, *rows])
 
 
 def render_report_text(report: RunReport, fit: FitResult | None) -> str:
@@ -246,17 +251,8 @@ def render_importance_text(space: SearchSpace, weights: Sequence[float], probs: 
 
 
 def render_importance_csv(space: SearchSpace, weights: Sequence[float], probs: Sequence[float]) -> str:
-    rows = (
+    return _csv([
         ["row", *space.names],
         ["weight", *(repr(float(w)) for w in weights)],
         ["probability", *(repr(float(p)) for p in probs)],
-    )
-    lines = []
-    for row in rows:
-        # csv.writer quotes a cell that holds a character of its line
-        # terminator: "\r\n" quotes a bare CR as well as a LF, where "\n"
-        # would leave a CR bare for csv.reader to end the row at
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\r\n").writerow(row)
-        lines.append(buf.getvalue()[:-2] + "\n")
-    return "".join(lines)
+    ])

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import io
 import json
 import math
 import numbers
@@ -40,9 +39,9 @@ _KIND_ALIASES = {
 
 
 def printable_name(name: str) -> str:
-    """name (or value, or path), escaped as repr(name)[1:-1] if it is not
-    str.isprintable() (a newline, a CR), so that it keeps a one-line
-    message to one line."""
+    """name, escaped as repr(name)[1:-1] if it is not str.isprintable() (a
+    newline, a CR), so that a line the command line prints stays one line;
+    the messages of this package's exceptions hold names and paths as given."""
     return name if name.isprintable() else repr(name)[1:-1]
 
 
@@ -70,7 +69,7 @@ class Dimension:
     def __post_init__(self) -> None:
         _check(isinstance(self.name, str) and self.name != "", "dimension name must be a non-empty string")
         _check_utf8(self.name, "dimension name")
-        name = printable_name(self.name)  # the name as every message below prints it
+        name = self.name
         kind = _KIND_ALIASES.get(self.kind) if isinstance(self.kind, str) else None
         _check(kind is not None, f"{name}: unknown kind {self.kind!r}")
         object.__setattr__(self, "kind", kind)
@@ -222,7 +221,7 @@ def validate_candidate(space: SearchSpace, values: Sequence[Any]) -> tuple:
     out = tuple(v.item() if isinstance(v, np.generic) else v for v in values)
     for dim, v in zip(space.dimensions, out):
         if not values_in_dimension(dim, (v,)):
-            raise SpaceError(f"{printable_name(dim.name)}={v!r} is not a value of the space")
+            raise SpaceError(f"{dim.name}={v!r} is not a value of the space")
     return out
 
 
@@ -280,17 +279,20 @@ def space_from_dict(payload: dict) -> SearchSpace:
 
 def _parse(text: str, path: str) -> Any:
     """JSON text by JSON's rules, so 1e+300 is a number and not YAML 1.1's
-    string; any other text, a BOM or an empty file included, as YAML."""
+    string; any other text, a BOM or an empty file included, as YAML.  A
+    YAML error is "PATH: not valid YAML: PROBLEM (line L, column C)", L and
+    C counted from 1, or PyYAML's own text, which spans lines, when it marks
+    no problem."""
     try:
         return json.loads(text)
     except json.JSONDecodeError:
         import yaml  # only a YAML space pays for the import
-    stream = io.StringIO(text)
-    stream.name = path  # error marks name the file, as when YAML reads it
     try:
-        return yaml.safe_load(stream)
+        return yaml.safe_load(text)
     except yaml.YAMLError as exc:
-        raise SpaceError(f"{printable_name(path)}: not valid YAML: {exc}") from exc
+        problem, mark = getattr(exc, "problem", None), getattr(exc, "problem_mark", None)
+        detail = str(exc) if problem is None or mark is None else f"{problem} (line {mark.line + 1}, column {mark.column + 1})"
+        raise SpaceError(f"{path}: not valid YAML: {detail}") from exc
 
 
 def load_space(path: str) -> SearchSpace:
@@ -305,9 +307,9 @@ def load_space(path: str) -> SearchSpace:
     except ValueError as exc:
         # a scalar that parses but Python cannot build: an integer of more
         # digits than int() converts, a YAML date such as 2020-13-01
-        raise SpaceError(f"{printable_name(path)}: cannot read a value: {exc}") from None
+        raise SpaceError(f"{path}: cannot read a value: {exc}") from None
     if payload is None:
-        raise SpaceError(f"{printable_name(path)}: file is empty")
+        raise SpaceError(f"{path}: file is empty")
     return space_from_dict(payload)
 
 

@@ -27,7 +27,6 @@ from typing import Any, Sequence
 from .space import (
     SearchSpace,
     SpaceError,
-    printable_name,
     space_digest,
     space_from_dict,
     validate_candidate,
@@ -35,6 +34,8 @@ from .space import (
 )
 
 SCHEMA_VERSION = 1
+# the strategies a run writes in its header, in the order compare lists them
+STRATEGIES = ("wrs", "rs", "sobol", "nelder-mead", "pso")
 VALID_STATUS = ("evaluated", "cached-hit", "failed")
 FAILED_SCORE = float("-inf")
 
@@ -247,8 +248,8 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
       int (never a bool) for counts, iterations and the seed, an int or
       float (never a bool) for score and wall_time, a string for the text
       fields and a list for values;
-    * the header declares a budget of at least 1, its space parses and
-      matches its ``space_digest``;
+    * the header names one of ``STRATEGIES`` and declares a budget of at
+      least 1, and its space parses and matches its ``space_digest``;
     * every trial has a known status, iterations run 1, 2, ..., and each
       trial's status, score and error agree: the score is finite or -inf,
       and -inf exactly when an error string is present; a ``failed`` trial
@@ -270,7 +271,7 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
     read.  After the last line come the record count and the value check,
     which runs down each column.  Every message starts with the path, as
     "PATH: ...", except "cannot read PATH: ..." for a file that cannot be
-    read, with PATH escaped by ``printable_name``.  Every record shares one
+    read, with PATH as given.  Every record shares one
     string object per distinct phase and status.
     """
     header, records = None, []
@@ -289,6 +290,8 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
                     raise LogError(f"invalid JSON on line {lineno}") from None
                 if header is None:
                     header = RunHeader.from_dict(payload)
+                    if header.strategy not in STRATEGIES:
+                        raise LogError(f"header strategy {header.strategy!r} is not one of {', '.join(STRATEGIES)}")
                     if header.budget < 1:
                         raise LogError(f"header declares budget {header.budget}; a run holds at least 1 trial")
                     try:
@@ -318,9 +321,9 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
             raise LogError(f"{len(records)} records but header declares budget {header.budget}")
         _check_values(space, records)
     except OSError as exc:
-        raise LogError(f"cannot read {printable_name(path)}: {exc}") from exc
+        raise LogError(f"cannot read {path}: {exc}") from exc
     except LogError as exc:
-        raise LogError(f"{printable_name(path)}: {exc}") from exc
+        raise LogError(f"{path}: {exc}") from exc
     return header, records
 
 

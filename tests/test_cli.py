@@ -775,6 +775,11 @@ CORRUPTIONS = {
         "LOG: invalid JSON on line 3",
     ),
     "truncated-last-line": (lambda text: text[:-12], "LOG: invalid JSON on line 9"),
+    # a strategy run never writes, whose CR would otherwise reach the table and the CSV
+    "header-strategy-with-a-cr": (
+        [((0, "strategy"), "x\ry")],
+        "LOG: header strategy 'x\\ry' is not one of wrs, rs, sobol, nelder-mead, pso",
+    ),
 }
 
 
@@ -893,6 +898,95 @@ def test_run_escapes_a_log_path_that_holds_a_newline_in_its_one_log_line(space_f
     lines = capsys.readouterr().out.splitlines()
     assert [line for line in lines if line.startswith("log:")] == [f"log: {tmp_path}/a\\nb.jsonl"]
     assert len(read_log(str(out))[1]) == 3
+
+
+def _exit_code(argv):
+    try:
+        return run_cli(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _log_with_value_7(tmp_path):
+    """A log whose one trial holds 7 on the int axis "a\\nb" of 0..5."""
+    space = {"dimensions": [{"name": "a\nb", "kind": "int", "low": 0, "high": 5}]}
+    header = RunHeader(strategy="rs", budget=1, init=0, seed=1, objective="builtin:sphere",
+                       space=space, space_digest=space_digest(space_from_dict(space)))
+    log = str(tmp_path / "seven.jsonl")
+    write_log(log, header, [TrialRecord(iteration=1, values=(7,), score=-49.0, phase="rs", status="evaluated", wall_time=0.0)])
+    return log
+
+
+# the library words a name as given; the one error line escapes it
+@pytest.mark.parametrize(
+    "dim, code, line",
+    [
+        (dict(name="a\nb", kind="int", low=2, high=1), 2, "a\\nb: low must not exceed high"),
+        (dict(name="a\rb", kind="cat", values=["p", "p"]), 2, "a\\rb: duplicate categorical value 'p'"),
+        (dict(name="a\tb", kind="tree", low=0, high=1), 2, "a\\tb: unknown kind 'tree'"),
+        (dict(name="é z", kind="real", low=1.0, high=0.0), 2, "é z: low must not exceed high"),
+        (None, 1, "LOG: trial 1: a\\nb=7 is not a value of the space"),
+        (dict(name="c\nd", kind="cat", values=["a", "b"]), 2, "builtin 'sphere' needs numeric dimensions; c\\nd is categorical"),
+    ],
+    ids=["newline", "cr", "tab", "printable", "candidate", "categorical-for-a-builtin"],
+)
+def test_a_name_that_is_not_printable_is_escaped_in_the_one_error_line(dim, code, line, tmp_path, capsys):
+    if dim is None:
+        log = _log_with_value_7(tmp_path)
+        argv = ["report", log]
+        line = line.replace("LOG", log)
+    else:
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"dimensions": [dim]}))
+        argv = ["run", "--space", str(space), "--objective", "builtin:sphere", "--strategy", "rs", "--budget", "3"]
+    assert _exit_code(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {line}\n"
+
+
+def test_a_space_file_that_is_not_valid_yaml_is_one_error_line(tmp_path, capsys):
+    space = tmp_path / "bad.yaml"
+    space.write_text("dimensions: [\n")
+    argv = ["run", "--space", str(space), "--objective", "builtin:sphere", "--strategy", "rs", "--budget", "3"]
+    assert _exit_code(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {space}: not valid YAML: expected the node content, but found '<stream end>' (line 2, column 1)\n"
+    )
+
+
+def test_a_yaml_error_without_a_mark_is_escaped_to_one_line(tmp_path, capsys):
+    # a NUL is a reader error, which PyYAML words over two lines and marks with no problem
+    space = tmp_path / "nul.yaml"
+    space.write_text("a\x00")
+    argv = ["run", "--space", str(space), "--objective", "builtin:sphere", "--strategy", "rs", "--budget", "3"]
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {space}: not valid YAML: unacceptable character #x0000") and err.count("\n") == 1
+    assert "\\n" in err
+
+
+def test_an_unrecognized_argument_that_holds_a_newline_is_one_error_line(capsys):
+    assert _exit_code(["report", "rs.jsonl", "x\ny"]) == 2
+    assert capsys.readouterr().err == "error: unrecognized arguments: x\\ny\n"
+
+
+def test_compare_csv_refuses_a_header_strategy_that_holds_a_cr(space_file, tmp_path, capsys):
+    log = tmp_path / "cr.jsonl"
+    assert run_cli([
+        "run", "--space", space_file, "--objective", "builtin:sphere",
+        "--strategy", "rs", "--budget", "3", "--seed", "1", "--out", str(log),
+    ]) == 0
+    lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    header = json.loads(lines[0])
+    header["strategy"] = "x\ry"
+    log.write_text(json.dumps(header) + "\n" + "".join(lines[1:]), encoding="utf-8")
+    csv_path = tmp_path / "table.csv"
+    capsys.readouterr()
+    assert run_cli(["compare", str(log), "--csv", str(csv_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not csv_path.exists()
+    assert captured.err == f"error: {log}: header strategy 'x\\ry' is not one of wrs, rs, sobol, nelder-mead, pso\n"
 
 
 def test_no_command_is_usage_error():

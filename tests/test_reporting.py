@@ -242,6 +242,14 @@ class TestRendering:
         assert rows[1][0] == "rs"
         assert float(rows[1][1]) == 0.30000000000004
 
+    @pytest.mark.parametrize("strategy", ["x\ry", "x\ny"])
+    def test_csv_quotes_a_strategy_that_needs_it(self, strategy):
+        # the table's rows go through the importance table's writer, which quotes a bare CR too
+        out = render_table_csv((summarize(make_header(strategy=strategy), recs([1.0]), window=1),))
+        assert out.endswith("\n") and not out.endswith("\r\n")
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert [len(r) for r in rows] == [len(CSV_COLUMNS)] * 2 and rows[1][0] == strategy
+
     def test_report_text_mentions_best_iteration(self):
         report = summarize(make_header(), recs([1.0, 9.0, 2.0]), window=2)
         text = render_report_text(report, None)

@@ -35,9 +35,9 @@ from wrsopt.triallog import read_log
 
 from _util import python_objective
 
-# names and categories with line separators, quotes, a backslash, '=' and
-# non-ASCII text
-_TEXT = st.text(st.sampled_from(list("ab= \u2028\u2029\u0085\"'\\é中")), min_size=1, max_size=4)
+# names and categories with line ends, line separators, a tab, quotes, a
+# backslash, '=' and non-ASCII text
+_TEXT = st.text(st.sampled_from(list("ab= \n\r\t\u2028\u2029\u0085\"'\\é中")), min_size=1, max_size=4)
 _SCALARS = st.one_of(_TEXT, st.integers(-3, 3), st.sampled_from((0.5, -0.0, 1e300)), st.booleans(), st.none())
 
 
