@@ -220,12 +220,12 @@ def cmd_importance(args: argparse.Namespace) -> int:
     # reproduces the profile a wrs run with init=n0 and this seed would compute
     rng = RngBundle.from_seed(seed).forest
     forest = fit_forest(records, space, config, rng)
-    weights = main_effect_fractions(forest, space)
+    weights = main_effect_fractions(forest, space).fractions
     probs = weights_to_probabilities(weights)
 
-    sys.stdout.write(render_importance_text(space, weights.fractions, probs))
+    sys.stdout.write(render_importance_text(space, weights, probs))
     if args.csv:
-        _write_output(args.csv, render_importance_csv(space, weights.fractions, probs))
+        _write_output(args.csv, render_importance_csv(space, weights, probs))
     return 0
 
 

@@ -43,6 +43,12 @@ in input order; ``v_i`` stays one ``np.sum`` per axis.
 ``FIT_ELEMENT_BUDGET`` bounds the arrays of all of this: the trees of one
 batch, the nodes of one padded chunk and the leaves of one block of
 marginal sums.
+
+The callers are cli, after its argument parser, and the engine's run loop,
+after RunConfig.validate, so nothing here checks its arguments again.  What
+is refused is what the trials can cause: fewer than two distinct usable
+candidates, scores without variance, and weights that are not finite or
+all zero.
 """
 
 from __future__ import annotations
@@ -85,10 +91,6 @@ class ForestConfig:
     min_leaf: int = 2
     bootstrap: bool = True
 
-    def __post_init__(self) -> None:
-        if self.n_trees < 1 or self.max_depth < 1 or self.min_leaf < 1:
-            raise ImportanceError("forest configuration values must be positive")
-
 
 @dataclass(frozen=True)
 class TreeModel:
@@ -102,7 +104,6 @@ class TreeModel:
 @dataclass(frozen=True)
 class Forest:
     trees: tuple[TreeModel, ...]
-    n_dims: int
 
 
 @dataclass(frozen=True)
@@ -113,10 +114,6 @@ class ImportanceWeights:
     """
 
     fractions: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if any(f < -1e-9 for f in self.fractions):
-            raise ImportanceError("variance fractions cannot be negative")
 
 
 def root_box(space: SearchSpace) -> np.ndarray:
@@ -151,7 +148,8 @@ def encode_trials(trials: Sequence[TrialRecord], space: SearchSpace) -> tuple[np
     """Ordinal design matrix and score vector from the usable trials.
 
     Failed trials are dropped; categorical values map to their list index.
-    The values must lie in the space, as read_log guarantees for a log.
+    The values must lie in the space, as read_log guarantees for a log, and
+    at least one trial must be usable, as fit_forest has checked.
     """
     rows, ys = [], []
     cat_index = {
@@ -164,8 +162,6 @@ def encode_trials(trials: Sequence[TrialRecord], space: SearchSpace) -> tuple[np
             continue
         rows.append([float(cat_index[i][v]) if i in cat_index else float(v) for i, v in enumerate(t.values)])
         ys.append(float(t.score))
-    if not rows:
-        return np.zeros((0, len(space))), np.zeros(0)
     return np.array(rows), np.array(ys)
 
 
@@ -411,7 +407,7 @@ def fit_forest(
             for first in range(0, config.n_trees, batch)
             for tree in _grow_trees(X, y, root, config, streams[first : first + batch])
         )
-    return Forest(trees=trees, n_dims=len(space))
+    return Forest(trees=trees)
 
 
 def _tree_fractions(tree: TreeModel, root: np.ndarray, counting: np.ndarray) -> np.ndarray | None:
@@ -487,8 +483,6 @@ def _tree_fractions(tree: TreeModel, root: np.ndarray, counting: np.ndarray) -> 
 
 def main_effect_fractions(forest: Forest, space: SearchSpace) -> ImportanceWeights:
     """Average the exact per-tree variance shares into percent weights."""
-    if forest.n_dims != len(space):
-        raise ImportanceError("forest and space dimensionality differ")
     root = root_box(space)
     counting = _is_counting(space)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -498,19 +492,17 @@ def main_effect_fractions(forest: Forest, space: SearchSpace) -> ImportanceWeigh
     return ImportanceWeights(fractions=tuple(float(v) for v in np.mean(per_tree, axis=0)))
 
 
-def weights_to_probabilities(weights: ImportanceWeights | Sequence[float]) -> tuple[float, ...]:
+def weights_to_probabilities(weights: Sequence[float]) -> tuple[float, ...]:
     """Map weights to change probabilities: p_i = w_i / max(w), floored at P_MIN.
 
     The argmax dimension lands at exactly 1.0; every other probability stays
-    positive so no dimension is permanently frozen.
+    positive so no dimension is permanently frozen.  The weights are
+    main-effect shares, never negative; a share that overflowed to inf or
+    NaN, or all of them zero, is refused.
     """
-    if isinstance(weights, ImportanceWeights):
-        weights = weights.fractions
     w = np.asarray(weights, dtype=float)
-    if w.size == 0:
-        raise ImportanceError("empty weight vector")
-    if np.any(w < 0) or np.any(~np.isfinite(w)):
-        raise ImportanceError("weights must be finite and non-negative")
+    if not np.all(np.isfinite(w)):
+        raise ImportanceError("weights must be finite")
     top = w.max()
     if top == 0.0:
         raise ImportanceError("all weights are zero; probabilities undefined")

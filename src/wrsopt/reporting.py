@@ -7,6 +7,11 @@ are computed over all trials and, in parentheses, over the trailing window
 (default 100).  SD is the population form (divisor = count).  Failed trials
 are excluded from the statistics but keep their place in iteration indexing;
 the exclusion count is reported.
+
+The one caller is cli, after its argument parser, so nothing here checks
+its arguments again: a window is at least 1, a degree is not negative and
+compare gets at least one report.  What is refused is what a log can cause:
+one without a successful trial, an empty one included.
 """
 
 from __future__ import annotations
@@ -52,18 +57,12 @@ class FitResult:
 
 def polyfit(scores: Sequence[float], degree: int = 5, x: Sequence[float] | None = None) -> FitResult:
     """Fit scores against their positions (default 1..n), returning ascending
-    coefficients on the normalized domain.  Needs more points than degree."""
+    coefficients on the normalized domain.  Needs more points than degree, at
+    least two distinct positions and one position per score, as trend
+    ensures."""
     y = np.asarray(scores, dtype=float)
-    if degree < 0:
-        raise ReportError("degree must be non-negative")
-    if y.size <= degree:
-        raise ReportError(f"need more than {degree} points for a degree-{degree} fit, have {y.size}")
     xs = np.arange(1, y.size + 1, dtype=float) if x is None else np.asarray(x, dtype=float)
-    if xs.size != y.size:
-        raise ReportError("x and scores must have equal length")
     x0, x1 = float(xs.min()), float(xs.max())
-    if x0 == x1:
-        raise ReportError("fit positions are all identical")
     t = -1.0 + 2.0 * (xs - x0) / (x1 - x0)
     vandermonde = np.vander(t, degree + 1, increasing=True)
     coeffs, *_ = np.linalg.lstsq(vandermonde, y, rcond=None)
@@ -120,10 +119,6 @@ def summarize(
     failed trials inside it stay excluded from the statistics.  The best
     trial is the first to reach the best score.
     """
-    if not records:
-        raise ReportError("log holds no trials")
-    if window < 1:
-        raise ReportError("window must be at least 1")
     valid = [r for r in records if not r.failed]
     if not valid:
         raise ReportError("no successful trials to summarize")
@@ -166,8 +161,6 @@ def trend(records: Sequence[TrialRecord], degree: int) -> FitResult | None:
 
 def compare(reports: Sequence[RunReport]) -> tuple[RunReport, ...]:
     """Order reports for side-by-side rendering."""
-    if not reports:
-        raise ReportError("nothing to compare")
     return tuple(
         sorted(reports, key=lambda r: (STRATEGY_ORDER.get(r.strategy, len(STRATEGY_ORDER)), r.strategy, r.seed, r.source))
     )

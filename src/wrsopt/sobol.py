@@ -45,9 +45,8 @@ _MINIT = (
 
 
 def direction_matrix(dim: int) -> np.ndarray:
-    """Direction numbers as a (dim, BITS) int64 array, scaled to BITS bits."""
-    if not 1 <= dim <= MAX_DIM:
-        raise ValueError(f"dim must be in [1, {MAX_DIM}], got {dim}")
+    """Direction numbers as a (dim, BITS) int64 array, scaled to BITS bits,
+    for 1 <= dim <= MAX_DIM, as RunConfig.validate ensures for a run."""
     v = np.zeros((dim, BITS), dtype=np.int64)
     for k in range(BITS):
         v[0, k] = 1 << (BITS - 1 - k)

@@ -1034,6 +1034,13 @@ def _run(strategy, *extra, objective=ANY_SPACE_OBJECTIVE):
 USER_ERRORS = {
     "budget-zero": _run("rs", "--budget", "0"),
     "window-zero": ["report", "run.jsonl", "--window", "0"],
+    # the parser is the one check of each of these; the library takes them as given
+    "trees-zero": ["importance", "run.jsonl", "--trees", "0"],
+    "max-depth-zero": ["importance", "run.jsonl", "--max-depth", "0"],
+    "min-leaf-zero": ["importance", "run.jsonl", "--min-leaf", "0"],
+    "negative-degree": ["report", "run.jsonl", "--degree", "-1"],
+    "compare-window-zero": ["compare", "run.jsonl", "--window", "0"],
+    "compare-without-a-log": ["compare"],
     "missing-space-flag": ["run", "--objective", "builtin:sphere", "--strategy", "rs", "--budget", "3"],
     **{case: _run("rs", "--budget", "3") for case in BAD_SPACES},
     "unreadable-space-file": _run("rs", "--budget", "3"),

@@ -3,6 +3,7 @@ the recursive per-node fit and the per-leaf marginal loop, byte for byte."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from unittest import mock
 
@@ -11,7 +12,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wrsopt import importance
-from wrsopt.importance import ForestConfig, _is_counting, _tree_fractions, encode_trials, fit_forest, root_box
+from wrsopt.importance import (
+    ForestConfig,
+    ImportanceError,
+    _is_counting,
+    _tree_fractions,
+    encode_trials,
+    fit_forest,
+    main_effect_fractions,
+    root_box,
+    weights_to_probabilities,
+)
 from wrsopt.space import Dimension, SearchSpace
 from wrsopt.triallog import TrialRecord
 
@@ -86,6 +97,34 @@ def test_levelwise_fit_equals_recursive_oracle(problem, seed, budget):
             want = _forest_oracle._tree_fractions(tree, root, counting)
             assert (shares is None and want is None) or shares.tobytes() == want.tobytes()
     assert_same_trees(got.trees, oracle_forest(trials, space, config, np.random.default_rng(seed)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(forest_problems(), st.integers(0, 2**32 - 1), st.sampled_from((1.0, 1e300)))
+def test_every_share_is_non_negative_or_not_finite_and_refused(problem, seed, scale):
+    # weights_to_probabilities refuses only shares that are not finite or all
+    # zero: each tree's share is 100 * max(v_i, 0) / var with var > 0, so no
+    # mean of them is negative; scores near float range overflow to inf or NaN
+    space, trials, config = problem
+    if len({t.values for t in trials}) < 2 or len({t.score for t in trials}) < 2:
+        return  # fit_forest refuses these before any tree is grown
+    trials = [replace(t, score=t.score * scale) for t in trials]
+    forest = fit_forest(trials, space, config, np.random.default_rng(seed))
+    root, counting = root_box(space), _is_counting(space)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for tree in forest.trees:
+            tree_shares = _tree_fractions(tree, root, counting)
+            assert tree_shares is None or not (tree_shares < 0.0).any()
+    try:
+        shares = main_effect_fractions(forest, space).fractions
+    except ImportanceError as exc:
+        assert str(exc) == "every tree in the forest is constant"
+        return
+    assert len(shares) == len(space)
+    assert all(f >= 0.0 for f in shares if not math.isnan(f))
+    if not all(math.isfinite(f) for f in shares):
+        with pytest.raises(ImportanceError, match="^weights must be finite$"):
+            weights_to_probabilities(shares)
 
 
 def test_tree_deeper_than_64_levels_equals_oracle():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wrsopt.samplers import SobolSampler
-from wrsopt.sobol import BITS, MAX_DIM, SobolEngine, direction_matrix
+from wrsopt.sobol import BITS, MAX_DIM, SobolEngine
 from wrsopt.space import Dimension, SearchSpace, value_at
 
 
@@ -31,14 +31,6 @@ def test_dyadic_equidistribution_1d():
         pts = SobolEngine(1).take(1 << m)[:, 0]
         cells = np.floor(pts * (1 << m)).astype(int)
         assert np.array_equal(np.sort(cells), np.arange(1 << m))
-
-
-def test_dimension_limit():
-    with pytest.raises(ValueError):
-        direction_matrix(MAX_DIM + 1)
-    space = SearchSpace(tuple(Dimension(name=f"x{i}", kind="real", low=0, high=1) for i in range(MAX_DIM + 1)))
-    with pytest.raises(ValueError):  # SobolEngine's own check; RunConfig.validate refuses such a run first
-        SobolSampler(space, np.random.default_rng(0))
 
 
 def test_points_stay_in_unit_interval():
