@@ -220,7 +220,7 @@ def cmd_importance(args: argparse.Namespace) -> int:
     # reproduces the profile a wrs run with init=n0 and this seed would compute
     rng = RngBundle.from_seed(seed).forest
     forest = fit_forest(records, space, config, rng)
-    weights = main_effect_fractions(forest, space).fractions
+    weights = main_effect_fractions(forest, space)
     probs = weights_to_probabilities(weights)
 
     sys.stdout.write(render_importance_text(space, weights, probs))

@@ -168,23 +168,20 @@ def update_best(best: BestState, trial: TrialRecord) -> BestState:
     return best
 
 
-class EvalCache(dict):
-    """Score memo: candidate key -> (score, error token or None).
-
-    Failures are cached too: re-proposing a crashed candidate must not
-    re-run the objective.
-    """
-
-
 def evaluate_with_cache(
     objective: Objective,
     space: SearchSpace,
     values: tuple,
-    cache: EvalCache,
+    cache: dict,
     iteration: int,
     phase: str,
 ) -> TrialRecord:
-    """Evaluate one candidate through the cache and build its record."""
+    """Evaluate one candidate through the cache and build its record.
+
+    The cache maps a candidate key to (score, error token or None). Failures
+    are cached too: re-proposing a crashed candidate must not re-run the
+    objective.
+    """
     key = candidate_key(space, values)
     start = time.perf_counter()
     hit = cache.get(key)
@@ -266,7 +263,7 @@ def _build_profile(
         else:
             try:
                 forest = fit_forest(phase1, space, ForestConfig(), forest_rng)
-                fractions = main_effect_fractions(forest, space).fractions
+                fractions = main_effect_fractions(forest, space)
                 free = [i for i in range(d) if i not in prob_over]
                 for i, p in zip(free, weights_to_probabilities([fractions[i] for i in free])):
                     base[i] = p
@@ -342,7 +339,7 @@ def execute_run(space: SearchSpace, objective: Objective, config: RunConfig) -> 
         )
     )
     rngs = RngBundle.from_seed(config.seed)
-    cache = EvalCache()
+    cache = {}
 
     def trial(it: int, values: tuple, phase: str) -> TrialRecord:
         rec = evaluate_with_cache(objective, space, values, cache, it, phase)

@@ -106,16 +106,6 @@ class Forest:
     trees: tuple[TreeModel, ...]
 
 
-@dataclass(frozen=True)
-class ImportanceWeights:
-    """Main-effect share of total variance per dimension, in percent.
-
-    The shares need not sum to 100; the remainder is interaction variance.
-    """
-
-    fractions: tuple[float, ...]
-
-
 def root_box(space: SearchSpace) -> np.ndarray:
     """Bounding box of the encoded space, (d, 2).
 
@@ -481,15 +471,19 @@ def _tree_fractions(tree: TreeModel, root: np.ndarray, counting: np.ndarray) -> 
     return out
 
 
-def main_effect_fractions(forest: Forest, space: SearchSpace) -> ImportanceWeights:
-    """Average the exact per-tree variance shares into percent weights."""
+def main_effect_fractions(forest: Forest, space: SearchSpace) -> tuple[float, ...]:
+    """Average the exact per-tree variance shares into percent weights.
+
+    One main-effect share of total variance per dimension. The shares need
+    not sum to 100; the remainder is interaction variance.
+    """
     root = root_box(space)
     counting = _is_counting(space)
     with np.errstate(over="ignore", invalid="ignore"):
         per_tree = [f for t in forest.trees if (f := _tree_fractions(t, root, counting)) is not None]
     if not per_tree:
         raise ImportanceError("every tree in the forest is constant")
-    return ImportanceWeights(fractions=tuple(float(v) for v in np.mean(per_tree, axis=0)))
+    return tuple(float(v) for v in np.mean(per_tree, axis=0))
 
 
 def weights_to_probabilities(weights: Sequence[float]) -> tuple[float, ...]:

@@ -59,9 +59,6 @@ class ObjectiveSpec:
     timeout: float = DEFAULT_TIMEOUT
     text: str = ""
 
-    def param_map(self) -> dict[str, str]:
-        return dict(self.params)
-
 
 def parse_objective_spec(text: str) -> ObjectiveSpec:
     """Parse a spec string; see the module docstring for the grammar."""
@@ -224,7 +221,7 @@ def make_objective(spec: ObjectiveSpec | str, space: SearchSpace) -> Objective:
         raise ObjectiveError(f"branin is 2-dimensional; space has {len(space)} dimensions")
 
     if name == "additive-anova":
-        coeffs = _parse_coeffs(spec.param_map(), len(space))
+        coeffs = _parse_coeffs(dict(spec.params), len(space))
         lows = np.array([d.low for d in space], dtype=float)
         highs = np.array([d.high for d in space], dtype=float)
         if np.any(highs <= lows):

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from wrsopt.engine import (
-    EvalCache,
     RunConfig,
     evaluate_with_cache,
     execute_run,
@@ -171,7 +170,7 @@ def test_c04_main_effect_estimates_match_quadrature_oracle():
                     TrialRecord(iteration=i, values=values, score=objective(values), phase="rs", status="evaluated", wall_time=0.0)
                 )
             forest = fit_forest(trials, space, ForestConfig(n_trees=30), np.random.default_rng(1000 + seed))
-            estimates.append(main_effect_fractions(forest, space).fractions)
+            estimates.append(main_effect_fractions(forest, space))
         medians = np.median(np.array(estimates), axis=0)
         for got, want in zip(medians, oracle):
             assert abs(got - want) <= 5.0, (d, medians, oracle)
@@ -270,7 +269,7 @@ def test_c08_budgets_are_exact_and_duplicates_cost_no_reevaluation():
     assert objective.calls == len(distinct) <= 4
     assert sum(1 for r in result.records if r.status == "cached-hit") == 40 - objective.calls
 
-    cache = EvalCache()
+    cache = {}
     probe = python_objective(lambda v: float(v[0]))
     first = evaluate_with_cache(probe, tiny, (2,), cache, 1, "rs")
     second = evaluate_with_cache(probe, tiny, (2,), cache, 2, "rs")

@@ -826,11 +826,11 @@ def test_a_fault_in_one_of_several_logs_names_that_log(space_file, tmp_path, cap
         "run", "--space", space_file, "--objective", "builtin:rastrigin",
         "--strategy", "rs", "--budget", "10", "--seed", "5", "--out", good,
     ]) == 0
-    lines = open(good, encoding="utf-8").read().splitlines()
+    lines = (tmp_path / "good.jsonl").read_text(encoding="utf-8").splitlines()
     trial = json.loads(lines[3])
     trial["score"] = "x"
     lines[3] = json.dumps(trial)
-    open(bad, "w", encoding="utf-8").write("\n".join(lines) + "\n")
+    (tmp_path / "bad.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
     capsys.readouterr()
     assert run_cli(["compare", good, bad]) == 1
     captured = capsys.readouterr()

@@ -12,7 +12,6 @@ from wrsopt.engine import (
     AllTrialsFailedError,
     BestState,
     ConfigError,
-    EvalCache,
     RngBundle,
     RunConfig,
     _build_profile,
@@ -183,7 +182,7 @@ class TestCache:
     def test_duplicate_candidate_not_reevaluated(self):
         space = int_space(1, low=0, high=1)
         objective = python_objective(lambda v: float(v[0]))
-        cache = EvalCache()
+        cache = {}
         first = evaluate_with_cache(objective, space, (1,), cache, 1, "rs")
         second = evaluate_with_cache(objective, space, (1,), cache, 2, "rs")
         assert objective.calls == 1
@@ -197,7 +196,7 @@ class TestCache:
             raise ObjectiveFailure("exit 3")
 
         objective = python_objective(boom)
-        cache = EvalCache()
+        cache = {}
         first = evaluate_with_cache(objective, space, (0,), cache, 1, "rs")
         second = evaluate_with_cache(objective, space, (0,), cache, 2, "rs")
         assert objective.calls == 1
@@ -216,7 +215,7 @@ class TestCache:
         # so the second signed zero is a hit on the first one's entry
         space = real_space(2, low=-1.0, high=1.0)
         objective = python_objective(lambda v: v[0] + v[1])
-        cache = EvalCache()
+        cache = {}
         statuses = [
             evaluate_with_cache(objective, space, values, cache, it, "rs").status
             for it, values in enumerate([(0.1 + 0.2, 0.5), (0.3, 0.5), (0.0, 0.5), (-0.0, 0.5)], start=1)

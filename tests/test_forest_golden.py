@@ -136,7 +136,7 @@ def forest_digests(shape: str, config: str) -> tuple[str, str]:
             trees.update(repr((arr.dtype.str, arr.shape)).encode())
             trees.update(np.ascontiguousarray(arr).tobytes())
         trees.update(repr(tree.split_dims).encode())
-    fractions = main_effect_fractions(forest, space).fractions
+    fractions = main_effect_fractions(forest, space)
     probs = weights_to_probabilities(fractions)
     weights = hashlib.sha256(np.array(fractions + probs, dtype=np.float64).tobytes())
     return trees.hexdigest(), weights.hexdigest()

@@ -116,7 +116,7 @@ def test_every_share_is_non_negative_or_not_finite_and_refused(problem, seed, sc
             tree_shares = _tree_fractions(tree, root, counting)
             assert tree_shares is None or not (tree_shares < 0.0).any()
     try:
-        shares = main_effect_fractions(forest, space).fractions
+        shares = main_effect_fractions(forest, space)
     except ImportanceError as exc:
         assert str(exc) == "every tree in the forest is constant"
         return

@@ -105,7 +105,7 @@ class TestForestFitting:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             forest = fit_forest(trials, space, ForestConfig(n_trees=10), np.random.default_rng(2))
-            probs = weights_to_probabilities(main_effect_fractions(forest, space).fractions)
+            probs = weights_to_probabilities(main_effect_fractions(forest, space))
         for tree in forest.trees:
             assert np.all(np.isfinite(tree.leaf_means))
             assert np.all(tree.leaf_boxes[:, :, 0] < tree.leaf_boxes[:, :, 1])
@@ -182,7 +182,7 @@ class TestScoresNearFloatRange:
             forest = fit_forest(trials, space, rng=np.random.default_rng(1))
         weights = main_effect_fractions(forest, space)
         with pytest.raises(ImportanceError, match="^weights must be finite$"):
-            weights_to_probabilities(weights.fractions)
+            weights_to_probabilities(weights)
 
     def test_a_row_whose_every_cut_sse_is_inf_takes_its_first_valid_cut(self):
         # +-a pairs tied in x keep every prefix sum at 0.0 while a*a overflows,
@@ -219,7 +219,7 @@ class TestMainEffects:
         space = real_space(3, low=0.0, high=1.0)
         trials = make_trials(space, lambda v: v[0], 400, seed=5)
         forest = fit_forest(trials, space, ForestConfig(n_trees=10), np.random.default_rng(1))
-        w = main_effect_fractions(forest, space).fractions
+        w = main_effect_fractions(forest, space)
         assert w[0] > 95.0
         assert w[1] < 5.0 and w[2] < 5.0
 
@@ -227,7 +227,7 @@ class TestMainEffects:
         space = real_space(2, low=0.0, high=1.0)
         trials = make_trials(space, lambda v: v[0] + v[1], 400, seed=6)
         forest = fit_forest(trials, space, ForestConfig(n_trees=10), np.random.default_rng(2))
-        w = main_effect_fractions(forest, space).fractions
+        w = main_effect_fractions(forest, space)
         assert abs(w[0] - w[1]) < 3.0
 
     def test_fractions_invariant_under_affine_rescaling(self):
@@ -237,8 +237,8 @@ class TestMainEffects:
             TrialRecord(t.iteration, t.values, 50.0 * t.score - 11.0, t.phase, t.status, t.wall_time)
             for t in base
         ]
-        w1 = main_effect_fractions(fit_forest(base, space, rng=np.random.default_rng(3)), space).fractions
-        w2 = main_effect_fractions(fit_forest(scaled, space, rng=np.random.default_rng(3)), space).fractions
+        w1 = main_effect_fractions(fit_forest(base, space, rng=np.random.default_rng(3)), space)
+        w2 = main_effect_fractions(fit_forest(scaled, space, rng=np.random.default_rng(3)), space)
         # split ties at deep nodes may resolve differently after rescaling,
         # so identity holds only up to a small structural wobble
         assert np.allclose(w1, w2, atol=0.1)
@@ -248,16 +248,23 @@ class TestMainEffects:
         fn = lambda v: v[0] * 2.0 + v[1] * 0.1 + (1.0 if v[2] == "relu" else 0.0)
         trials = make_trials(space, fn, 300, seed=8)
         forest = fit_forest(trials, space, ForestConfig(n_trees=5), np.random.default_rng(4))
-        w = main_effect_fractions(forest, space).fractions
+        w = main_effect_fractions(forest, space)
         assert all(f >= 0.0 for f in w)
         assert sum(w) <= 100.0 + 1e-9
+
+    def test_fractions_are_a_tuple_of_python_floats_one_per_dimension(self):
+        space = mixed_space()
+        trials = make_trials(space, lambda v: v[0] + v[1], 60, seed=8)
+        w = main_effect_fractions(fit_forest(trials, space, ForestConfig(n_trees=3), np.random.default_rng(4)), space)
+        assert type(w) is tuple and len(w) == len(space)
+        assert all(type(f) is float for f in w)
 
     def test_integer_dimension_importance_recovered(self):
         # score depends only on the first of two integer axes
         space = int_space(2, low=0, high=20)
         trials = make_trials(space, lambda v: float(v[0]), 300, seed=9)
         forest = fit_forest(trials, space, ForestConfig(n_trees=10), np.random.default_rng(5))
-        w = main_effect_fractions(forest, space).fractions
+        w = main_effect_fractions(forest, space)
         assert w[0] > 90.0 and w[1] < 5.0
 
     def test_zero_width_real_axis_gets_weight_zero(self):
@@ -272,7 +279,7 @@ class TestMainEffects:
         forest = fit_forest(trials, space, ForestConfig(n_trees=10), np.random.default_rng(6))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            w = main_effect_fractions(forest, space).fractions
+            w = main_effect_fractions(forest, space)
         assert all(math.isfinite(f) for f in w)
         assert w[1] == 0.0
         assert w[0] > 80.0 and 0.0 < w[2] < 15.0
@@ -288,7 +295,7 @@ class TestMainEffects:
         root, counting = root_box(space), _is_counting(space)
         shares = [_tree_fractions(tree, root, counting)[1] for tree in forest.trees]
         assert all(0.0 <= f < 1e-12 for f in shares) and 0.0 in shares
-        assert 0.0 <= main_effect_fractions(forest, space).fractions[1] < 1e-12
+        assert 0.0 <= main_effect_fractions(forest, space)[1] < 1e-12
 
     @pytest.mark.parametrize("budget", [1, 7, 8192])
     def test_main_effects_do_not_depend_on_the_block_size(self, budget):

@@ -24,7 +24,7 @@ from wrsopt.objectives import (
     sphere,
     styblinski_tang,
 )
-from wrsopt.engine import EvalCache, evaluate_with_cache
+from wrsopt.engine import evaluate_with_cache
 from wrsopt.space import Dimension, SearchSpace
 
 from _util import int_space, real_space
@@ -37,7 +37,7 @@ class TestSpecParsing:
 
     def test_params_and_direction(self):
         spec = parse_objective_spec("builtin:additive-anova?coeffs=3,1&direction=maximize")
-        assert spec.param_map() == {"coeffs": "3,1"}
+        assert dict(spec.params) == {"coeffs": "3,1"}
         assert spec.direction == "maximize"
 
     def test_external_command_with_timeout(self):
@@ -376,7 +376,7 @@ class TestExternalProtocol:
         # evaluate_external passes the parsed value on; Objective refuses it
         space = int_space(1)
         objective = make_objective(f"external:{shlex.quote(sys.executable)} -c \"print('{printed}')\"", space)
-        record = evaluate_with_cache(objective, space, (1,), EvalCache(), 1, "rs")
+        record = evaluate_with_cache(objective, space, (1,), {}, 1, "rs")
         assert (record.status, record.score, record.error) == ("failed", -math.inf, "non-finite value")
 
     def test_silent_command_fails(self):

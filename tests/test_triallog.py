@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ class TestRoundTrip:
     def test_header_is_first_line_with_schema(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
         write_log(path, make_header(), make_records(3))
-        first = json.loads(open(path).readline())
+        first = json.loads(Path(path).read_text().splitlines()[0])
         assert first["kind"] == "header"
         assert first["schema"] == SCHEMA_VERSION
 
@@ -75,7 +76,7 @@ class TestRoundTrip:
         path = str(tmp_path / "run.jsonl")
         rec = TrialRecord(iteration=1, values=(0.5,), score=float("-inf"), phase="rs", status="failed", wall_time=0.0, error="exit 3")
         write_log(path, make_header(budget=1), [rec])
-        raw = open(path).read().splitlines()[1]
+        raw = Path(path).read_text().splitlines()[1]
         assert "-Infinity" in raw
         _, records = read_log(path)
         assert records[0].score == float("-inf")
@@ -84,7 +85,7 @@ class TestRoundTrip:
     def test_error_field_absent_unless_set(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
         write_log(path, make_header(budget=1), make_records(1))
-        raw = open(path).read().splitlines()[1]
+        raw = Path(path).read_text().splitlines()[1]
         assert "error" not in json.loads(raw)
 
     def test_profile_round_trips(self, tmp_path):
@@ -128,9 +129,9 @@ class TestValidation:
     def test_invalid_json_reports_the_file_line_counting_blank_lines(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
         write_log(path, make_header(budget=2), make_records(2))
-        header, first, second = open(path).read().splitlines()
+        header, first, second = Path(path).read_text().splitlines()
         # line 2 is blank, line 3 is broken, line 4 is fine
-        open(path, "w").write(header + "\n\n" + first[:-1] + "\n" + second + "\n")
+        Path(path).write_text(header + "\n\n" + first[:-1] + "\n" + second + "\n")
         with pytest.raises(LogError, match="invalid JSON on line 3$"):
             read_log(path)
 
@@ -145,10 +146,10 @@ class TestValidation:
     def test_bad_byte_past_the_first_8_kib_is_named_by_its_offset_in_the_file(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
         write_log(path, make_header(budget=200), make_records(200))
-        data = bytearray(open(path, "rb").read())
+        data = bytearray(Path(path).read_bytes())
         at = data.index(b'"phase": "rs"', 9000) + len(b'"phase": "')
         data[at] = 0xFF
-        open(path, "wb").write(bytes(data))
+        Path(path).write_bytes(bytes(data))
         with pytest.raises(LogError, match=rf"not UTF-8 text \(byte {at}\)$"):
             read_log(path)
 
@@ -164,7 +165,7 @@ class TestValidation:
     def test_a_log_with_faults_on_two_lines_names_the_earlier(self, tmp_path, first, second, message):
         path = str(tmp_path / "run.jsonl")
         write_log(path, make_header(budget=3), make_records(3))
-        lines = open(path, "rb").read().splitlines()
+        lines = Path(path).read_bytes().splitlines()
         faults = {
             "bad-field": lambda line: line.replace(b'"rs"', b"7"),
             "bad-json": lambda line: line[:-1],
@@ -173,7 +174,7 @@ class TestValidation:
             "not-utf8": lambda line: line.replace(b'"rs"', b'"\xff"'),
         }
         lines[1], lines[3] = faults[first](lines[1]), faults[second](lines[3])
-        open(path, "wb").write(b"\n".join(lines) + b"\n")
+        Path(path).write_bytes(b"\n".join(lines) + b"\n")
         with pytest.raises(LogError, match=message):
             read_log(path)
 
@@ -192,10 +193,10 @@ class TestValidation:
     def test_each_line_is_checked_whole_where_it_is_read(self, tmp_path, faults, message):
         path = str(tmp_path / "run.jsonl")
         write_log(path, make_header(budget=3), make_records(3))
-        lines = open(path, "rb").read().splitlines()
+        lines = Path(path).read_bytes().splitlines()
         for k, fault in faults.items():
             lines[k] = fault(lines[k])
-        open(path, "wb").write(b"\n".join(lines) + b"\n")
+        Path(path).write_bytes(b"\n".join(lines) + b"\n")
         with pytest.raises(LogError, match=message):
             read_log(path)
 
@@ -216,10 +217,10 @@ class TestValidation:
     def test_unknown_status_rejected(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
         write_log(path, make_header(budget=1), make_records(1))
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         rec = json.loads(lines[1])
         rec["status"] = "maybe"
-        open(path, "w").write(lines[0] + "\n" + json.dumps(rec) + "\n")
+        Path(path).write_text(lines[0] + "\n" + json.dumps(rec) + "\n")
         with pytest.raises(LogError, match="unknown status"):
             read_log(path)
 
@@ -301,7 +302,7 @@ def test_unicode_line_separators_in_strings_round_trip(tmp_path, sep):
         TrialRecord(iteration=2, values=("z",), score=float("-inf"), phase="rs", status="failed", wall_time=0.0, error=f"exit{sep}3"),
     ]
     write_log(path, header, records)
-    assert sep in open(path, encoding="utf-8").read()
+    assert sep in Path(path).read_text(encoding="utf-8")
     got_header, got_records = read_log(path)
     assert got_header == header
     assert got_records == records
@@ -311,7 +312,7 @@ def test_a_lone_carriage_return_between_tokens_is_whitespace(tmp_path):
     # lines end at "\n" only, so a CR within a line is JSON whitespace
     path = str(tmp_path / "run.jsonl")
     write_log(path, make_header(budget=2), make_records(2))
-    text = open(path, encoding="utf-8").read()
+    text = Path(path).read_text(encoding="utf-8")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text.replace(', "score"', ',\r"score"', 1))
     assert read_log(path) == (make_header(budget=2), make_records(2))
@@ -320,7 +321,7 @@ def test_a_lone_carriage_return_between_tokens_is_whitespace(tmp_path):
 def test_a_crlf_log_reads_as_its_lf_original(tmp_path):
     path = str(tmp_path / "run.jsonl")
     write_log(path, make_header(budget=3), make_records(3))
-    text = open(path, encoding="utf-8").read()
+    text = Path(path).read_text(encoding="utf-8")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text.replace("\n", "\r\n") + "\r\n")  # a blank CRLF line at the end too
     assert read_log(path) == (make_header(budget=3), make_records(3))
