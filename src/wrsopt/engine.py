@@ -236,7 +236,7 @@ def _build_profile(
     space: SearchSpace,
     config: RunConfig,
     phase1: Sequence[TrialRecord],
-    forest_rng: np.random.Generator | None,
+    forest_rng: np.random.Generator,
     warnings: list[str],
 ) -> tuple[ChangeProfile, list[float] | None]:
     """Importance fit plus overrides, frozen into the phase-2 profile; the

@@ -33,7 +33,10 @@ those where the best prefix-sum gain lies within ``CUT_MARGIN`` times the
 node's SSE of another dimension's gain or of 1e-15, where a figure is not
 finite, or where the node is too large for the rounding bound.  Elsewhere
 the two gains differ by rounding far below that margin, so they pick the
-same split (``_best_splits`` gives the bound).
+same split (``_best_splits`` gives the bound).  For the same reason a
+contested node within the bound re-scores only the dimensions whose
+prefix-sum gain lies within the margin of its best; the others can
+neither win nor decide the 1e-15 test.
 
 Main effects handle all live axes of a tree at once: one stable sort ranks
 every axis's edges, one product gives every leaf's mass off each axis, and
@@ -135,11 +138,11 @@ def _interval_mass(lo: np.ndarray, hi: np.ndarray, counting: np.ndarray | bool) 
 
 
 def encode_trials(trials: Sequence[TrialRecord], space: SearchSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Ordinal design matrix and score vector from the usable trials.
+    """Ordinal design matrix and score vector from usable trials.
 
-    Failed trials are dropped; categorical values map to their list index.
-    The values must lie in the space, as read_log guarantees for a log, and
-    at least one trial must be usable, as fit_forest has checked.
+    Categorical values map to their list index.  fit_forest, the one caller,
+    passes usable trials only, at least two of them; their values lie in the
+    space, as read_log guarantees for a log.
     """
     rows, ys = [], []
     cat_index = {
@@ -148,8 +151,6 @@ def encode_trials(trials: Sequence[TrialRecord], space: SearchSpace) -> tuple[np
         if dim.kind == "cat"
     }
     for t in trials:
-        if t.failed:
-            continue
         rows.append([float(cat_index[i][v]) if i in cat_index else float(v) for i, v in enumerate(t.values)])
         ys.append(float(t.score))
     return np.array(rows), np.array(ys)
@@ -197,6 +198,13 @@ def _best_splits(X: np.ndarray, rows: np.ndarray, yc: np.ndarray, start: np.ndar
     lies within the margin of the best and the best does not lie within it
     of 1e-15, both gains make the same pick.  Only the other, contested
     nodes are re-scored; the rest take their best prefix gain as it is.
+    Within a contested node, a dimension whose prefix gain lies more than
+    the margin below the best re-scores to more than 14/16 of the margin
+    below the best's re-scored gain: it cannot win, and when the best gains
+    no more than 1e-15 neither does it.  So only the dimensions within the
+    margin are re-scored, unless a gain is not finite or the node holds
+    more than 2**18 samples, where the bound does not hold and every
+    dimension with a valid cut is.
     The cut after a row's last sample divides 0.0 by its empty right side,
     and overflowed scores make inf - inf: the caller ignores invalid
     operations, as ``fit_forest`` does.
@@ -234,22 +242,21 @@ def _best_splits(X: np.ndarray, rows: np.ndarray, yc: np.ndarray, start: np.ndar
 
     # a node is contested when rounding could change its pick: a second
     # dimension within the margin of the best, the best within it of
-    # 1e-15, a figure that is not finite, or too many samples for the bound
+    # 1e-15, or a node the bound does not cover, with a figure that is not
+    # finite or too many samples
     has = ok.any(axis=2)
     gain = np.where(has, base_sse[:, None] - sse[node, dim, p], -np.inf)
     top = gain.max(axis=1)
     margin = CUT_MARGIN * base_sse
-    contested = (
-        ((gain >= (top - margin)[:, None]).sum(axis=1) > 1)
-        | (np.abs(top - 1e-15) <= margin)
-        | (has & ~np.isfinite(gain)).any(axis=1)
-        | (count > 2**18)
-    )
+    near = has & (gain >= (top - margin)[:, None])
+    unbounded = (has & ~np.isfinite(gain)).any(axis=1) | (count > 2**18)
+    contested = (near.sum(axis=1) > 1) | (np.abs(top - 1e-15) <= margin) | unbounded
 
-    # re-score each contested node's cuts from their partitions in sample
-    # order, so two dims inducing the same partition get bit-identical
-    # gains and the first dim wins the tie
-    ri, rd = np.nonzero(contested[:, None] & has)
+    # re-score the cuts of each contested node that can still win from their
+    # partitions in sample order, so two dims inducing the same partition get
+    # bit-identical gains and the first dim wins the tie; a node the bound
+    # does not cover re-scores every dimension with a valid cut
+    ri, rd = np.nonzero(contested[:, None] & np.where(unbounded[:, None], has, near))
     if ri.size:
         side = np.where(inside[ri], ~(xs[ri, rd] < thr[ri, rd, None]), 2)
         parted = ys[ri[:, None], np.argsort(side, axis=1, kind="stable")].ravel()
@@ -367,19 +374,13 @@ def _grow_trees(X: np.ndarray, y: np.ndarray, root: np.ndarray, config: ForestCo
     ]
 
 
-def fit_forest(
-    trials: Sequence[TrialRecord],
-    space: SearchSpace,
-    config: ForestConfig = ForestConfig(),
-    rng: np.random.Generator | None = None,
-) -> Forest:
+def fit_forest(trials: Sequence[TrialRecord], space: SearchSpace, config: ForestConfig,
+               rng: np.random.Generator) -> Forest:
     """Fit the regression forest on the usable trials.
 
     Requires at least two distinct candidates among the usable trials and
     raises ZeroVarianceError when their scores are all equal.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     usable = [t for t in trials if not t.failed]
     distinct = {candidate_key(space, t.values) for t in usable}
     if len(usable) < 2 or len(distinct) < 2:

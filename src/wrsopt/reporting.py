@@ -49,11 +49,6 @@ class FitResult:
     coefficients: tuple[float, ...]
     domain: tuple[float, float]
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x0, x1 = self.domain
-        t = -1.0 + 2.0 * (np.asarray(x, dtype=float) - x0) / (x1 - x0)
-        return np.polynomial.polynomial.polyval(t, np.asarray(self.coefficients))
-
 
 def polyfit(scores: Sequence[float], degree: int = 5, x: Sequence[float] | None = None) -> FitResult:
     """Fit scores against their positions (default 1..n), returning ascending

@@ -22,7 +22,7 @@ dimension in declaration order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,11 +42,7 @@ class ChangeProfile:
 
     probs: tuple[float, ...]
     k_mins: tuple[int, ...]
-    gen_counts: list[int] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.gen_counts:
-            self.gen_counts = [0] * len(self.probs)
+    gen_counts: list[int]
 
 
 def rs_step(space: SearchSpace, rng: np.random.Generator) -> tuple:

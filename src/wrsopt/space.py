@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -158,7 +158,7 @@ def value_at(dim: Dimension, u: float) -> Any:
 class SearchSpace:
     """An ordered, immutable collection of dimensions with unique names."""
 
-    dimensions: tuple[Dimension, ...] = field(default_factory=tuple)
+    dimensions: tuple[Dimension, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dimensions", tuple(self.dimensions))
@@ -171,9 +171,6 @@ class SearchSpace:
 
     def __iter__(self) -> Iterator[Dimension]:
         return iter(self.dimensions)
-
-    def __getitem__(self, i: int) -> Dimension:
-        return self.dimensions[i]
 
     @property
     def names(self) -> tuple[str, ...]:

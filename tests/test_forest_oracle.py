@@ -214,3 +214,23 @@ def test_overflowing_sse_is_rescored():
     with np.errstate(over="ignore", invalid="ignore"):
         got = _fit_equals_oracle(space, _trials([(x,) for x in xs], scores), config)
     assert len(got.trees[0].leaf_means) == 4
+
+
+def test_tie_heavy_columns_equal_oracle():
+    # the informative column three times, two copies of it permuted within
+    # each side of its median and three noise columns: contested nodes hold
+    # tied dimensions and dimensions far outside the margin side by side
+    n = 120
+    rng = np.random.default_rng(1)
+    x = rng.random(n)
+    low = x < np.median(x)
+    copies = []
+    for _ in range(2):
+        c = x.copy()
+        for side in (low, ~low):
+            c[side] = rng.permutation(x[side])
+        copies.append(c)
+    columns = [x, x, x, *copies, *rng.random((3, n))]
+    scores = 3.0 * ~low + 0.3 * rng.random(n)
+    space = SearchSpace(tuple(Dimension(name=f"x{j}", kind="real", low=0.0, high=1.0) for j in range(8)))
+    _fit_equals_oracle(space, _trials(zip(*(c.tolist() for c in columns)), scores), ForestConfig(n_trees=10))

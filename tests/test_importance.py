@@ -43,7 +43,7 @@ class TestForestFitting:
         t = TrialRecord(iteration=1, values=(3,), score=1.0, phase="rs", status="evaluated", wall_time=0.0)
         dup = TrialRecord(iteration=2, values=(3,), score=1.0, phase="rs", status="cached-hit", wall_time=0.0)
         with pytest.raises(ImportanceError):
-            fit_forest([t, dup], space)
+            fit_forest([t, dup], space, ForestConfig(), np.random.default_rng(0))
 
     def test_signed_zeros_are_one_candidate(self):
         space = real_space(1, low=-1.0, high=1.0)
@@ -52,13 +52,13 @@ class TestForestFitting:
             for i, v in enumerate((0.0, -0.0), start=1)
         ]
         with pytest.raises(ImportanceError, match="have 1$"):
-            fit_forest(trials, space)
+            fit_forest(trials, space, ForestConfig(), np.random.default_rng(0))
 
     def test_constant_scores_raise_zero_variance(self):
         space = int_space(1, low=0, high=9)
         trials = make_trials(space, lambda v: 7.0, 30, seed=1)
         with pytest.raises(ZeroVarianceError):
-            fit_forest(trials, space, rng=np.random.default_rng(0))
+            fit_forest(trials, space, ForestConfig(), np.random.default_rng(0))
 
     @pytest.mark.parametrize("informative", [0, 1])
     def test_split_picks_the_informative_dimension(self, informative):
@@ -142,13 +142,15 @@ class TestForestFitting:
 
     def test_failed_trials_are_ignored(self):
         space = real_space(1, low=0.0, high=1.0)
-        trials = make_trials(space, lambda v: v[0], 50, seed=3)
-        trials += [
-            TrialRecord(iteration=51, values=(0.5,), score=float("-inf"), phase="rs", status="failed", wall_time=0.0, error="exit 1")
-        ]
-        X, y = encode_trials(trials, space)
-        assert X.shape == (50, 1)
-        fit_forest(trials, space, ForestConfig(n_trees=2), np.random.default_rng(0))
+        usable = make_trials(space, lambda v: v[0], 50, seed=3)
+        failed = TrialRecord(iteration=51, values=(0.5,), score=float("-inf"), phase="rs", status="failed", wall_time=0.0, error="exit 1")
+        X, y = encode_trials(usable, space)
+        assert X.shape == (50, 1) and y.tolist() == [t.score for t in usable]
+        config = ForestConfig(n_trees=2)
+        got = fit_forest(usable + [failed], space, config, np.random.default_rng(0))
+        want = fit_forest(usable, space, config, np.random.default_rng(0))
+        for g, w in zip(got.trees, want.trees):
+            assert g.leaf_boxes.tobytes() == w.leaf_boxes.tobytes() and g.leaf_means.tobytes() == w.leaf_means.tobytes()
 
     def test_root_box_uses_counting_ranges(self):
         space = SearchSpace(
@@ -172,14 +174,14 @@ class TestScoresNearFloatRange:
         return make_trials(real_space(2, low=0.0, high=1.0), lambda v: 1e300 * (2 * v[0] - 1) + (2 * v[1] - 1), 20, seed=1)
 
     def test_forest_fit_raises_no_warning(self, trials):
-        forest = fit_forest(trials, real_space(2, low=0.0, high=1.0), rng=np.random.default_rng(1))
+        forest = fit_forest(trials, real_space(2, low=0.0, high=1.0), ForestConfig(), np.random.default_rng(1))
         assert len(forest.trees) == ForestConfig().n_trees
 
     def test_fractions_raise_no_warning_and_the_weights_are_refused(self, trials):
         space = real_space(2, low=0.0, high=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # the fit's own guard is the test above
-            forest = fit_forest(trials, space, rng=np.random.default_rng(1))
+            forest = fit_forest(trials, space, ForestConfig(), np.random.default_rng(1))
         weights = main_effect_fractions(forest, space)
         with pytest.raises(ImportanceError, match="^weights must be finite$"):
             weights_to_probabilities(weights)
@@ -237,8 +239,8 @@ class TestMainEffects:
             TrialRecord(t.iteration, t.values, 50.0 * t.score - 11.0, t.phase, t.status, t.wall_time)
             for t in base
         ]
-        w1 = main_effect_fractions(fit_forest(base, space, rng=np.random.default_rng(3)), space)
-        w2 = main_effect_fractions(fit_forest(scaled, space, rng=np.random.default_rng(3)), space)
+        w1 = main_effect_fractions(fit_forest(base, space, ForestConfig(), np.random.default_rng(3)), space)
+        w2 = main_effect_fractions(fit_forest(scaled, space, ForestConfig(), np.random.default_rng(3)), space)
         # split ties at deep nodes may resolve differently after rescaling,
         # so identity holds only up to a small structural wobble
         assert np.allclose(w1, w2, atol=0.1)
@@ -302,7 +304,7 @@ class TestMainEffects:
         # acceptance test c04's shape grows deep trees, whose leaves fall
         # into many blocks; every block size adds in the per-leaf loop's order
         space, trials = SHAPES["anova"]()
-        forest = fit_forest(trials, space, rng=np.random.default_rng(200))
+        forest = fit_forest(trials, space, ForestConfig(), np.random.default_rng(200))
         root, counting = root_box(space), _is_counting(space)
         with mock.patch.object(importance, "FIT_ELEMENT_BUDGET", budget):
             for tree in forest.trees:

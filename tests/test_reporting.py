@@ -23,6 +23,14 @@ from wrsopt.reporting import (
 from wrsopt.triallog import RunHeader, TrialRecord
 
 
+def evaluate(fit_dict, x):
+    """A fit as report --fit writes it, evaluated at raw positions x by its basis."""
+    assert fit_dict["basis"] == "ascending powers of t, t = -1 + 2*(x - x0)/(x1 - x0)"
+    x0, x1 = fit_dict["domain"]
+    t = -1.0 + 2.0 * (np.asarray(x, dtype=float) - x0) / (x1 - x0)
+    return np.polynomial.polynomial.polyval(t, fit_dict["coefficients"])
+
+
 def make_header(strategy="rs", budget=3, seed=1):
     return RunHeader(
         strategy=strategy,
@@ -104,7 +112,7 @@ class TestSummarize:
         # scores grow linearly in iteration, so the linear fit is exact even
         # with a hole at iteration 2
         assert fit is not None
-        got = fit(np.array([1.0, 8.0]))
+        got = evaluate(fit_to_dict(fit), [1.0, 8.0])
         assert np.allclose(got, [1.0, 8.0], atol=1e-9)
 
     def test_best_values_are_those_of_the_trial_best_iteration_names(self):
@@ -163,7 +171,7 @@ class TestPolyfit:
         y = 2.0 - 3.0 * t + 0.5 * t * t
         fit = polyfit(y.tolist(), degree=2)
         assert np.allclose(fit.coefficients, (2.0, -3.0, 0.5), atol=1e-8)
-        assert np.max(np.abs(fit(xs) - y)) < 1e-8
+        assert np.max(np.abs(evaluate(fit_to_dict(fit), xs) - y)) < 1e-8
 
     def test_constant_series_gives_constant_polynomial(self):
         fit = polyfit([4.25] * 12, degree=5)
@@ -181,11 +189,11 @@ class TestPolyfit:
         assert np.allclose(fit.coefficients, expected, rtol=1e-6, atol=1e-9)
 
     def test_fit_to_dict_round_trip_evaluation(self):
-        fit = polyfit([1.0, 4.0, 9.0, 16.0], degree=2)
-        d = fit_to_dict(fit)
-        again = FitResult(degree=d["degree"], coefficients=tuple(d["coefficients"]), domain=tuple(d["domain"]))
+        # x**2 at positions 1..4 is a degree-2 polynomial, so the written fit reproduces it
+        d = fit_to_dict(polyfit([1.0, 4.0, 9.0, 16.0], degree=2))
+        assert (d["degree"], d["domain"]) == (2, [1.0, 4.0])
         xs = np.array([1.0, 2.5, 4.0])
-        assert np.allclose(fit(xs), again(xs))
+        assert np.allclose(evaluate(d, xs), xs**2)
 
 
 class TestCompare:

@@ -11,8 +11,10 @@ from _util import mixed_space, real_space
 
 class TestChangeProfile:
     def test_valid_profile(self):
-        p = ChangeProfile(probs=(1.0, 0.45), k_mins=(3, 3))
-        assert p.gen_counts == [0, 0]
+        # as the engine builds it: phase 1 drew init fresh values on every axis
+        counts = [3, 3]
+        p = ChangeProfile(probs=(1.0, 0.45), k_mins=(3, 3), gen_counts=counts)
+        assert (p.probs, p.k_mins) == ((1.0, 0.45), (3, 3)) and p.gen_counts is counts
 
 
 class TestRsStep:
@@ -86,7 +88,7 @@ class TestWrsStep:
 
     def test_all_ones_profile_reproduces_rs_stream_bitwise(self):
         space = mixed_space()
-        profile = ChangeProfile(probs=(1.0,) * len(space), k_mins=(0,) * len(space))
+        profile = ChangeProfile(probs=(1.0,) * len(space), k_mins=(0,) * len(space), gen_counts=[0] * len(space))
         rs_rng = np.random.default_rng(99)
         wrs_value = np.random.default_rng(99)
         wrs_decision = np.random.default_rng(1234)

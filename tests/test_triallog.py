@@ -502,7 +502,7 @@ def test_read_log_and_validate_candidate_refuse_a_record_with_the_same_text(tmp_
     rows = [[_value(dim, data.draw) for dim in space.dimensions] for _ in range(n)]
     for _ in range(data.draw(st.integers(0, 3))):
         i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, d - 1))
-        rows[i][j] = _stray(space[j], data.draw)
+        rows[i][j] = _stray(space.dimensions[j], data.draw)
     if data.draw(st.integers(0, 9)) == 0:  # a record one value short or long
         i = data.draw(st.integers(0, n - 1))
         rows[i] = rows[i][:-1] if data.draw(st.booleans()) else rows[i] + [rows[i][-1]]
