@@ -120,9 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     imp = sub.add_parser("importance", help="estimate per-dimension weights and probabilities from a log")
     imp.add_argument("log")
-    imp.add_argument("--trees", type=_positive_int, default=30)
-    imp.add_argument("--max-depth", type=_positive_int, default=64)
-    imp.add_argument("--min-leaf", type=_positive_int, default=2)
+    imp.add_argument("--trees", type=_positive_int, default=ForestConfig.n_trees)
+    imp.add_argument("--max-depth", type=_positive_int, default=ForestConfig.max_depth)
+    imp.add_argument("--min-leaf", type=_positive_int, default=ForestConfig.min_leaf)
     imp.add_argument("--no-bootstrap", action="store_true")
     imp.add_argument("--seed", type=_non_negative_int, default=None, help="forest seed (default: the log's run seed)")
     imp.add_argument("--csv", default=None)

@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -234,15 +234,9 @@ def candidate_key(space: SearchSpace, values: Sequence[Any]) -> tuple:
 
 
 def dimension_to_dict(dim: Dimension) -> dict:
-    d: dict[str, Any] = {"name": dim.name, "kind": dim.kind}
-    if dim.kind == "cat":
-        d["values"] = list(dim.values)
-        if dim.weights is not None:
-            d["weights"] = list(dim.weights)
-    else:
-        d["low"] = dim.low
-        d["high"] = dim.high
-    return d
+    """dim's fields in declaration order, tuples as lists, those that are
+    None left out."""
+    return {f.name: list(v) if type(v) is tuple else v for f in fields(dim) if (v := getattr(dim, f.name)) is not None}
 
 
 def space_to_dict(space: SearchSpace) -> dict:
@@ -250,19 +244,13 @@ def space_to_dict(space: SearchSpace) -> dict:
 
 
 def dimension_from_dict(d: dict) -> Dimension:
+    """The dimension an entry of exactly Dimension's fields declares; a
+    missing name or kind reads as ""."""
     if not isinstance(d, dict):
         raise SpaceError(f"dimension entry must be a mapping, got {type(d).__name__}")
-    known = {"name", "kind", "low", "high", "values", "weights"}
-    extra = set(d) - known
+    extra = set(d) - {f.name for f in fields(Dimension)}
     _check(not extra, f"unknown dimension fields: {sorted(extra, key=str)}")
-    return Dimension(
-        name=d.get("name", ""),
-        kind=d.get("kind", ""),
-        low=d.get("low"),
-        high=d.get("high"),
-        values=d.get("values"),
-        weights=d.get("weights"),
-    )
+    return Dimension(**{"name": "", "kind": "", **d})
 
 
 def space_from_dict(payload: dict) -> SearchSpace:

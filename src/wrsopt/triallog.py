@@ -13,6 +13,10 @@ json extension of JSON number syntax; any reader using Python's json module
 This module alone decides what a valid trial record is (``read_log``) and
 what a failed trial is (``TrialRecord.failed``); every other module trusts
 the records it is given.  What a valid value is, ``space`` decides.
+
+The dataclasses ``TrialRecord`` and ``RunHeader`` declare the fields of a
+line, their order and their types; the field tables that reading checks
+against are derived from them.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ import contextlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Any, Sequence, get_type_hints
 
 from .space import (
     SearchSpace,
@@ -44,38 +48,29 @@ class LogError(ValueError):
     """Malformed, inconsistent, or unreadable trial log."""
 
 
-# The JSON types write_log writes for a field, and their name.  json.loads
-# yields exactly these classes, so a type() test keeps bools out of the int
-# and number fields.  A field whose types include null may also be absent.
-_INT = ((int,), "an int")
-_NUMBER = ((int, float), "a number")
-_STR = ((str,), "a string")
-_LIST = ((list,), "a list")
-_OBJECT = ((dict,), "an object")
-_STR_OR_NULL = ((str, type(None)), "a string")
-_OBJECT_OR_NULL = ((dict, type(None)), "an object or null")
-_TRIAL_FIELDS = (
-    ("iteration", _INT),
-    ("values", _LIST),
-    ("score", _NUMBER),
-    ("phase", _STR),
-    ("status", _STR),
-    ("wall_time", _NUMBER),
-    ("error", _STR_OR_NULL),
-)
-# the header's fields after "schema" and "kind", in the order write_log
-# writes them
-_HEADER_FIELDS = (
-    ("strategy", _STR),
-    ("budget", _INT),
-    ("init", _INT),
-    ("seed", _INT),
-    ("objective", _STR),
-    ("space", _OBJECT),
-    ("space_digest", _STR),
-    ("profile", _OBJECT_OR_NULL),
-    ("options", _OBJECT),
-)
+# The JSON types write_log writes for a field of each annotated type, and
+# their name.  json.loads yields exactly these classes, so a type() test keeps
+# bools out of the int and number fields.  A field whose types include null
+# may also be absent.
+_JSON_TYPES = {
+    int: ((int,), "an int"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    tuple: ((list,), "a list"),
+    dict: ((dict,), "an object"),
+    str | None: ((str, type(None)), "a string"),
+    dict | None: ((dict, type(None)), "an object or null"),
+}
+# the two type tuples TrialRecord.from_dict tests on every line
+_NUMBER_TYPES = _JSON_TYPES[float][0]
+_STR_OR_NONE_TYPES = _JSON_TYPES[str | None][0]
+
+
+def _field_table(cls: type, *leave_out: str) -> tuple:
+    """Each field of the dataclass cls, in declaration order, with the JSON
+    types of its annotation; the fields named in leave_out are left out."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, _JSON_TYPES[hints[f.name]]) for f in fields(cls) if f.name not in leave_out)
 
 
 def _field(d: dict, key: str, kind: tuple[tuple[type, ...], str], where: str) -> Any:
@@ -111,17 +106,9 @@ class TrialRecord:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        d: dict[str, Any] = {
-            "iteration": self.iteration,
-            "values": list(self.values),
-            "score": self.score,
-            "phase": self.phase,
-            "status": self.status,
-            "wall_time": self.wall_time,
-        }
-        if self.error is not None:
-            d["error"] = self.error
-        return d
+        """The fields in declaration order, values as a list, error only
+        when set."""
+        return {f.name: list(v) if type(v) is tuple else v for f in fields(self) if (v := getattr(self, f.name)) is not None}
 
     @property
     def failed(self) -> bool:
@@ -140,8 +127,8 @@ class TrialRecord:
         status, wall_time, error = get("status"), get("wall_time"), get("error")
         # one test for the common case; _field names the first bad field
         if not (
-            type(iteration) is int and type(values) is list and type(score) in _NUMBER[0] and type(phase) is str
-            and type(status) is str and type(wall_time) in _NUMBER[0] and type(error) in _STR_OR_NULL[0]
+            type(iteration) is int and type(values) is list and type(score) in _NUMBER_TYPES and type(phase) is str
+            and type(status) is str and type(wall_time) in _NUMBER_TYPES and type(error) in _STR_OR_NONE_TYPES
         ):
             for key, kind in _TRIAL_FIELDS:
                 _field(d, key, kind, where)
@@ -183,6 +170,12 @@ class RunHeader:
         if type(schema) is not int or schema != SCHEMA_VERSION:
             raise LogError(f"unsupported log schema {schema!r}")
         return cls(**{key: _field(d, key, kind, "bad header record") for key, kind in _HEADER_FIELDS}, schema=schema)
+
+
+# a trial's fields, and a header's after "schema" and "kind", in the order
+# write_log writes them
+_TRIAL_FIELDS = _field_table(TrialRecord)
+_HEADER_FIELDS = _field_table(RunHeader, "schema")
 
 
 # One encoder for every line.  json.dumps with non-default arguments builds a
@@ -248,8 +241,9 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
       int (never a bool) for counts, iterations and the seed, an int or
       float (never a bool) for score and wall_time, a string for the text
       fields and a list for values;
-    * the header names one of ``STRATEGIES`` and declares a budget of at
-      least 1, and its space parses and matches its ``space_digest``;
+    * the header names one of ``STRATEGIES``, declares a budget of at
+      least 1 and a seed of at least 0, and its space parses and matches
+      its ``space_digest``;
     * every trial has a known status, iterations run 1, 2, ..., and each
       trial's status, score and error agree: the score is finite or -inf,
       and -inf exactly when an error string is present; a ``failed`` trial
@@ -294,6 +288,8 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
                         raise LogError(f"header strategy {header.strategy!r} is not one of {', '.join(STRATEGIES)}")
                     if header.budget < 1:
                         raise LogError(f"header declares budget {header.budget}; a run holds at least 1 trial")
+                    if header.seed < 0:
+                        raise LogError(f"header declares seed {header.seed}; a run's seed is at least 0")
                     try:
                         space = space_from_dict(header.space)
                     except SpaceError as exc:

@@ -775,6 +775,8 @@ CORRUPTIONS = {
         "LOG: invalid JSON on line 3",
     ),
     "truncated-last-line": (lambda text: text[:-12], "LOG: invalid JSON on line 9"),
+    # numpy refuses a negative seed, which importance would seed its forest with
+    "negative-header-seed": ([((0, "seed"), -1)], "LOG: header declares seed -1; a run's seed is at least 0"),
     # a strategy run never writes, whose CR would otherwise reach the table and the CSV
     "header-strategy-with-a-cr": (
         [((0, "strategy"), "x\ry")],

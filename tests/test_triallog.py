@@ -262,6 +262,82 @@ class TestValidation:
         assert read_log(str(path))[0].profile is None
 
 
+    def test_a_negative_seed_is_refused_at_the_header(self, tmp_path):
+        path = str(tmp_path / "run.jsonl")
+        header = make_header(budget=1)
+        header.seed = -1
+        write_log(path, header, make_records(1))
+        with pytest.raises(LogError, match=r"run.jsonl: header declares seed -1; a run's seed is at least 0$"):
+            read_log(path)
+
+
+# each field of a trial (line 1) and of a header (line 0): a value of the
+# wrong JSON type and its message, then the message for the field missing,
+# None where the field may be absent
+_FIELD_CASES = [
+    (1, "iteration", True, "trial 1: iteration must be an int, got True", "trial 1: missing 'iteration'"),
+    (1, "values", 7, "trial 1: values must be a list, got 7", "trial 1: missing 'values'"),
+    (1, "score", True, "trial 1: score must be a number, got True", "trial 1: missing 'score'"),
+    (1, "phase", 7, "trial 1: phase must be a string, got 7", "trial 1: missing 'phase'"),
+    (1, "status", 7, "trial 1: status must be a string, got 7", "trial 1: missing 'status'"),
+    (1, "wall_time", True, "trial 1: wall_time must be a number, got True", "trial 1: missing 'wall_time'"),
+    (1, "error", 7, "trial 1: error must be a string, got 7", None),
+    (0, "strategy", 7, "bad header record: strategy must be a string, got 7", "bad header record: missing 'strategy'"),
+    (0, "budget", True, "bad header record: budget must be an int, got True", "bad header record: missing 'budget'"),
+    (0, "init", True, "bad header record: init must be an int, got True", "bad header record: missing 'init'"),
+    (0, "seed", True, "bad header record: seed must be an int, got True", "bad header record: missing 'seed'"),
+    (0, "objective", 7, "bad header record: objective must be a string, got 7", "bad header record: missing 'objective'"),
+    (0, "space", 7, "bad header record: space must be an object, got 7", "bad header record: missing 'space'"),
+    (0, "space_digest", 7, "bad header record: space_digest must be a string, got 7",
+     "bad header record: missing 'space_digest'"),
+    (0, "profile", 7, "bad header record: profile must be an object or null, got 7", None),
+    (0, "options", 7, "bad header record: options must be an object, got 7", "bad header record: missing 'options'"),
+]
+
+
+@pytest.mark.parametrize(
+    "line, key, wrong, wrong_message, missing_message",
+    _FIELD_CASES,
+    ids=[("header-" if line == 0 else "trial-") + key for line, key, *_ in _FIELD_CASES],
+)
+def test_each_field_names_its_wrong_type_and_its_absence(tmp_path, line, key, wrong, wrong_message, missing_message):
+    path = tmp_path / "run.jsonl"
+    write_log(str(path), make_header(budget=1), make_records(1))
+    original = [json.loads(text) for text in path.read_text().splitlines()]
+    for edit, message in ((wrong, wrong_message), (None, missing_message)):
+        lines = [dict(d) for d in original]
+        if edit is None:
+            lines[line].pop(key, None)
+        else:
+            lines[line][key] = edit
+        path.write_text("".join(json.dumps(d) + "\n" for d in lines))
+        if message is None:
+            read_log(str(path))
+        else:
+            with pytest.raises(LogError, match=re.escape(f"run.jsonl: {message}") + "$"):
+                read_log(str(path))
+
+
+# a header space entry with a field Dimension does not declare, or without
+# its name or its kind
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"name": "x", "kind": "real", "low": 0.0, "high": 1.0, "colour": "red"}, "unknown dimension fields: ['colour']"),
+        ({"kind": "real", "low": 0.0, "high": 1.0}, "dimension name must be a non-empty string"),
+        ({"name": "x", "low": 0.0, "high": 1.0}, "x: unknown kind ''"),
+    ],
+    ids=["unknown-field", "missing-name", "missing-kind"],
+)
+def test_a_header_space_entry_names_its_fault(tmp_path, entry, message):
+    header = make_header(budget=1).to_dict()
+    header["space"] = {"dimensions": [entry]}
+    path = tmp_path / "run.jsonl"
+    path.write_text(json.dumps(header) + "\n" + record_line(make_records(1)[0]) + "\n")
+    with pytest.raises(LogError, match=re.escape(f"run.jsonl: header space does not parse: {message}") + "$"):
+        read_log(str(path))
+
+
 class TestFingerprint:
     def test_wall_time_excluded(self):
         a = TrialRecord(iteration=1, values=(1,), score=2.0, phase="rs", status="evaluated", wall_time=0.123)
