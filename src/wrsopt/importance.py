@@ -11,9 +11,9 @@ measure, real axes uniform (Lebesgue) measure, matching how phase-1
 sampling actually distributes points.
 
 The trees grow level by level, as in CART's presorted growth (Breiman et
-al., 1984): each depth handles the whole frontier of a batch of trees at
-once, with one stable row-wise sort of every padded (node, dimension) row,
-one scoring of every cut of those rows, and one stable partition into the
+al., 1984): each depth handles the whole frontier of every tree at once,
+with one stable row-wise sort of every padded (node, dimension) row, one
+scoring of every cut of those rows, and one stable partition into the
 children.  The forest is the one a node-by-node recursion would grow, bit
 for bit, because every rounding step keeps the operation and order of that
 recursion:
@@ -43,9 +43,8 @@ every axis's edges, one product gives every leaf's mass off each axis, and
 each segment's marginal adds its covering leaves' contributions in leaf
 order, as the per-leaf loop did, by ``np.bincount``, which adds its weights
 in input order; ``v_i`` stays one ``np.sum`` per axis.
-``FIT_ELEMENT_BUDGET`` bounds the arrays of all of this: the trees of one
-batch, the nodes of one padded chunk and the leaves of one block of
-marginal sums.
+``FIT_ELEMENT_BUDGET`` bounds the nodes of one padded chunk of the split
+search and the leaves of one block of marginal sums.
 
 The callers are cli, after its argument parser, and the engine's run loop,
 after RunConfig.validate, so nothing here checks its arguments again.  What
@@ -68,10 +67,9 @@ from .triallog import TrialRecord
 # floor of every change probability derived from importance weights
 P_MIN = 0.01
 
-# array elements the fit works on at once: the bootstrap samples of the
-# trees grown together in one batch, (node, dimension) rows x longest node
-# of one padded chunk of the split search, leaves x segments of one block
-# of the main-effect marginal sums
+# array elements the fit works on at once: (node, dimension) rows x longest
+# node of one padded chunk of the split search, leaves x segments of one
+# block of the main-effect marginal sums
 FIT_ELEMENT_BUDGET = 8192
 
 # share of a node's SSE within which two cut gains, or a gain and 1e-15, count
@@ -388,17 +386,10 @@ def fit_forest(trials: Sequence[TrialRecord], space: SearchSpace, config: Forest
     X, y = encode_trials(usable, space)
     if np.ptp(y) == 0.0:
         raise ZeroVarianceError("scores carry no variance; weights undefined")
-    root = root_box(space)
-    streams = rng.spawn(config.n_trees)
-    batch = max(1, FIT_ELEMENT_BUDGET // len(y))
     # scores near float range overflow the split sums; their weights are refused later
     with np.errstate(over="ignore", invalid="ignore"):
-        trees = tuple(
-            tree
-            for first in range(0, config.n_trees, batch)
-            for tree in _grow_trees(X, y, root, config, streams[first : first + batch])
-        )
-    return Forest(trees=trees)
+        trees = _grow_trees(X, y, root_box(space), config, rng.spawn(config.n_trees))
+    return Forest(trees=tuple(trees))
 
 
 def _tree_fractions(tree: TreeModel, root: np.ndarray, counting: np.ndarray) -> np.ndarray | None:

@@ -93,8 +93,9 @@ class Dimension:
                 _check(len(w) == len(self.values), f"{name}: weights length must match values length")
                 _check(all(math.isfinite(x) and x > 0 for x in w), f"{name}: weights must be finite and positive")
                 object.__setattr__(self, "weights", w)
-                # running totals that value_at searches, summed once per dimension
-                object.__setattr__(self, "_cum_weights", np.cumsum(w).tolist())
+            # running totals that value_at searches, summed once per dimension;
+            # an unweighted categorical weighs each value 1
+            object.__setattr__(self, "_cum_weights", np.cumsum(self.weights or [1.0] * len(self.values)).tolist())
             return
 
         _check(self.values is None and self.weights is None, f"{name}: range dimensions take bounds, not values")
@@ -146,9 +147,6 @@ def value_at(dim: Dimension, u: float) -> Any:
     if dim.kind == "int":
         v = dim.low + int(u * (dim.high - dim.low + 1))
         return min(v, dim.high)  # u == 1.0 cannot occur, but stay safe
-    if dim.weights is None:
-        idx = min(int(u * len(dim.values)), len(dim.values) - 1)
-        return dim.values[idx]
     cum = dim._cum_weights
     idx = bisect.bisect_right(cum, u * cum[-1])
     return dim.values[min(idx, len(dim.values) - 1)]
@@ -193,10 +191,11 @@ def values_in_dimension(dim: Dimension, column: Sequence[Any]) -> bool:
     rule, which read_log applies per log column and validate_candidate per
     value.  An int axis takes an int (not a bool) within its bounds, a real
     axis a finite int or float (not a bool, nor an int beyond float range)
-    within its bounds, a categorical axis one of its listed values."""
+    within its bounds, a categorical axis one of its listed values of the
+    same type (1, not true or 1.0)."""
     if dim.kind == "cat":
         try:
-            return set(column) <= set(dim.values)
+            return set(zip(map(type, column), column)) <= set(zip(map(type, dim.values), dim.values))
         except TypeError:  # an unhashable value, such as a JSON list
             return False
     types = set(map(type, column))

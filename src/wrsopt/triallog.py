@@ -66,11 +66,11 @@ _NUMBER_TYPES = _JSON_TYPES[float][0]
 _STR_OR_NONE_TYPES = _JSON_TYPES[str | None][0]
 
 
-def _field_table(cls: type, *leave_out: str) -> tuple:
+def _field_table(cls: type) -> tuple:
     """Each field of the dataclass cls, in declaration order, with the JSON
-    types of its annotation; the fields named in leave_out are left out."""
+    types of its annotation."""
     hints = get_type_hints(cls)
-    return tuple((f.name, _JSON_TYPES[hints[f.name]]) for f in fields(cls) if f.name not in leave_out)
+    return tuple((f.name, _JSON_TYPES[hints[f.name]]) for f in fields(cls))
 
 
 def _field(d: dict, key: str, kind: tuple[tuple[type, ...], str], where: str) -> Any:
@@ -155,10 +155,9 @@ class RunHeader:
     space_digest: str
     profile: dict | None = None
     options: dict = field(default_factory=dict)
-    schema: int = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
-        return {"schema": self.schema, "kind": "header", **{key: getattr(self, key) for key, _ in _HEADER_FIELDS}}
+        return {"schema": SCHEMA_VERSION, "kind": "header", **{key: getattr(self, key) for key, _ in _HEADER_FIELDS}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunHeader":
@@ -169,13 +168,13 @@ class RunHeader:
         schema = d.get("schema")
         if type(schema) is not int or schema != SCHEMA_VERSION:
             raise LogError(f"unsupported log schema {schema!r}")
-        return cls(**{key: _field(d, key, kind, "bad header record") for key, kind in _HEADER_FIELDS}, schema=schema)
+        return cls(**{key: _field(d, key, kind, "bad header record") for key, kind in _HEADER_FIELDS})
 
 
 # a trial's fields, and a header's after "schema" and "kind", in the order
 # write_log writes them
 _TRIAL_FIELDS = _field_table(TrialRecord)
-_HEADER_FIELDS = _field_table(RunHeader, "schema")
+_HEADER_FIELDS = _field_table(RunHeader)
 
 
 # One encoder for every line.  json.dumps with non-default arguments builds a

@@ -88,7 +88,7 @@ def test_levelwise_fit_equals_recursive_oracle(problem, seed, budget):
     space, trials, config = problem
     if len({t.values for t in trials}) < 2 or len({t.score for t in trials}) < 2:
         return  # fit_forest refuses these before any tree is grown
-    # small budgets split the trees into batches and the nodes into chunks
+    # small budgets split the nodes into chunks and the leaves into blocks
     with mock.patch.object(importance, "FIT_ELEMENT_BUDGET", budget):
         got = fit_forest(trials, space, config, np.random.default_rng(seed))
         root, counting = root_box(space), _is_counting(space)

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import warnings
 from unittest import mock
 
@@ -151,6 +153,32 @@ class TestForestFitting:
         want = fit_forest(usable, space, config, np.random.default_rng(0))
         for g, w in zip(got.trees, want.trees):
             assert g.leaf_boxes.tobytes() == w.leaf_boxes.tobytes() and g.leaf_means.tobytes() == w.leaf_means.tobytes()
+
+    def test_fit_memory_stays_bounded(self):
+        # every tree grows in one pass, so a level's arrays hold n_trees * n
+        # samples; on 2,000 trials of a 3-D additive-anova surface the
+        # driver's peak RSS, taken in a child process of its own, rose by
+        # 9.2 MB, and by 104 MB with FIT_ELEMENT_BUDGET unbounded
+        driver = subprocess.run([
+            sys.executable, "-c",
+            "import math, resource; "
+            "import numpy as np; "
+            "from wrsopt.importance import ForestConfig, fit_forest; "
+            "from wrsopt.objectives import make_objective; "
+            "from wrsopt.space import Dimension, SearchSpace; "
+            "from wrsopt.triallog import TrialRecord; "
+            "space = SearchSpace(tuple(Dimension(name=f'x{i}', kind='real', low=0.0, high=1.0) for i in range(3))); "
+            "objective = make_objective(f'builtin:additive-anova?coeffs={math.sqrt(7)!r},{math.sqrt(2)!r},1', space); "
+            "rng = np.random.default_rng(13); "
+            "values = [space.sample(rng) for _ in range(2000)]; "
+            "trials = [TrialRecord(i, v, objective(v), 'rs', 'evaluated', 0.0) for i, v in enumerate(values, start=1)]; "
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+            "forest = fit_forest(trials, space, ForestConfig(), np.random.default_rng(0)); "
+            "print(len(forest.trees), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)",
+        ], capture_output=True, text=True, timeout=120, check=True)
+        n_trees, rise_kb = driver.stdout.split()
+        assert int(n_trees) == 30
+        assert int(rise_kb) < 16 * 1024  # ru_maxrss is in KiB on Linux
 
     def test_root_box_uses_counting_ranges(self):
         space = SearchSpace(

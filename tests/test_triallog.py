@@ -593,6 +593,21 @@ def test_read_log_and_validate_candidate_refuse_a_record_with_the_same_text(tmp_
         assert str(got.value) == f"{path}: {expected}"
 
 
+def test_a_categorical_value_must_match_its_listed_value_in_type(tmp_path):
+    # true and 1.0 compare equal to the listed 1, but are not it
+    space = space_from_dict({"dimensions": [{"name": "c", "kind": "cat", "values": [1, "x"]}]})
+    path = str(tmp_path / "run.jsonl")
+    _write_rows(path, space, [[1], ["x"], [1]])
+    assert [r.values for r in read_log(path)[1]] == [(1,), ("x",), (1,)]
+    assert validate_candidate(space, (1,)) == (1,)
+    for stray in (True, 1.0):
+        _write_rows(path, space, [[1], [stray], [1]])
+        with pytest.raises(LogError, match=re.escape(f"trial 2: c={stray!r} is not a value of the space") + "$"):
+            read_log(path)
+        with pytest.raises(SpaceError, match=re.escape(f"c={stray!r} is not a value of the space") + "$"):
+            validate_candidate(space, (stray,))
+
+
 @pytest.mark.parametrize(
     "rows, expected",
     [
