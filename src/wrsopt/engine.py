@@ -51,7 +51,7 @@ from .samplers import (
     rs_step,
     wrs_step,
 )
-from .sobol import MAX_DIM as SOBOL_MAX_DIM
+from .sobol import BITS as SOBOL_BITS, MAX_DIM as SOBOL_MAX_DIM
 from .space import SearchSpace, candidate_key, space_digest, space_to_dict
 from .triallog import FAILED_SCORE, STRATEGIES, RunHeader, TrialRecord
 
@@ -139,6 +139,8 @@ class RunConfig:
             raise ConfigError("override produces an invalid profile: at least one change probability must be exactly 1")
         if self.strategy == "sobol" and len(space) > SOBOL_MAX_DIM:
             raise ConfigError(f"sobol supports at most {SOBOL_MAX_DIM} dimensions; the space has {len(space)}")
+        if self.strategy == "sobol" and self.budget > 1 << SOBOL_BITS:
+            raise ConfigError(f"sobol yields at most {1 << SOBOL_BITS} points; the budget is {self.budget}")
         ranges = _SAMPLER_OPTIONS.get(self.strategy, {})
         for key, value in settings.get("sampler", {}).items():
             if key not in ranges:

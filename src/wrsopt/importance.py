@@ -38,7 +38,7 @@ contested node within the bound re-scores only the dimensions whose
 prefix-sum gain lies within the margin of its best; the others can
 neither win nor decide the 1e-15 test.
 
-Main effects handle all live axes of a tree at once: one stable sort ranks
+Main effects handle all axes of a tree at once: one stable sort ranks
 every axis's edges, one product gives every leaf's mass off each axis, and
 each segment's marginal adds its covering leaves' contributions in leaf
 order, as the per-leaf loop did, by ``np.bincount``, which adds its weights
@@ -215,9 +215,10 @@ def _best_splits(X: np.ndarray, rows: np.ndarray, yc: np.ndarray, start: np.ndar
     xs = np.where(inside[:, None, :], X[rows[at]].transpose(0, 2, 1), np.inf)
     ys = np.where(inside, yc[at], 0.0)
     order = np.argsort(xs, axis=2, kind="stable")
+    node, dim = np.arange(k)[:, None], np.arange(d)
     # flat gathers: row r = node * d + dim of the (k, d, width) arrays starts at r * width
-    xs_s = xs.ravel()[order + np.arange(k * d).reshape(k, d, 1) * width]
-    ys_s = ys.ravel()[order + np.arange(k).reshape(k, 1, 1) * width]
+    xs_s = xs.ravel()[order + (node * d + dim)[:, :, None] * width]
+    ys_s = ys.ravel()[order + node[:, :, None] * width]
     csum = np.cumsum(ys_s, axis=2)
     csum2 = np.cumsum(ys_s**2, axis=2)
 
@@ -229,7 +230,6 @@ def _best_splits(X: np.ndarray, rows: np.ndarray, yc: np.ndarray, start: np.ndar
     sl, sl2 = csum[:, :, :-1], csum2[:, :, :-1]
     sr, sr2 = csum[:, :, -1:] - sl, csum2[:, :, -1:] - sl2
     sse = np.where(ok, (sl2 - sl * sl / nl) + (sr2 - sr * sr / nr[:, None, :]), np.inf)
-    node, dim = np.ogrid[:k, :d]
     p = np.argmin(sse, axis=2)
     p = np.where(sse[node, dim, p] == np.inf, np.argmax(ok, axis=2), p)
     a, b = xs_s[node, dim, p], xs_s[node, dim, p + 1]
@@ -396,27 +396,25 @@ def _tree_fractions(tree: TreeModel, root: np.ndarray, counting: np.ndarray) -> 
     """Exact per-dimension main-effect variance shares for one tree.
 
     Returns None when the tree's predictor has zero variance over the box
-    (a constant bootstrap resample), which the forest average skips.  A real
-    axis of zero width holds a single point: every leaf covers all of it, so
-    it carries no variance and gets weight 0.  All live axes are handled at
-    once; every figure keeps the operation and order of a per-axis loop,
-    and each segment's marginal is added in leaf order by one
-    ``np.bincount`` per block of leaves.
+    (a constant bootstrap resample), which the forest average skips.  All
+    axes are handled at once; every figure keeps the operation and order of
+    a per-axis loop, and each segment's marginal is added in leaf order by
+    one ``np.bincount`` per block of leaves.  A real axis of zero width
+    holds a single point: every leaf has mass 1 on it, and with one edge
+    and no segment its share is ``100 * max(0 - mean**2, 0) / var``, 0.
     """
     boxes, mus = tree.leaf_boxes, tree.leaf_means
     n_leaves, d = boxes.shape[0], root.shape[0]
     axis_total = _interval_mass(root[:, 0], root[:, 1], counting)
-    live = np.flatnonzero(axis_total != 0.0)
-    lo, hi = boxes[:, live, 0], boxes[:, live, 1]
-    mass = np.ones((n_leaves, d))
-    mass[:, live] = _interval_mass(lo, hi, counting[live]) / axis_total[live]
+    lo, hi = boxes[:, :, 0], boxes[:, :, 1]
+    mass = np.divide(_interval_mass(lo, hi, counting), axis_total, out=np.ones((n_leaves, d)), where=axis_total != 0.0)
     w = mass.prod(axis=1)
     mean = float(np.sum(w * mus))
     var = float(np.sum(w * mus**2) - mean * mean)
     if var <= 0.0:
         return None
 
-    # the leaf boxes' edges on each live axis, ranked by one stable sort:
+    # the leaf boxes' edges on each axis, ranked by one stable sort:
     # a value's rank among the distinct edges is the segment it starts
     edges = np.concatenate((lo, hi), axis=0).T  # (axis, lows then highs)
     order = np.argsort(edges, axis=1, kind="stable")
@@ -429,7 +427,7 @@ def _tree_fractions(tree: TreeModel, root: np.ndarray, counting: np.ndarray) -> 
     n_seg = distinct.sum(axis=1) - 1
     # one column per (axis, segment), the axes one after another
     seg_start = np.cumsum(n_seg) - n_seg
-    col_axis = np.repeat(np.arange(live.size), n_seg)
+    col_axis = np.repeat(np.arange(d), n_seg)
     col = np.arange(col_axis.size)
     # every axis holds one edge more than segments, so the lower edge of
     # column c on axis a is distinct edge c + a
@@ -437,7 +435,7 @@ def _tree_fractions(tree: TreeModel, root: np.ndarray, counting: np.ndarray) -> 
     seg_lo, seg_hi = edge[lower], edge[lower + 1]
 
     # w_minus of a leaf on an axis: the product of its masses on the other axes
-    others = np.arange(d - 1) + (np.arange(d - 1) >= live[:, None])
+    others = np.arange(d - 1) + (np.arange(d - 1) >= np.arange(d)[:, None])
     contrib = np.prod(mass[:, others], axis=2) * mus[:, None]  # (leaf, axis)
 
     # each segment's marginal adds the contributions of the leaves that
@@ -454,10 +452,10 @@ def _tree_fractions(tree: TreeModel, root: np.ndarray, counting: np.ndarray) -> 
         covered = np.arange(n.sum()) + np.repeat(first_col[blk].ravel() - (np.cumsum(n) - n), n)
         weights = np.repeat(contrib[blk].ravel(), n)
         marginal = np.bincount(np.concatenate((col, covered)), weights=np.concatenate((marginal, weights)))
-    seg_mass = _interval_mass(seg_lo, seg_hi, counting[live][col_axis]) / axis_total[live][col_axis]
+    seg_mass = _interval_mass(seg_lo, seg_hi, counting[col_axis]) / axis_total[col_axis]
     terms = seg_mass * marginal**2
-    out = np.zeros(d)
-    for i, s0, m in zip(live, seg_start, n_seg):
+    out = np.empty(d)
+    for i, (s0, m) in enumerate(zip(seg_start, n_seg)):
         v_i = float(np.sum(terms[s0 : s0 + m]) - mean * mean)
         out[i] = 100.0 * max(v_i, 0.0) / var
     return out

@@ -171,23 +171,27 @@ def _pair(value: float, window_value: float) -> str:
     return f"{_cell(value)}({_cell(window_value)})"
 
 
+def _text(rows: Sequence[Sequence[str]], right: bool) -> str:
+    """rows as fixed-width text, each line ended by "\n": columns as wide as
+    their widest cell and two spaces apart, the first aligned left and the
+    others right if right, else left; trailing blanks stripped."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    align = str.rjust if right else str.ljust
+    return "".join("  ".join([row[0].ljust(widths[0]), *map(align, row[1:], widths[1:])]).rstrip() + "\n" for row in rows)
+
+
 def render_table_text(reports: Sequence[RunReport]) -> str:
     """Fixed-width text table, one row per run: best, mean, SD, each with the
     trailing-window figure in parentheses; a banner flags unequal budgets."""
-    header = ("strategy", "seed", "best", "mean", "sd")
-    body = [
+    rows = [
         (r.strategy, str(r.seed), _pair(r.best, r.best_window), _pair(r.mean, r.mean_window), _pair(r.sd, r.sd_window))
         for r in reports
     ]
-    widths = [max(len(h), *(len(row[i]) for row in body)) for i, h in enumerate(header)]
-    lines = []
+    text = _text([("strategy", "seed", "best", "mean", "sd"), *rows], right=False)
     budgets = sorted({r.budget for r in reports})
     if len(budgets) > 1:
-        lines.append(f"warning: logs differ in budget {budgets}; rows are not under the same computational budget")
-    lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-    for row in body:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+        text = f"warning: logs differ in budget {budgets}; rows are not under the same computational budget\n" + text
+    return text
 
 
 def _csv(rows: Sequence[Sequence[str]]) -> str:
@@ -225,17 +229,11 @@ def render_report_text(report: RunReport, fit: FitResult | None) -> str:
 
 def render_importance_text(space: SearchSpace, weights: Sequence[float], probs: Sequence[float]) -> str:
     """Two-row table, dimensions in space order: weights above probabilities."""
-    names = [printable_name(n) for n in space.names]
-    w_cells = [f"{w:.2f}" for w in weights]
-    p_cells = [f"{p:.2f}" for p in probs]
-    widths = [max(len(n), len(w), len(p)) for n, w, p in zip(names, w_cells, p_cells)]
-    label_w = max(len("weight"), len("probability"))
-    rows = [
-        " " * label_w + "  " + "  ".join(n.rjust(w) for n, w in zip(names, widths)),
-        "weight".ljust(label_w) + "  " + "  ".join(c.rjust(w) for c, w in zip(w_cells, widths)),
-        "probability".ljust(label_w) + "  " + "  ".join(c.rjust(w) for c, w in zip(p_cells, widths)),
-    ]
-    return "\n".join(r.rstrip() for r in rows) + "\n"
+    return _text([
+        ["", *map(printable_name, space.names)],
+        ["weight", *(f"{w:.2f}" for w in weights)],
+        ["probability", *(f"{p:.2f}" for p in probs)],
+    ], right=True)
 
 
 def render_importance_csv(space: SearchSpace, weights: Sequence[float], probs: Sequence[float]) -> str:

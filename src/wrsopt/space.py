@@ -92,6 +92,8 @@ class Dimension:
                 w = _floats(self.weights, f"{name}: weights must be finite numbers")
                 _check(len(w) == len(self.values), f"{name}: weights length must match values length")
                 _check(all(math.isfinite(x) and x > 0 for x in w), f"{name}: weights must be finite and positive")
+                # value_at searches the running totals; an infinite total would pick only the last value
+                _check(math.isfinite(sum(w)), f"{name}: weights must have a finite sum")
                 object.__setattr__(self, "weights", w)
             # running totals that value_at searches, summed once per dimension;
             # an unweighted categorical weighs each value 1
@@ -232,14 +234,15 @@ def candidate_key(space: SearchSpace, values: Sequence[Any]) -> tuple:
     return tuple(values)
 
 
-def dimension_to_dict(dim: Dimension) -> dict:
-    """dim's fields in declaration order, tuples as lists, those that are
-    None left out."""
-    return {f.name: list(v) if type(v) is tuple else v for f in fields(dim) if (v := getattr(dim, f.name)) is not None}
+def fields_to_dict(obj: Any) -> dict:
+    """The fields of a dataclass instance in declaration order, tuples as
+    lists, those that are None left out: a dimension's entry in a space
+    file and a trial's line in a log."""
+    return {f.name: list(v) if type(v) is tuple else v for f in fields(obj) if (v := getattr(obj, f.name)) is not None}
 
 
 def space_to_dict(space: SearchSpace) -> dict:
-    return {"dimensions": [dimension_to_dict(d) for d in space.dimensions]}
+    return {"dimensions": [fields_to_dict(d) for d in space.dimensions]}
 
 
 def dimension_from_dict(d: dict) -> Dimension:

@@ -31,6 +31,7 @@ from typing import Any, Sequence, get_type_hints
 from .space import (
     SearchSpace,
     SpaceError,
+    fields_to_dict,
     space_digest,
     space_from_dict,
     validate_candidate,
@@ -105,10 +106,8 @@ class TrialRecord:
     wall_time: float
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        """The fields in declaration order, values as a list, error only
-        when set."""
-        return {f.name: list(v) if type(v) is tuple else v for f in fields(self) if (v := getattr(self, f.name)) is not None}
+    # the fields in declaration order, values as a list, error only when set
+    to_dict = fields_to_dict
 
     @property
     def failed(self) -> bool:

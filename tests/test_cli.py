@@ -371,6 +371,20 @@ class TestRunErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: sobol supports at most 21 dimensions") and err.count("\n") == 1
 
+    def test_sobol_budget_beyond_its_points_exits_2_before_the_seed(self, space_file, tmp_path, capsys, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("a run of 2**30 + 1 trials started")
+
+        monkeypatch.setattr("wrsopt.cli.execute_run", no_run)
+        code = run_cli([
+            "run", "--space", space_file, "--objective", "builtin:sphere",
+            "--strategy", "sobol", "--budget", "1073741825", "--out", str(tmp_path / "s.jsonl"),
+        ])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: sobol yields at most 1073741824 points; the budget is 1073741825\n"
+        assert not (tmp_path / "s.jsonl").exists()
+
     def test_all_failed_run_writes_no_log(self, space_file, tmp_path, capsys):
         out = str(tmp_path / "dead.jsonl")
         code = run_cli([
@@ -1021,6 +1035,8 @@ BAD_SPACES = {
     "boolean-int-bounds": "{name: n, kind: int, low: no, high: yes}",
     "boolean-real-bound": "{name: r, kind: real, low: false, high: 2}",
     "boolean-weight": "{name: c, kind: cat, values: [p, q], weights: [true, 1]}",
+    # finite weights whose sum is not: every draw would be the last value
+    "weights-whose-sum-overflows": "{name: c, kind: cat, values: [p, q], weights: [1.0e+308, 1.0e+308]}",
 }
 
 

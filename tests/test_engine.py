@@ -84,6 +84,13 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="at most 21 dimensions"):
             RunConfig(strategy="sobol", budget=10).validate(real_space(22))
 
+    def test_sobol_budget_limited_to_its_points(self):
+        # SobolEngine yields 2**30 points and raises on the next one
+        RunConfig(strategy="sobol", budget=2**30).validate(real_space(2))
+        RunConfig(strategy="rs", budget=2**30 + 1).validate(real_space(2))
+        with pytest.raises(ConfigError, match="^sobol yields at most 1073741824 points; the budget is 1073741825$"):
+            RunConfig(strategy="sobol", budget=2**30 + 1).validate(real_space(2))
+
     def test_unknown_dimension_name_in_override(self):
         with pytest.raises(ValueError):
             RunConfig(strategy="wrs", budget=10, prob_overrides=(("nope", 0.5),)).validate(real_space(2))

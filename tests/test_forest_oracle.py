@@ -35,6 +35,8 @@ DIMS = {
     "real": Dimension(name="r", kind="real", low=0.0, high=2.0),
     "int": Dimension(name="i", kind="int", low=0, high=4),
     "cat": Dimension(name="c", kind="cat", values=("a", "b", "c")),
+    # a zero-width real axis: mass 1 in every leaf and no segment
+    "fixed": Dimension(name="f", kind="real", low=0.5, high=0.5),
 }
 
 
@@ -60,6 +62,7 @@ def forest_problems(draw):
         "real": st.one_of(st.sampled_from(REALS), st.floats(0.0, 2.0)),
         "int": st.integers(0, 4),
         "cat": st.sampled_from(("a", "b", "c")),
+        "fixed": st.just(0.5),
     }
     rows = draw(st.lists(st.tuples(*(value[k] for k in kinds)), min_size=2, max_size=40))
     scores = draw(

@@ -2,6 +2,7 @@ import datetime
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +204,15 @@ def test_sample_matches_per_dimension_draws(space, seed):
         assert got == want
         assert [type(v) for v in got] == [type(v) for v in want]
     assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_weights_whose_sum_overflows_are_refused_without_a_warning():
+    # finite weights whose running total reaches inf would make every draw the last value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpaceError, match="^c: weights must have a finite sum$"):
+            Dimension(name="c", kind="cat", values=("a", "b"), weights=(1e308, 1e308))
+        assert Dimension(name="c", kind="cat", values=("a", "b"), weights=(1e308, 7e307)).weights == (1e308, 7e307)
 
 
 def test_weighted_categorical_prefers_heavy_value():
