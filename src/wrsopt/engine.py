@@ -11,9 +11,10 @@ once; for wrs that is where the one importance fit runs and the frozen
 profile is written into the header.  The strategy then follows ask/tell for
 the rest of the budget, its records tagged with its name: ``ask()`` returns
 the next candidate and ``tell(score)`` reports its score.  The loop alone
-owns the cache, the records and the incumbent, and alone refuses a run whose
-rs phase, or whole run, failed in every trial; no strategy writes into the
-run.  ``RunConfig.validate`` is the one signal for a configuration a run
+owns the cache and alone refuses a run whose rs phase, or whole run, failed
+in every trial.  It writes into the run only through ``RunResult``'s event
+methods, trial, warning and profile; no strategy writes into the run.
+``RunConfig.validate`` is the one signal for a configuration a run
 cannot take: the samplers, whose only caller is this loop, check nothing
 again.  A run simply stops asking when the budget is spent, even in the
 middle of a PSO generation.
@@ -42,15 +43,7 @@ from .importance import (
     weights_to_probabilities,
 )
 from .objectives import Objective, ObjectiveFailure
-from .samplers import (
-    PSO_SWARM,
-    ChangeProfile,
-    NelderMeadSampler,
-    PsoSampler,
-    SobolSampler,
-    rs_step,
-    wrs_step,
-)
+from .samplers import PSO_SWARM, ChangeProfile, NelderMeadSampler, PsoSampler, SobolSampler, rs_step, wrs_step
 from .sobol import BITS as SOBOL_BITS, MAX_DIM as SOBOL_MAX_DIM
 from .space import SearchSpace, candidate_key, space_digest, space_to_dict
 from .triallog import FAILED_SCORE, STRATEGIES, RunHeader, TrialRecord
@@ -160,23 +153,8 @@ class BestState:
     iteration: int = 0
 
 
-def update_best(best: BestState, trial: TrialRecord) -> BestState:
-    """Fold one trial into the incumbent.  Failed trials never win; any
-    other trial with score >= incumbent replaces it."""
-    if trial.failed:
-        return best
-    if trial.score >= best.score:
-        return BestState(candidate=tuple(trial.values), score=trial.score, iteration=trial.iteration)
-    return best
-
-
 def evaluate_with_cache(
-    objective: Objective,
-    space: SearchSpace,
-    values: tuple,
-    cache: dict,
-    iteration: int,
-    phase: str,
+    objective: Objective, space: SearchSpace, values: tuple, cache: dict, iteration: int, phase: str
 ) -> TrialRecord:
     """Evaluate one candidate through the cache and build its record.
 
@@ -214,15 +192,27 @@ class RngBundle:
 
 @dataclass
 class RunResult:
-    """The one object a run fills: a header complete before trial 1 except
-    for its profile, then every record, the incumbent and any warnings.  A
-    wrs run's profile is written at the phase boundary; rs and the others
-    leave it None."""
+    """The run's one sink: the header, complete before trial 1 but for its
+    profile, then one method per event, in run order.  A wrs run's fallback
+    warning, if any, and its profile come once, at the phase boundary; rs
+    and the others leave the profile None."""
 
     header: RunHeader
     records: list[TrialRecord] = field(default_factory=list)
     best: BestState = field(default_factory=BestState)
     warnings: list[str] = field(default_factory=list)
+
+    def trial(self, rec: TrialRecord) -> None:
+        """Append a record; unless it failed, a score >= the incumbent's replaces it."""
+        self.records.append(rec)
+        if not rec.failed and rec.score >= self.best.score:
+            self.best = BestState(tuple(rec.values), rec.score, rec.iteration)
+
+    def profile(self, weights: list[float] | None, probs: Sequence[float], k_mins: Sequence[int]) -> None:
+        self.header.profile = {"weights": weights, "probs": list(probs), "k_mins": list(k_mins)}
+
+    def warning(self, text: str) -> None:
+        self.warnings.append(text)
 
 
 def _resolve_overrides(space: SearchSpace, settings: dict[str, float]) -> dict[int, float]:
@@ -239,8 +229,7 @@ def _build_profile(
     config: RunConfig,
     phase1: Sequence[TrialRecord],
     forest_rng: np.random.Generator,
-    warnings: list[str],
-) -> tuple[ChangeProfile, list[float] | None]:
+) -> tuple[ChangeProfile, list[float] | None, str | None]:
     """Importance fit plus overrides, frozen into the phase-2 profile; the
     one place a ChangeProfile is built.
 
@@ -249,8 +238,8 @@ def _build_profile(
     them is at 1 whatever the overrides say.  When all of their weights are
     0, they all get 1, as in every other fallback to uniform probabilities.
 
-    Returns (profile, weights); weights is None when no forest was fit
-    (full override coverage or a fallback to uniform probabilities).  The
+    Returns (profile, weights, fallback reason or None); weights is None
+    when no forest was fit (full override coverage or a fallback).  The
     config has passed validate, so the profile keeps ChangeProfile's rules.
     """
     d = len(space)
@@ -274,8 +263,6 @@ def _build_profile(
                 fallback = "phase-1 scores carried no variance"
             except ImportanceError as exc:
                 fallback = f"importance estimation failed ({exc})"
-    if fallback:
-        warnings.append(f"{fallback}; using uniform change probabilities")
     profile = ChangeProfile(
         # float() and int(): an override given as 1 or True is written 1.0 and 1
         probs=tuple(float(prob_over.get(i, base[i])) for i in range(d)),
@@ -284,7 +271,7 @@ def _build_profile(
         k_mins=tuple(int(kmin_over.get(i, config.init)) for i in range(d)),
         gen_counts=[config.init] * d,
     )
-    return profile, weights
+    return profile, weights, fallback
 
 
 class WeightedSearch:
@@ -308,11 +295,14 @@ class WeightedSearch:
 
 def _make_strategy(space: SearchSpace, config: RunConfig, rngs: RngBundle, result: RunResult):
     """The strategy for the trials after the rs phase, built once at its end;
-    for wrs, the one importance fit runs on the rs records and header.profile is written."""
+    for wrs, the one importance fit runs on the rs records and the run gets
+    any fallback warning, then the profile."""
     options = config.settings().get("sampler", {})
     if config.strategy == "wrs":
-        profile, weights = _build_profile(space, config, result.records, rngs.forest, result.warnings)
-        result.header.profile = {"weights": weights, "probs": list(profile.probs), "k_mins": list(profile.k_mins)}
+        profile, weights, fallback = _build_profile(space, config, result.records, rngs.forest)
+        if fallback:
+            result.warning(f"{fallback}; using uniform change probabilities")
+        result.profile(weights, profile.probs, profile.k_mins)
         return WeightedSearch(space, profile, rngs, result)
     if config.strategy == "sobol":
         return SobolSampler(space, rngs.values)
@@ -342,22 +332,17 @@ def execute_run(space: SearchSpace, objective: Objective, config: RunConfig) -> 
     )
     rngs = RngBundle.from_seed(config.seed)
     cache = {}
-
-    def trial(it: int, values: tuple, phase: str) -> TrialRecord:
-        rec = evaluate_with_cache(objective, space, values, cache, it, phase)
-        result.records.append(rec)
-        result.best = update_best(result.best, rec)  # a failed trial never becomes the incumbent
-        return rec
-
     rs_trials = config.rs_trials
     for it in range(1, rs_trials + 1):
-        trial(it, rs_step(space, rngs.values), "rs")
+        result.trial(evaluate_with_cache(objective, space, rs_step(space, rngs.values), cache, it, "rs"))
     if rs_trials and result.best.candidate is None:
         raise AllTrialsFailedError(f"all {rs_trials} trials of the rs phase failed")
     if rs_trials < config.budget:  # an rs run has no phase after its rs phase
         strategy = _make_strategy(space, config, rngs, result)
         for it in range(rs_trials + 1, config.budget + 1):
-            strategy.tell(trial(it, strategy.ask(), config.strategy).score)
+            rec = evaluate_with_cache(objective, space, strategy.ask(), cache, it, config.strategy)
+            result.trial(rec)
+            strategy.tell(rec.score)
     if result.best.candidate is None:
         raise AllTrialsFailedError("every trial of the run failed")
     return result

@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 from typing import Any, Iterator, Sequence
 
@@ -97,7 +98,10 @@ class Dimension:
                 object.__setattr__(self, "weights", w)
             # running totals that value_at searches, summed once per dimension;
             # an unweighted categorical weighs each value 1
-            object.__setattr__(self, "_cum_weights", np.cumsum(self.weights or [1.0] * len(self.values)).tolist())
+            cum = np.cumsum(self.weights or [1.0] * len(self.values)).tolist()
+            if cum[-1] < sys.float_info.min:  # u * a subnormal total rounds to a few values; 2**1022 scales exactly
+                cum = [math.ldexp(c, 1022) for c in cum]
+            object.__setattr__(self, "_cum_weights", cum)
             return
 
         _check(self.values is None and self.weights is None, f"{name}: range dimensions take bounds, not values")

@@ -25,6 +25,7 @@ import contextlib
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Any, Sequence, get_type_hints
 
@@ -240,13 +241,14 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
       float (never a bool) for score and wall_time, a string for the text
       fields and a list for values;
     * the header names one of ``STRATEGIES``, declares a budget of at
-      least 1 and a seed of at least 0, and its space parses and matches
-      its ``space_digest``;
+      least 1, a seed of at least 0 and an init that ``RunConfig.validate``
+      accepts, and its space parses and matches its ``space_digest``;
     * every trial has a known status, iterations run 1, 2, ..., and each
-      trial's status, score and error agree: the score is finite or -inf,
-      and -inf exactly when an error string is present; a ``failed`` trial
-      carries an error, an ``evaluated`` one none, and a ``cached-hit``
-      carries the error of the failure it repeats, if any;
+      trial's status, score and error agree: the score is finite (no int
+      beyond float range) or -inf, and -inf exactly when an error string
+      is present; a ``failed`` trial carries an error, an ``evaluated``
+      one none, and a ``cached-hit`` carries the error of the failure it
+      repeats, if any;
     * the record count equals the declared budget;
     * every trial holds one value per dimension, each a value of that
       space as ``space.values_in_dimension`` decides.
@@ -288,6 +290,10 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
                         raise LogError(f"header declares budget {header.budget}; a run holds at least 1 trial")
                     if header.seed < 0:
                         raise LogError(f"header declares seed {header.seed}; a run's seed is at least 0")
+                    if not 0 <= header.init < header.budget:  # RunConfig.validate's rules for init
+                        raise LogError(f"header declares init {header.init} at budget {header.budget}; a run needs 0 <= init < budget")
+                    if header.init and header.strategy != "wrs":
+                        raise LogError(f"header declares init {header.init} for strategy {header.strategy}; only wrs takes an init")
                     try:
                         space = space_from_dict(header.space)
                     except SpaceError as exc:
@@ -300,6 +306,8 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
                 if rec.iteration != i:
                     raise LogError(f"iteration {rec.iteration} at position {i}; expected consecutive numbering")
                 score, status, error = rec.score, rec.status, rec.error
+                if type(score) is int and abs(score) > sys.float_info.max:  # math.isfinite would overflow
+                    raise LogError(f"trial {i}: score is an integer beyond float range")
                 if error is None:
                     agree = math.isfinite(score) and status in ("evaluated", "cached-hit")
                 else:

@@ -791,6 +791,16 @@ CORRUPTIONS = {
     "truncated-last-line": (lambda text: text[:-12], "LOG: invalid JSON on line 9"),
     # numpy refuses a negative seed, which importance would seed its forest with
     "negative-header-seed": ([((0, "seed"), -1)], "LOG: header declares seed -1; a run's seed is at least 0"),
+    # run never writes an init outside 0 <= init < budget, nor one on a strategy but wrs
+    "wrs-init-equal-to-budget": (
+        [((0, "strategy"), "wrs"), ((0, "init"), 8)],
+        "LOG: header declares init 8 at budget 8; a run needs 0 <= init < budget",
+    ),
+    "negative-header-init": ([((0, "init"), -3)], "LOG: header declares init -3 at budget 8; a run needs 0 <= init < budget"),
+    "init-on-an-rs-header": ([((0, "init"), 2)], "LOG: header declares init 2 for strategy rs; only wrs takes an init"),
+    # math.isfinite cannot convert it, so it used to end in an OverflowError traceback
+    "score-of-401-digits": ([((2, "score"), 10**400)], "LOG: trial 2: score is an integer beyond float range"),
+    "negative-score-of-401-digits": ([((2, "score"), -(10**400))], "LOG: trial 2: score is an integer beyond float range"),
     # a strategy run never writes, whose CR would otherwise reach the table and the CSV
     "header-strategy-with-a-cr": (
         [((0, "strategy"), "x\ry")],

@@ -14,11 +14,11 @@ from wrsopt.engine import (
     ConfigError,
     RngBundle,
     RunConfig,
+    RunResult,
     _build_profile,
     _make_strategy,
     evaluate_with_cache,
     execute_run,
-    update_best,
 )
 from wrsopt.importance import P_MIN
 from wrsopt.objectives import ObjectiveFailure
@@ -160,29 +160,94 @@ class TestSamplerOptionRanges:
 
 
 class TestBestTracking:
+    """RunResult.trial appends each record and folds it into the incumbent."""
+
     def rec(self, it, values, score, status="evaluated", phase="rs"):
         return TrialRecord(iteration=it, values=values, score=score, phase=phase, status=status, wall_time=0.0)
 
+    def run_of(self, *recs):
+        result = RunResult(header=RunHeader("rs", len(recs), 0, 0, "builtin:sphere", {}, ""))
+        for rec in recs:
+            result.trial(rec)
+        assert result.records == list(recs)
+        return result
+
     def test_improvement_replaces(self):
-        best = update_best(BestState(), self.rec(1, (1.0,), 2.0))
+        best = self.run_of(self.rec(1, (1.0,), 2.0)).best
         assert best.candidate == (1.0,) and best.score == 2.0 and best.iteration == 1
 
     def test_tie_replaces_incumbent(self):
-        best = BestState(candidate=(1.0,), score=2.0, iteration=1)
-        best = update_best(best, self.rec(5, (3.0,), 2.0))
+        best = self.run_of(self.rec(1, (1.0,), 2.0), self.rec(5, (3.0,), 2.0)).best
         assert best.candidate == (3.0,) and best.iteration == 5
 
     def test_worse_keeps_incumbent(self):
-        best = BestState(candidate=(1.0,), score=2.0, iteration=1)
-        assert update_best(best, self.rec(5, (3.0,), 1.5)) == best
+        best = self.run_of(self.rec(1, (1.0,), 2.0), self.rec(5, (3.0,), 1.5)).best
+        assert best == BestState(candidate=(1.0,), score=2.0, iteration=1)
 
     def test_failed_never_wins(self):
-        best = update_best(BestState(), self.rec(1, (1.0,), float("-inf"), status="failed"))
-        assert best.candidate is None
+        best = self.run_of(self.rec(1, (1.0,), float("-inf"), status="failed")).best
+        assert best == BestState()
 
     def test_cached_hit_can_win(self):
-        best = update_best(BestState(), self.rec(1, (1.0,), 3.0, status="cached-hit"))
+        best = self.run_of(self.rec(1, (1.0,), 3.0, status="cached-hit")).best
         assert best.score == 3.0
+
+
+class TestEventOrder:
+    """execute_run writes into its RunResult through trial, warning and
+    profile alone, in run order; the events rebuild the result."""
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        seen = []
+        for name in ("trial", "warning", "profile"):
+            def spy(result, *args, _name=name, _method=getattr(RunResult, name)):
+                seen.append((_name, *args))
+                _method(result, *args)
+            monkeypatch.setattr(RunResult, name, spy)
+        return seen
+
+    @staticmethod
+    def kinds(events):
+        """The events in order, a trial as its iteration."""
+        return [e[1].iteration if e[0] == "trial" else e[0] for e in events]
+
+    def check_rebuilt(self, result, events, monkeypatch):
+        monkeypatch.undo()
+        rebuilt = RunResult(header=dataclasses.replace(result.header, profile=None))
+        for name, *args in events:
+            getattr(rebuilt, name)(*args)
+        assert rebuilt == result
+
+    def test_wrs_profile_comes_once_at_the_boundary(self, events, monkeypatch):
+        result = execute_run(real_space(3), python_objective(sphere_score), RunConfig(strategy="wrs", budget=30, init=10, seed=1))
+        assert self.kinds(events) == [*range(1, 11), "profile", *range(11, 31)]
+        weights, probs, k_mins = events[10][1:]
+        assert result.header.profile == {"weights": weights, "probs": list(probs), "k_mins": list(k_mins)}
+        assert weights is not None and result.warnings == []
+        self.check_rebuilt(result, events, monkeypatch)
+
+    @pytest.mark.parametrize("strategy", ["rs", "sobol", "nelder-mead", "pso"])
+    def test_other_strategies_emit_trials_alone(self, strategy, events, monkeypatch):
+        result = execute_run(real_space(3), python_objective(sphere_score), RunConfig(strategy=strategy, budget=30, seed=1))
+        assert self.kinds(events) == list(range(1, 31))
+        assert result.header.profile is None
+        self.check_rebuilt(result, events, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "init, fn, reason",
+        [
+            (1, sphere_score, "phase 1 too short to estimate importance"),
+            (10, lambda v: 1.0, "phase-1 scores carried no variance"),
+        ],
+        ids=["init-1", "constant-scores"],
+    )
+    def test_a_fallback_warns_once_before_the_profile(self, init, fn, reason, events, monkeypatch):
+        result = execute_run(real_space(2), python_objective(fn), RunConfig(strategy="wrs", budget=20, init=init, seed=9))
+        assert self.kinds(events) == [*range(1, init + 1), "warning", "profile", *range(init + 1, 21)]
+        assert events[init] == ("warning", f"{reason}; using uniform change probabilities")
+        assert result.header.profile["weights"] is None
+        self.check_rebuilt(result, events, monkeypatch)
 
 
 class TestCache:
@@ -516,10 +581,9 @@ class TestBuildProfile:
     @given(profile_inputs(), st.integers(0, 2**32 - 1))
     def test_every_profile_of_a_valid_config_keeps_the_profile_rules(self, inputs, forest_seed):
         space, config, records, scores = inputs
-        warnings_out = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            profile, weights = _build_profile(space, config, records, np.random.default_rng(forest_seed), warnings_out)
+            profile, weights, fallback = _build_profile(space, config, records, np.random.default_rng(forest_seed))
         d = len(space)
         assert len(profile.probs) == len(profile.k_mins) == len(profile.gen_counts) == d
         assert all(type(p) is float and 0.0 < p <= 1.0 for p in profile.probs)
@@ -527,9 +591,13 @@ class TestBuildProfile:
         assert all(type(k) is int and k >= 0 for k in profile.k_mins)
         assert profile.gen_counts == [config.init] * d
         assert weights is None or len(weights) == d
+        assert fallback is None or weights is None
         prob_over = config.settings().get("prob_overrides", {})
-        if not ("*" in prob_over or len(prob_over) == d) and (config.init < 2 or scores == "constant"):
-            assert weights is None and len(warnings_out) == 1 and "uniform" in warnings_out[0]
+        if not ("*" in prob_over or len(prob_over) == d):
+            if config.init < 2:
+                assert fallback == "phase 1 too short to estimate importance"
+            elif scores == "constant":
+                assert fallback == "phase-1 scores carried no variance"
 
     def test_overrides_given_as_1_or_true_write_the_profile_of_1_0(self, tmp_path):
         # a library caller may pass overrides as int or bool; the profile in

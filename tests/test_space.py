@@ -215,6 +215,17 @@ def test_weights_whose_sum_overflows_are_refused_without_a_warning():
         assert Dimension(name="c", kind="cat", values=("a", "b"), weights=(1e308, 7e307)).weights == (1e308, 7e307)
 
 
+@pytest.mark.parametrize("weights", [(5e-324,) * 2, (1e-323,) * 3], ids=["two-of-5e-324", "three-of-1e-323"])
+def test_equal_subnormal_weights_are_drawn_evenly(weights):
+    # u * total used to round to a few multiples of 5e-324: 231 of 1,000 draws gave the first of two
+    dim = Dimension(name="c", kind="cat", values=tuple(range(len(weights))), weights=weights)
+    rng = np.random.default_rng(17)
+    n, p = 2000, 1 / len(weights)
+    draws = [value_at(dim, rng.random()) for _ in range(n)]
+    band = 4 * math.sqrt(n * p * (1 - p))
+    assert all(abs(draws.count(v) - n * p) <= band for v in dim.values), [draws.count(v) for v in dim.values]
+
+
 def test_weighted_categorical_prefers_heavy_value():
     dim = Dimension(name="c", kind="cat", values=("rare", "common"), weights=(1.0, 9.0))
     rng = np.random.default_rng(3)
