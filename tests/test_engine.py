@@ -594,8 +594,16 @@ class TestBuildProfile:
         assert fallback is None or weights is None
         prob_over = config.settings().get("prob_overrides", {})
         if not ("*" in prob_over or len(prob_over) == d):
+            # fit_forest asks for two distinct candidates before it looks at
+            # the scores: a space of one point falls back on that first
+            distinct = {candidate_key(space, r.values) for r in records}
             if config.init < 2:
                 assert fallback == "phase 1 too short to estimate importance"
+            elif len(distinct) < 2:
+                assert fallback == (
+                    "importance estimation failed (need at least 2 usable trials "
+                    f"with distinct candidates, have {len(distinct)})"
+                )
             elif scores == "constant":
                 assert fallback == "phase-1 scores carried no variance"
 
