@@ -95,8 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--space", required=True, help="YAML search-space file")
     run.add_argument("--objective", required=True, help="objective spec, e.g. builtin:rastrigin or 'external:python train.py?timeout=600'")
     run.add_argument("--strategy", required=True, choices=STRATEGIES)
-    run.add_argument("--budget", required=True, type=_positive_int, help="total number of trials N")
-    run.add_argument("--init", type=_non_negative_int, default=0, help="length of the initial uniform phase (wrs only)")
+    run.add_argument("--budget", required=True, type=int, help="total number of trials N")
+    run.add_argument("--init", type=int, default=0, help="length of the initial uniform phase (wrs only)")
     run.add_argument("--seed", type=int, default=None, help="run seed; generated and echoed when omitted")
     run.add_argument("--out", default=None, help="log path (default STRATEGY-seedSEED.jsonl)")
     run.add_argument("--set-prob", action="append", default=[], metavar="NAME=P", help="override a change probability; NAME may be '*'")

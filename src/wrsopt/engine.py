@@ -14,9 +14,10 @@ the next candidate and ``tell(score)`` reports its score.  The loop alone
 owns the cache and alone refuses a run whose rs phase, or whole run, failed
 in every trial.  It writes into the run only through ``RunResult``'s event
 methods, trial, warning and profile; no strategy writes into the run.
-``RunConfig.validate`` is the one signal for a configuration a run
-cannot take: the samplers, whose only caller is this loop, check nothing
-again.  A run simply stops asking when the budget is spent, even in the
+``RunConfig.validate``, by the rules ``read_log`` applies to a log's header
+(``triallog.validate_settings``), is the one signal for a configuration a
+run cannot take: the samplers, whose only caller is this loop, check
+nothing again.  A run stops asking when the budget is spent, even in the
 middle of a PSO generation.
 
 Randomness is split into three independent streams derived from the run
@@ -44,27 +45,8 @@ from .importance import (
 )
 from .objectives import Objective, ObjectiveFailure
 from .samplers import PSO_SWARM, ChangeProfile, NelderMeadSampler, PsoSampler, SobolSampler, rs_step, wrs_step
-from .sobol import BITS as SOBOL_BITS, MAX_DIM as SOBOL_MAX_DIM
 from .space import SearchSpace, candidate_key, space_digest, space_to_dict
-from .triallog import FAILED_SCORE, STRATEGIES, RunHeader, TrialRecord
-
-# each strategy's sampler options and the range a value must lie in; swarm
-# must also be a whole number
-_SAMPLER_OPTIONS = {
-    "nelder-mead": {"alpha": "(0, 10]", "gamma": "(0, 10]", "rho": "(0, 1)", "sigma": "(0, 1)", "init_step": "(0, 1]"},
-    "pso": {"swarm": "[2, inf)", "omega": "[0, 1)", "c1": "[0, 4]", "c2": "[0, 4]"},
-}
-
-
-def _in_interval(x: float, interval: str) -> bool:
-    """Whether x lies in an interval written as "(0, 1]": a bracket is a
-    closed end, a parenthesis an open one."""
-    low, high = map(float, interval[1:-1].split(","))
-    return (low <= x if interval[0] == "[" else low < x) and (x <= high if interval[-1] == "]" else x < high)
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration (caller mistake, not a runtime failure)."""
+from .triallog import FAILED_SCORE, SETTINGS_GROUPS, STRATEGIES, ConfigError, RunHeader, TrialRecord, resolve_overrides, validate_settings
 
 
 class EngineError(RuntimeError):
@@ -94,54 +76,11 @@ class RunConfig:
         """The NAME=VALUE settings the run applies and its header records:
         for a name given twice the last value wins, '*' included, keys are
         sorted and empty groups left out.  Nothing else reads the pairs."""
-        groups = {
-            "sampler": self.sampler_options,
-            "prob_overrides": self.prob_overrides,
-            "kmin_overrides": self.kmin_overrides,
-        }
-        return {key: dict(sorted(dict(pairs).items())) for key, pairs in groups.items() if pairs}
+        groups = zip(SETTINGS_GROUPS, (self.sampler_options, self.prob_overrides, self.kmin_overrides))
+        return {key: dict(sorted(dict(pairs).items())) for key, pairs in groups if pairs}
 
     def validate(self, space: SearchSpace) -> None:
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {self.strategy!r}; choose from {STRATEGIES}")
-        if self.budget < 1:
-            raise ConfigError("budget must be at least 1")
-        if not 0 <= self.init < self.budget:
-            raise ConfigError(f"need 0 <= init < budget, got init={self.init} budget={self.budget}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        settings = self.settings()
-        prob_over, kmin_over = settings.get("prob_overrides", {}), settings.get("kmin_overrides", {})
-        if self.strategy != "wrs":
-            if self.init != 0:
-                raise ConfigError("--init only applies to the wrs strategy")
-            if prob_over or kmin_over:
-                raise ConfigError("probability/k-min overrides only apply to the wrs strategy")
-        for name, p in prob_over.items():
-            if name != "*":
-                space.index_of(name)  # raises SpaceError on unknown names
-            if not 0.0 < p <= 1.0:
-                raise ConfigError(f"override probability for {name!r} must lie in (0, 1], got {p}")
-        for name, k in kmin_over.items():
-            if name != "*":
-                space.index_of(name)
-            if k < 0:
-                raise ConfigError(f"k-min override for {name!r} must be non-negative")
-        probs = _resolve_overrides(space, prob_over)
-        if len(probs) == len(space) and max(probs.values()) != 1.0:  # full coverage: no fitted weight can supply the 1
-            raise ConfigError("override produces an invalid profile: at least one change probability must be exactly 1")
-        if self.strategy == "sobol" and len(space) > SOBOL_MAX_DIM:
-            raise ConfigError(f"sobol supports at most {SOBOL_MAX_DIM} dimensions; the space has {len(space)}")
-        if self.strategy == "sobol" and self.budget > 1 << SOBOL_BITS:
-            raise ConfigError(f"sobol yields at most {1 << SOBOL_BITS} points; the budget is {self.budget}")
-        ranges = _SAMPLER_OPTIONS.get(self.strategy, {})
-        for key, value in settings.get("sampler", {}).items():
-            if key not in ranges:
-                raise ConfigError(f"option {key!r} does not apply to strategy {self.strategy!r}")
-            if not _in_interval(value, ranges[key]):  # nan lies in none
-                raise ConfigError(f"option {key!r} must lie in {ranges[key]}, got {value}")
-            if key == "swarm" and value != int(value):
-                raise ConfigError(f"swarm must be a whole number of particles, got {value}")
+        validate_settings(space, self.strategy, self.budget, self.init, self.seed, self.settings())
 
 
 @dataclass(frozen=True)
@@ -215,15 +154,6 @@ class RunResult:
         self.warnings.append(text)
 
 
-def _resolve_overrides(space: SearchSpace, settings: dict[str, float]) -> dict[int, float]:
-    """One group of RunConfig.settings, keyed by dimension index.  '*'
-    covers every dimension and a named value replaces it whatever the flag
-    order; for a name given twice, '*' included, the last value wins."""
-    out = dict.fromkeys(range(len(space)), settings["*"]) if "*" in settings else {}
-    out.update((space.index_of(name), v) for name, v in settings.items() if name != "*")
-    return out
-
-
 def _build_profile(
     space: SearchSpace,
     config: RunConfig,
@@ -244,8 +174,8 @@ def _build_profile(
     """
     d = len(space)
     settings = config.settings()
-    prob_over = _resolve_overrides(space, settings.get("prob_overrides", {}))
-    kmin_over = _resolve_overrides(space, settings.get("kmin_overrides", {}))
+    prob_over = resolve_overrides(space, settings.get("prob_overrides", {}))
+    kmin_over = resolve_overrides(space, settings.get("kmin_overrides", {}))
 
     weights, base, fallback = None, [1.0] * d, None
     if len(prob_over) < d:  # full coverage needs no fit

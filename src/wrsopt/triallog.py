@@ -12,7 +12,9 @@ json extension of JSON number syntax; any reader using Python's json module
 
 This module alone decides what a valid trial record is (``read_log``) and
 what a failed trial is (``TrialRecord.failed``); every other module trusts
-the records it is given.  What a valid value is, ``space`` decides.
+the records it is given.  What a valid value is, ``space`` decides.  What
+settings a run takes, ``validate_settings`` alone decides, for
+``RunConfig.validate`` and for a log's header in ``read_log`` alike.
 
 The dataclasses ``TrialRecord`` and ``RunHeader`` declare the fields of a
 line, their order and their types; the field tables that reading checks
@@ -24,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -38,6 +41,7 @@ from .space import (
     validate_candidate,
     values_in_dimension,
 )
+from .sobol import BITS as SOBOL_BITS, MAX_DIM as SOBOL_MAX_DIM
 
 SCHEMA_VERSION = 1
 # the strategies a run writes in its header, in the order compare lists them
@@ -48,6 +52,78 @@ FAILED_SCORE = float("-inf")
 
 class LogError(ValueError):
     """Malformed, inconsistent, or unreadable trial log."""
+
+
+class ConfigError(ValueError):
+    """Invalid run configuration (caller mistake, not a runtime failure)."""
+
+
+# the groups of RunConfig.settings, which a header's options hold
+SETTINGS_GROUPS = ("sampler", "prob_overrides", "kmin_overrides")
+# each strategy's sampler options and the range a value must lie in; swarm
+# must also be a whole number
+_SAMPLER_OPTIONS = {
+    "nelder-mead": {"alpha": "(0, 10]", "gamma": "(0, 10]", "rho": "(0, 1)", "sigma": "(0, 1)", "init_step": "(0, 1]"},
+    "pso": {"swarm": "[2, inf)", "omega": "[0, 1)", "c1": "[0, 4]", "c2": "[0, 4]"},
+}
+
+
+def _in_interval(x: float, interval: str) -> bool:
+    """Whether x lies in an interval written as "(0, 1]": a bracket is a
+    closed end, a parenthesis an open one."""
+    low, high = map(float, interval[1:-1].split(","))
+    return (low <= x if interval[0] == "[" else low < x) and (x <= high if interval[-1] == "]" else x < high)
+
+
+def resolve_overrides(space: SearchSpace, settings: dict[str, float]) -> dict[int, float]:
+    """One group of a run's settings, keyed by dimension index.  '*'
+    covers every dimension and a named value replaces it whatever the flag
+    order; for a name given twice, '*' included, the last value wins."""
+    out = dict.fromkeys(range(len(space)), settings["*"]) if "*" in settings else {}
+    out.update((space.index_of(name), v) for name, v in settings.items() if name != "*")
+    return out
+
+
+def validate_settings(space: SearchSpace, strategy: str, budget: int, init: int, seed: int, settings: dict) -> None:
+    """Raise ConfigError, or SpaceError for an override naming no dimension,
+    unless a run on space takes these settings (RunConfig.settings() or a
+    header's options).  A bool is a number, as RunConfig takes True."""
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"strategy {strategy!r}; a run's strategy is one of {', '.join(STRATEGIES)}")
+    if budget < 1:
+        raise ConfigError(f"budget {budget}; a run holds at least 1 trial")
+    if not 0 <= init < budget:
+        raise ConfigError(f"init {init} at budget {budget}; a run needs 0 <= init < budget")
+    if seed < 0:
+        raise ConfigError(f"seed {seed}; a run's seed is at least 0")
+    if init and strategy != "wrs":
+        raise ConfigError(f"init {init} for strategy {strategy}; only wrs takes an init")
+    for group, values in settings.items():
+        if group not in SETTINGS_GROUPS or type(values) is not dict:
+            raise ConfigError(f"options group {group!r}; a run's options are objects named {', '.join(SETTINGS_GROUPS)}")
+    prob_over, kmin_over = settings.get("prob_overrides", {}), settings.get("kmin_overrides", {})
+    if (prob_over or kmin_over) and strategy != "wrs":
+        raise ConfigError(f"overrides for strategy {strategy}; only wrs takes overrides")
+    probs = resolve_overrides(space, prob_over)  # both raise SpaceError for a name the space lacks
+    resolve_overrides(space, kmin_over)
+    for over, label, interval in ((prob_over, "probability", "(0, 1]"), (kmin_over, "k-min", "[0, inf)")):
+        for name, value in over.items():
+            if not isinstance(value, numbers.Real) or not _in_interval(value, interval):
+                raise ConfigError(f"{label} override for {name!r} must lie in {interval}, got {value!r}")
+    if len(probs) == len(space) and max(probs.values()) != 1.0:  # full coverage: no fitted weight can supply the 1
+        raise ConfigError("override produces an invalid profile: at least one change probability must be exactly 1")
+    if strategy == "sobol" and len(space) > SOBOL_MAX_DIM:
+        raise ConfigError(f"sobol supports at most {SOBOL_MAX_DIM} dimensions; the space has {len(space)}")
+    if strategy == "sobol" and budget > 1 << SOBOL_BITS:
+        raise ConfigError(f"sobol yields at most {1 << SOBOL_BITS} points; the budget is {budget}")
+    ranges = _SAMPLER_OPTIONS.get(strategy, {})
+    for key, value in settings.get("sampler", {}).items():
+        if key not in ranges:
+            raise ConfigError(f"option {key!r} does not apply to strategy {strategy!r}")
+        if not isinstance(value, numbers.Real) or not _in_interval(value, ranges[key]):  # nan lies in none
+            raise ConfigError(f"option {key!r} must lie in {ranges[key]}, got {value!r}")
+        if key == "swarm" and value != int(value):
+            raise ConfigError(f"option 'swarm' must be a whole number of particles, got {value}")
 
 
 # The JSON types write_log writes for a field of each annotated type, and
@@ -240,9 +316,9 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
       int (never a bool) for counts, iterations and the seed, an int or
       float (never a bool) for score and wall_time, a string for the text
       fields and a list for values;
-    * the header names one of ``STRATEGIES``, declares a budget of at
-      least 1, a seed of at least 0 and an init that ``RunConfig.validate``
-      accepts, and its space parses and matches its ``space_digest``;
+    * the header's space parses and matches its ``space_digest``, and its
+      strategy, budget, init, seed and options pass ``validate_settings``,
+      the checks ``RunConfig.validate`` makes before a run;
     * every trial has a known status, iterations run 1, 2, ..., and each
       trial's status, score and error agree: the score is finite (no int
       beyond float range) or -inf, and -inf exactly when an error string
@@ -284,22 +360,16 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
                     raise LogError(f"invalid JSON on line {lineno}") from None
                 if header is None:
                     header = RunHeader.from_dict(payload)
-                    if header.strategy not in STRATEGIES:
-                        raise LogError(f"header strategy {header.strategy!r} is not one of {', '.join(STRATEGIES)}")
-                    if header.budget < 1:
-                        raise LogError(f"header declares budget {header.budget}; a run holds at least 1 trial")
-                    if header.seed < 0:
-                        raise LogError(f"header declares seed {header.seed}; a run's seed is at least 0")
-                    if not 0 <= header.init < header.budget:  # RunConfig.validate's rules for init
-                        raise LogError(f"header declares init {header.init} at budget {header.budget}; a run needs 0 <= init < budget")
-                    if header.init and header.strategy != "wrs":
-                        raise LogError(f"header declares init {header.init} for strategy {header.strategy}; only wrs takes an init")
                     try:
                         space = space_from_dict(header.space)
                     except SpaceError as exc:
                         raise LogError(f"header space does not parse: {exc}") from exc
                     if space_digest(space) != header.space_digest:
                         raise LogError("header space does not match its space_digest")
+                    try:
+                        validate_settings(space, header.strategy, header.budget, header.init, header.seed, header.options)
+                    except (ConfigError, SpaceError) as exc:
+                        raise LogError(f"header declares {exc}") from None
                     continue
                 i = len(records) + 1
                 rec = TrialRecord.from_dict(payload, f"trial {i}")

@@ -804,7 +804,32 @@ CORRUPTIONS = {
     # a strategy run never writes, whose CR would otherwise reach the table and the CSV
     "header-strategy-with-a-cr": (
         [((0, "strategy"), "x\ry")],
-        "LOG: header strategy 'x\\ry' is not one of wrs, rs, sobol, nelder-mead, pso",
+        "LOG: header declares strategy 'x\\ry'; a run's strategy is one of wrs, rs, sobol, nelder-mead, pso",
+    ),
+    # header options a run would refuse: read_log applies the checks RunConfig.validate makes
+    "pso-header-swarm-of-1": (
+        [((0, "strategy"), "pso"), ((0, "options"), {"sampler": {"swarm": 1}})],
+        "LOG: header declares option 'swarm' must lie in [2, inf), got 1",
+    ),
+    "nelder-mead-option-in-a-pso-header": (
+        [((0, "strategy"), "pso"), ((0, "options"), {"sampler": {"alpha": 1.0}})],
+        "LOG: header declares option 'alpha' does not apply to strategy 'pso'",
+    ),
+    "prob-override-of-a-dimension-the-space-lacks": (
+        [((0, "strategy"), "wrs"), ((0, "options"), {"prob_overrides": {"nope": 0.5}})],
+        "LOG: header declares no dimension named 'nope'",
+    ),
+    "string-override-value": (
+        [((0, "strategy"), "wrs"), ((0, "options"), {"prob_overrides": {"x": "a"}})],
+        "LOG: header declares probability override for 'x' must lie in (0, 1], got 'a'",
+    ),
+    "overrides-in-an-rs-header": (
+        [((0, "options"), {"prob_overrides": {"x": 0.5}})],
+        "LOG: header declares overrides for strategy rs; only wrs takes overrides",
+    ),
+    "unknown-options-group": (
+        [((0, "options"), {"bogus": {}})],
+        "LOG: header declares options group 'bogus'; a run's options are objects named sampler, prob_overrides, kmin_overrides",
     ),
 }
 
@@ -1012,7 +1037,7 @@ def test_compare_csv_refuses_a_header_strategy_that_holds_a_cr(space_file, tmp_p
     assert run_cli(["compare", str(log), "--csv", str(csv_path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and not csv_path.exists()
-    assert captured.err == f"error: {log}: header strategy 'x\\ry' is not one of wrs, rs, sobol, nelder-mead, pso\n"
+    assert captured.err == f"error: {log}: header declares strategy 'x\\ry'; a run's strategy is one of wrs, rs, sobol, nelder-mead, pso\n"
 
 
 def test_no_command_is_usage_error():
@@ -1061,6 +1086,7 @@ def _run(strategy, *extra, objective=ANY_SPACE_OBJECTIVE):
 
 USER_ERRORS = {
     "budget-zero": _run("rs", "--budget", "0"),
+    "negative-init": _run("wrs", "--budget", "3", "--init", "-1"),
     "window-zero": ["report", "run.jsonl", "--window", "0"],
     # the parser is the one check of each of these; the library takes them as given
     "trees-zero": ["importance", "run.jsonl", "--trees", "0"],
@@ -1110,6 +1136,17 @@ def test_user_error_exits_2_with_one_line(case, space_file, tmp_path, capsys, mo
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
     assert not list(tmp_path.glob("*.jsonl"))
+
+
+# RunConfig.validate is the one check of --budget and --init; read_log words a header's budget and init alike
+@pytest.mark.parametrize("case, message", [
+    ("budget-zero", "error: budget 0; a run holds at least 1 trial"),
+    ("negative-init", "error: init -1 at budget 3; a run needs 0 <= init < budget"),
+])
+def test_budget_and_init_are_refused_by_the_one_check_before_the_seed_line(case, message, space_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli([space_file if a == "SPACE" else a for a in USER_ERRORS[case]]) == 2
+    assert capsys.readouterr() == ("", message + "\n")
 
 
 def test_ctrl_c_during_a_run_prints_one_line_and_writes_no_log(space_file, tmp_path):

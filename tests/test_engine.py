@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from wrsopt.engine import (
     AllTrialsFailedError,
@@ -23,8 +23,8 @@ from wrsopt.engine import (
 from wrsopt.importance import P_MIN
 from wrsopt.objectives import ObjectiveFailure
 from wrsopt.samplers import NelderMeadSampler, PsoSampler, rs_step
-from wrsopt.space import Dimension, SearchSpace, candidate_key
-from wrsopt.triallog import FAILED_SCORE, RunHeader, TrialRecord, read_log, record_fingerprint, write_log
+from wrsopt.space import Dimension, SearchSpace, SpaceError, candidate_key
+from wrsopt.triallog import FAILED_SCORE, LogError, RunHeader, TrialRecord, read_log, record_fingerprint, write_log
 
 from _stream_oracle import spaces
 from _util import int_space, mixed_space, python_objective, real_space
@@ -72,8 +72,17 @@ class TestRunConfig:
             dict(strategy="pso", budget=10, sampler_options=(("swarm", 2.5),)),
             dict(strategy="pso", budget=10, sampler_options=(("omega", math.inf),)),
             dict(strategy="nelder-mead", budget=10, sampler_options=(("alpha", math.nan),)),
+            # an infinite or nan k-min used to pass, and the run then failed turning it into an int
+            dict(strategy="wrs", budget=10, init=2, kmin_overrides=(("x0", math.inf),)),
+            dict(strategy="wrs", budget=10, init=2, kmin_overrides=(("x0", math.nan),)),
+            # a value that is not a number used to end in a TypeError
+            dict(strategy="wrs", budget=10, prob_overrides=(("x0", "0.5"),)),
+            dict(strategy="pso", budget=10, sampler_options=(("omega", None),)),
         ],
-        ids=["negative-seed", "infinite-swarm", "nan-swarm", "fractional-swarm", "infinite-omega", "nan-alpha"],
+        ids=[
+            "negative-seed", "infinite-swarm", "nan-swarm", "fractional-swarm", "infinite-omega", "nan-alpha",
+            "infinite-kmin", "nan-kmin", "string-probability", "null-option",
+        ],
     )
     def test_seed_and_sampler_options_are_config_errors(self, kwargs):
         with pytest.raises(ConfigError):
@@ -806,3 +815,65 @@ class TestRepeatedSettings:
     )
     def test_replaced_bad_value_is_not_refused(self, kwargs):
         RunConfig(**kwargs).validate(real_space(2))
+
+
+# values for the fields of a run, most of them ones a run refuses: an unknown
+# strategy, budget, init and seed out of range, names the space lacks, values
+# that are not numbers or lie out of range, and library-typed 1 and True
+_ODD_SETTINGS = {
+    "strategy": ("rs", "sobol", "pso", "sa"),
+    "budget": (0, 1, 9),
+    "init": (-1, 1, 9),
+    "seed": (-1,),
+    "prob_overrides": ((("lr", 1),), (("*", True),), (("nope", 0.5),), (("lr", "a"),), (("lr", 0.0),), (("*", 0.5),)),
+    "kmin_overrides": ((("act", True),), (("lr", -1),), (("nope", 1),), (("lr", None),), (("*", math.inf),)),
+    "sampler_options": ((("swarm", 1),), (("swarm", 2.5),), (("alpha", 1.0),), (("c1", True),), (("omega", "a"),)),
+}
+
+
+@st.composite
+def any_settings(draw):
+    """repeated_settings with up to three of its fields replaced from _ODD_SETTINGS."""
+    config = draw(repeated_settings())
+    keys = draw(st.sets(st.sampled_from(sorted(_ODD_SETTINGS)), max_size=3))
+    return dataclasses.replace(config, **{key: draw(st.sampled_from(_ODD_SETTINGS[key])) for key in sorted(keys)})
+
+
+def _reads(path) -> bool:
+    try:
+        read_log(str(path))
+    except LogError:
+        return False
+    return True
+
+
+def _validates(config: RunConfig, space: SearchSpace) -> bool:
+    try:
+        config.validate(space)
+    except (ConfigError, SpaceError):
+        return False
+    return True
+
+
+class TestHeaderSettings:
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(any_settings())
+    @example(RunConfig(strategy="wrs", budget=9, init=3, prob_overrides=(("*", 0.5), ("lr", 1)), kmin_overrides=(("act", True),)))
+    @example(RunConfig(strategy="wrs", budget=9, init=3, prob_overrides=(("*", 0.5), ("lr", True)), kmin_overrides=(("act", 1),)))
+    def test_a_header_reads_exactly_when_a_run_takes_its_settings(self, tmp_path_factory, config):
+        space, objective = mixed_space(), python_objective(sphere_score_mixed)
+        valid = _validates(config, space)
+        # a valid log of budget trials whose header carries the drawn settings
+        base = execute_run(space, objective, RunConfig(strategy="rs", budget=30, seed=1))
+        fields = dict(strategy=config.strategy, budget=config.budget, init=config.init, seed=config.seed)
+        header = dataclasses.replace(base.header, **fields, options=config.settings())
+        log = tmp_path_factory.mktemp("logs") / "run.jsonl"
+        write_log(str(log), header, base.records[: max(config.budget, 0)])
+        assert _reads(log) == valid
+        # the run rebuilt from the header as written is refused or taken alike
+        written = RunHeader.from_dict(json.loads(log.read_text(encoding="utf-8").splitlines()[0]))
+        assert _validates(_config_from_header(written), space) == valid
+        if valid:  # and the run itself writes a log that reads back
+            run = execute_run(space, objective, config)
+            write_log(str(log), run.header, run.records)
+            assert _reads(log)
