@@ -25,9 +25,9 @@ import signal
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
-
-import numpy as np
+from functools import reduce
+from operator import add
+from typing import Any, Callable, Mapping, Sequence
 
 from .space import SearchSpace
 
@@ -119,39 +119,81 @@ def parse_objective_spec(text: str) -> ObjectiveSpec:
 
 
 # -- built-in benchmark functions -------------------------------------------
+#
+# Each takes the candidate's numbers and computes in Python floats: the
+# float64 operations of the vectorized formula, in its order, summed by _sum
+# in numpy's order, so a score equals the numpy formula's to the bit
+# (tests/_objective_oracle.py keeps it).  The one exception is
+# styblinski-tang's x**4, libm pow where numpy's array power has SIMD code
+# of its own.  math.pow beyond float range raises OverflowError and
+# math.cos(inf) ValueError; make_objective turns both into nan, as numpy
+# gives inf or nan there.
 
-def sphere(x: np.ndarray) -> float:
-    return float((x * x).sum())
+_TWO_PI = 2.0 * math.pi
 
 
-def rastrigin(x: np.ndarray) -> float:
-    return float(10.0 * x.size + (x * x - 10.0 * np.cos(2.0 * np.pi * x)).sum())
+def _pairwise(terms: list[float]) -> float:
+    """numpy's pairwise sum of 8 or more float64 terms: up to 128, eight
+    accumulators over the terms in strides of 8, combined in pairs, then the
+    terms past the last whole stride; beyond 128, the two halves, split at a
+    multiple of 8."""
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise(terms[:half]) + _pairwise(terms[half:])
+    whole = n - n % 8
+    r0, r1, r2, r3, r4, r5, r6, r7 = (reduce(add, terms[j:whole:8]) for j in range(8))
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for t in terms[whole:]:
+        total += t
+    return total
 
 
-def rosenbrock(x: np.ndarray) -> float:
-    return float((100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2).sum())
+def _sum(terms: list[float]) -> float:
+    """terms summed as numpy's .sum() sums a float64 vector: into 0.0, by a
+    left fold below 8 terms and pairwise from 8 on."""
+    if len(terms) < 8:
+        total = 0.0
+        for t in terms:
+            total += t
+        return total
+    return 0.0 + _pairwise(terms)
 
 
-def branin(x: np.ndarray) -> float:
+def sphere(x: Sequence[float]) -> float:
+    return _sum([v * v for v in map(float, x)])
+
+
+def rastrigin(x: Sequence[float]) -> float:
+    return 10.0 * len(x) + _sum([v * v - 10.0 * math.cos(_TWO_PI * v) for v in map(float, x)])
+
+
+def rosenbrock(x: Sequence[float]) -> float:
+    x = [float(v) for v in x]
+    return _sum([100.0 * ((t := b - a * a) * t) + (u := 1.0 - a) * u for a, b in zip(x, x[1:])])
+
+
+def branin(x: Sequence[float]) -> float:
     a = 1.0
     b = 5.1 / (4.0 * math.pi**2)
     c = 5.0 / math.pi
     r = 6.0
     s = 10.0
     t = 1.0 / (8.0 * math.pi)
-    return float(a * (x[1] - b * x[0] ** 2 + c * x[0] - r) ** 2 + s * (1.0 - t) * np.cos(x[0]) + s)
+    x0, x1 = map(float, x)
+    return a * math.pow(x1 - b * math.pow(x0, 2.0) + c * x0 - r, 2.0) + s * (1.0 - t) * math.cos(x0) + s
 
 
-def styblinski_tang(x: np.ndarray) -> float:
-    return float(0.5 * (x**4 - 16.0 * x**2 + 5.0 * x).sum())
+def styblinski_tang(x: Sequence[float]) -> float:
+    return 0.5 * _sum([math.pow(v, 4.0) - 16.0 * (v * v) + 5.0 * v for v in map(float, x)])
 
 
-def additive_component(z: np.ndarray) -> np.ndarray:
-    """Zero-mean, unit-variance transform of z ~ U[0, 1]."""
+def additive_component(z):
+    """Zero-mean, unit-variance transform of z ~ U[0, 1], a float or an array."""
     return math.sqrt(3.0) * (2.0 * z - 1.0)
 
 
-BUILTINS: dict[str, Callable[[np.ndarray], float]] = {
+BUILTINS: dict[str, Callable[[Sequence[float]], float]] = {
     "sphere": sphere,
     "rastrigin": rastrigin,
     "rosenbrock": rosenbrock,
@@ -168,16 +210,16 @@ OBJECTIVE_KEYS: dict[str, tuple[str, ...]] = {
 }
 
 
-def _parse_coeffs(params: Mapping[str, str], d: int) -> np.ndarray:
+def _parse_coeffs(params: Mapping[str, str], d: int) -> list[float]:
     raw = params.get("coeffs")
     if raw is None:
         raise ObjectiveError("additive-anova needs a coeffs parameter, e.g. coeffs=3,1")
     try:
-        coeffs = np.array([float(c) for c in raw.split(",")], dtype=float)
+        coeffs = [float(c) for c in raw.split(",")]
     except ValueError:
         raise ObjectiveError(f"coeffs {raw!r} is not a comma-separated number list") from None
-    if coeffs.size != d:
-        raise ObjectiveError(f"coeffs has {coeffs.size} entries for a {d}-dimensional space")
+    if len(coeffs) != d:
+        raise ObjectiveError(f"coeffs has {len(coeffs)} entries for a {d}-dimensional space")
     return coeffs
 
 
@@ -222,20 +264,22 @@ def make_objective(spec: ObjectiveSpec | str, space: SearchSpace) -> Objective:
 
     if name == "additive-anova":
         coeffs = _parse_coeffs(dict(spec.params), len(space))
-        lows = np.array([d.low for d in space], dtype=float)
-        highs = np.array([d.high for d in space], dtype=float)
-        if np.any(highs <= lows):
+        lows = [float(d.low) for d in space]
+        spans = [float(d.high) - low for d, low in zip(space, lows)]
+        if not all(span > 0 for span in spans):
             raise ObjectiveError("additive-anova needs strictly positive ranges for normalization")
 
-        def base(x: np.ndarray, _c=coeffs, _lo=lows, _span=highs - lows) -> float:
-            return float((_c * additive_component((x - _lo) / _span)).sum())
+        def kernel(x: Sequence[float], _axes=tuple(zip(coeffs, lows, spans))) -> float:
+            return _sum([c * additive_component((v - lo) / span) for v, (c, lo, span) in zip(map(float, x), _axes)])
     else:
-        base = BUILTINS[name]
+        kernel = BUILTINS[name]
 
-    # a value beyond float range is the failed trial "non-finite value", not a warning
-    @np.errstate(over="ignore", invalid="ignore")
-    def fn(values: tuple, _base=base) -> float:
-        return _base(np.array(values, dtype=float))
+    # a value beyond float range is the failed trial "non-finite value", not an exception
+    def fn(values: tuple, _kernel=kernel) -> float:
+        try:
+            return _kernel(values)
+        except (OverflowError, ValueError):
+            return math.nan
 
     return Objective(spec=spec, fn=fn)
 

@@ -116,13 +116,10 @@ class SobolSampler:
 
     def __init__(self, space: SearchSpace, rng: np.random.Generator):
         self.space = space
-        self._engine = SobolEngine(len(space))
-        self._shift = rng.integers(0, 1 << BITS, len(space))
+        self._engine = SobolEngine(len(space), rng.integers(0, 1 << BITS, len(space)).tolist())
 
     def ask(self) -> tuple:
-        scale = float(1 << BITS)
-        x = (self._engine.next_point() * scale).astype(np.int64) ^ self._shift
-        return tuple(map(value_at, self.space.dimensions, (x / scale).tolist()))
+        return tuple(map(value_at, self.space.dimensions, self._engine.next_point()))
 
     def tell(self, score: float) -> None:
         pass

@@ -9,10 +9,14 @@ implementations bit for bit.
 
 from __future__ import annotations
 
+from operator import xor
+from typing import Sequence
+
 import numpy as np
 
 MAX_DIM = 21
 BITS = 30
+_SCALE = 1 << BITS
 
 # Primitive polynomials (coefficient bitmasks, dimension 2 onward) and the
 # initial direction integers m_1..m_s for each polynomial degree s.
@@ -67,35 +71,35 @@ def direction_matrix(dim: int) -> np.ndarray:
 
 
 class SobolEngine:
-    """Stateful generator yielding successive points of the sequence.
+    """Stateful generator yielding successive points of the sequence, each
+    digitally shifted: its BITS-bit integer coordinates are XORed with shift,
+    dim integers in [0, 2**BITS), all zero by default.
 
-    next_point() returns a float64 vector in [0, 1)^dim; the first call
-    returns the origin.  The generator is deterministic: same dim, same
-    sequence, no seeding involved.
+    next_point() returns a tuple of dim floats in [0, 1), the shifted
+    integers over 2**BITS, which is exact; the first call returns the shift
+    itself, the origin when there is none.  The generator is deterministic:
+    same dim and shift, same sequence.
     """
 
-    def __init__(self, dim: int):
-        self._v = direction_matrix(dim)
-        self._x = np.zeros(dim, dtype=np.int64)
+    def __init__(self, dim: int, shift: Sequence[int] | None = None):
+        # column k: direction number k of every axis
+        self._columns = [tuple(col) for col in direction_matrix(dim).T.tolist()]
+        self._x = list(shift) if shift is not None else [0] * dim
         self._index = 0
         self.dim = dim
 
-    def next_point(self) -> np.ndarray:
-        if self._index == 0:
-            self._index = 1
-            return np.zeros(self.dim, dtype=np.float64)
-        if self._index >= (1 << BITS):
-            raise RuntimeError("sobol sequence exhausted")
-        # Gray-code step: flip the direction given by the lowest zero bit
-        # of the previous index.
-        prev = self._index - 1
-        k = 0
-        while (prev >> k) & 1:
-            k += 1
-        self._x ^= self._v[:, k]
-        self._index += 1
-        return self._x / float(1 << BITS)
+    def next_point(self) -> tuple[float, ...]:
+        index = self._index
+        if index:
+            if index >= 1 << BITS:
+                raise RuntimeError("sobol sequence exhausted")
+            # Gray-code step: flip the direction given by the lowest zero bit
+            # of the previous index, the lowest set bit of this one
+            column = self._columns[(index & -index).bit_length() - 1]
+            self._x = list(map(xor, self._x, column))
+        self._index = index + 1
+        return tuple([a / _SCALE for a in self._x])
 
     def take(self, n: int) -> np.ndarray:
         """Next n points stacked into an (n, dim) array."""
-        return np.stack([self.next_point() for _ in range(n)])
+        return np.array([self.next_point() for _ in range(n)], dtype=np.float64).reshape(n, self.dim)

@@ -110,6 +110,9 @@ def validate_settings(space: SearchSpace, strategy: str, budget: int, init: int,
         for name, value in over.items():
             if not isinstance(value, numbers.Real) or not _in_interval(value, interval):
                 raise ConfigError(f"{label} override for {name!r} must lie in {interval}, got {value!r}")
+    for name, value in kmin_over.items():
+        if value != int(value):
+            raise ConfigError(f"k-min override for {name!r} must be a whole number, got {value!r}")
     if len(probs) == len(space) and max(probs.values()) != 1.0:  # full coverage: no fitted weight can supply the 1
         raise ConfigError("override produces an invalid profile: at least one change probability must be exactly 1")
     if strategy == "sobol" and len(space) > SOBOL_MAX_DIM:
@@ -306,6 +309,31 @@ def write_log(path: str, header: RunHeader, records: Sequence[TrialRecord]) -> N
         raise
 
 
+def _check_profile(profile: dict | None, strategy: str, d: int) -> None:
+    """Raise LogError unless profile is one a run on d dimensions writes:
+    null for every strategy but wrs, and for wrs null or an object of
+    exactly weights, probs and k_mins, each a list of d entries: probs
+    numbers in (0, 1], one of them 1; k_mins ints of at least 0; weights
+    null or finite numbers of at least 0."""
+    if profile is None:
+        return
+    if strategy != "wrs":
+        raise LogError(f"header profile for strategy {strategy}; only wrs writes a profile")
+    if profile.keys() != {"weights", "probs", "k_mins"}:
+        raise LogError(f"header profile fields {sorted(profile)}; a profile holds exactly weights, probs and k_mins")
+
+    def holds(key: str, entry_ok) -> bool:
+        v = profile[key]
+        return type(v) is list and len(v) == d and all(map(entry_ok, v))
+
+    if not (holds("probs", lambda p: type(p) in _NUMBER_TYPES and 0 < p <= 1) and 1 in profile["probs"]):
+        raise LogError(f"header profile probs must be {d} numbers in (0, 1], one of them 1")
+    if not holds("k_mins", lambda k: type(k) is int and k >= 0):
+        raise LogError(f"header profile k_mins must be {d} ints of at least 0")
+    if profile["weights"] is not None and not holds("weights", lambda w: type(w) in _NUMBER_TYPES and 0 <= w <= sys.float_info.max):
+        raise LogError(f"header profile weights must be null or {d} finite numbers of at least 0")
+
+
 def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
     """Parse and validate a log.  Raises LogError unless all of these hold:
 
@@ -318,7 +346,8 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
       fields and a list for values;
     * the header's space parses and matches its ``space_digest``, and its
       strategy, budget, init, seed and options pass ``validate_settings``,
-      the checks ``RunConfig.validate`` makes before a run;
+      the checks ``RunConfig.validate`` makes before a run, and its
+      profile is one a run writes (``_check_profile``);
     * every trial has a known status, iterations run 1, 2, ..., and each
       trial's status, score and error agree: the score is finite (no int
       beyond float range) or -inf, and -inf exactly when an error string
@@ -370,6 +399,7 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
                         validate_settings(space, header.strategy, header.budget, header.init, header.seed, header.options)
                     except (ConfigError, SpaceError) as exc:
                         raise LogError(f"header declares {exc}") from None
+                    _check_profile(header.profile, header.strategy, len(space))
                     continue
                 i = len(records) + 1
                 rec = TrialRecord.from_dict(payload, f"trial {i}")

@@ -827,6 +827,19 @@ CORRUPTIONS = {
         [((0, "options"), {"prob_overrides": {"x": 0.5}})],
         "LOG: header declares overrides for strategy rs; only wrs takes overrides",
     ),
+    # a header profile a run never writes: report, compare and importance used to read it
+    "wrs-profile-probs-a-string": (
+        [((0, "strategy"), "wrs"), ((0, "profile"), {"probs": "x"})],
+        "LOG: header profile fields ['probs']; a profile holds exactly weights, probs and k_mins",
+    ),
+    "wrs-profile-kmins-too-short": (
+        [((0, "strategy"), "wrs"), ((0, "profile"), {"weights": None, "probs": [1.0, 0.5, 0.5], "k_mins": [2, 2]})],
+        "LOG: header profile k_mins must be 3 ints of at least 0",
+    ),
+    "profile-in-an-rs-header": (
+        [((0, "profile"), {"weights": None, "probs": [1.0, 1.0, 1.0], "k_mins": [0, 0, 0]})],
+        "LOG: header profile for strategy rs; only wrs writes a profile",
+    ),
     "unknown-options-group": (
         [((0, "options"), {"bogus": {}})],
         "LOG: header declares options group 'bogus'; a run's options are objects named sampler, prob_overrides, kmin_overrides",

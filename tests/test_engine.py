@@ -826,7 +826,7 @@ _ODD_SETTINGS = {
     "init": (-1, 1, 9),
     "seed": (-1,),
     "prob_overrides": ((("lr", 1),), (("*", True),), (("nope", 0.5),), (("lr", "a"),), (("lr", 0.0),), (("*", 0.5),)),
-    "kmin_overrides": ((("act", True),), (("lr", -1),), (("nope", 1),), (("lr", None),), (("*", math.inf),)),
+    "kmin_overrides": ((("act", True),), (("lr", -1),), (("nope", 1),), (("lr", None),), (("*", math.inf),), (("lr", 2.5),)),
     "sampler_options": ((("swarm", 1),), (("swarm", 2.5),), (("alpha", 1.0),), (("c1", True),), (("omega", "a"),)),
 }
 
@@ -860,6 +860,8 @@ class TestHeaderSettings:
     @given(any_settings())
     @example(RunConfig(strategy="wrs", budget=9, init=3, prob_overrides=(("*", 0.5), ("lr", 1)), kmin_overrides=(("act", True),)))
     @example(RunConfig(strategy="wrs", budget=9, init=3, prob_overrides=(("*", 0.5), ("lr", True)), kmin_overrides=(("act", 1),)))
+    @example(RunConfig(strategy="wrs", budget=9, init=3, kmin_overrides=(("*", 2.5),)))
+    @example(RunConfig(strategy="wrs", budget=9, init=3, kmin_overrides=(("lr", 4.0),)))
     def test_a_header_reads_exactly_when_a_run_takes_its_settings(self, tmp_path_factory, config):
         space, objective = mixed_space(), python_objective(sphere_score_mixed)
         valid = _validates(config, space)
@@ -877,3 +879,20 @@ class TestHeaderSettings:
             run = execute_run(space, objective, config)
             write_log(str(log), run.header, run.records)
             assert _reads(log)
+
+    def test_a_kmin_override_that_is_not_a_whole_number_is_refused(self, tmp_path):
+        # as a fractional swarm is: the run would truncate it and its header record 2.5 next to k_mins [2, 2]
+        space, objective = real_space(2), python_objective(lambda values: -sum(v * v for v in values))
+        config = RunConfig(strategy="wrs", budget=10, init=2, kmin_overrides=(("x0", 2.5),))
+        message = "k-min override for 'x0' must be a whole number, got 2.5"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            execute_run(space, objective, config)
+        # a header that holds it stops reading; the same run with a whole k-min reads
+        run = execute_run(space, objective, dataclasses.replace(config, kmin_overrides=(("x0", 2.0),)))
+        assert run.header.options == {"kmin_overrides": {"x0": 2.0}} and run.header.profile["k_mins"] == [2, 2]
+        log = str(tmp_path / "run.jsonl")
+        write_log(log, run.header, run.records)
+        read_log(log)
+        write_log(log, dataclasses.replace(run.header, options={"kmin_overrides": {"x0": 2.5}}), run.records)
+        with pytest.raises(LogError, match=f"run.jsonl: header declares {message}$"):
+            read_log(log)

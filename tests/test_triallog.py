@@ -90,7 +90,7 @@ class TestRoundTrip:
 
     def test_profile_round_trips(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
-        profile = {"weights": [40.0, 10.0], "probs": [1.0, 0.25], "k_mins": [5, 5]}
+        profile = {"weights": [40.0], "probs": [1.0], "k_mins": [5]}
         write_log(path, make_header(strategy="wrs", profile=profile), make_records(3))
         header, _ = read_log(path)
         assert header.profile == profile
@@ -336,6 +336,57 @@ def test_a_header_space_entry_names_its_fault(tmp_path, entry, message):
     path.write_text(json.dumps(header) + "\n" + record_line(make_records(1)[0]) + "\n")
     with pytest.raises(LogError, match=re.escape(f"run.jsonl: header space does not parse: {message}") + "$"):
         read_log(str(path))
+
+
+# a header profile a run does not write, on the one-dimension UNIT_SPACE: one
+# on a strategy but wrs, a field more or fewer, and each list with a wrong
+# type, a wrong length or an entry out of its range
+_PROBS = "header profile probs must be 1 numbers in (0, 1], one of them 1"
+_KMINS = "header profile k_mins must be 1 ints of at least 0"
+_WEIGHTS = "header profile weights must be null or 1 finite numbers of at least 0"
+_PROFILE_CASES = {
+    "on-an-rs-header": ("rs", {}, "header profile for strategy rs; only wrs writes a profile"),
+    "probs-alone": ("wrs", {"probs": "x", "weights": "drop", "k_mins": "drop"},
+                    "header profile fields ['probs']; a profile holds exactly weights, probs and k_mins"),
+    "a-field-more": ("wrs", {"extra": 1},
+                     "header profile fields ['extra', 'k_mins', 'probs', 'weights']; a profile holds exactly weights, probs and k_mins"),
+    "probs-a-string": ("wrs", {"probs": "x"}, _PROBS),
+    "probs-too-long": ("wrs", {"probs": [1.0, 1.0]}, _PROBS),
+    "probs-without-a-1": ("wrs", {"probs": [0.5]}, _PROBS),
+    "probs-above-1": ("wrs", {"probs": [1.5]}, _PROBS),
+    "probs-a-bool": ("wrs", {"probs": [True]}, _PROBS),
+    "kmins-fractional": ("wrs", {"k_mins": [2.5]}, _KMINS),
+    "kmins-a-bool": ("wrs", {"k_mins": [True]}, _KMINS),
+    "kmins-negative": ("wrs", {"k_mins": [-1]}, _KMINS),
+    "kmins-null": ("wrs", {"k_mins": None}, _KMINS),
+    "weights-negative": ("wrs", {"weights": [-1.0]}, _WEIGHTS),
+    "weights-infinite": ("wrs", {"weights": [math.inf]}, _WEIGHTS),
+    "weights-of-401-digits": ("wrs", {"weights": [10**400]}, _WEIGHTS),
+    "weights-empty": ("wrs", {"weights": []}, _WEIGHTS),
+}
+
+
+@pytest.mark.parametrize("case", list(_PROFILE_CASES))
+def test_a_header_profile_names_its_fault(tmp_path, case):
+    strategy, edits, message = _PROFILE_CASES[case]
+    profile = {"weights": [40.0], "probs": [1.0], "k_mins": [5]}
+    profile.update(edits)
+    profile = {key: value for key, value in profile.items() if value != "drop"}
+    path = tmp_path / "run.jsonl"
+    write_log(str(path), make_header(strategy=strategy, profile=profile), make_records(3))
+    with pytest.raises(LogError, match=re.escape(f"run.jsonl: {message}") + "$"):
+        read_log(str(path))
+
+
+@pytest.mark.parametrize("profile", [
+    None,
+    {"weights": None, "probs": [1.0], "k_mins": [0]},
+    {"weights": [0], "probs": [1], "k_mins": [10**400]},
+])
+def test_a_header_profile_a_run_can_write_reads(tmp_path, profile):
+    path = tmp_path / "run.jsonl"
+    write_log(str(path), make_header(strategy="wrs", profile=profile), make_records(3))
+    assert read_log(str(path))[0].profile == profile
 
 
 class TestFingerprint:
