@@ -2,13 +2,13 @@
 functional ANOVA, and the mapping from importance weights to change
 probabilities.
 
-Trees are fit by greedy variance reduction on an ordinal encoding of the
-space (categoricals by list index).  Main-effect variances are computed
-exactly from the fitted piecewise-constant predictor: every leaf is an
-axis-aligned box, so marginalizing over all-but-one dimension reduces to
-weighted sums of box masses.  Integer and categorical axes carry counting
-measure, real axes uniform (Lebesgue) measure, matching how phase-1
-sampling actually distributes points.
+Trees are fit by greedy variance reduction on the space's number line
+(``space.to_ordinal``: categoricals by list index).  Main-effect variances
+are computed exactly from the fitted piecewise-constant predictor: every
+leaf is an axis-aligned box, so marginalizing over all-but-one dimension
+reduces to weighted sums of box masses.  Integer and categorical axes
+carry counting measure, real axes uniform (Lebesgue) measure, matching how
+phase-1 sampling actually distributes points.
 
 The trees grow level by level, as in CART's presorted growth (Breiman et
 al., 1984): each depth handles the whole frontier of every tree at once,
@@ -60,7 +60,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .space import SearchSpace, candidate_key
+from .space import SearchSpace, candidate_key, ordinal_bounds, to_ordinal
 from .triallog import TrialRecord
 
 
@@ -112,21 +112,11 @@ def root_box(space: SearchSpace) -> np.ndarray:
 
     Counting-measure axes (int, cat) use half-open integer ranges so that
     interval masses count whole values: an int dimension [3, 6] becomes
-    [3, 7) holding four unit-mass points.
+    [3, 7) holding four unit-mass points.  The edge high + 1 is added in
+    Python ints, so it stays exact past 2**53.
     """
-    out = np.zeros((len(space), 2))
-    for i, dim in enumerate(space.dimensions):
-        if dim.kind == "real":
-            out[i] = (dim.low, dim.high)
-        elif dim.kind == "int":
-            out[i] = (dim.low, dim.high + 1)
-        else:
-            out[i] = (0, len(dim.values))
-    return out
-
-
-def _is_counting(space: SearchSpace) -> np.ndarray:
-    return np.array([d.kind != "real" for d in space.dimensions])
+    low, high, counting = ordinal_bounds(space)
+    return np.array([(a, b + 1 if c else b) for a, b, c in zip(low, high, counting.tolist())], dtype=float)
 
 
 def _interval_mass(lo: np.ndarray, hi: np.ndarray, counting: np.ndarray | bool) -> np.ndarray:
@@ -136,22 +126,14 @@ def _interval_mass(lo: np.ndarray, hi: np.ndarray, counting: np.ndarray | bool) 
 
 
 def encode_trials(trials: Sequence[TrialRecord], space: SearchSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Ordinal design matrix and score vector from usable trials.
+    """Design matrix of the trials' points on the number line, as floats,
+    and their score vector.
 
-    Categorical values map to their list index.  fit_forest, the one caller,
-    passes usable trials only, at least two of them; their values lie in the
-    space, as read_log guarantees for a log.
+    fit_forest, the one caller, passes usable trials only, at least two of
+    them; their values lie in the space, as read_log guarantees for a log.
     """
-    rows, ys = [], []
-    cat_index = {
-        i: {v: j for j, v in enumerate(dim.values)}
-        for i, dim in enumerate(space.dimensions)
-        if dim.kind == "cat"
-    }
-    for t in trials:
-        rows.append([float(cat_index[i][v]) if i in cat_index else float(v) for i, v in enumerate(t.values)])
-        ys.append(float(t.score))
-    return np.array(rows), np.array(ys)
+    X = np.array([to_ordinal(space, t.values) for t in trials], dtype=float)
+    return X, np.array([float(t.score) for t in trials])
 
 
 def _equal_length_rows(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
@@ -468,7 +450,7 @@ def main_effect_fractions(forest: Forest, space: SearchSpace) -> tuple[float, ..
     not sum to 100; the remainder is interaction variance.
     """
     root = root_box(space)
-    counting = _is_counting(space)
+    counting = ordinal_bounds(space)[2]
     with np.errstate(over="ignore", invalid="ignore"):
         per_tree = [f for t in forest.trees if (f := _tree_fractions(t, root, counting)) is not None]
     if not per_tree:

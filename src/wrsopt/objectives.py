@@ -261,6 +261,9 @@ def make_objective(spec: ObjectiveSpec | str, space: SearchSpace) -> Objective:
 
     if name == "branin" and len(space) != 2:
         raise ObjectiveError(f"branin is 2-dimensional; space has {len(space)} dimensions")
+    if name == "rosenbrock" and len(space) < 2:
+        # its sum over neighbouring pairs would be empty: every score 0
+        raise ObjectiveError(f"rosenbrock is at least 2-dimensional; space has {len(space)} dimensions")
 
     if name == "additive-anova":
         coeffs = _parse_coeffs(dict(spec.params), len(space))

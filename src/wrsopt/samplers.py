@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sobol import BITS, SobolEngine
-from .space import SearchSpace, value_at
+from .space import SearchSpace, from_ordinal, ordinal_bounds, value_at
 
 
 @dataclass
@@ -80,35 +80,6 @@ def wrs_step(
     return tuple(out)
 
 
-# -- shared real-relaxation helpers for NM / PSO -----------------------------
-
-def relaxed_bounds(space: SearchSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Continuous box the relaxation moves in; categorical axes use indices."""
-    lo, hi = [], []
-    for dim in space:
-        if dim.kind == "cat":
-            lo.append(0.0)
-            hi.append(float(len(dim.values) - 1))
-        else:
-            lo.append(float(dim.low))
-            hi.append(float(dim.high))
-    return np.array(lo), np.array(hi)
-
-
-def emit_relaxed(space: SearchSpace, x: np.ndarray) -> tuple:
-    """Map a relaxed position to a valid candidate (round ints, index-clamp cats)."""
-    out = []
-    for dim, v in zip(space.dimensions, x.tolist()):
-        if dim.kind == "real":
-            out.append(min(max(v, dim.low), dim.high))
-        elif dim.kind == "int":
-            out.append(int(min(max(round(v), dim.low), dim.high)))
-        else:
-            idx = int(min(max(round(v), 0), len(dim.values) - 1))
-            out.append(dim.values[idx])
-    return tuple(out)
-
-
 class SobolSampler:
     """Sobol sequence with a random digital shift (Owen, 1998): one seeded
     BITS-bit integer per axis is XORed into every point's exact integer
@@ -134,9 +105,10 @@ class NelderMeadSampler:
     _search yields each point to try and receives its loss, so reflection,
     expansion, contraction and shrink read top to bottom; ask() emits the
     pending point and tell(score) sends the loss and advances to the next.
-    The simplex lives in the real relaxation; candidates are rounded at
-    emission.  Scores are maximized (the engine convention), so the simplex
-    orders vertices by loss = -score.  The simplex has converged once every
+    The simplex moves on the number line of space.ordinal_bounds, and
+    space.from_ordinal emits each point as a candidate.  Scores are
+    maximized (the engine convention), so the simplex orders vertices by
+    loss = -score.  The simplex has converged once every
     vertex emits the same value on each int and categorical axis and the
     vertices lie within NM_TOL times the width of each real axis; the
     sampler then reports convergence and keeps re-emitting the best vertex,
@@ -155,8 +127,8 @@ class NelderMeadSampler:
     ):
         self.space = space
         self.alpha, self.gamma, self.rho, self.sigma = alpha, gamma, rho, sigma
-        self._lo, self._hi = relaxed_bounds(space)
-        self._discrete = np.array([dim.kind != "real" for dim in space])
+        low, high, self._discrete = ordinal_bounds(space)
+        self._lo, self._hi = np.array(low, dtype=float), np.array(high, dtype=float)
         # the vertex spread each axis allows at convergence: none once rounded
         self._spread = np.where(self._discrete, 0.0, NM_TOL * (self._hi - self._lo))
         d = len(space)
@@ -173,7 +145,7 @@ class NelderMeadSampler:
         self._current = next(self._search_steps)
 
     def ask(self) -> tuple:
-        return emit_relaxed(self.space, self._current)
+        return from_ordinal(self.space, self._current)
 
     def tell(self, score: float) -> None:
         self._current = self._search_steps.send(-float(score))
@@ -221,8 +193,10 @@ class NelderMeadSampler:
 
     def _collapsed(self, vertices: np.ndarray) -> bool:
         """Whether the simplex has converged: int and categorical axes
-        rounded as emit_relaxed rounds them (clamped, then round half to
-        even), every axis spans at most its _spread."""
+        rounded as from_ordinal rounds them (clamped, then round half to
+        even), every axis spans at most its _spread.  It clamps with np.clip,
+        which may keep another sign of zero at a bound than from_ordinal's
+        min and max, so the two share no rounding code."""
         x = vertices.clip(self._lo, self._hi)
         x[:, self._discrete] = x[:, self._discrete].round()
         return bool((x.max(axis=0) - x.min(axis=0) <= self._spread).all())
@@ -240,8 +214,9 @@ class PsoSampler:
     generation is the uniform initial swarm.  The tell that completes a
     generation refreshes personal and global bests, then draws r1 and r2 and
     moves the swarm, so every ask of a generation is fixed before any of its
-    tells.  Positions are clamped to bounds after each move; integer and
-    categorical axes are rounded at emission.
+    tells.  Positions move on the number line of space.ordinal_bounds and
+    are clamped to its bounds after each move; space.from_ordinal rounds
+    integer and categorical axes at emission.
     """
 
     def __init__(
@@ -258,14 +233,15 @@ class PsoSampler:
         self._current = next(self._search_steps)
 
     def ask(self) -> tuple:
-        return emit_relaxed(self.space, self._current)
+        return from_ordinal(self.space, self._current)
 
     def tell(self, score: float) -> None:
         self._current = self._search_steps.send(score)
 
     def _search(self, rng: np.random.Generator, swarm: int, omega: float, c1: float, c2: float):
         """Yield each particle's position; receive its score at the yield."""
-        lo, hi = relaxed_bounds(self.space)
+        low, high, _ = ordinal_bounds(self.space)
+        lo, hi = np.array(low, dtype=float), np.array(high, dtype=float)
         x = lo + rng.random((swarm, len(self.space))) * (hi - lo)
         v = np.zeros(x.shape)
         pbest, pbest_score = x.copy(), np.full(swarm, -np.inf)

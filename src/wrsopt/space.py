@@ -5,7 +5,10 @@ order.  Integer dimensions produce ints, real dimensions floats, categorical
 dimensions one of their listed values.
 
 This module alone decides what a valid value is (``values_in_dimension``);
-``triallog`` decides what a valid record is and asks it.
+``triallog`` decides what a valid record is and asks it.  It alone also
+places a candidate on the number line that Nelder-Mead, particle swarm and
+the importance fit move in (``ordinal_bounds``, ``to_ordinal``,
+``from_ordinal``).
 """
 
 from __future__ import annotations
@@ -225,6 +228,39 @@ def validate_candidate(space: SearchSpace, values: Sequence[Any]) -> tuple:
         if not values_in_dimension(dim, (v,)):
             raise SpaceError(f"{dim.name}={v!r} is not a value of the space")
     return out
+
+
+def ordinal_bounds(space: SearchSpace) -> tuple[tuple, tuple, np.ndarray]:
+    """Each axis's low and high on the number line, and a mask of its
+    counting axes (int and categorical), whose points are whole numbers.  A
+    categorical axis runs from 0 to n - 1, the list indices of its values.
+    The bounds are the Python numbers the space holds, so an int bound past
+    2**53 stays exact; a caller that moves in floats converts them."""
+    low = tuple(0 if dim.kind == "cat" else dim.low for dim in space)
+    high = tuple(len(dim.values) - 1 if dim.kind == "cat" else dim.high for dim in space)
+    return low, high, np.array([dim.kind != "real" for dim in space])
+
+
+def to_ordinal(space: SearchSpace, values: Sequence[Any]) -> tuple:
+    """A candidate's point on the number line: an int or real value as it
+    is, a categorical value as its list index."""
+    return tuple(dim.values.index(v) if dim.kind == "cat" else v for dim, v in zip(space.dimensions, values))
+
+
+def from_ordinal(space: SearchSpace, x: np.ndarray) -> tuple:
+    """The candidate at a point x of the number line: each coordinate
+    clamped to its axis, int and categorical ones rounded half to even
+    first; a categorical index becomes its value."""
+    out = []
+    for dim, v in zip(space.dimensions, x.tolist()):
+        if dim.kind == "real":
+            out.append(min(max(v, dim.low), dim.high))
+        elif dim.kind == "int":
+            out.append(int(min(max(round(v), dim.low), dim.high)))
+        else:
+            idx = int(min(max(round(v), 0), len(dim.values) - 1))
+            out.append(dim.values[idx])
+    return tuple(out)
 
 
 def candidate_key(space: SearchSpace, values: Sequence[Any]) -> tuple:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from wrsopt.samplers import PSO_SWARM, emit_relaxed, relaxed_bounds
-from wrsopt.space import SearchSpace
+from wrsopt.samplers import PSO_SWARM
+from wrsopt.space import SearchSpace, from_ordinal as emit_relaxed, ordinal_bounds
 
 
 class OracleError(RuntimeError):
@@ -36,7 +36,7 @@ class SlotPsoSampler:
         self.rng = rng
         self.swarm = int(swarm)
         self.omega, self.c1, self.c2 = omega, c1, c2
-        self._lo, self._hi = relaxed_bounds(space)
+        self._lo, self._hi = (np.array(b, dtype=float) for b in ordinal_bounds(space)[:2])
         d = len(space)
         self._x = self._lo + rng.random((self.swarm, d)) * (self._hi - self._lo)
         self._v = np.zeros((self.swarm, d))

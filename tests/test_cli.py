@@ -1126,6 +1126,8 @@ USER_ERRORS = {
     "objective-not-utf8": _run("rs", "--budget", "3", objective=f"{ANY_SPACE_OBJECTIVE} \udcff"),
     "unclosed-quote-in-command": _run("rs", "--budget", "3", objective="external:echo 'unclosed"),
     "blank-external-command": _run("rs", "--budget", "3", objective="external:   "),
+    # a one-dimension space, on which rosenbrock would score 0 everywhere
+    "rosenbrock-on-one-dimension": _run("rs", "--budget", "3", objective="builtin:rosenbrock"),
 }
 
 
@@ -1138,6 +1140,9 @@ def test_user_error_exits_2_with_one_line(case, space_file, tmp_path, capsys, mo
         space.write_text(f"dimensions:\n  - {BAD_SPACES[case]}\n")
     elif case == "unreadable-space-file":
         space = tmp_path / "missing.yaml"
+    elif case == "rosenbrock-on-one-dimension":
+        space = tmp_path / "one.yaml"
+        space.write_text(INT4_SPACE)
     argv = [str(space) if a == "SPACE" else a for a in USER_ERRORS[case]]
     try:
         code = run_cli(argv)

@@ -15,7 +15,6 @@ from wrsopt import importance
 from wrsopt.importance import (
     ForestConfig,
     ImportanceError,
-    _is_counting,
     _tree_fractions,
     encode_trials,
     fit_forest,
@@ -23,7 +22,7 @@ from wrsopt.importance import (
     root_box,
     weights_to_probabilities,
 )
-from wrsopt.space import Dimension, SearchSpace
+from wrsopt.space import Dimension, SearchSpace, ordinal_bounds
 from wrsopt.triallog import TrialRecord
 
 import _forest_oracle
@@ -94,7 +93,7 @@ def test_levelwise_fit_equals_recursive_oracle(problem, seed, budget):
     # small budgets split the nodes into chunks and the leaves into blocks
     with mock.patch.object(importance, "FIT_ELEMENT_BUDGET", budget):
         got = fit_forest(trials, space, config, np.random.default_rng(seed))
-        root, counting = root_box(space), _is_counting(space)
+        root, counting = root_box(space), ordinal_bounds(space)[2]
         for tree in got.trees:
             shares = _tree_fractions(tree, root, counting)
             want = _forest_oracle._tree_fractions(tree, root, counting)
@@ -113,7 +112,7 @@ def test_every_share_is_non_negative_or_not_finite_and_refused(problem, seed, sc
         return  # fit_forest refuses these before any tree is grown
     trials = [replace(t, score=t.score * scale) for t in trials]
     forest = fit_forest(trials, space, config, np.random.default_rng(seed))
-    root, counting = root_box(space), _is_counting(space)
+    root, counting = root_box(space), ordinal_bounds(space)[2]
     with np.errstate(over="ignore", invalid="ignore"):
         for tree in forest.trees:
             tree_shares = _tree_fractions(tree, root, counting)

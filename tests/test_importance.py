@@ -13,7 +13,6 @@ from wrsopt.importance import (
     ImportanceError,
     ZeroVarianceError,
     _best_splits,
-    _is_counting,
     _tree_fractions,
     encode_trials,
     fit_forest,
@@ -22,7 +21,7 @@ from wrsopt.importance import (
     weights_to_probabilities,
 )
 from wrsopt.reporting import render_importance_csv, render_importance_text
-from wrsopt.space import Dimension, SearchSpace
+from wrsopt.space import Dimension, SearchSpace, ordinal_bounds
 from wrsopt.triallog import TrialRecord
 
 import _forest_oracle
@@ -322,7 +321,7 @@ class TestMainEffects:
         space = SearchSpace((Dimension(name="x", kind="real", low=0.0, high=1.0), Dimension(name="n", kind="int", low=0, high=0)))
         trials = make_trials(space, lambda v: math.sin(9 * v[0]), 60, seed=3)
         forest = fit_forest(trials, space, ForestConfig(n_trees=10), np.random.default_rng(3))
-        root, counting = root_box(space), _is_counting(space)
+        root, counting = root_box(space), ordinal_bounds(space)[2]
         shares = [_tree_fractions(tree, root, counting)[1] for tree in forest.trees]
         assert all(0.0 <= f < 1e-12 for f in shares) and 0.0 in shares
         assert 0.0 <= main_effect_fractions(forest, space)[1] < 1e-12
@@ -333,7 +332,7 @@ class TestMainEffects:
         # into many blocks; every block size adds in the per-leaf loop's order
         space, trials = SHAPES["anova"]()
         forest = fit_forest(trials, space, ForestConfig(), np.random.default_rng(200))
-        root, counting = root_box(space), _is_counting(space)
+        root, counting = root_box(space), ordinal_bounds(space)[2]
         with mock.patch.object(importance, "FIT_ELEMENT_BUDGET", budget):
             for tree in forest.trees:
                 want = _forest_oracle._tree_fractions(tree, root, counting)

@@ -5,8 +5,8 @@ from hypothesis.extra import numpy as hnp
 
 from wrsopt.engine import RngBundle, RunConfig, execute_run
 from wrsopt.objectives import make_objective, sphere
-from wrsopt.samplers import NM_TOL, NelderMeadSampler, emit_relaxed
-from wrsopt.space import Dimension, SearchSpace, validate_candidate
+from wrsopt.samplers import NM_TOL, NelderMeadSampler
+from wrsopt.space import Dimension, SearchSpace, from_ordinal as emit_relaxed, validate_candidate
 
 from _util import int_space, mixed_space, real_space
 

@@ -65,6 +65,8 @@ def assert_same_value(new: float, old: float) -> None:
 def test_each_builtin_equals_its_numpy_form(data, name, n):
     if name == "branin":
         n = 2
+    elif name == "rosenbrock":
+        n = max(n, 2)  # make_objective refuses a one-dimension rosenbrock
     dims, values = zip(*data.draw(axes(n)))
     objective = make_objective(f"builtin:{name}", SearchSpace(dims))
     assert_same_value(objective.fn(values), oracle.score(oracle.BUILTINS[name], values))

@@ -96,6 +96,11 @@ class TestBuiltins:
         with pytest.raises(ObjectiveError):
             make_objective("builtin:branin", real_space(1))
 
+    def test_rosenbrock_needs_at_least_two_dims(self):
+        # one axis has no neighbouring pair: the sum is empty and every score 0
+        with pytest.raises(ObjectiveError, match=r"^rosenbrock is at least 2-dimensional; space has 1 dimensions$"):
+            make_objective("builtin:rosenbrock", int_space(1))
+
     def test_styblinski_tang_known_minimum(self):
         x = np.full(3, -2.903534)
         assert styblinski_tang(x) == pytest.approx(-39.16617 * 3, abs=1e-3)

@@ -2,8 +2,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from wrsopt.objectives import sphere
-from wrsopt.samplers import PsoSampler, relaxed_bounds
-from wrsopt.space import validate_candidate
+from wrsopt.samplers import PsoSampler
+from wrsopt.space import ordinal_bounds, validate_candidate
 
 from _pso_oracle import SlotPsoSampler
 from _stream_oracle import spaces
@@ -23,7 +23,7 @@ def test_first_batch_is_initial_swarm_of_requested_size():
     space = real_space(3)
     rng = np.random.default_rng(0)
     pso = PsoSampler(space, rng, swarm=7)
-    lo, hi = relaxed_bounds(space)
+    lo, hi = (np.array(b, dtype=float) for b in ordinal_bounds(space)[:2])
     expected = np.random.default_rng(0)
     initial = lo + expected.random((7, 3)) * (hi - lo)
     assert rng.bit_generator.state == expected.bit_generator.state

@@ -14,10 +14,13 @@ from wrsopt.space import (
     SearchSpace,
     SpaceError,
     candidate_key,
+    from_ordinal,
     load_space,
+    ordinal_bounds,
     space_digest,
     space_from_dict,
     space_to_dict,
+    to_ordinal,
     validate_candidate,
     value_at,
 )
@@ -405,3 +408,66 @@ def test_int_sampling_always_in_bounds(low, span, seed):
     rng = np.random.default_rng(seed)
     v = value_at(dim, rng.random())
     assert low <= v <= low + span
+
+
+# int bounds on both sides of 2**53, where float64 stops holding every integer
+_INT_BOUNDS = st.sampled_from((0, 7, 2**53 - 1, 2**53 + 1, 2**60 + 3, -(2**63) - 1, 2**70))
+
+
+@st.composite
+def _axis_and_value(draw, i):
+    """One axis of a mixed space and one value of it."""
+    kind = draw(st.sampled_from(("real", "int", "cat")))
+    name = f"d{i}"
+    if kind == "real":
+        a = draw(st.floats(-1e300, 1e300))
+        b = draw(st.just(a) | st.floats(-1e300, 1e300))  # st.just: a zero-width axis
+        low, high = min(a, b), max(a, b)
+        return Dimension(name=name, kind="real", low=low, high=high), draw(st.floats(low, high))
+    if kind == "int":
+        low = draw(_INT_BOUNDS | st.integers(-50, 50))
+        high = low + draw(st.integers(0, 20) | st.sampled_from((2**53 + 1, 2**70)))
+        return Dimension(name=name, kind="int", low=low, high=high), draw(st.integers(low, high))
+    scalars = st.text(st.characters(blacklist_categories=("Cs",)), max_size=3) | st.integers(-(2**70), 2**70) | st.floats(allow_nan=False) | st.booleans() | st.none()
+    values = draw(st.lists(scalars, min_size=1, max_size=5, unique=True))
+    weights = draw(st.none() | st.lists(st.floats(1e-6, 1e6), min_size=len(values), max_size=len(values)))
+    return Dimension(name=name, kind="cat", values=tuple(values), weights=weights), draw(st.sampled_from(values))
+
+
+@st.composite
+def _spaces_and_candidates(draw):
+    n = draw(st.integers(1, 5))
+    dims, values = zip(*(draw(_axis_and_value(i)) for i in range(n)))
+    return SearchSpace(dims), values
+
+
+def _typed(candidate):
+    # repr tells -0.0 from 0.0, and type tells 1 from True and 1.0
+    return [(type(v), repr(v)) for v in candidate]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spaces_and_candidates())
+def test_a_candidate_survives_the_number_line(case):
+    space, candidate = case
+    low, high, counting = ordinal_bounds(space)
+    x = to_ordinal(space, candidate)
+    assert all(a <= v <= b for a, v, b in zip(low, x, high))
+    assert counting.tolist() == [dim.kind != "real" for dim in space]
+    # on a line of Python numbers the trip is exact, ints past 2**53 included
+    assert _typed(from_ordinal(space, np.array(x, dtype=object))) == _typed(candidate)
+    # on the float line Nelder-Mead and PSO move on, every value float64
+    # holds comes back as it was; an int it does not hold comes back as an
+    # int within half a float spacing of it
+    back = from_ordinal(space, np.array(x, dtype=float))
+    for v, point, got in zip(candidate, x, back):
+        if float(point) == point:
+            assert _typed((got,)) == _typed((v,))
+        else:
+            assert type(got) is int and abs(got - v) <= math.ulp(float(v)) / 2
+
+
+def test_root_box_adds_the_counting_edge_in_python_ints():
+    # float(2**53 + 1) + 1.0 rounds to 2**53; the edge is float(2**53 + 2)
+    space = SearchSpace((Dimension(name="n", kind="int", low=0, high=2**53 + 1),))
+    assert root_box(space).tolist() == [[0.0, 2.0**53 + 2]]
