@@ -2,7 +2,7 @@
 
 Subcommands: run (execute one optimization and write its log), report
 (summarize one log), compare (table across several logs), importance
-(re-estimate weights/probabilities from a log).
+(the weights and probabilities a wrs run with the log's seed fits on it).
 
 Exit codes: 0 success, 1 runtime failure (failed run, unreadable or
 degenerate log, unwritable output, Ctrl-C), 2 usage or configuration
@@ -22,17 +22,11 @@ from .engine import (
     AllTrialsFailedError,
     ConfigError,
     EngineError,
-    RngBundle,
     RunConfig,
     execute_run,
+    fit_weights,
 )
-from .importance import (
-    ForestConfig,
-    ImportanceError,
-    fit_forest,
-    main_effect_fractions,
-    weights_to_probabilities,
-)
+from .importance import ImportanceError, weights_to_probabilities
 from .objectives import ObjectiveError, make_objective, parse_objective_spec
 from .reporting import (
     ReportError,
@@ -120,11 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     imp = sub.add_parser("importance", help="estimate per-dimension weights and probabilities from a log")
     imp.add_argument("log")
-    imp.add_argument("--trees", type=_positive_int, default=ForestConfig.n_trees)
-    imp.add_argument("--max-depth", type=_positive_int, default=ForestConfig.max_depth)
-    imp.add_argument("--min-leaf", type=_positive_int, default=ForestConfig.min_leaf)
-    imp.add_argument("--no-bootstrap", action="store_true")
-    imp.add_argument("--seed", type=_non_negative_int, default=None, help="forest seed (default: the log's run seed)")
     imp.add_argument("--csv", default=None)
     imp.set_defaults(func=cmd_importance)
 
@@ -209,18 +198,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_importance(args: argparse.Namespace) -> int:
     header, records = read_log(args.log)
     space = space_from_dict(header.space)
-    seed = args.seed if args.seed is not None else header.seed
-    config = ForestConfig(
-        n_trees=args.trees,
-        max_depth=args.max_depth,
-        min_leaf=args.min_leaf,
-        bootstrap=not args.no_bootstrap,
-    )
-    # same stream a run's own importance fit uses, so an rs log of length n0
-    # reproduces the profile a wrs run with init=n0 and this seed would compute
-    rng = RngBundle.from_seed(seed).forest
-    forest = fit_forest(records, space, config, rng)
-    weights = main_effect_fractions(forest, space)
+    # the fit of a wrs run with the log's seed, so an rs log of length n0
+    # gives the profile a wrs run with init=n0 and that seed computes
+    weights = fit_weights(records, space, header.seed)
     probs = weights_to_probabilities(weights)
 
     sys.stdout.write(render_importance_text(space, weights, probs))

@@ -24,7 +24,8 @@ Randomness is split into three independent streams derived from the run
 seed: candidate values, per-step change decisions, and forest bootstrapping.
 Only the value stream feeds candidate coordinates, which is why a weighted
 run whose probabilities are all 1 replays the plain random-search candidate
-sequence exactly.
+sequence exactly.  ``fit_weights`` derives the forest stream from the seed
+alone, so ``importance`` on a log grows the forest its run grew.
 """
 
 from __future__ import annotations
@@ -154,11 +155,19 @@ class RunResult:
         self.warnings.append(text)
 
 
+def fit_weights(trials: Sequence[TrialRecord], space: SearchSpace, seed: int) -> tuple[float, ...]:
+    """The main-effect weights of the forest a wrs run with this seed fits
+    on trials: ForestConfig's defaults, grown on the run's forest stream.
+    The one place that names them, for a run's profile and for
+    ``importance``; raises ImportanceError as fit_forest does."""
+    forest = fit_forest(trials, space, ForestConfig(), RngBundle.from_seed(seed).forest)
+    return main_effect_fractions(forest, space)
+
+
 def _build_profile(
     space: SearchSpace,
     config: RunConfig,
     phase1: Sequence[TrialRecord],
-    forest_rng: np.random.Generator,
 ) -> tuple[ChangeProfile, list[float] | None, str | None]:
     """Importance fit plus overrides, frozen into the phase-2 profile; the
     one place a ChangeProfile is built.
@@ -183,8 +192,7 @@ def _build_profile(
             fallback = "phase 1 too short to estimate importance"
         else:
             try:
-                forest = fit_forest(phase1, space, ForestConfig(), forest_rng)
-                fractions = main_effect_fractions(forest, space)
+                fractions = fit_weights(phase1, space, config.seed)
                 free = [i for i in range(d) if i not in prob_over]
                 for i, p in zip(free, weights_to_probabilities([fractions[i] for i in free])):
                     base[i] = p
@@ -229,7 +237,7 @@ def _make_strategy(space: SearchSpace, config: RunConfig, rngs: RngBundle, resul
     any fallback warning, then the profile."""
     options = config.settings().get("sampler", {})
     if config.strategy == "wrs":
-        profile, weights, fallback = _build_profile(space, config, result.records, rngs.forest)
+        profile, weights, fallback = _build_profile(space, config, result.records)
         if fallback:
             result.warning(f"{fallback}; using uniform change probabilities")
         result.profile(weights, profile.probs, profile.k_mins)

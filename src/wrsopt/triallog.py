@@ -119,6 +119,13 @@ def validate_settings(space: SearchSpace, strategy: str, budget: int, init: int,
         raise ConfigError(f"sobol supports at most {SOBOL_MAX_DIM} dimensions; the space has {len(space)}")
     if strategy == "sobol" and budget > 1 << SOBOL_BITS:
         raise ConfigError(f"sobol yields at most {1 << SOBOL_BITS} points; the budget is {budget}")
+    if strategy in ("nelder-mead", "pso"):  # float64 holds every whole number up to 2**53 and no further
+        for dim in space:
+            if dim.kind == "int" and max(-dim.low, dim.high) > 2**53:
+                raise ConfigError(
+                    f"int dimension {dim.name!r} has a bound of magnitude above 2**53 for strategy {strategy}; "
+                    "nelder-mead and pso move in floats, which skip whole numbers there"
+                )
     ranges = _SAMPLER_OPTIONS.get(strategy, {})
     for key, value in settings.get("sampler", {}).items():
         if key not in ranges:

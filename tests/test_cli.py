@@ -32,6 +32,7 @@ dimensions:
 
 
 INT4_SPACE = "dimensions:\n  - {name: n, kind: int, low: 0, high: 3}\n"
+BIG_INT_SPACE = f"dimensions:\n  - {{name: n, kind: int, low: {2**60}, high: {2**60 + 100}}}\n"
 
 
 @pytest.fixture
@@ -740,6 +741,7 @@ MIXED_SPACE = {"dimensions": [
     {"name": "x", "kind": "real", "low": 0.0, "high": 1.0},
     {"name": "c", "kind": "cat", "values": ["a", "b"]},
 ]}
+BIG_INT_MIXED_SPACE = {"dimensions": [{**MIXED_SPACE["dimensions"][0], "low": 2**60, "high": 2**60 + 100}, *MIXED_SPACE["dimensions"][1:]]}
 MIXED_TRIALS = [  # values, score, status, error
     ([0, 0.1, "a"], 1.0, "evaluated", None),
     ([3, 0.5, "b"], 2.0, "evaluated", None),
@@ -839,6 +841,16 @@ CORRUPTIONS = {
     "profile-in-an-rs-header": (
         [((0, "profile"), {"weights": None, "probs": [1.0, 1.0, 1.0], "k_mins": [0, 0, 0]})],
         "LOG: header profile for strategy rs; only wrs writes a profile",
+    ),
+    # a header a run never writes: nelder-mead and pso move in floats, which skip whole numbers past 2**53
+    "nelder-mead-header-on-an-int-axis-past-2**53": (
+        [
+            ((0, "strategy"), "nelder-mead"),
+            ((0, "space"), BIG_INT_MIXED_SPACE),
+            ((0, "space_digest"), space_digest(space_from_dict(BIG_INT_MIXED_SPACE))),
+        ],
+        "LOG: header declares int dimension 'n' has a bound of magnitude above 2**53 for strategy nelder-mead; "
+        "nelder-mead and pso move in floats, which skip whole numbers there",
     ),
     "unknown-options-group": (
         [((0, "options"), {"bogus": {}})],
@@ -1101,18 +1113,16 @@ USER_ERRORS = {
     "budget-zero": _run("rs", "--budget", "0"),
     "negative-init": _run("wrs", "--budget", "3", "--init", "-1"),
     "window-zero": ["report", "run.jsonl", "--window", "0"],
-    # the parser is the one check of each of these; the library takes them as given
-    "trees-zero": ["importance", "run.jsonl", "--trees", "0"],
-    "max-depth-zero": ["importance", "run.jsonl", "--max-depth", "0"],
-    "min-leaf-zero": ["importance", "run.jsonl", "--min-leaf", "0"],
+    # the parser is the one check of this; the library takes it as given
     "negative-degree": ["report", "run.jsonl", "--degree", "-1"],
+    # importance fits the forest a wrs run fits: it takes no forest setting
+    "forest-setting-on-importance": ["importance", "run.jsonl", "--trees", "5"],
     "compare-window-zero": ["compare", "run.jsonl", "--window", "0"],
     "compare-without-a-log": ["compare"],
     "missing-space-flag": ["run", "--objective", "builtin:sphere", "--strategy", "rs", "--budget", "3"],
     **{case: _run("rs", "--budget", "3") for case in BAD_SPACES},
     "unreadable-space-file": _run("rs", "--budget", "3"),
     "negative-seed": _run("rs", "--budget", "3", "--seed", "-1"),
-    "negative-forest-seed": ["importance", "run.jsonl", "--seed", "-1"],
     "infinite-swarm": _run("pso", "--budget", "3", "--opt", "swarm=inf"),
     "nan-swarm": _run("pso", "--budget", "3", "--opt", "swarm=nan"),
     "fractional-swarm": _run("pso", "--budget", "3", "--opt", "swarm=2.5"),
@@ -1128,6 +1138,15 @@ USER_ERRORS = {
     "blank-external-command": _run("rs", "--budget", "3", objective="external:   "),
     # a one-dimension space, on which rosenbrock would score 0 everywhere
     "rosenbrock-on-one-dimension": _run("rs", "--budget", "3", objective="builtin:rosenbrock"),
+    # an int axis past 2**53, which floats would collapse to one point
+    "nelder-mead-on-an-int-axis-past-2**53": _run("nelder-mead", "--budget", "3"),
+    "pso-on-an-int-axis-past-2**53": _run("pso", "--budget", "3"),
+}
+# the space file of each case that needs its own
+CASE_SPACES = {
+    "rosenbrock-on-one-dimension": INT4_SPACE,
+    "nelder-mead-on-an-int-axis-past-2**53": BIG_INT_SPACE,
+    "pso-on-an-int-axis-past-2**53": BIG_INT_SPACE,
 }
 
 
@@ -1140,9 +1159,9 @@ def test_user_error_exits_2_with_one_line(case, space_file, tmp_path, capsys, mo
         space.write_text(f"dimensions:\n  - {BAD_SPACES[case]}\n")
     elif case == "unreadable-space-file":
         space = tmp_path / "missing.yaml"
-    elif case == "rosenbrock-on-one-dimension":
-        space = tmp_path / "one.yaml"
-        space.write_text(INT4_SPACE)
+    elif case in CASE_SPACES:
+        space = tmp_path / "case.yaml"
+        space.write_text(CASE_SPACES[case])
     argv = [str(space) if a == "SPACE" else a for a in USER_ERRORS[case]]
     try:
         code = run_cli(argv)

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from wrsopt.engine import (
     _make_strategy,
     evaluate_with_cache,
     execute_run,
+    fit_weights,
 )
 from wrsopt.importance import P_MIN
 from wrsopt.objectives import ObjectiveFailure
@@ -99,6 +101,22 @@ class TestRunConfig:
         RunConfig(strategy="rs", budget=2**30 + 1).validate(real_space(2))
         with pytest.raises(ConfigError, match="^sobol yields at most 1073741824 points; the budget is 1073741825$"):
             RunConfig(strategy="sobol", budget=2**30 + 1).validate(real_space(2))
+
+    @pytest.mark.parametrize("strategy", ["nelder-mead", "pso"])
+    @pytest.mark.parametrize("low, high", [(2**60, 2**60 + 100), (-(2**53) - 1, 0)], ids=["past-2**53", "past-minus-2**53"])
+    def test_nelder_mead_and_pso_refuse_an_int_axis_past_2_53(self, strategy, low, high):
+        # both move in floats, which hold no whole number between 2**60 and 2**60 + 100:
+        # the axis collapsed to one point; rs, sobol and wrs draw it in Python ints
+        space = SearchSpace((Dimension(name="x", kind="real", low=0.0, high=1.0), Dimension(name="n", kind="int", low=low, high=high)))
+        message = (
+            f"int dimension 'n' has a bound of magnitude above 2**53 for strategy {strategy}; "
+            "nelder-mead and pso move in floats, which skip whole numbers there"
+        )
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            RunConfig(strategy=strategy, budget=10).validate(space)
+        for other in ("rs", "sobol", "wrs"):
+            RunConfig(strategy=other, budget=10).validate(space)
+        RunConfig(strategy=strategy, budget=10).validate(int_space(1, low=-(2**53), high=2**53))
 
     def test_unknown_dimension_name_in_override(self):
         with pytest.raises(ValueError):
@@ -422,6 +440,14 @@ def sphere_score_mixed(values):
 
 
 class TestWrsProfile:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_the_profile_weights_are_fit_weights_on_phase_1(self, seed):
+        # fit_weights is the one fit path: a run's profile and importance on its log both take it
+        space = mixed_space()
+        run = execute_run(space, python_objective(sphere_score_mixed), RunConfig(strategy="wrs", budget=40, init=25, seed=seed))
+        assert run.header.profile["weights"] is not None
+        assert fit_weights(run.records[:25], space, seed) == tuple(run.header.profile["weights"])
+
     def test_header_profile_holds_weights_probs_kmins(self):
         space = real_space(3, low=0.0, high=1.0)
         objective = python_objective(lambda v: 10.0 * v[0] + v[1])
@@ -592,7 +618,7 @@ class TestBuildProfile:
         space, config, records, scores = inputs
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            profile, weights, fallback = _build_profile(space, config, records, np.random.default_rng(forest_seed))
+            profile, weights, fallback = _build_profile(space, dataclasses.replace(config, seed=forest_seed), records)
         d = len(space)
         assert len(profile.probs) == len(profile.k_mins) == len(profile.gen_counts) == d
         assert all(type(p) is float and 0.0 < p <= 1.0 for p in profile.probs)

@@ -155,7 +155,7 @@ def test_run_report_compare_importance_sweep(tmp_path_factory, monkeypatch, data
                 ["report", log],
                 ["report", log, "--degree", str(draw(st.integers(0, 6))), "--window", str(draw(st.integers(1, 40)))],
                 ["compare", log, log],
-                ["importance", log, "--trees", "5"],
+                ["importance", log],
             ):
                 assert _main(argv)[0] in (0, 1)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], [str(w.message) for w in caught]
