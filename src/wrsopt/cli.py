@@ -17,17 +17,9 @@ import json
 import secrets
 import sys
 
-from .engine import (
-    STRATEGIES,
-    AllTrialsFailedError,
-    ConfigError,
-    EngineError,
-    RunConfig,
-    execute_run,
-    fit_weights,
-)
+from .engine import AllTrialsFailedError, EngineError, RunConfig, execute_run, fit_weights
 from .importance import ImportanceError, weights_to_probabilities
-from .objectives import ObjectiveError, make_objective, parse_objective_spec
+from .objectives import ObjectiveError, make_objective
 from .reporting import (
     ReportError,
     compare,
@@ -41,7 +33,7 @@ from .reporting import (
     trend,
 )
 from .space import SpaceError, load_space, printable_name, space_from_dict
-from .triallog import LogError, read_log, write_log
+from .triallog import STRATEGIES, ConfigError, LogError, read_log, write_log
 
 
 def _positive_int(text: str) -> int:
@@ -81,7 +73,7 @@ class _WriteError(Exception):
     """An output or log file that cannot be written: a runtime failure."""
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="wrsopt", description="Derivative-free hyperparameter search with importance-weighted resampling.")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -96,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--set-prob", action="append", default=[], metavar="NAME=P", help="override a change probability; NAME may be '*'")
     run.add_argument("--set-kmin", action="append", default=[], metavar="NAME=K", help="override a minimum fresh-sample count; NAME may be '*'")
     run.add_argument("--opt", action="append", default=[], metavar="KEY=VALUE", help="sampler option (pso: swarm/omega/c1/c2; nelder-mead: alpha/gamma/rho/sigma/init_step)")
-    run.set_defaults(func=cmd_run)
+    run.set_defaults(func=_cmd_run)
 
     report = sub.add_parser("report", help="summarize one trial log")
     report.add_argument("log")
@@ -104,18 +96,18 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--degree", type=_non_negative_int, default=5)
     report.add_argument("--csv", default=None, help="also write the summary row as CSV")
     report.add_argument("--fit", default=None, help="also write the polynomial fit as JSON")
-    report.set_defaults(func=cmd_report)
+    report.set_defaults(func=_cmd_report)
 
     cmp_ = sub.add_parser("compare", help="side-by-side table across logs")
     cmp_.add_argument("logs", nargs="+")
     cmp_.add_argument("--window", type=_positive_int, default=100)
     cmp_.add_argument("--csv", default=None)
-    cmp_.set_defaults(func=cmd_compare)
+    cmp_.set_defaults(func=_cmd_compare)
 
     imp = sub.add_parser("importance", help="estimate per-dimension weights and probabilities from a log")
     imp.add_argument("log")
     imp.add_argument("--csv", default=None)
-    imp.set_defaults(func=cmd_importance)
+    imp.set_defaults(func=_cmd_importance)
 
     return parser
 
@@ -129,10 +121,10 @@ def _write_output(path: str, text: str) -> None:
         raise _WriteError(f"cannot write {path}: {exc}") from None
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else secrets.randbits(32)
     space = load_space(args.space)
-    objective = make_objective(parse_objective_spec(args.objective), space)
+    objective = make_objective(args.objective, space)
     config = RunConfig(
         strategy=args.strategy,
         budget=args.budget,
@@ -168,7 +160,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace) -> int:
     header, records = read_log(args.log)
     if args.window > len(records):
         print(f"warning: window {args.window} exceeds {len(records)} trials; clamped", file=sys.stderr)
@@ -186,7 +178,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace) -> int:
     reports = [summarize(*read_log(path), window=args.window, source=path) for path in args.logs]
     rows = compare(reports)
     sys.stdout.write(render_table_text(rows))
@@ -195,7 +187,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_importance(args: argparse.Namespace) -> int:
+def _cmd_importance(args: argparse.Namespace) -> int:
     header, records = read_log(args.log)
     space = space_from_dict(header.space)
     # the fit of a wrs run with the log's seed, so an rs log of length n0
@@ -215,13 +207,13 @@ _RUNTIME_ERRORS = (EngineError, LogError, ReportError, ImportanceError, _WriteEr
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _USER_ERRORS + _RUNTIME_ERRORS as exc:
         print(f"error: {printable_name(str(exc))}", file=sys.stderr)
         return 2 if isinstance(exc, _USER_ERRORS) else 1
-    except KeyboardInterrupt:  # outside a run's trials and log write, which cmd_run words itself
+    except KeyboardInterrupt:  # outside a run's trials and log write, which _cmd_run words itself
         print("error: interrupted", file=sys.stderr)
         return 1
 

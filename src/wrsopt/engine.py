@@ -47,7 +47,7 @@ from .importance import (
 from .objectives import Objective, ObjectiveFailure
 from .samplers import PSO_SWARM, ChangeProfile, NelderMeadSampler, PsoSampler, SobolSampler, rs_step, wrs_step
 from .space import SearchSpace, candidate_key, space_digest, space_to_dict
-from .triallog import FAILED_SCORE, SETTINGS_GROUPS, STRATEGIES, ConfigError, RunHeader, TrialRecord, resolve_overrides, validate_settings
+from .triallog import FAILED_SCORE, SETTINGS_GROUPS, RunHeader, TrialRecord, resolve_overrides, validate_settings
 
 
 class EngineError(RuntimeError):
@@ -172,7 +172,7 @@ def _build_profile(
     """Importance fit plus overrides, frozen into the phase-2 profile; the
     one place a ChangeProfile is built.
 
-    A dimension without a prob override gets p_i = max(w_i / w_max, P_MIN),
+    A dimension without a prob override gets p_i = max(w_i / w_max, 0.01),
     with w_max the largest fitted weight among those dimensions, so one of
     them is at 1 whatever the overrides say.  When all of their weights are
     0, they all get 1, as in every other fallback to uniform probabilities.
@@ -212,7 +212,7 @@ def _build_profile(
     return profile, weights, fallback
 
 
-class WeightedSearch:
+class _WeightedSearch:
     """The weighted phase of wrs: each ask is one wrs_step against the run's
     incumbent or, while every trial has failed, the last record.  It reads
     the RunResult the loop fills and writes nothing into it."""
@@ -241,7 +241,7 @@ def _make_strategy(space: SearchSpace, config: RunConfig, rngs: RngBundle, resul
         if fallback:
             result.warning(f"{fallback}; using uniform change probabilities")
         result.profile(weights, profile.probs, profile.k_mins)
-        return WeightedSearch(space, profile, rngs, result)
+        return _WeightedSearch(space, profile, rngs, result)
     if config.strategy == "sobol":
         return SobolSampler(space, rngs.values)
     if config.strategy == "nelder-mead":

@@ -29,8 +29,8 @@ recursion:
 
 The recursion ranks a node's dimensions by gains re-scored from each cut's
 two sides in sample order.  Only contested nodes pay for that re-score:
-those where the best prefix-sum gain lies within ``CUT_MARGIN`` times the
-node's SSE of another dimension's gain or of 1e-15, where a figure is not
+those where the best prefix-sum gain lies within the margin, 2**-20 times
+the node's SSE, of another dimension's gain or of 1e-15, where a figure is not
 finite, or where the node is too large for the rounding bound.  Elsewhere
 the two gains differ by rounding far below that margin, so they pick the
 same split (``_best_splits`` gives the bound).  For the same reason a
@@ -43,7 +43,7 @@ every axis's edges, one product gives every leaf's mass off each axis, and
 each segment's marginal adds its covering leaves' contributions in leaf
 order, as the per-leaf loop did, by ``np.bincount``, which adds its weights
 in input order; ``v_i`` stays one ``np.sum`` per axis.
-``FIT_ELEMENT_BUDGET`` bounds the nodes of one padded chunk of the split
+``_FIT_ELEMENT_BUDGET`` bounds the nodes of one padded chunk of the split
 search and the leaves of one block of marginal sums.
 
 The callers are cli, after its argument parser, and the engine's run loop,
@@ -64,17 +64,10 @@ from .space import SearchSpace, candidate_key, ordinal_bounds, to_ordinal
 from .triallog import TrialRecord
 
 
-# floor of every change probability derived from importance weights
-P_MIN = 0.01
-
 # array elements the fit works on at once: (node, dimension) rows x longest
 # node of one padded chunk of the split search, leaves x segments of one
 # block of the main-effect marginal sums
-FIT_ELEMENT_BUDGET = 8192
-
-# share of a node's SSE within which two cut gains, or a gain and 1e-15, count
-# as contested and are re-scored in sample order
-CUT_MARGIN = 2.0**-20
+_FIT_ELEMENT_BUDGET = 8192
 
 
 class ImportanceError(RuntimeError):
@@ -107,7 +100,7 @@ class Forest:
     trees: tuple[TreeModel, ...]
 
 
-def root_box(space: SearchSpace) -> np.ndarray:
+def _root_box(space: SearchSpace) -> np.ndarray:
     """Bounding box of the encoded space, (d, 2).
 
     Counting-measure axes (int, cat) use half-open integer ranges so that
@@ -123,17 +116,6 @@ def _interval_mass(lo: np.ndarray, hi: np.ndarray, counting: np.ndarray | bool) 
     """Unnormalized measure of [lo, hi) per entry; ``counting`` marks the
     counting-measure entries and broadcasts against the bounds."""
     return np.where(counting, np.ceil(hi) - np.ceil(lo), hi - lo)
-
-
-def encode_trials(trials: Sequence[TrialRecord], space: SearchSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Design matrix of the trials' points on the number line, as floats,
-    and their score vector.
-
-    fit_forest, the one caller, passes usable trials only, at least two of
-    them; their values lie in the space, as read_log guarantees for a log.
-    """
-    X = np.array([to_ordinal(space, t.values) for t in trials], dtype=float)
-    return X, np.array([float(t.score) for t in trials])
 
 
 def _equal_length_rows(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
@@ -174,7 +156,7 @@ def _best_splits(X: np.ndarray, rows: np.ndarray, yc: np.ndarray, start: np.ndar
     from that gain by rounding of at most about ``4 * n**1.5 * 2**-53 *
     base_sse`` on a node of n samples, measured at no more than 3.5e-15 *
     base_sse on the benchmark shapes.  For n <= 2**18 that is below a
-    sixteenth of ``CUT_MARGIN * base_sse``, so where no second dimension
+    sixteenth of the margin ``2**-20 * base_sse``, so where no second dimension
     lies within the margin of the best and the best does not lie within it
     of 1e-15, both gains make the same pick.  Only the other, contested
     nodes are re-scored; the rest take their best prefix gain as it is.
@@ -227,7 +209,7 @@ def _best_splits(X: np.ndarray, rows: np.ndarray, yc: np.ndarray, start: np.ndar
     has = ok.any(axis=2)
     gain = np.where(has, base_sse[:, None] - sse[node, dim, p], -np.inf)
     top = gain.max(axis=1)
-    margin = CUT_MARGIN * base_sse
+    margin = 2.0**-20 * base_sse
     near = has & (gain >= (top - margin)[:, None])
     unbounded = (has & ~np.isfinite(gain)).any(axis=1) | (count > 2**18)
     contested = (near.sum(axis=1) > 1) | (np.abs(top - 1e-15) <= margin) | unbounded
@@ -294,7 +276,7 @@ def _grow_trees(X: np.ndarray, y: np.ndarray, root: np.ndarray, config: ForestCo
             nodes = nodes[np.argsort(-count[nodes], kind="stable")]
             i = 0
             while i < nodes.size:
-                chunk = nodes[i : i + max(1, FIT_ELEMENT_BUDGET // (d * int(count[nodes[i]])))]
+                chunk = nodes[i : i + max(1, _FIT_ELEMENT_BUDGET // (d * int(count[nodes[i]])))]
                 dim[chunk], thr[chunk] = _best_splits(
                     X, rows, yc, start[chunk], count[chunk], base_sse[chunk], config.min_leaf
                 )
@@ -365,12 +347,14 @@ def fit_forest(trials: Sequence[TrialRecord], space: SearchSpace, config: Forest
     distinct = {candidate_key(space, t.values) for t in usable}
     if len(usable) < 2 or len(distinct) < 2:
         raise ImportanceError(f"need at least 2 usable trials with distinct candidates, have {len(distinct)}")
-    X, y = encode_trials(usable, space)
+    # the usable trials' points on the number line, as floats, and their scores
+    X = np.array([to_ordinal(space, t.values) for t in usable], dtype=float)
+    y = np.array([float(t.score) for t in usable])
     if np.ptp(y) == 0.0:
         raise ZeroVarianceError("scores carry no variance; weights undefined")
     # scores near float range overflow the split sums; their weights are refused later
     with np.errstate(over="ignore", invalid="ignore"):
-        trees = _grow_trees(X, y, root_box(space), config, rng.spawn(config.n_trees))
+        trees = _grow_trees(X, y, _root_box(space), config, rng.spawn(config.n_trees))
     return Forest(trees=tuple(trees))
 
 
@@ -427,7 +411,7 @@ def _tree_fractions(tree: TreeModel, root: np.ndarray, counting: np.ndarray) -> 
     # of every (leaf, axis) pair, leaf-major
     marginal = np.zeros(col.size)
     first_col, n_cov = left + seg_start, right - left  # (leaf, axis)
-    step = max(1, FIT_ELEMENT_BUDGET // col.size)
+    step = max(1, _FIT_ELEMENT_BUDGET // col.size)
     for first in range(0, n_leaves, step):
         blk = slice(first, first + step)
         n = n_cov[blk].ravel()
@@ -449,7 +433,7 @@ def main_effect_fractions(forest: Forest, space: SearchSpace) -> tuple[float, ..
     One main-effect share of total variance per dimension. The shares need
     not sum to 100; the remainder is interaction variance.
     """
-    root = root_box(space)
+    root = _root_box(space)
     counting = ordinal_bounds(space)[2]
     with np.errstate(over="ignore", invalid="ignore"):
         per_tree = [f for t in forest.trees if (f := _tree_fractions(t, root, counting)) is not None]
@@ -459,7 +443,7 @@ def main_effect_fractions(forest: Forest, space: SearchSpace) -> tuple[float, ..
 
 
 def weights_to_probabilities(weights: Sequence[float]) -> tuple[float, ...]:
-    """Map weights to change probabilities: p_i = w_i / max(w), floored at P_MIN.
+    """Map weights to change probabilities: p_i = w_i / max(w), floored at 0.01.
 
     The argmax dimension lands at exactly 1.0; every other probability stays
     positive so no dimension is permanently frozen.  The weights are
@@ -472,4 +456,4 @@ def weights_to_probabilities(weights: Sequence[float]) -> tuple[float, ...]:
     top = w.max()
     if top == 0.0:
         raise ImportanceError("all weights are zero; probabilities undefined")
-    return tuple(float(max(x / top, P_MIN)) for x in w)
+    return tuple(float(max(x / top, 0.01)) for x in w)

@@ -31,8 +31,8 @@ from typing import Any, Callable, Mapping, Sequence
 
 from .space import SearchSpace
 
-DEFAULT_TIMEOUT = 300.0
-TAIL_BYTES = 4096  # how much of the end of a scorer's stdout is read
+_DEFAULT_TIMEOUT = 300.0
+_TAIL_BYTES = 4096  # how much of the end of a scorer's stdout is read
 
 
 class ObjectiveError(ValueError):
@@ -56,7 +56,7 @@ class ObjectiveSpec:
     target: str  # builtin name or external command line
     params: tuple[tuple[str, str], ...] = ()
     direction: str = "minimize"
-    timeout: float = DEFAULT_TIMEOUT
+    timeout: float = _DEFAULT_TIMEOUT
     text: str = ""
 
 
@@ -85,7 +85,7 @@ def parse_objective_spec(text: str) -> ObjectiveSpec:
         raise ObjectiveError(f"objective spec {text!r} has an empty target")
     if kind == "external":
         try:
-            shlex.split(target)  # the split evaluate_external makes on every trial
+            shlex.split(target)  # the split _evaluate_external makes on every trial
         except ValueError as exc:  # an unclosed quote, or a backslash at the end
             raise ObjectiveError(f"external command {target!r} does not split into words: {exc}") from None
 
@@ -93,7 +93,7 @@ def parse_objective_spec(text: str) -> ObjectiveSpec:
     if direction not in ("minimize", "maximize"):
         raise ObjectiveError(f"direction must be minimize or maximize, got {direction!r}")
 
-    timeout = DEFAULT_TIMEOUT
+    timeout = _DEFAULT_TIMEOUT
     if kind == "external" and "timeout" in params:
         try:
             timeout = float(params.pop("timeout"))
@@ -102,8 +102,8 @@ def parse_objective_spec(text: str) -> ObjectiveSpec:
         if not timeout > 0:
             raise ObjectiveError("timeout must be positive")
 
-    if kind == "builtin" and target not in BUILTIN_NAMES:
-        raise ObjectiveError(f"no builtin named {target!r}; choose from {sorted(BUILTIN_NAMES)}")
+    if kind == "builtin" and target not in _BUILTIN_NAMES:
+        raise ObjectiveError(f"no builtin named {target!r}; choose from {sorted(_BUILTIN_NAMES)}")
     keys = OBJECTIVE_KEYS[target if kind == "builtin" else kind]
     if unread := sorted(params.keys() - keys):
         raise ObjectiveError(f"{kind} {target!r} takes only {' and '.join(keys)}, got {unread}")
@@ -160,20 +160,20 @@ def _sum(terms: list[float]) -> float:
     return 0.0 + _pairwise(terms)
 
 
-def sphere(x: Sequence[float]) -> float:
+def _sphere(x: Sequence[float]) -> float:
     return _sum([v * v for v in map(float, x)])
 
 
-def rastrigin(x: Sequence[float]) -> float:
+def _rastrigin(x: Sequence[float]) -> float:
     return 10.0 * len(x) + _sum([v * v - 10.0 * math.cos(_TWO_PI * v) for v in map(float, x)])
 
 
-def rosenbrock(x: Sequence[float]) -> float:
+def _rosenbrock(x: Sequence[float]) -> float:
     x = [float(v) for v in x]
     return _sum([100.0 * ((t := b - a * a) * t) + (u := 1.0 - a) * u for a, b in zip(x, x[1:])])
 
 
-def branin(x: Sequence[float]) -> float:
+def _branin(x: Sequence[float]) -> float:
     a = 1.0
     b = 5.1 / (4.0 * math.pi**2)
     c = 5.0 / math.pi
@@ -184,27 +184,27 @@ def branin(x: Sequence[float]) -> float:
     return a * math.pow(x1 - b * math.pow(x0, 2.0) + c * x0 - r, 2.0) + s * (1.0 - t) * math.cos(x0) + s
 
 
-def styblinski_tang(x: Sequence[float]) -> float:
+def _styblinski_tang(x: Sequence[float]) -> float:
     return 0.5 * _sum([math.pow(v, 4.0) - 16.0 * (v * v) + 5.0 * v for v in map(float, x)])
 
 
-def additive_component(z):
+def _additive_component(z):
     """Zero-mean, unit-variance transform of z ~ U[0, 1], a float or an array."""
     return math.sqrt(3.0) * (2.0 * z - 1.0)
 
 
-BUILTINS: dict[str, Callable[[Sequence[float]], float]] = {
-    "sphere": sphere,
-    "rastrigin": rastrigin,
-    "rosenbrock": rosenbrock,
-    "branin": branin,
-    "styblinski-tang": styblinski_tang,
+_BUILTINS: dict[str, Callable[[Sequence[float]], float]] = {
+    "sphere": _sphere,
+    "rastrigin": _rastrigin,
+    "rosenbrock": _rosenbrock,
+    "branin": _branin,
+    "styblinski-tang": _styblinski_tang,
 }
 # additive-anova is built by make_objective: it needs coefficients and bounds
-BUILTIN_NAMES = (*BUILTINS, "additive-anova")
+_BUILTIN_NAMES = (*_BUILTINS, "additive-anova")
 # the keys each objective reads, by builtin name or "external"
 OBJECTIVE_KEYS: dict[str, tuple[str, ...]] = {
-    **dict.fromkeys(BUILTINS, ("direction",)),
+    **dict.fromkeys(_BUILTINS, ("direction",)),
     "additive-anova": ("coeffs", "direction"),
     "external": ("timeout", "direction"),
 }
@@ -251,7 +251,7 @@ def make_objective(spec: ObjectiveSpec | str, space: SearchSpace) -> Objective:
 
     if spec.kind == "external":
         def fn(values: tuple, _spec=spec, _space=space) -> float:
-            return evaluate_external(_spec.target, values, _space, _spec.timeout)
+            return _evaluate_external(_spec.target, values, _space, _spec.timeout)
         return Objective(spec=spec, fn=fn)
 
     name = spec.target
@@ -273,9 +273,9 @@ def make_objective(spec: ObjectiveSpec | str, space: SearchSpace) -> Objective:
             raise ObjectiveError("additive-anova needs strictly positive ranges for normalization")
 
         def kernel(x: Sequence[float], _axes=tuple(zip(coeffs, lows, spans))) -> float:
-            return _sum([c * additive_component((v - lo) / span) for v, (c, lo, span) in zip(map(float, x), _axes)])
+            return _sum([c * _additive_component((v - lo) / span) for v, (c, lo, span) in zip(map(float, x), _axes)])
     else:
-        kernel = BUILTINS[name]
+        kernel = _BUILTINS[name]
 
     # a value beyond float range is the failed trial "non-finite value", not an exception
     def fn(values: tuple, _kernel=kernel) -> float:
@@ -287,7 +287,7 @@ def make_objective(spec: ObjectiveSpec | str, space: SearchSpace) -> Objective:
     return Objective(spec=spec, fn=fn)
 
 
-def format_argument(dim_kind: str, name: str, value: Any) -> str:
+def _format_argument(dim_kind: str, name: str, value: Any) -> str:
     """One name=value argument.  Integers render without a decimal point,
     reals with repr (round-trip exact), categoricals as plain strings."""
     if dim_kind == "int":
@@ -297,19 +297,19 @@ def format_argument(dim_kind: str, name: str, value: Any) -> str:
     return f"{name}={value}"
 
 
-def evaluate_external(command: str, values: tuple, space: SearchSpace, timeout: float) -> float:
+def _evaluate_external(command: str, values: tuple, space: SearchSpace, timeout: float) -> float:
     """Run an external scorer once.
 
     The command gets one name=value argument per dimension in space order.
     It must exit 0 with a decimal score as the last non-blank line of
     stdout, else ObjectiveFailure; a score such as "nan" is returned for
     Objective to refuse.  stdout goes to a temporary file whose last
-    TAIL_BYTES alone are read, as UTF-8 with replacement: a last line not
+    _TAIL_BYTES alone are read, as UTF-8 with replacement: a last line not
     wholly within them is unparseable output.  stderr is discarded.  When the
     command exits, times out or is interrupted, every process left in its
     session is killed.  The wait polls, so a trial can end ~50 ms late.
     """
-    argv = shlex.split(command) + [format_argument(d.kind, d.name, v) for d, v in zip(space.dimensions, values)]
+    argv = shlex.split(command) + [_format_argument(d.kind, d.name, v) for d, v in zip(space.dimensions, values)]
     with tempfile.TemporaryFile() as out:
         try:
             proc = subprocess.Popen(argv, stdout=out, stderr=subprocess.DEVNULL, start_new_session=True)
@@ -323,13 +323,13 @@ def evaluate_external(command: str, values: tuple, space: SearchSpace, timeout: 
             with contextlib.suppress(ProcessLookupError):  # the group is empty
                 os.killpg(proc.pid, signal.SIGKILL)  # an unreaped leader keeps its group alive; a reaped one's jobs do too
             proc.wait()
-        tail = os.pread(out.fileno(), TAIL_BYTES + 1, max(0, os.fstat(out.fileno()).st_size - TAIL_BYTES - 1))
+        tail = os.pread(out.fileno(), _TAIL_BYTES + 1, max(0, os.fstat(out.fileno()).st_size - _TAIL_BYTES - 1))
     if proc.returncode != 0:
         raise ObjectiveFailure(f"exit {proc.returncode}")
-    cut = len(tail) > TAIL_BYTES  # a byte more was read: the piece before the first line end may end a longer line
+    cut = len(tail) > _TAIL_BYTES  # a byte more was read: the piece before the first line end may end a longer line
     lines = [ln for ln in tail.decode("utf-8", "replace").splitlines()[cut:] if ln.strip()]
     if not lines:
-        raise ObjectiveFailure(f"unparseable output (no whole non-blank line in the last {TAIL_BYTES} bytes)" if cut else "no output")
+        raise ObjectiveFailure(f"unparseable output (no whole non-blank line in the last {_TAIL_BYTES} bytes)" if cut else "no output")
     try:
         return float(lines[-1].strip())
     except ValueError:

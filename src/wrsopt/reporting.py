@@ -27,10 +27,6 @@ import numpy as np
 from .space import SearchSpace, printable_name
 from .triallog import STRATEGIES, RunHeader, TrialRecord
 
-STRATEGY_ORDER = {name: i for i, name in enumerate(STRATEGIES)}
-
-CSV_COLUMNS = ("strategy", "best", "best_lastW", "mean", "mean_lastW", "sd", "sd_lastW")
-
 
 class ReportError(ValueError):
     """Summary or fit cannot be produced from the given log."""
@@ -155,10 +151,10 @@ def trend(records: Sequence[TrialRecord], degree: int) -> FitResult | None:
 
 
 def compare(reports: Sequence[RunReport]) -> tuple[RunReport, ...]:
-    """Order reports for side-by-side rendering."""
-    return tuple(
-        sorted(reports, key=lambda r: (STRATEGY_ORDER.get(r.strategy, len(STRATEGY_ORDER)), r.strategy, r.seed, r.source))
-    )
+    """Order reports for side-by-side rendering: by strategy in the order of
+    STRATEGIES, any other strategy after them, then by seed and source."""
+    order = {name: i for i, name in enumerate(STRATEGIES)}
+    return tuple(sorted(reports, key=lambda r: (order.get(r.strategy, len(order)), r.strategy, r.seed, r.source)))
 
 
 def _cell(x: float) -> str:
@@ -208,7 +204,7 @@ def _csv(rows: Sequence[Sequence[str]]) -> str:
 
 def render_table_csv(reports: Sequence[RunReport]) -> str:
     rows = [[r.strategy, *map(repr, (r.best, r.best_window, r.mean, r.mean_window, r.sd, r.sd_window))] for r in reports]
-    return _csv([CSV_COLUMNS, *rows])
+    return _csv([("strategy", "best", "best_lastW", "mean", "mean_lastW", "sd", "sd_lastW"), *rows])
 
 
 def render_report_text(report: RunReport, fit: FitResult | None) -> str:

@@ -96,9 +96,6 @@ class SobolSampler:
         pass
 
 
-NM_TOL = 1e-4  # share of a real axis's width within which the simplex has collapsed
-
-
 class NelderMeadSampler:
     """Downhill simplex (Nelder & Mead, 1965) as one generator behind ask/tell.
 
@@ -110,7 +107,7 @@ class NelderMeadSampler:
     maximized (the engine convention), so the simplex orders vertices by
     loss = -score.  The simplex has converged once every
     vertex emits the same value on each int and categorical axis and the
-    vertices lie within NM_TOL times the width of each real axis; the
+    vertices lie within 1e-4 times the width of each real axis; the
     sampler then reports convergence and keeps re-emitting the best vertex,
     which the engine's cache turns into zero-cost trials.
     """
@@ -129,8 +126,9 @@ class NelderMeadSampler:
         self.alpha, self.gamma, self.rho, self.sigma = alpha, gamma, rho, sigma
         low, high, self._discrete = ordinal_bounds(space)
         self._lo, self._hi = np.array(low, dtype=float), np.array(high, dtype=float)
-        # the vertex spread each axis allows at convergence: none once rounded
-        self._spread = np.where(self._discrete, 0.0, NM_TOL * (self._hi - self._lo))
+        # the vertex spread each axis allows at convergence: none once rounded,
+        # 1e-4 of the width of a real axis
+        self._spread = np.where(self._discrete, 0.0, 1e-4 * (self._hi - self._lo))
         d = len(space)
         base = self._lo + rng.random(d) * (self._hi - self._lo)
         vertices = [base]

@@ -48,7 +48,7 @@ _MINIT = (
 )
 
 
-def direction_matrix(dim: int) -> np.ndarray:
+def _direction_matrix(dim: int) -> np.ndarray:
     """Direction numbers as a (dim, BITS) int64 array, scaled to BITS bits,
     for 1 <= dim <= MAX_DIM, as RunConfig.validate ensures for a run."""
     v = np.zeros((dim, BITS), dtype=np.int64)
@@ -83,7 +83,7 @@ class SobolEngine:
 
     def __init__(self, dim: int, shift: Sequence[int] | None = None):
         # column k: direction number k of every axis
-        self._columns = [tuple(col) for col in direction_matrix(dim).T.tolist()]
+        self._columns = [tuple(col) for col in _direction_matrix(dim).T.tolist()]
         self._x = list(shift) if shift is not None else [0] * dim
         self._index = 0
         self.dim = dim

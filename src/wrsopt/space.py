@@ -285,7 +285,7 @@ def space_to_dict(space: SearchSpace) -> dict:
     return {"dimensions": [fields_to_dict(d) for d in space.dimensions]}
 
 
-def dimension_from_dict(d: dict) -> Dimension:
+def _dimension_from_dict(d: dict) -> Dimension:
     """The dimension an entry of exactly Dimension's fields declares; a
     missing name or kind reads as ""."""
     if not isinstance(d, dict):
@@ -301,7 +301,7 @@ def space_from_dict(payload: dict) -> SearchSpace:
     dims = payload["dimensions"]
     if not isinstance(dims, list):
         raise SpaceError("'dimensions' must be a list")
-    return SearchSpace(tuple(dimension_from_dict(d) for d in dims))
+    return SearchSpace(tuple(_dimension_from_dict(d) for d in dims))
 
 
 def _parse(text: str, path: str) -> Any:

@@ -43,10 +43,9 @@ from .space import (
 )
 from .sobol import BITS as SOBOL_BITS, MAX_DIM as SOBOL_MAX_DIM
 
-SCHEMA_VERSION = 1
+_SCHEMA_VERSION = 1
 # the strategies a run writes in its header, in the order compare lists them
 STRATEGIES = ("wrs", "rs", "sobol", "nelder-mead", "pso")
-VALID_STATUS = ("evaluated", "cached-hit", "failed")
 FAILED_SCORE = float("-inf")
 
 
@@ -218,7 +217,7 @@ class TrialRecord:
         ):
             for key, kind in _TRIAL_FIELDS:
                 _field(d, key, kind, where)
-        if status not in VALID_STATUS:
+        if status not in ("evaluated", "cached-hit", "failed"):
             raise LogError(f"{where}: unknown status {status!r}")
         return cls(iteration, tuple(values), score, phase, status, wall_time, error)
 
@@ -243,7 +242,7 @@ class RunHeader:
     options: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"schema": SCHEMA_VERSION, "kind": "header", **{key: getattr(self, key) for key, _ in _HEADER_FIELDS}}
+        return {"schema": _SCHEMA_VERSION, "kind": "header", **{key: getattr(self, key) for key, _ in _HEADER_FIELDS}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunHeader":
@@ -252,7 +251,7 @@ class RunHeader:
         if type(d) is not dict or d.get("kind") != "header":
             raise LogError("first line is not a header record")
         schema = d.get("schema")
-        if type(schema) is not int or schema != SCHEMA_VERSION:
+        if type(schema) is not int or schema != _SCHEMA_VERSION:
             raise LogError(f"unsupported log schema {schema!r}")
         return cls(**{key: _field(d, key, kind, "bad header record") for key, kind in _HEADER_FIELDS})
 
@@ -276,7 +275,7 @@ def _number(x: Any) -> str:
     return _encode(x)
 
 
-def record_line(rec: TrialRecord) -> str:
+def _record_line(rec: TrialRecord) -> str:
     """One trial's log line, without the newline.
 
     The text equals json.dumps(rec.to_dict(), ensure_ascii=False,
@@ -308,7 +307,7 @@ def write_log(path: str, header: RunHeader, records: Sequence[TrialRecord]) -> N
             # insertion order is the documented field order; -inf serializes as -Infinity
             fh.write(_encode(header.to_dict()) + "\n")
             for rec in records:
-                fh.write(record_line(rec) + "\n")
+                fh.write(_record_line(rec) + "\n")
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):  # the caller sees the first error

@@ -5,7 +5,7 @@ oracles.
 ``_fit_tree`` is the old per-node code with one change, the threshold rule
 for values one ulp apart, which the level-wise grower shares.
 ``_tree_fractions`` is the old code unchanged.  The tests compare each with
-its replacement byte for byte.
+its replacement byte for byte.  ``encode`` builds the samples both grow on.
 """
 
 from __future__ import annotations
@@ -13,6 +13,14 @@ from __future__ import annotations
 import numpy as np
 
 from wrsopt.importance import ForestConfig, TreeModel, _interval_mass
+from wrsopt.space import to_ordinal
+
+
+def encode(trials, space) -> tuple[np.ndarray, np.ndarray]:
+    """The samples fit_forest grows its trees on: each trial's point on the
+    number line, as floats, and its score."""
+    X = np.array([to_ordinal(space, t.values) for t in trials], dtype=float)
+    return X, np.array([float(t.score) for t in trials])
 
 
 def _fit_tree(X: np.ndarray, y: np.ndarray, root: np.ndarray, config: ForestConfig,

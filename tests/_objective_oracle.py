@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from wrsopt.sobol import BITS, direction_matrix
+from wrsopt.sobol import BITS, _direction_matrix
 
 
 def sphere(x: np.ndarray) -> float:
@@ -84,7 +84,7 @@ class SobolStream:
     points the sampler handed to value_at, as a float64 vector each."""
 
     def __init__(self, dim: int, shift: np.ndarray):
-        self._v = direction_matrix(dim)
+        self._v = _direction_matrix(dim)
         self._x = np.zeros(dim, dtype=np.int64)
         self._index = 0
         self._shift = shift

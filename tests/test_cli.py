@@ -12,7 +12,7 @@ import pytest
 
 from wrsopt.cli import main
 from wrsopt.engine import RunConfig, execute_run
-from wrsopt.objectives import BUILTIN_NAMES, make_objective
+from wrsopt.objectives import _BUILTIN_NAMES, make_objective
 from wrsopt.space import space_digest, space_from_dict
 from wrsopt.triallog import RunHeader, TrialRecord, read_log, record_fingerprint, write_log
 
@@ -330,7 +330,7 @@ class TestRunErrors:
     ]
 
     def test_the_keys_table_names_every_builtin(self):
-        assert sorted(target for kind, target, _, _ in self.KEYS_TABLE if kind == "builtin") == sorted(BUILTIN_NAMES)
+        assert sorted(target for kind, target, _, _ in self.KEYS_TABLE if kind == "builtin") == sorted(_BUILTIN_NAMES)
 
     @pytest.mark.parametrize("kind, target, keys, reads", KEYS_TABLE, ids=[row[1] if row[0] == "builtin" else row[0] for row in KEYS_TABLE])
     def test_each_objective_takes_exactly_its_keys(self, space_file, tmp_path, capsys, kind, target, keys, reads):

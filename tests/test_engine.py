@@ -12,7 +12,6 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 from wrsopt.engine import (
     AllTrialsFailedError,
     BestState,
-    ConfigError,
     RngBundle,
     RunConfig,
     RunResult,
@@ -22,11 +21,10 @@ from wrsopt.engine import (
     execute_run,
     fit_weights,
 )
-from wrsopt.importance import P_MIN
-from wrsopt.objectives import ObjectiveFailure
+from wrsopt.objectives import ObjectiveFailure, make_objective
 from wrsopt.samplers import NelderMeadSampler, PsoSampler, rs_step
 from wrsopt.space import Dimension, SearchSpace, SpaceError, candidate_key
-from wrsopt.triallog import FAILED_SCORE, LogError, RunHeader, TrialRecord, read_log, record_fingerprint, write_log
+from wrsopt.triallog import FAILED_SCORE, ConfigError, LogError, RunHeader, TrialRecord, read_log, record_fingerprint, write_log
 
 from _stream_oracle import spaces
 from _util import int_space, mixed_space, python_objective, real_space
@@ -374,6 +372,29 @@ class TestBudgets:
         assert [rec.values for rec in result.records] == asked
         assert result.header.options == {"sampler": {"swarm": swarm}}
 
+    @pytest.mark.parametrize(
+        "strategy,init,short,long",
+        [
+            *((strategy, 0, n, m) for strategy in ("rs", "sobol", "nelder-mead") for n, m in ((15, 40), (25, 60))),
+            ("pso", 0, 15, 40),  # the short run ends inside the first generation of 20
+            ("pso", 0, 45, 60),  # and past it
+            ("wrs", 0, 15, 40),  # no rs phase
+            ("wrs", 14, 15, 40),  # one weighted trial
+            ("wrs", 10, 25, 60),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_a_shorter_budget_is_a_prefix_of_the_longer_run(self, strategy, init, short, long, seed):
+        # same strategy, init, seed and settings: the run of budget N is the
+        # first N trials of the run of budget M > N
+        space = real_space(10)
+        a, b = (
+            execute_run(space, make_objective("builtin:rastrigin", space), RunConfig(strategy, budget, init, seed))
+            for budget in (short, long)
+        )
+        assert [record_fingerprint(r) for r in a.records] == [record_fingerprint(r) for r in b.records[:short]]
+        assert a.header.profile == b.header.profile
+
     def test_wrs_phase_tags(self):
         space = real_space(2)
         objective = python_objective(sphere_score)
@@ -499,7 +520,7 @@ class TestWrsProfile:
         profile = result.header.profile
         weights = profile["weights"]
         assert weights[0] > weights[1] > weights[2] > 0.0
-        assert profile["probs"] == [0.5, 1.0, max(weights[2] / weights[1], P_MIN)]
+        assert profile["probs"] == [0.5, 1.0, max(weights[2] / weights[1], 0.01)]
         assert result.warnings == [] and len(result.records) == 60
 
     def test_partial_override_leaving_only_zero_weights_falls_back_to_uniform(self):

@@ -15,11 +15,10 @@ from wrsopt import importance
 from wrsopt.importance import (
     ForestConfig,
     ImportanceError,
+    _root_box,
     _tree_fractions,
-    encode_trials,
     fit_forest,
     main_effect_fractions,
-    root_box,
     weights_to_probabilities,
 )
 from wrsopt.space import Dimension, SearchSpace, ordinal_bounds
@@ -49,8 +48,8 @@ def assert_same_trees(got, want):
 
 
 def oracle_forest(trials, space, config, rng):
-    X, y = encode_trials(trials, space)
-    return tuple(_forest_oracle._fit_tree(X, y, root_box(space), config, s) for s in rng.spawn(config.n_trees))
+    X, y = _forest_oracle.encode(trials, space)
+    return tuple(_forest_oracle._fit_tree(X, y, _root_box(space), config, s) for s in rng.spawn(config.n_trees))
 
 
 @st.composite
@@ -91,9 +90,9 @@ def test_levelwise_fit_equals_recursive_oracle(problem, seed, budget):
     if len({t.values for t in trials}) < 2 or len({t.score for t in trials}) < 2:
         return  # fit_forest refuses these before any tree is grown
     # small budgets split the nodes into chunks and the leaves into blocks
-    with mock.patch.object(importance, "FIT_ELEMENT_BUDGET", budget):
+    with mock.patch.object(importance, "_FIT_ELEMENT_BUDGET", budget):
         got = fit_forest(trials, space, config, np.random.default_rng(seed))
-        root, counting = root_box(space), ordinal_bounds(space)[2]
+        root, counting = _root_box(space), ordinal_bounds(space)[2]
         for tree in got.trees:
             shares = _tree_fractions(tree, root, counting)
             want = _forest_oracle._tree_fractions(tree, root, counting)
@@ -112,7 +111,7 @@ def test_every_share_is_non_negative_or_not_finite_and_refused(problem, seed, sc
         return  # fit_forest refuses these before any tree is grown
     trials = [replace(t, score=t.score * scale) for t in trials]
     forest = fit_forest(trials, space, config, np.random.default_rng(seed))
-    root, counting = root_box(space), ordinal_bounds(space)[2]
+    root, counting = _root_box(space), ordinal_bounds(space)[2]
     with np.errstate(over="ignore", invalid="ignore"):
         for tree in forest.trees:
             tree_shares = _tree_fractions(tree, root, counting)

@@ -13,11 +13,10 @@ from wrsopt.importance import (
     ImportanceError,
     ZeroVarianceError,
     _best_splits,
+    _root_box,
     _tree_fractions,
-    encode_trials,
     fit_forest,
     main_effect_fractions,
-    root_box,
     weights_to_probabilities,
 )
 from wrsopt.reporting import render_importance_csv, render_importance_text
@@ -145,8 +144,6 @@ class TestForestFitting:
         space = real_space(1, low=0.0, high=1.0)
         usable = make_trials(space, lambda v: v[0], 50, seed=3)
         failed = TrialRecord(iteration=51, values=(0.5,), score=float("-inf"), phase="rs", status="failed", wall_time=0.0, error="exit 1")
-        X, y = encode_trials(usable, space)
-        assert X.shape == (50, 1) and y.tolist() == [t.score for t in usable]
         config = ForestConfig(n_trees=2)
         got = fit_forest(usable + [failed], space, config, np.random.default_rng(0))
         want = fit_forest(usable, space, config, np.random.default_rng(0))
@@ -157,7 +154,7 @@ class TestForestFitting:
         # every tree grows in one pass, so a level's arrays hold n_trees * n
         # samples; on 2,000 trials of a 3-D additive-anova surface the
         # driver's peak RSS, taken in a child process of its own, rose by
-        # 9.2 MB, and by 104 MB with FIT_ELEMENT_BUDGET unbounded
+        # 9.2 MB, and by 104 MB with _FIT_ELEMENT_BUDGET unbounded
         driver = subprocess.run([
             sys.executable, "-c",
             "import math, resource; "
@@ -187,7 +184,7 @@ class TestForestFitting:
                 Dimension(name="c", kind="cat", values=("a", "b", "c")),
             )
         )
-        box = root_box(space)
+        box = _root_box(space)
         assert box.tolist() == [[3.0, 7.0], [-1.0, 2.0], [0.0, 3.0]]
 
 
@@ -236,9 +233,9 @@ class TestScoresNearFloatRange:
         space = int_space(1, low=0, high=1)
         config = ForestConfig(n_trees=1, bootstrap=False)
         tree = fit_forest(trials, space, config, np.random.default_rng(0)).trees[0]
-        X, y = encode_trials(trials, space)
+        X, y = _forest_oracle.encode(trials, space)
         with np.errstate(over="ignore", invalid="ignore"):
-            want = _forest_oracle._fit_tree(X, y, root_box(space), config, np.random.default_rng(0))
+            want = _forest_oracle._fit_tree(X, y, _root_box(space), config, np.random.default_rng(0))
         assert tree.leaf_boxes.tolist() == want.leaf_boxes.tolist() == [[[0.0, 0.5]], [[0.5, 2.0]]]
         assert tree.leaf_means.tobytes() == want.leaf_means.tobytes()
 
@@ -321,7 +318,7 @@ class TestMainEffects:
         space = SearchSpace((Dimension(name="x", kind="real", low=0.0, high=1.0), Dimension(name="n", kind="int", low=0, high=0)))
         trials = make_trials(space, lambda v: math.sin(9 * v[0]), 60, seed=3)
         forest = fit_forest(trials, space, ForestConfig(n_trees=10), np.random.default_rng(3))
-        root, counting = root_box(space), ordinal_bounds(space)[2]
+        root, counting = _root_box(space), ordinal_bounds(space)[2]
         shares = [_tree_fractions(tree, root, counting)[1] for tree in forest.trees]
         assert all(0.0 <= f < 1e-12 for f in shares) and 0.0 in shares
         assert 0.0 <= main_effect_fractions(forest, space)[1] < 1e-12
@@ -332,8 +329,8 @@ class TestMainEffects:
         # into many blocks; every block size adds in the per-leaf loop's order
         space, trials = SHAPES["anova"]()
         forest = fit_forest(trials, space, ForestConfig(), np.random.default_rng(200))
-        root, counting = root_box(space), ordinal_bounds(space)[2]
-        with mock.patch.object(importance, "FIT_ELEMENT_BUDGET", budget):
+        root, counting = _root_box(space), ordinal_bounds(space)[2]
+        with mock.patch.object(importance, "_FIT_ELEMENT_BUDGET", budget):
             for tree in forest.trees:
                 want = _forest_oracle._tree_fractions(tree, root, counting)
                 assert _tree_fractions(tree, root, counting).tobytes() == want.tobytes()

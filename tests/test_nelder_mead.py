@@ -4,11 +4,14 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from wrsopt.engine import RngBundle, RunConfig, execute_run
-from wrsopt.objectives import make_objective, sphere
-from wrsopt.samplers import NM_TOL, NelderMeadSampler
+from wrsopt.objectives import _sphere, make_objective
+from wrsopt.samplers import NelderMeadSampler
 from wrsopt.space import Dimension, SearchSpace, from_ordinal as emit_relaxed, validate_candidate
 
 from _util import int_space, mixed_space, real_space
+
+# the share of a real axis's width within which the simplex has collapsed (README)
+NM_TOL = 1e-4
 
 
 class StartAt:
@@ -130,7 +133,7 @@ def test_shrink_coefficient_is_configurable():
 def test_sphere_2d_converges_to_origin():
     space = real_space(2, low=-5, high=5)
     nm = NelderMeadSampler(space, StartAt(0.6, 0.6))  # first vertex (1, 1)
-    best, _ = drive(nm, lambda c: -sphere(np.asarray(c)), 200)
+    best, _ = drive(nm, lambda c: -_sphere(np.asarray(c)), 200)
     assert np.linalg.norm(best) < 1e-3
 
 
@@ -209,7 +212,7 @@ def test_no_new_candidate_after_convergence_on_a_real_space():
         if cand not in seen:
             seen.add(cand)
             new_after_convergence += nm.converged
-        nm.tell(-sphere(np.asarray(cand)))
+        nm.tell(-_sphere(np.asarray(cand)))
     assert nm.converged
     assert new_after_convergence == 0
 

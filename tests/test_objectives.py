@@ -11,18 +11,18 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from wrsopt.objectives import (
-    TAIL_BYTES,
+    _TAIL_BYTES,
     ObjectiveError,
     ObjectiveFailure,
-    additive_component,
-    branin,
-    evaluate_external,
+    _additive_component,
+    _branin,
+    _evaluate_external,
     make_objective,
     parse_objective_spec,
-    rastrigin,
-    rosenbrock,
-    sphere,
-    styblinski_tang,
+    _rastrigin,
+    _rosenbrock,
+    _sphere,
+    _styblinski_tang,
 )
 from wrsopt.engine import evaluate_with_cache
 from wrsopt.space import Dimension, SearchSpace
@@ -74,21 +74,21 @@ class TestSpecParsing:
 
 class TestBuiltins:
     def test_sphere_minimum_at_origin(self):
-        assert sphere(np.zeros(4)) == 0.0
-        assert sphere(np.array([1.0, 2.0])) == 5.0
+        assert _sphere(np.zeros(4)) == 0.0
+        assert _sphere(np.array([1.0, 2.0])) == 5.0
 
     def test_rastrigin_minimum_and_value(self):
-        assert rastrigin(np.zeros(10)) == pytest.approx(0.0, abs=1e-12)
+        assert _rastrigin(np.zeros(10)) == pytest.approx(0.0, abs=1e-12)
         # single coordinate at 1.0: 10 + 1 - 10*cos(2*pi) = 1
-        assert rastrigin(np.array([1.0])) == pytest.approx(1.0, abs=1e-9)
+        assert _rastrigin(np.array([1.0])) == pytest.approx(1.0, abs=1e-9)
 
     def test_rosenbrock_valley(self):
-        assert rosenbrock(np.ones(6)) == 0.0
-        assert rosenbrock(np.array([0.0, 0.0])) == 1.0
+        assert _rosenbrock(np.ones(6)) == 0.0
+        assert _rosenbrock(np.array([0.0, 0.0])) == 1.0
 
     def test_branin_symmetric_minima_agree(self):
-        left = branin(np.array([-math.pi, 12.275]))
-        right = branin(np.array([math.pi, 2.275]))
+        left = _branin(np.array([-math.pi, 12.275]))
+        right = _branin(np.array([math.pi, 2.275]))
         assert left == pytest.approx(right, abs=1e-9)
         assert left == pytest.approx(0.397887, abs=1e-5)
 
@@ -103,14 +103,14 @@ class TestBuiltins:
 
     def test_styblinski_tang_known_minimum(self):
         x = np.full(3, -2.903534)
-        assert styblinski_tang(x) == pytest.approx(-39.16617 * 3, abs=1e-3)
+        assert _styblinski_tang(x) == pytest.approx(-39.16617 * 3, abs=1e-3)
 
     def test_additive_component_standardized_by_quadrature(self):
         # zero mean, unit variance under z ~ U[0,1]
         t, w = np.polynomial.legendre.leggauss(64)
         z = (t + 1) / 2
         wts = w / 2
-        g = additive_component(z)
+        g = _additive_component(z)
         assert float(wts @ g) == pytest.approx(0.0, abs=1e-12)
         assert float(wts @ g**2) == pytest.approx(1.0, abs=1e-12)
 
@@ -119,7 +119,7 @@ class TestBuiltins:
         t, w = np.polynomial.legendre.leggauss(48)
         z = (t + 1) / 2
         wts = w / 2
-        f = 3.0 * additive_component(z)[:, None] + 1.0 * additive_component(z)[None, :]
+        f = 3.0 * _additive_component(z)[:, None] + 1.0 * _additive_component(z)[None, :]
         w2 = wts[:, None] * wts[None, :]
         mean = float((w2 * f).sum())
         var = float((w2 * f**2).sum()) - mean**2
@@ -236,7 +236,7 @@ class TestExternalProtocol:
     def test_echo_score(self):
         space = int_space(1)
         cmd = f"{sys.executable} -c " + '"print(0.5)"'
-        assert evaluate_external(cmd, (3,), space, timeout=30) == 0.5
+        assert _evaluate_external(cmd, (3,), space, timeout=30) == 0.5
 
     def test_arguments_reconstruct_candidate_exactly(self, tmp_path):
         script = tmp_path / "echo_args.py"
@@ -255,32 +255,32 @@ class TestExternalProtocol:
                 Dimension(name="c", kind="cat", values=("relu", "tanh")),
             )
         )
-        score = evaluate_external(f"{sys.executable} {script}", (7, 0.1 + 0.2, "tanh"), space, timeout=30)
+        score = _evaluate_external(f"{sys.executable} {script}", (7, 0.1 + 0.2, "tanh"), space, timeout=30)
         assert score == 1.0
 
     def test_last_stdout_line_wins(self):
         space = int_space(1)
         cmd = f"{sys.executable} -c " + "\"print('log line'); print(0.25)\""
-        assert evaluate_external(cmd, (1,), space, timeout=30) == 0.25
+        assert _evaluate_external(cmd, (1,), space, timeout=30) == 0.25
 
     def test_nonzero_exit_fails(self):
         space = int_space(1)
         cmd = f"{sys.executable} -c " + '"raise SystemExit(3)"'
         with pytest.raises(ObjectiveFailure, match="exit 3"):
-            evaluate_external(cmd, (1,), space, timeout=30)
+            _evaluate_external(cmd, (1,), space, timeout=30)
 
     def test_timeout_fails_with_token(self):
         space = int_space(1)
         cmd = f"{sys.executable} -c " + '"import time; time.sleep(30)"'
         with pytest.raises(ObjectiveFailure, match="timeout"):
-            evaluate_external(cmd, (1,), space, timeout=0.5)
+            _evaluate_external(cmd, (1,), space, timeout=0.5)
 
     def test_timeout_kills_the_whole_process_group(self, tmp_path):
         marker = tmp_path / "marker"
         script = tmp_path / "wrapper.sh"
         script.write_text(f"(sleep 1; touch {shlex.quote(str(marker))}) &\nsleep 30\n")
         with pytest.raises(ObjectiveFailure, match="timeout"):
-            evaluate_external(f"sh {shlex.quote(str(script))}", (1,), int_space(1), timeout=0.3)
+            _evaluate_external(f"sh {shlex.quote(str(script))}", (1,), int_space(1), timeout=0.3)
         time.sleep(1.5)
         assert not marker.exists()
 
@@ -293,10 +293,10 @@ class TestExternalProtocol:
             sys.executable, "-c",
             # the default handler, even when this suite runs with SIGINT ignored
             "import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); "
-            "from wrsopt.objectives import evaluate_external; "
+            "from wrsopt.objectives import _evaluate_external; "
             "from wrsopt.space import Dimension, SearchSpace; "
             "space = SearchSpace((Dimension(name='n', kind='int', low=0, high=1),)); "
-            "evaluate_external(sys.argv[1], (0,), space, timeout=30)",
+            "_evaluate_external(sys.argv[1], (0,), space, timeout=30)",
             command,
         ], stderr=subprocess.DEVNULL)
         deadline = time.monotonic() + 10
@@ -315,11 +315,11 @@ class TestExternalProtocol:
         driver = subprocess.run([
             sys.executable, "-c",
             "import resource, sys; "
-            "from wrsopt.objectives import evaluate_external; "
+            "from wrsopt.objectives import _evaluate_external; "
             "from wrsopt.space import Dimension, SearchSpace; "
             "space = SearchSpace((Dimension(name='n', kind='int', low=0, high=1),)); "
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
-            "score = evaluate_external(sys.argv[1], (0,), space, timeout=60); "
+            "score = _evaluate_external(sys.argv[1], (0,), space, timeout=60); "
             "print(score, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)",
             command,
         ], capture_output=True, text=True, timeout=120, check=True)
@@ -333,11 +333,11 @@ class TestExternalProtocol:
         driver = subprocess.run([
             sys.executable, "-c",
             "import resource, sys; "
-            "from wrsopt.objectives import evaluate_external; "
+            "from wrsopt.objectives import _evaluate_external; "
             "from wrsopt.space import Dimension, SearchSpace; "
             "space = SearchSpace((Dimension(name='n', kind='int', low=0, high=1),)); "
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
-            "score = evaluate_external(sys.argv[1], (0,), space, timeout=60); "
+            "score = _evaluate_external(sys.argv[1], (0,), space, timeout=60); "
             "print(score, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)",
             command,
         ], capture_output=True, text=True, timeout=120, check=True)
@@ -350,7 +350,7 @@ class TestExternalProtocol:
         marker = tmp_path / "marker"
         command = f"sh -c '(sleep 2; touch {shlex.quote(str(marker))}) & echo 0.5'"
         start = time.monotonic()
-        assert evaluate_external(command, (1,), int_space(1), timeout=5) == 0.5
+        assert _evaluate_external(command, (1,), int_space(1), timeout=5) == 0.5
         assert time.monotonic() - start < 1
         time.sleep(2.5)
         assert not marker.exists()
@@ -359,26 +359,26 @@ class TestExternalProtocol:
         space = int_space(1)
         cmd = f"{sys.executable} -c " + "\"print('accuracy great')\""
         with pytest.raises(ObjectiveFailure, match="unparseable"):
-            evaluate_external(cmd, (1,), space, timeout=30)
+            _evaluate_external(cmd, (1,), space, timeout=30)
 
     def test_output_that_is_not_utf8_is_decoded_with_replacement(self):
         space = int_space(1)
         cmd = f"{sys.executable} -c " + '"import sys; sys.stdout.buffer.write(b\'\\xff\\n0.5\\n\')"'
-        assert evaluate_external(cmd, (1,), space, timeout=30) == 0.5
+        assert _evaluate_external(cmd, (1,), space, timeout=30) == 0.5
 
     def test_a_line_that_is_not_utf8_is_unparseable_output(self):
         space = int_space(1)
         cmd = f"{sys.executable} -c " + '"import sys; sys.stdout.buffer.write(b\'\\xff\\n\')"'
         with pytest.raises(ObjectiveFailure, match="^unparseable output '\ufffd'$"):
-            evaluate_external(cmd, (1,), space, timeout=30)
+            _evaluate_external(cmd, (1,), space, timeout=30)
 
     def test_command_that_cannot_be_spawned_fails(self, tmp_path):
         with pytest.raises(ObjectiveFailure, match="^spawn failed: "):
-            evaluate_external(shlex.quote(str(tmp_path / "no-such-command")), (1,), int_space(1), timeout=30)
+            _evaluate_external(shlex.quote(str(tmp_path / "no-such-command")), (1,), int_space(1), timeout=30)
 
     @pytest.mark.parametrize("printed", ["nan", "inf", "-inf"])
     def test_a_non_finite_score_is_a_failed_trial(self, printed):
-        # evaluate_external passes the parsed value on; Objective refuses it
+        # _evaluate_external passes the parsed value on; Objective refuses it
         space = int_space(1)
         objective = make_objective(f"external:{shlex.quote(sys.executable)} -c \"print('{printed}')\"", space)
         record = evaluate_with_cache(objective, space, (1,), {}, 1, "rs")
@@ -388,7 +388,7 @@ class TestExternalProtocol:
         space = int_space(1)
         cmd = f"{sys.executable} -c " + '"pass"'
         with pytest.raises(ObjectiveFailure, match="no output"):
-            evaluate_external(cmd, (1,), space, timeout=30)
+            _evaluate_external(cmd, (1,), space, timeout=30)
 
 
 # the pieces of a scorer's stdout for the window test: none of them holds a
@@ -402,7 +402,7 @@ _PIECES = st.one_of(
     st.floats(allow_nan=False).map(lambda x: repr(x).encode()),
     st.lists(st.sampled_from(_NOT_UTF8), min_size=1, max_size=3).map(bytes),
     # a run as long as a window: of digits it is a number, and so is any tail of it
-    st.tuples(st.sampled_from(["0", "x", " ", "\u00e9"]), st.integers(1, TAIL_BYTES + 8)).map(lambda t: (t[0] * t[1]).encode()),
+    st.tuples(st.sampled_from(["0", "x", " ", "\u00e9"]), st.integers(1, _TAIL_BYTES + 8)).map(lambda t: (t[0] * t[1]).encode()),
 )
 _LINES = st.lists(st.tuples(st.lists(_PIECES, max_size=3).map(b"".join), st.sampled_from([b"\n", b"\r\n", b"\r"])), min_size=1, max_size=8)
 
@@ -417,25 +417,25 @@ def _outcome(fn):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(lines=_LINES, unterminated=st.booleans())
 # the last line takes up the window exactly, and one byte more
-@example(lines=[(b"0.5", b"\n"), (b"1" * (TAIL_BYTES - 1), b"\n")], unterminated=False)
-@example(lines=[(b"0.5", b"\n"), (b"1" * TAIL_BYTES, b"\n")], unterminated=False)
-@example(lines=[(b"0.5", b"\r\n"), (b"1" * TAIL_BYTES, b"")], unterminated=True)
+@example(lines=[(b"0.5", b"\n"), (b"1" * (_TAIL_BYTES - 1), b"\n")], unterminated=False)
+@example(lines=[(b"0.5", b"\n"), (b"1" * _TAIL_BYTES, b"\n")], unterminated=False)
+@example(lines=[(b"0.5", b"\r\n"), (b"1" * _TAIL_BYTES, b"")], unterminated=True)
 # a score above a window of blank lines
-@example(lines=[(b"0.5", b"\n"), (b"", b"\r\n" * (TAIL_BYTES // 2))], unterminated=False)
+@example(lines=[(b"0.5", b"\n"), (b"", b"\r\n" * (_TAIL_BYTES // 2))], unterminated=False)
 def test_only_a_last_line_within_the_window_is_read(tmp_path_factory, lines, unterminated):
     if unterminated:
         lines = [*lines[:-1], (lines[-1][0], b"")]
     data = b"".join(content + end for content, end in lines)
-    assume(len(data) <= 3 * TAIL_BYTES)
+    assume(len(data) <= 3 * _TAIL_BYTES)
     path = tmp_path_factory.mktemp("out") / "stdout"
     path.write_bytes(data)
     command = "sh -c " + shlex.quote("cat " + shlex.quote(str(path)))
-    got = _outcome(lambda: evaluate_external(command, (1,), int_space(1), timeout=30))
+    got = _outcome(lambda: _evaluate_external(command, (1,), int_space(1), timeout=30))
 
     # no piece ends a line, so each non-blank drawn line is one non-blank line of the text
     starts = np.cumsum([0] + [len(content + end) for content, end in lines])[:-1]
     nonblank = [start for start, (content, _) in zip(starts, lines) if content.decode("utf-8", "replace").strip()]
-    if len(data) <= TAIL_BYTES or (nonblank and nonblank[-1] >= len(data) - TAIL_BYTES):
+    if len(data) <= _TAIL_BYTES or (nonblank and nonblank[-1] >= len(data) - _TAIL_BYTES):
         # the whole-output rule: the last non-blank line of the text as a float
         text_lines = [ln for ln in data.decode("utf-8", "replace").splitlines() if ln.strip()]
         if not text_lines:
@@ -447,4 +447,4 @@ def test_only_a_last_line_within_the_window_is_read(tmp_path_factory, lines, unt
             want = ("failed", f"unparseable output {text_lines[-1].strip()!r}")
         assert got == want
     else:
-        assert got == ("failed", f"unparseable output (no whole non-blank line in the last {TAIL_BYTES} bytes)")
+        assert got == ("failed", f"unparseable output (no whole non-blank line in the last {_TAIL_BYTES} bytes)")

@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from wrsopt.objectives import sphere
+from wrsopt.objectives import _sphere
 from wrsopt.samplers import PsoSampler
 from wrsopt.space import ordinal_bounds, validate_candidate
 
@@ -68,7 +68,7 @@ def test_sphere_5d_reference_performance():
         pso = PsoSampler(space, np.random.default_rng(seed), swarm=20)
         best = np.inf
         for _ in range(100 * 20):
-            f = sphere(np.asarray(pso.ask()))
+            f = _sphere(np.asarray(pso.ask()))
             best = min(best, f)
             pso.tell(-f)  # engine convention: maximize
         bests.append(best)

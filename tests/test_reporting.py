@@ -8,7 +8,6 @@ import pytest
 from wrsopt import reporting
 from wrsopt.cli import main
 from wrsopt.reporting import (
-    CSV_COLUMNS,
     FitResult,
     ReportError,
     compare,
@@ -21,6 +20,9 @@ from wrsopt.reporting import (
     trend,
 )
 from wrsopt.triallog import RunHeader, TrialRecord
+
+# the CSV columns of compare, as README lists them
+CSV_COLUMNS = ("strategy", "best", "best_lastW", "mean", "mean_lastW", "sd", "sd_lastW")
 
 
 def evaluate(fit_dict, x):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wrsopt.importance import root_box
+from wrsopt.importance import _root_box
 from wrsopt.space import (
     Dimension,
     SearchSpace,
@@ -388,7 +388,7 @@ def test_space_from_dict_raises_only_space_error(entries):
     assert isinstance(space, SearchSpace)
     # a space it accepts can be sampled and boxed for the importance fit
     validate_candidate(space, space.sample(np.random.default_rng(0)))
-    assert np.isfinite(root_box(space)).all()
+    assert np.isfinite(_root_box(space)).all()
 
 
 @pytest.mark.parametrize("bounds", [(0, 10**400), (-(10**400), 0), (-(10**308), 10**308)])
@@ -470,4 +470,4 @@ def test_a_candidate_survives_the_number_line(case):
 def test_root_box_adds_the_counting_edge_in_python_ints():
     # float(2**53 + 1) + 1.0 rounds to 2**53; the edge is float(2**53 + 2)
     space = SearchSpace((Dimension(name="n", kind="int", low=0, high=2**53 + 1),))
-    assert root_box(space).tolist() == [[0.0, 2.0**53 + 2]]
+    assert _root_box(space).tolist() == [[0.0, 2.0**53 + 2]]

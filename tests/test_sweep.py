@@ -28,10 +28,10 @@ import yaml
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from wrsopt import cli
-from wrsopt.engine import STRATEGIES, ConfigError, RunConfig
+from wrsopt.engine import RunConfig
 from wrsopt.objectives import ObjectiveFailure
 from wrsopt.space import Dimension, SearchSpace, SpaceError, load_space, space_to_dict, validate_candidate
-from wrsopt.triallog import read_log
+from wrsopt.triallog import STRATEGIES, ConfigError, read_log
 
 from _util import python_objective
 

@@ -19,13 +19,12 @@ from wrsopt.space import (
     values_in_dimension,
 )
 from wrsopt.triallog import (
-    SCHEMA_VERSION,
     LogError,
     RunHeader,
     TrialRecord,
+    _record_line,
     read_log,
     record_fingerprint,
-    record_line,
     write_log,
 )
 
@@ -70,7 +69,7 @@ class TestRoundTrip:
         write_log(path, make_header(), make_records(3))
         first = json.loads(Path(path).read_text().splitlines()[0])
         assert first["kind"] == "header"
-        assert first["schema"] == SCHEMA_VERSION
+        assert first["schema"] == 1
 
     def test_failed_trial_score_serializes_as_minus_infinity(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
@@ -258,7 +257,7 @@ class TestValidation:
         header = make_header(budget=1).to_dict()
         del header["profile"]
         path = tmp_path / "run.jsonl"
-        path.write_text(json.dumps(header) + "\n" + record_line(make_records(1)[0]) + "\n")
+        path.write_text(json.dumps(header) + "\n" + _record_line(make_records(1)[0]) + "\n")
         assert read_log(str(path))[0].profile is None
 
 
@@ -333,7 +332,7 @@ def test_a_header_space_entry_names_its_fault(tmp_path, entry, message):
     header = make_header(budget=1).to_dict()
     header["space"] = {"dimensions": [entry]}
     path = tmp_path / "run.jsonl"
-    path.write_text(json.dumps(header) + "\n" + record_line(make_records(1)[0]) + "\n")
+    path.write_text(json.dumps(header) + "\n" + _record_line(make_records(1)[0]) + "\n")
     with pytest.raises(LogError, match=re.escape(f"run.jsonl: header space does not parse: {message}") + "$"):
         read_log(str(path))
 
@@ -497,7 +496,7 @@ _values = st.one_of(_ints, _floats, st.booleans(), st.none(), _texts, _floats.ma
 )
 def test_record_line_is_byte_identical_to_json_dumps(iteration, values, score, phase, status, wall_time, error):
     rec = TrialRecord(iteration, values, score, phase, status, wall_time, error)
-    assert record_line(rec) == json.dumps(rec.to_dict(), **_json_dumps_kwargs)
+    assert _record_line(rec) == json.dumps(rec.to_dict(), **_json_dumps_kwargs)
 
 
 def test_record_line_covers_each_value_type():
@@ -510,9 +509,9 @@ def test_record_line_covers_each_value_type():
         wall_time=1e-7,
         error='exit "2"',
     )
-    assert record_line(rec) == json.dumps(rec.to_dict(), **_json_dumps_kwargs)
+    assert _record_line(rec) == json.dumps(rec.to_dict(), **_json_dumps_kwargs)
     plain = TrialRecord(iteration=1, values=(-0.0, 1e16, 3, 0.1 + 0.2), score=2.0, phase="rs", status="evaluated", wall_time=0.5)
-    assert record_line(plain) == json.dumps(plain.to_dict(), **_json_dumps_kwargs)
+    assert _record_line(plain) == json.dumps(plain.to_dict(), **_json_dumps_kwargs)
 
 
 def _edge_dimension(i: int, draw) -> Dimension:
