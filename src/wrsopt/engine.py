@@ -103,7 +103,7 @@ def evaluate_with_cache(
     objective.
     """
     key = candidate_key(space, values)
-    start = time.perf_counter()
+    start = time.perf_counter_ns()
     hit = cache.get(key)
     if hit is not None:
         (score, error), status = hit, "cached-hit"
@@ -113,7 +113,8 @@ def evaluate_with_cache(
         except ObjectiveFailure as exc:
             score, status, error = FAILED_SCORE, "failed", exc.reason
         cache[key] = (score, error)
-    return TrialRecord(iteration, key, score, phase, status, time.perf_counter() - start, error)
+    # a whole number of nanoseconds, in seconds: no float-subtraction noise in the log
+    return TrialRecord(iteration, key, score, phase, status, (time.perf_counter_ns() - start) / 1e9, error)
 
 
 @dataclass

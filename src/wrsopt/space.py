@@ -274,15 +274,15 @@ def candidate_key(space: SearchSpace, values: Sequence[Any]) -> tuple:
     return tuple(values)
 
 
-def fields_to_dict(obj: Any) -> dict:
+def _fields_to_dict(obj: Any) -> dict:
     """The fields of a dataclass instance in declaration order, tuples as
     lists, those that are None left out: a dimension's entry in a space
-    file and a trial's line in a log."""
+    file."""
     return {f.name: list(v) if type(v) is tuple else v for f in fields(obj) if (v := getattr(obj, f.name)) is not None}
 
 
 def space_to_dict(space: SearchSpace) -> dict:
-    return {"dimensions": [fields_to_dict(d) for d in space.dimensions]}
+    return {"dimensions": [_fields_to_dict(d) for d in space.dimensions]}
 
 
 def _dimension_from_dict(d: dict) -> Dimension:

@@ -30,12 +30,12 @@ import numbers
 import os
 import sys
 from dataclasses import dataclass, field, fields
+from json.encoder import c_make_encoder, encode_basestring
 from typing import Any, Sequence, get_type_hints
 
 from .space import (
     SearchSpace,
     SpaceError,
-    fields_to_dict,
     space_digest,
     space_from_dict,
     validate_candidate,
@@ -192,8 +192,16 @@ class TrialRecord:
     wall_time: float
     error: str | None = None
 
-    # the fields in declaration order, values as a list, error only when set
-    to_dict = fields_to_dict
+    def to_dict(self) -> dict:
+        """The fields in declaration order, values as a list, error only
+        when set."""
+        d = {
+            "iteration": self.iteration, "values": list(self.values), "score": self.score,
+            "phase": self.phase, "status": self.status, "wall_time": self.wall_time,
+        }
+        if self.error is not None:
+            d["error"] = self.error
+        return d
 
     @property
     def failed(self) -> bool:
@@ -262,39 +270,24 @@ _TRIAL_FIELDS = _field_table(TrialRecord)
 _HEADER_FIELDS = _field_table(RunHeader)
 
 
-# One encoder for every line.  json.dumps with non-default arguments builds a
-# new JSONEncoder on each call; these are the arguments the log format fixes.
-_encode = json.JSONEncoder(ensure_ascii=False, separators=(", ", ": ")).encode
+# The one encoder of every line, built once: the encoder that
+# json.dumps(d, ensure_ascii=False, separators=(", ", ": ")) builds on each
+# call, less its check for circular references, which no line holds.  It
+# spells -inf as -Infinity.  Without json's C accelerator it is the same
+# encoder in pure Python.
+if c_make_encoder is None:
+    _line = json.JSONEncoder(ensure_ascii=False, separators=(", ", ": ")).encode
+else:
+    _chunks = c_make_encoder(None, json.JSONEncoder().default, encode_basestring, None, ": ", ", ", False, False, True)
 
-
-def _number(x: Any) -> str:
-    """x as JSON: repr for an exact int or finite float, else the encoder
-    (bools, numpy scalars and +-inf/nan, which repr would spell differently)."""
-    if type(x) is int or (type(x) is float and math.isfinite(x)):
-        return repr(x)
-    return _encode(x)
+    def _line(d: dict) -> str:
+        """d as one line of JSON, without the newline."""
+        return "".join(_chunks(d, 0))
 
 
 def _record_line(rec: TrialRecord) -> str:
-    """One trial's log line, without the newline.
-
-    The text equals json.dumps(rec.to_dict(), ensure_ascii=False,
-    separators=(", ", ": ")), built field by field: the value list is its
-    repr when every value is an exact int or a finite float, where Python
-    and JSON spell numbers alike, and goes through the encoder otherwise.
-    """
-    values = rec.values
-    if all(type(v) is int or (type(v) is float and math.isfinite(v)) for v in values):
-        values_text = repr(list(values))
-    else:
-        values_text = _encode(list(values))
-    line = (
-        f'{{"iteration": {_number(rec.iteration)}, "values": {values_text}, "score": {_number(rec.score)}, '
-        f'"phase": {_encode(rec.phase)}, "status": {_encode(rec.status)}, "wall_time": {_number(rec.wall_time)}'
-    )
-    if rec.error is not None:
-        line += f', "error": {_encode(rec.error)}'
-    return line + "}"
+    """One trial's log line, without the newline."""
+    return _line(rec.to_dict())
 
 
 def write_log(path: str, header: RunHeader, records: Sequence[TrialRecord]) -> None:
@@ -304,8 +297,8 @@ def write_log(path: str, header: RunHeader, records: Sequence[TrialRecord]) -> N
     fh = open(tmp, "w", encoding="utf-8")
     try:
         with fh:
-            # insertion order is the documented field order; -inf serializes as -Infinity
-            fh.write(_encode(header.to_dict()) + "\n")
+            # insertion order is the documented field order
+            fh.write(_line(header.to_dict()) + "\n")
             for rec in records:
                 fh.write(_record_line(rec) + "\n")
         os.replace(tmp, path)

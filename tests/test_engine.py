@@ -320,6 +320,14 @@ class TestCache:
         assert statuses == ["evaluated", "evaluated", "evaluated", "cached-hit"]
         assert len(cache) == 3 and objective.calls == 3
 
+    def test_wall_time_is_a_whole_number_of_nanoseconds(self):
+        # the trial clock counts nanoseconds, and wall_time is that count in
+        # seconds, with no noise from subtracting two float clock readings
+        space = int_space(2, low=0, high=3)
+        result = execute_run(space, python_objective(sphere_score), RunConfig(strategy="rs", budget=40, seed=1))
+        assert {r.status for r in result.records} == {"evaluated", "cached-hit"}
+        assert [w for w in (r.wall_time for r in result.records) if w != round(w * 1e9) / 1e9] == []
+
 
 class TestBudgets:
     @pytest.mark.parametrize(
