@@ -30,7 +30,6 @@ import numbers
 import os
 import sys
 from dataclasses import dataclass, field, fields
-from json.encoder import c_make_encoder, encode_basestring
 from typing import Any, Sequence, get_type_hints
 
 from .space import (
@@ -270,19 +269,10 @@ _TRIAL_FIELDS = _field_table(TrialRecord)
 _HEADER_FIELDS = _field_table(RunHeader)
 
 
-# The one encoder of every line, built once: the encoder that
-# json.dumps(d, ensure_ascii=False, separators=(", ", ": ")) builds on each
-# call, less its check for circular references, which no line holds.  It
-# spells -inf as -Infinity.  Without json's C accelerator it is the same
-# encoder in pure Python.
-if c_make_encoder is None:
-    _line = json.JSONEncoder(ensure_ascii=False, separators=(", ", ": ")).encode
-else:
-    _chunks = c_make_encoder(None, json.JSONEncoder().default, encode_basestring, None, ": ", ", ", False, False, True)
-
-    def _line(d: dict) -> str:
-        """d as one line of JSON, without the newline."""
-        return "".join(_chunks(d, 0))
+# The one encoder of every line, built once: _line(d) is
+# json.dumps(d, ensure_ascii=False, separators=(", ", ": ")), which spells
+# -inf as -Infinity.
+_line = json.JSONEncoder(ensure_ascii=False, separators=(", ", ": ")).encode
 
 
 def _record_line(rec: TrialRecord) -> str:

@@ -1,9 +1,6 @@
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -12,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import wrsopt
 from wrsopt.space import (
     Dimension,
     SearchSpace,
@@ -526,33 +522,6 @@ def test_to_dict_keeps_declaration_order():
     assert list(failed.to_dict()) == names
     ok = TrialRecord(iteration=2, values=(0.5,), score=1.0, phase="rs", status="evaluated", wall_time=0.0)
     assert list(ok.to_dict()) == [n for n in names if n != "error"]
-
-
-# a failed -Infinity trial with an error, a bool, a None, non-ASCII
-# categoricals and int scores, as source both interpreters evaluate
-_FIXED_RECORDS = r"""[
-    TrialRecord(1, ("relu", 0.5), float("-inf"), "rs", "failed", 0.25, 'exit "3"\n'),
-    TrialRecord(2, (True, None), 0.1 + 0.2, "rs", "evaluated", 1e-07),
-    TrialRecord(3, ("g\u00e9lu", 3), 7, "rs", "evaluated", 0.0),
-    TrialRecord(4, ("\u4e2d\U0001f600", -0.0), 2**70, "rs", "cached-hit", 1.5),
-]"""
-
-
-def test_the_fallback_encoder_writes_the_same_bytes(tmp_path):
-    # without json's C accelerator, the pure-Python encoder writes the log
-    header = make_header(budget=4)
-    script = (
-        "import json.encoder, sys\n"
-        "json.encoder.c_make_encoder = None\n"
-        "from wrsopt.triallog import RunHeader, TrialRecord, _line, write_log\n"
-        "assert isinstance(_line.__self__, json.encoder.JSONEncoder)\n"
-        f"write_log(sys.argv[1], {header!r}, {_FIXED_RECORDS})\n"
-    )
-    src = str(Path(wrsopt.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    subprocess.run([sys.executable, "-c", script, str(tmp_path / "py.jsonl")], env=env, timeout=60, check=True)
-    write_log(str(tmp_path / "c.jsonl"), header, eval(_FIXED_RECORDS))
-    assert (tmp_path / "py.jsonl").read_bytes() == (tmp_path / "c.jsonl").read_bytes()
 
 
 def _edge_dimension(i: int, draw) -> Dimension:
