@@ -21,7 +21,6 @@ from .engine import AllTrialsFailedError, EngineError, RunConfig, execute_run, f
 from .importance import ImportanceError, weights_to_probabilities
 from .objectives import ObjectiveError, make_objective
 from .reporting import (
-    ReportError,
     compare,
     fit_to_dict,
     render_importance_csv,
@@ -203,7 +202,7 @@ def _cmd_importance(args: argparse.Namespace) -> int:
 
 # any other exception is a bug and keeps its traceback
 _USER_ERRORS = (SpaceError, ObjectiveError, ConfigError)
-_RUNTIME_ERRORS = (EngineError, LogError, ReportError, ImportanceError, _WriteError)
+_RUNTIME_ERRORS = (EngineError, LogError, ImportanceError, _WriteError)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -8,10 +8,10 @@ are computed over all trials and, in parentheses, over the trailing window
 are excluded from the statistics but keep their place in iteration indexing;
 the exclusion count is reported.
 
-The one caller is cli, after its argument parser, so nothing here checks
-its arguments again: a window is at least 1, a degree is not negative and
-compare gets at least one report.  What is refused is what a log can cause:
-one without a successful trial, an empty one included.
+The one caller is cli, after its argument parser and after read_log or
+execute_run, so nothing here checks its arguments again: a window is at
+least 1, a degree is not negative, compare gets at least one report, and
+every log holds a successful trial, as read_log and execute_run ensure.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ import numpy as np
 
 from .space import SearchSpace, printable_name
 from .triallog import STRATEGIES, RunHeader, TrialRecord
-
-
-class ReportError(ValueError):
-    """Summary or fit cannot be produced from the given log."""
 
 
 @dataclass(frozen=True)
@@ -104,16 +100,13 @@ def summarize(
     window: int = 100,
     source: str = "",
 ) -> RunReport:
-    """Condense one log into its report row.
+    """Condense one log, which holds a successful trial, into its report row.
 
     The trailing window covers exactly min(window, N) records by position;
     failed trials inside it stay excluded from the statistics.  The best
     trial is the first to reach the best score.
     """
     valid = [r for r in records if not r.failed]
-    if not valid:
-        raise ReportError("no successful trials to summarize")
-
     w_eff = min(window, len(records))
     tail_valid = [r for r in records[-w_eff:] if not r.failed]
 

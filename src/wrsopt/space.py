@@ -183,12 +183,6 @@ class SearchSpace:
     def names(self) -> tuple[str, ...]:
         return tuple(d.name for d in self.dimensions)
 
-    def index_of(self, name: str) -> int:
-        for i, d in enumerate(self.dimensions):
-            if d.name == name:
-                return i
-        raise SpaceError(f"no dimension named {name!r}")
-
     def sample(self, rng: np.random.Generator) -> tuple:
         """Draw an independent uniform candidate from one rng.random(d) call,
         the same stream as one rng.random() per dimension."""
@@ -199,24 +193,17 @@ def values_in_dimension(dim: Dimension, column: Sequence[Any]) -> bool:
     """Whether every value of a non-empty column is a value of dim; the one
     rule, which read_log applies per log column and validate_candidate per
     value.  An int axis takes an int (not a bool) within its bounds, a real
-    axis a finite int or float (not a bool, nor an int beyond float range)
-    within its bounds, a categorical axis one of its listed values of the
-    same type (1, not true or 1.0)."""
+    axis an int or float (not a bool) within its bounds, a categorical axis
+    one of its listed values of the same type (1, not true or 1.0).  Python
+    compares an int with a float exactly, so no int rounds onto a bound it
+    lies beyond, and NaN lies within no bounds."""
     if dim.kind == "cat":
         try:
             return set(zip(map(type, column), column)) <= set(zip(map(type, dim.values), dim.values))
         except TypeError:  # an unhashable value, such as a JSON list
             return False
     types = set(map(type, column))
-    if dim.kind == "int":
-        return types <= {int} and dim.low <= min(column) and max(column) <= dim.high
-    if not types <= {int, float}:
-        return False
-    try:
-        x = np.asarray(column, dtype=float)
-    except OverflowError:
-        return False
-    return bool(np.all((x >= dim.low) & (x <= dim.high)))  # NaN fails both comparisons
+    return types <= ({int} if dim.kind == "int" else {int, float}) and all(dim.low <= v <= dim.high for v in column)
 
 
 def validate_candidate(space: SearchSpace, values: Sequence[Any]) -> tuple:

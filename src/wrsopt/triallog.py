@@ -76,16 +76,22 @@ def _in_interval(x: float, interval: str) -> bool:
 def resolve_overrides(space: SearchSpace, settings: dict[str, float]) -> dict[int, float]:
     """One group of a run's settings, keyed by dimension index.  '*'
     covers every dimension and a named value replaces it whatever the flag
-    order; for a name given twice, '*' included, the last value wins."""
+    order; for a name given twice, '*' included, the last value wins.
+    ConfigError for a name the space lacks."""
+    index = {name: i for i, name in enumerate(space.names)}
     out = dict.fromkeys(range(len(space)), settings["*"]) if "*" in settings else {}
-    out.update((space.index_of(name), v) for name, v in settings.items() if name != "*")
+    for name, v in settings.items():
+        if name != "*":
+            if name not in index:
+                raise ConfigError(f"no dimension named {name!r}")
+            out[index[name]] = v
     return out
 
 
 def validate_settings(space: SearchSpace, strategy: str, budget: int, init: int, seed: int, settings: dict) -> None:
-    """Raise ConfigError, or SpaceError for an override naming no dimension,
-    unless a run on space takes these settings (RunConfig.settings() or a
-    header's options).  A bool is a number, as RunConfig takes True."""
+    """Raise ConfigError unless a run on space takes these settings
+    (RunConfig.settings() or a header's options).  A bool is a number, as
+    RunConfig takes True."""
     if strategy not in STRATEGIES:
         raise ConfigError(f"strategy {strategy!r}; a run's strategy is one of {', '.join(STRATEGIES)}")
     if budget < 1:
@@ -102,7 +108,7 @@ def validate_settings(space: SearchSpace, strategy: str, budget: int, init: int,
     prob_over, kmin_over = settings.get("prob_overrides", {}), settings.get("kmin_overrides", {})
     if (prob_over or kmin_over) and strategy != "wrs":
         raise ConfigError(f"overrides for strategy {strategy}; only wrs takes overrides")
-    probs = resolve_overrides(space, prob_over)  # both raise SpaceError for a name the space lacks
+    probs = resolve_overrides(space, prob_over)  # both refuse a name the space lacks
     resolve_overrides(space, kmin_over)
     for over, label, interval in ((prob_over, "probability", "(0, 1]"), (kmin_over, "k-min", "[0, inf)")):
         for name, value in over.items():
@@ -343,7 +349,8 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
       is present; a ``failed`` trial carries an error, an ``evaluated``
       one none, and a ``cached-hit`` carries the error of the failure it
       repeats, if any;
-    * the record count equals the declared budget;
+    * the record count equals the declared budget, and at least one trial
+      succeeded, as in every log a run writes;
     * every trial holds one value per dimension, each a value of that
       space as ``space.values_in_dimension`` decides.
 
@@ -356,10 +363,10 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
     The file is read in one pass, in the order above: the header line is
     checked whole, space and digest included, before any trial, and each
     trial line whole before the next, so the first faulty line ends the
-    read.  After the last line come the record count and the value check,
-    which runs down each column.  Every message starts with the path, as
-    "PATH: ...", except "cannot read PATH: ..." for a file that cannot be
-    read, with PATH as given.  Every record shares one
+    read.  After the last line come the record count, the success check and
+    the value check, which runs down each column.  Every message starts
+    with the path, as "PATH: ...", except "cannot read PATH: ..." for a
+    file that cannot be read, with PATH as given.  Every record shares one
     string object per distinct phase and status.
     """
     header, records = None, []
@@ -386,7 +393,7 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
                         raise LogError("header space does not match its space_digest")
                     try:
                         validate_settings(space, header.strategy, header.budget, header.init, header.seed, header.options)
-                    except (ConfigError, SpaceError) as exc:
+                    except ConfigError as exc:
                         raise LogError(f"header declares {exc}") from None
                     _check_profile(header.profile, header.strategy, len(space))
                     continue
@@ -410,6 +417,8 @@ def read_log(path: str) -> tuple[RunHeader, list[TrialRecord]]:
             raise LogError("empty log")
         if len(records) != header.budget:
             raise LogError(f"{len(records)} records but header declares budget {header.budget}")
+        if all(rec.failed for rec in records):
+            raise LogError("no trial succeeded; a run writes no such log")
         _check_values(space, records)
     except OSError as exc:
         raise LogError(f"cannot read {path}: {exc}") from exc

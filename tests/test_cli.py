@@ -856,6 +856,18 @@ CORRUPTIONS = {
         [((0, "options"), {"bogus": {}})],
         "LOG: header declares options group 'bogus'; a run's options are objects named sampler, prob_overrides, kmin_overrides",
     ),
+    # a run whose every trial fails writes no log, so no reader takes one
+    "every-trial-failed": (
+        [((k, key), value) for k in range(1, 9) for key, value in (("score", -math.inf), ("status", "failed"), ("error", "exit 3"))],
+        "LOG: no trial succeeded; a run writes no such log",
+    ),
+    "one-failed-trial-then-cached-hits-of-it": (
+        [((1, "values"), [5, 0.9, "a"]), ((1, "score"), -math.inf), ((1, "status"), "failed"), ((1, "error"), "exit 3")]
+        + [((k, key), value) for k in range(2, 9) for key, value in (
+            ("values", [5, 0.9, "a"]), ("score", -math.inf), ("status", "cached-hit"), ("error", "exit 3"),
+        )],
+        "LOG: no trial succeeded; a run writes no such log",
+    ),
 }
 
 

@@ -23,7 +23,7 @@ from wrsopt.engine import (
 )
 from wrsopt.objectives import ObjectiveFailure, make_objective
 from wrsopt.samplers import NelderMeadSampler, PsoSampler, rs_step
-from wrsopt.space import Dimension, SearchSpace, SpaceError, candidate_key
+from wrsopt.space import Dimension, SearchSpace, candidate_key
 from wrsopt.triallog import FAILED_SCORE, ConfigError, LogError, RunHeader, TrialRecord, read_log, record_fingerprint, write_log
 
 from _stream_oracle import spaces
@@ -117,7 +117,8 @@ class TestRunConfig:
         RunConfig(strategy=strategy, budget=10).validate(int_space(1, low=-(2**53), high=2**53))
 
     def test_unknown_dimension_name_in_override(self):
-        with pytest.raises(ValueError):
+        # a setting a run cannot take, as every other: a ConfigError
+        with pytest.raises(ConfigError, match="^no dimension named 'nope'$"):
             RunConfig(strategy="wrs", budget=10, prob_overrides=(("nope", 0.5),)).validate(real_space(2))
 
 
@@ -905,7 +906,7 @@ def _reads(path) -> bool:
 def _validates(config: RunConfig, space: SearchSpace) -> bool:
     try:
         config.validate(space)
-    except (ConfigError, SpaceError):
+    except ConfigError:
         return False
     return True
 

@@ -9,7 +9,6 @@ from wrsopt import reporting
 from wrsopt.cli import main
 from wrsopt.reporting import (
     FitResult,
-    ReportError,
     compare,
     fit_to_dict,
     polyfit,
@@ -90,12 +89,6 @@ class TestSummarize:
     def test_ties_report_first_best_iteration(self):
         report = summarize(make_header(), recs([5.0, 5.0, 1.0]), window=10)
         assert report.best_iteration == 1
-
-    def test_empty_or_all_failed_rejected(self):
-        with pytest.raises(ReportError):
-            summarize(make_header(), [], window=10)
-        with pytest.raises(ReportError):
-            summarize(make_header(), recs([float("-inf")], statuses=["failed"]), window=10)
 
     def test_window_whose_trials_all_failed_has_no_statistics(self):
         r = summarize(make_header(budget=4), recs([1.0, 2.0, -math.inf, -math.inf], ["evaluated", "evaluated", "failed", "failed"]), window=2)

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from wrsopt.space import (
     to_ordinal,
     validate_candidate,
     value_at,
+    values_in_dimension,
 )
 from wrsopt.triallog import RunHeader, write_log
 
@@ -249,6 +251,50 @@ def test_validate_candidate_normalizes_and_rejects():
     for bad in ([6, 0.5, "a"], [3, 1.5, "a"], [3, 0.5, "z"], [3, 0.5], [3, math.nan, "a"], [True, 0.5, "a"], [3, 10**400, "a"]):
         with pytest.raises(SpaceError):
             validate_candidate(space, bad)
+
+
+def _exactly_in(dim: Dimension, v) -> bool:
+    """The value rule of a range axis in exact arithmetic: an int (not a
+    bool) on an int axis, an int or float on a real one, and low <= v <= high
+    as rationals; a non-finite float lies within no bounds."""
+    if type(v) not in ((int,) if dim.kind == "int" else (int, float)):
+        return False
+    if isinstance(v, float) and not math.isfinite(v):
+        return False
+    return Fraction(dim.low) <= Fraction(v) <= Fraction(dim.high)
+
+
+@st.composite
+def _range_axis_and_column(draw):
+    """A range axis whose bounds lie near k * 2**53, where float64 no longer
+    holds every whole number, and a column of values near them: ints near a
+    bound and near k * 2**53, ints past float range, each bound as a float
+    and one float step to either side of it, and non-finite floats."""
+    near = st.builds(lambda k, d: k * 2**53 + d, st.integers(-4, 4), st.integers(-3, 3))
+    low, high = sorted((draw(near), draw(near)))
+    kind = draw(st.sampled_from(["int", "real"]))
+    cast = int if kind == "int" else float
+    dim = Dimension(name="x", kind=kind, low=cast(low), high=cast(high))
+    bound = st.sampled_from([dim.low, dim.high])
+    value = st.one_of(
+        near,
+        st.builds(lambda b, d: int(b) + d, bound, st.integers(-3, 3)),
+        st.builds(lambda sign, d: sign * 10**400 + d, st.sampled_from([-1, 1]), st.integers(-3, 3)),
+        bound.map(float),
+        st.builds(math.nextafter, bound.map(float), st.sampled_from([-math.inf, math.inf])),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    return dim, draw(st.lists(value, min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_range_axis_and_column())
+def test_a_range_value_is_compared_exactly(case):
+    # float64 would round 2**53 + 1 onto a bound of 2**53 and call it inside
+    dim, column = case
+    expected = [_exactly_in(dim, v) for v in column]
+    assert [values_in_dimension(dim, (v,)) for v in column] == expected
+    assert values_in_dimension(dim, column) == all(expected)
 
 
 def test_candidate_key_is_exact_for_floats():

@@ -117,7 +117,7 @@ def test_run_report_compare_importance_sweep(tmp_path_factory, monkeypatch, data
     try:
         config.validate(space)
         accepted = True
-    except (ConfigError, SpaceError):
+    except ConfigError:
         accepted = False
 
     space_file, log = tmp / "space.yaml", str(tmp / "run.jsonl")

@@ -74,13 +74,14 @@ class TestRoundTrip:
 
     def test_failed_trial_score_serializes_as_minus_infinity(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
-        rec = TrialRecord(iteration=1, values=(0.5,), score=float("-inf"), phase="rs", status="failed", wall_time=0.0, error="exit 3")
-        write_log(path, make_header(budget=1), [rec])
-        raw = Path(path).read_text().splitlines()[1]
+        # a run writes no log without a success, so an evaluated trial comes first
+        rec = TrialRecord(iteration=2, values=(0.5,), score=float("-inf"), phase="rs", status="failed", wall_time=0.0, error="exit 3")
+        write_log(path, make_header(budget=2), [*make_records(1), rec])
+        raw = Path(path).read_text().splitlines()[2]
         assert "-Infinity" in raw
         _, records = read_log(path)
-        assert records[0].score == float("-inf")
-        assert records[0].error == "exit 3"
+        assert records[1].score == float("-inf")
+        assert records[1].error == "exit 3"
 
     def test_error_field_absent_unless_set(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
@@ -688,3 +689,15 @@ def test_read_log_names_the_first_bad_record(tmp_path, rows, expected):
     assert _refusal(space, rows) == expected
     with pytest.raises(LogError, match=re.escape(expected) + "$"):
         read_log(path)
+
+
+def test_an_int_past_a_real_bound_is_refused_though_float64_rounds_it_onto_it(tmp_path):
+    # float(2**53 + 1) == 2**53, so a comparison in float64 would accept it
+    space = space_from_dict({"dimensions": [{"name": "x", "kind": "real", "low": 0, "high": 2**53}]})
+    path = str(tmp_path / "run.jsonl")
+    _write_rows(path, space, [[0.5], [2**53], [2**53 + 1]])
+    message = f"x={2**53 + 1} is not a value of the space"
+    with pytest.raises(LogError, match=re.escape(f"trial 3: {message}") + "$"):
+        read_log(path)
+    with pytest.raises(SpaceError, match=re.escape(message) + "$"):
+        validate_candidate(space, (2**53 + 1,))
