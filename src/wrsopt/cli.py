@@ -21,6 +21,7 @@ from .engine import AllTrialsFailedError, EngineError, RunConfig, execute_run, f
 from .importance import ImportanceError, weights_to_probabilities
 from .objectives import ObjectiveError, make_objective
 from .reporting import (
+    RunReport,
     compare,
     fit_to_dict,
     render_importance_csv,
@@ -159,21 +160,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _warn_clamped(reports: list[RunReport], window: int) -> None:
+    """One warning line for each log shorter than the window.  A command
+    calls it once its outputs are written, so a failure is its one stderr
+    line."""
+    for report in reports:
+        if report.window < window:
+            print(f"warning: {printable_name(report.source)}: window {window} exceeds {report.window} trials; clamped", file=sys.stderr)
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     header, records = read_log(args.log)
-    if args.window > len(records):
-        print(f"warning: window {args.window} exceeds {len(records)} trials; clamped", file=sys.stderr)
     report = summarize(header, records, window=args.window, source=args.log)
     fit = trend(records, args.degree)
 
     sys.stdout.write(render_report_text(report, fit))
     if args.csv:
         _write_output(args.csv, render_table_csv((report,)))
-    if args.fit:
-        if fit is None:
-            print("warning: no fit produced; fit file not written", file=sys.stderr)
-        else:
-            _write_output(args.fit, json.dumps(fit_to_dict(fit), indent=2) + "\n")
+    if args.fit and fit is not None:
+        _write_output(args.fit, json.dumps(fit_to_dict(fit), indent=2) + "\n")
+    _warn_clamped([report], args.window)
+    if args.fit and fit is None:
+        print("warning: no fit produced; fit file not written", file=sys.stderr)
     return 0
 
 
@@ -183,6 +191,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     sys.stdout.write(render_table_text(rows))
     if args.csv:
         _write_output(args.csv, render_table_csv(rows))
+    _warn_clamped(reports, args.window)
     return 0
 
 

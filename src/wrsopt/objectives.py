@@ -228,8 +228,10 @@ class Objective:
     """Callable wrapper the engine evaluates candidates through.
 
     __call__ takes a candidate tuple and returns the engine-side score
-    (already negated for minimize specs).  calls counts actual evaluations,
-    which is how budget/cache accounting is audited.
+    (already negated for minimize specs) as a Python float, whatever
+    number fn returns; one beyond float range is a failed trial, as a
+    builtin's is.  calls counts actual evaluations, which is how
+    budget/cache accounting is audited.
     """
 
     spec: ObjectiveSpec
@@ -239,6 +241,10 @@ class Objective:
     def __call__(self, values: tuple) -> float:
         self.calls += 1
         raw = self.fn(values)
+        try:
+            raw = float(raw)
+        except OverflowError:  # an int beyond float range
+            raw = math.nan
         if not math.isfinite(raw):
             raise ObjectiveFailure("non-finite value")
         return -raw if self.spec.direction == "minimize" else raw

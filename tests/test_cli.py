@@ -306,6 +306,8 @@ class TestRunErrors:
         ("builtin:additive-anova?coeffs=1,2&centre=0.5&direction=maximize",
          "error: builtin 'additive-anova' takes only coeffs and direction, got ['centre']"),
         ("external:sh e.sh?run=1", "error: external 'sh e.sh' takes only timeout and direction, got ['run']"),
+        # only an external command reads a timeout
+        ("builtin:sphere?timeout=3", "error: builtin 'sphere' takes only direction, got ['timeout']"),
     ])
     def test_a_key_the_objective_does_not_read_exits_2(self, space_file, tmp_path, capsys, objective, message):
         out = tmp_path / "run.jsonl"
@@ -537,6 +539,22 @@ class TestCompare:
         assert run_cli(["compare", a, b, "--window", "5"]) == 0
         assert capsys.readouterr().out.startswith("warning:")
 
+    def test_window_clamp_warns_once_for_each_log_it_clamps_and_names_it(self, space_file, tmp_path, capsys):
+        # as report warns: a window past a log's length is clamped to it
+        budgets = (5, 60, 3)
+        logs = [str(tmp_path / f"rs{budget}.jsonl") for budget in budgets]
+        for out, budget in zip(logs, budgets):
+            assert run_cli([
+                "run", "--space", space_file, "--objective", "builtin:sphere",
+                "--strategy", "rs", "--budget", str(budget), "--seed", "1", "--out", out,
+            ]) == 0
+        capsys.readouterr()
+        assert run_cli(["compare", *logs, "--window", "50"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: {logs[0]}: window 50 exceeds 5 trials; clamped",
+            f"warning: {logs[2]}: window 50 exceeds 3 trials; clamped",
+        ]
+
     def test_one_bad_log_fails_whole_compare(self, space_file, tmp_path, capsys):
         good = str(tmp_path / "rs.jsonl")
         assert run_cli([
@@ -762,6 +780,7 @@ CORRUPTIONS = {
     "int-out-of-range": ([((4, "values", 0), 9)], "LOG: trial 4: n=9 is not a value of the space"),
     "true-on-int-axis": ([((4, "values", 0), True)], "LOG: trial 4: n=True is not a value of the space"),
     "nan-mid-real-column": ([((4, "values", 1), math.nan)], "LOG: trial 4: x=nan is not a value of the space"),
+    "real-out-of-range": ([((4, "values", 1), 2.0)], "LOG: trial 4: x=2.0 is not a value of the space"),
     "too-few-values": ([((4, "values"), [1, 0.3])], "LOG: trial 4: 2 values, but the space has 3 dimensions"),
     "failed-with-finite-score": ([((3, "score"), 0.25)], "LOG: trial 3: status 'failed', score 0.25 and error 'exit 3' do not agree"),
     "evaluated-with-minus-infinity": (
@@ -799,6 +818,7 @@ CORRUPTIONS = {
         "LOG: header declares init 8 at budget 8; a run needs 0 <= init < budget",
     ),
     "negative-header-init": ([((0, "init"), -3)], "LOG: header declares init -3 at budget 8; a run needs 0 <= init < budget"),
+    "init-equal-to-budget-on-an-rs-header": ([((0, "init"), 8)], "LOG: header declares init 8 at budget 8; a run needs 0 <= init < budget"),
     "init-on-an-rs-header": ([((0, "init"), 2)], "LOG: header declares init 2 for strategy rs; only wrs takes an init"),
     # math.isfinite cannot convert it, so it used to end in an OverflowError traceback
     "score-of-401-digits": ([((2, "score"), 10**400)], "LOG: trial 2: score is an integer beyond float range"),
@@ -931,10 +951,12 @@ def test_a_fault_in_one_of_several_logs_names_that_log(space_file, tmp_path, cap
     [
         ["report", "LOG", "--window", "10", "--csv", "BAD"],
         ["report", "LOG", "--window", "10", "--fit", "BAD"],
+        # the window of 100 is clamped to the log's 30 trials, whose warning waits for the outputs
+        ["report", "LOG", "--fit", "BAD"],
         ["compare", "LOG", "--csv", "BAD"],
         ["importance", "LOG", "--csv", "BAD"],
     ],
-    ids=["report-csv", "report-fit", "compare-csv", "importance-csv"],
+    ids=["report-csv", "report-fit", "report-fit-clamped-window", "compare-csv", "importance-csv"],
 )
 def test_unwritable_output_exits_1_with_one_line(argv, space_file, tmp_path, capsys):
     log = str(tmp_path / "rs.jsonl")
@@ -1219,6 +1241,27 @@ def test_ctrl_c_during_a_run_prints_one_line_and_writes_no_log(space_file, tmp_p
     out, err = driver.communicate(timeout=10)
     assert (driver.returncode, out, err) == (1, "seed: 1\n", "error: interrupted; no log written\n")
     assert not list(tmp_path.glob("run.jsonl*"))
+
+
+def test_no_command_leaves_a_file_or_a_scorer_process_open(space_file, tmp_path):
+    # dev mode reports a file or a process never closed as a ResourceWarning; as an error it prints "Exception ignored"
+    wrs, ext = str(tmp_path / "wrs.jsonl"), str(tmp_path / "ext.jsonl")
+    commands = [
+        ["run", "--space", space_file, "--objective", "builtin:additive-anova?coeffs=3,1&direction=maximize",
+         "--strategy", "wrs", "--budget", "30", "--init", "10", "--seed", "1", "--out", wrs],
+        ["run", "--space", space_file, "--objective", "external:sh -c 'echo 0.5'",
+         "--strategy", "rs", "--budget", "3", "--seed", "1", "--out", ext],
+        ["report", wrs],
+        ["compare", wrs, ext],
+        ["importance", wrs, "--csv", str(tmp_path / "imp.csv")],
+    ]
+    driver = subprocess.run([
+        sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c",
+        "import json, sys; from wrsopt.cli import main; sys.exit(max([main(argv) for argv in json.loads(sys.argv[1])]))",
+        json.dumps(commands),
+    ], capture_output=True, text=True, timeout=60)
+    assert driver.returncode == 0, driver.stderr
+    assert "ResourceWarning" not in driver.stderr and "Exception ignored" not in driver.stderr, driver.stderr
 
 
 def test_ctrl_c_outside_a_run_prints_one_line(monkeypatch, capsys):

@@ -24,10 +24,11 @@ from wrsopt.objectives import (
     _sphere,
     _styblinski_tang,
 )
-from wrsopt.engine import evaluate_with_cache
+from wrsopt.engine import RunConfig, evaluate_with_cache, execute_run
 from wrsopt.space import Dimension, SearchSpace
+from wrsopt.triallog import read_log, write_log
 
-from _util import int_space, real_space
+from _util import int_space, python_objective, real_space
 
 
 class TestSpecParsing:
@@ -230,6 +231,26 @@ class TestMakeObjective:
     def test_scores_are_pinned_to_the_bit(self, spec, space, values, score):
         # the float operations of each builtin, in their order; == on a repr literal is exact
         assert make_objective(spec, space)(values) == score
+
+
+@pytest.mark.parametrize("returned, score", [
+    (10**400, None),  # beyond float range: the failed trial "non-finite value", as a builtin's
+    (True, 1.0),
+    (np.int64(3), 3.0),
+    (np.float32(0.5), 0.5),
+], ids=["int-beyond-float-range", "bool", "numpy-int64", "numpy-float32"])
+def test_a_library_objective_scores_a_python_float(returned, score, tmp_path):
+    # the first trial scores what fn returns and the others 0.25; the log the run writes reads back
+    scores = iter([returned])
+    result = execute_run(real_space(1), python_objective(lambda values: next(scores, 0.25)), RunConfig(strategy="rs", budget=4, seed=1))
+    first = result.records[0]
+    if score is None:
+        assert (first.status, first.score, first.error) == ("failed", -math.inf, "non-finite value")
+    else:
+        assert (first.status, type(first.score), first.score) == ("evaluated", float, score)
+    path = tmp_path / "run.jsonl"
+    write_log(path, result.header, result.records)
+    assert read_log(path) == (result.header, result.records)
 
 
 class TestExternalProtocol:
