@@ -1,24 +1,9 @@
-"""Run orchestration: one trial loop over the paper's two phases, the
-evaluation cache, and best-so-far tracking.
+"""Run orchestration: the run's decisions as one generator, its driver
+with the evaluation cache, and best-so-far tracking.
 
 Scores are maximized throughout.  Every trial, including cache hits and
 failures, consumes exactly one unit of the budget, so a completed run always
 holds exactly N records.
-
-``execute_run`` draws the random-search phase itself: ``RunConfig.rs_trials``
-rs_step candidates, tagged "rs".  At the boundary it builds the strategy
-once; for wrs that is where the one importance fit runs and the frozen
-profile is written into the header.  The strategy then follows ask/tell for
-the rest of the budget, its records tagged with its name: ``ask()`` returns
-the next candidate and ``tell(score)`` reports its score.  The loop alone
-owns the cache and alone refuses a run whose rs phase, or whole run, failed
-in every trial.  It writes into the run only through ``RunResult``'s event
-methods, trial, warning and profile; no strategy writes into the run.
-``RunConfig.validate``, by the rules ``read_log`` applies to a log's header
-(``triallog.validate_settings``), is the one signal for a configuration a
-run cannot take: the samplers, whose only caller is this loop, check
-nothing again.  A run stops asking when the budget is spent, even in the
-middle of a PSO generation.
 
 Randomness is split into three independent streams derived from the run
 seed: candidate values, per-step change decisions, and forest bootstrapping.
@@ -32,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Generator, Sequence
 
 import numpy as np
 
@@ -213,36 +198,9 @@ def _build_profile(
     return profile, weights, fallback
 
 
-class _WeightedSearch:
-    """The weighted phase of wrs: each ask is one wrs_step against the run's
-    incumbent or, while every trial has failed, the last record.  It reads
-    the RunResult the loop fills and writes nothing into it."""
-
-    def __init__(self, space: SearchSpace, profile: ChangeProfile, rngs: RngBundle, result: RunResult):
-        self.space, self.profile, self.rngs, self.result = space, profile, rngs, result
-
-    def ask(self) -> tuple:
-        # while every trial so far failed, copy the last attempt's coordinates; an
-        # init=0 first step has no record, and gen_counts <= k_mins forces a full resample
-        best, records = self.result.best.candidate, self.result.records
-        incumbent = best if best is not None else records[-1].values if records else None
-        return wrs_step(self.space, incumbent, self.profile, self.rngs.values, self.rngs.decisions)
-
-    def tell(self, score: float) -> None:
-        pass
-
-
-def _make_strategy(space: SearchSpace, config: RunConfig, rngs: RngBundle, result: RunResult):
-    """The strategy for the trials after the rs phase, built once at its end;
-    for wrs, the one importance fit runs on the rs records and the run gets
-    any fallback warning, then the profile."""
+def _make_strategy(space: SearchSpace, config: RunConfig, rngs: RngBundle):
+    """The ask/tell sampler of a sobol, nelder-mead or pso run."""
     options = config.settings().get("sampler", {})
-    if config.strategy == "wrs":
-        profile, weights, fallback = _build_profile(space, config, result.records)
-        if fallback:
-            result.warning(f"{fallback}; using uniform change probabilities")
-        result.profile(weights, profile.probs, profile.k_mins)
-        return _WeightedSearch(space, profile, rngs, result)
     if config.strategy == "sobol":
         return SobolSampler(space, rngs.values)
     if config.strategy == "nelder-mead":
@@ -253,9 +211,59 @@ def _make_strategy(space: SearchSpace, config: RunConfig, rngs: RngBundle, resul
     return PsoSampler(space, rngs.values, **{**options, "swarm": swarm})
 
 
+def _run_steps(space: SearchSpace, config: RunConfig, result: RunResult) -> Generator[tuple[tuple, int, str], TrialRecord, None]:
+    """Everything a run decides, one trial at a time: yields (candidate,
+    iteration, phase) and receives that trial's record, which it passes to
+    ``result.trial``.  How a candidate is scored is the driver's alone.
+
+    The rs phase is ``RunConfig.rs_trials`` rs_step candidates, tagged
+    "rs".  At its end a wrs run fits importance once on the rs records and
+    writes any fallback warning, then the frozen profile, into the result;
+    each later step is one wrs_step against the incumbent or, while every
+    trial has failed, the last record.  Sobol, Nelder-Mead and PSO follow
+    ask/tell for the rest of the budget: ``ask()`` returns the next
+    candidate and ``tell(score)`` reports its score.  Every trial after the
+    rs phase is tagged with the strategy's name.  A run stops asking when
+    the budget is spent, even in the middle of a PSO generation.  This loop
+    alone refuses a run whose rs phase, or whole run, failed in every trial,
+    and it writes into the run only through ``RunResult``'s event methods,
+    trial, warning and profile.  ``RunConfig.validate``, by the rules
+    ``read_log`` applies to a log's header (``triallog.validate_settings``),
+    is the one signal for a configuration a run cannot take: the samplers,
+    whose only caller is this loop, check nothing again.
+    """
+    rngs = RngBundle.from_seed(config.seed)
+    rs_trials = config.rs_trials
+    for it in range(1, rs_trials + 1):
+        result.trial((yield rs_step(space, rngs.values), it, "rs"))
+    if rs_trials and result.best.candidate is None:
+        raise AllTrialsFailedError(f"all {rs_trials} trials of the rs phase failed")
+    later = range(rs_trials + 1, config.budget + 1)  # empty for rs
+    if config.strategy == "wrs":
+        profile, weights, fallback = _build_profile(space, config, result.records)
+        if fallback:
+            result.warning(f"{fallback}; using uniform change probabilities")
+        result.profile(weights, profile.probs, profile.k_mins)
+        for it in later:
+            # while every trial so far failed, copy the last attempt's coordinates; an
+            # init=0 first step has no record, and gen_counts <= k_mins forces a full resample
+            best, records = result.best.candidate, result.records
+            incumbent = best if best is not None else records[-1].values if records else None
+            result.trial((yield wrs_step(space, incumbent, profile, rngs.values, rngs.decisions), it, "wrs"))
+    elif later:
+        strategy = _make_strategy(space, config, rngs)
+        for it in later:
+            rec = yield strategy.ask(), it, config.strategy
+            result.trial(rec)
+            strategy.tell(rec.score)
+    if result.best.candidate is None:
+        raise AllTrialsFailedError("every trial of the run failed")
+
+
 def execute_run(space: SearchSpace, objective: Objective, config: RunConfig) -> RunResult:
-    """Validate, write the header, then run exactly config.budget trials
-    into one RunResult: the rs phase, then the strategy built at its end."""
+    """Validate, write the header, then drive ``_run_steps`` for exactly
+    config.budget trials into one RunResult, each candidate scored through
+    ``evaluate_with_cache`` and the run's one cache."""
     config.validate(space)
     result = RunResult(
         header=RunHeader(
@@ -269,19 +277,10 @@ def execute_run(space: SearchSpace, objective: Objective, config: RunConfig) -> 
             options=config.settings(),
         )
     )
-    rngs = RngBundle.from_seed(config.seed)
-    cache = {}
-    rs_trials = config.rs_trials
-    for it in range(1, rs_trials + 1):
-        result.trial(evaluate_with_cache(objective, space, rs_step(space, rngs.values), cache, it, "rs"))
-    if rs_trials and result.best.candidate is None:
-        raise AllTrialsFailedError(f"all {rs_trials} trials of the rs phase failed")
-    if rs_trials < config.budget:  # an rs run has no phase after its rs phase
-        strategy = _make_strategy(space, config, rngs, result)
-        for it in range(rs_trials + 1, config.budget + 1):
-            rec = evaluate_with_cache(objective, space, strategy.ask(), cache, it, config.strategy)
-            result.trial(rec)
-            strategy.tell(rec.score)
-    if result.best.candidate is None:
-        raise AllTrialsFailedError("every trial of the run failed")
-    return result
+    steps, cache, rec = _run_steps(space, config, result), {}, None
+    while True:
+        try:
+            values, it, phase = steps.send(rec)
+        except StopIteration:
+            return result
+        rec = evaluate_with_cache(objective, space, values, cache, it, phase)

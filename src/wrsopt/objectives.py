@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import select
 import shlex
 import signal
 import subprocess
@@ -230,7 +231,9 @@ class Objective:
     __call__ takes a candidate tuple and returns the engine-side score
     (already negated for minimize specs) as a Python float, whatever
     number fn returns; one beyond float range is a failed trial, as a
-    builtin's is.  calls counts actual evaluations, which is how
+    builtin's is.  Text, str or bytes, is not a number even where float()
+    would parse it: it fails the trial as "not a number", as anything
+    float() refuses does.  calls counts actual evaluations, which is how
     budget/cache accounting is audited.
     """
 
@@ -241,10 +244,15 @@ class Objective:
     def __call__(self, values: tuple) -> float:
         self.calls += 1
         raw = self.fn(values)
-        try:
-            raw = float(raw)
-        except OverflowError:  # an int beyond float range
-            raw = math.nan
+        if type(raw) is not float:  # what every builtin and external scorer returns
+            try:
+                if isinstance(raw, (str, bytes, bytearray)):  # text float() would parse
+                    raise TypeError
+                raw = float(raw)
+            except OverflowError:  # an int beyond float range
+                raw = math.nan
+            except (TypeError, ValueError):
+                raise ObjectiveFailure("not a number") from None
         if not math.isfinite(raw):
             raise ObjectiveFailure("non-finite value")
         return -raw if self.spec.direction == "minimize" else raw
@@ -303,6 +311,26 @@ def _format_argument(dim_kind: str, name: str, value: Any) -> str:
     return f"{name}={value}"
 
 
+def _wait(proc: subprocess.Popen, timeout: float) -> None:
+    """Wait until proc exits, or raise TimeoutExpired after timeout seconds.
+    A pidfd wakes the poll as the process exits, where Popen.wait with a
+    timeout sleeps between checks; without one (not Linux, or refused),
+    Popen.wait it is."""
+    try:
+        fd = os.pidfd_open(proc.pid)
+    except (AttributeError, OSError):
+        proc.wait(timeout)
+        return
+    try:
+        poller = select.poll()
+        poller.register(fd, select.POLLIN)
+        # poll takes an int of milliseconds: a longer timeout, inf included, is no limit
+        if not poller.poll(timeout * 1000 if timeout * 1000 < 2**31 - 1 else None):
+            raise subprocess.TimeoutExpired(proc.args, timeout)
+    finally:
+        os.close(fd)
+
+
 def _evaluate_external(command: str, values: tuple, space: SearchSpace, timeout: float) -> float:
     """Run an external scorer once.
 
@@ -313,7 +341,7 @@ def _evaluate_external(command: str, values: tuple, space: SearchSpace, timeout:
     _TAIL_BYTES alone are read, as UTF-8 with replacement: a last line not
     wholly within them is unparseable output.  stderr is discarded.  When the
     command exits, times out or is interrupted, every process left in its
-    session is killed.  The wait polls, so a trial can end ~50 ms late.
+    session is killed.
     """
     argv = shlex.split(command) + [_format_argument(d.kind, d.name, v) for d, v in zip(space.dimensions, values)]
     with tempfile.TemporaryFile() as out:
@@ -322,7 +350,7 @@ def _evaluate_external(command: str, values: tuple, space: SearchSpace, timeout:
         except OSError as exc:
             raise ObjectiveFailure(f"spawn failed: {exc}") from None
         try:
-            proc.wait(timeout)
+            _wait(proc, timeout)
         except subprocess.TimeoutExpired:
             raise ObjectiveFailure("timeout") from None
         finally:  # exit, timeout and Ctrl-C alike

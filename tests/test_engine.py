@@ -17,6 +17,7 @@ from wrsopt.engine import (
     RunResult,
     _build_profile,
     _make_strategy,
+    _run_steps,
     evaluate_with_cache,
     execute_run,
     fit_weights,
@@ -363,7 +364,7 @@ class TestBudgets:
         # the initial swarm takes one uniform per particle and axis: 10 x 2
         config = RunConfig(strategy="pso", budget=10, seed=1, sampler_options=(("swarm", 1000),))
         rngs = RngBundle.from_seed(1)
-        _make_strategy(real_space(2), config, rngs, None)
+        _make_strategy(real_space(2), config, rngs)
         expected = RngBundle.from_seed(1).values
         expected.random(10 * 2)
         assert rngs.values.bit_generator.state == expected.bit_generator.state
@@ -813,16 +814,16 @@ _OPTION_VALUES = {
 
 @st.composite
 def repeated_settings(draw):
-    """A run whose settings repeat names and mix '*' with names, in random
-    flag order."""
-    strategy = draw(st.sampled_from(("wrs", "pso", "nelder-mead")))
+    """A run of any strategy; a wrs, pso or nelder-mead run's settings
+    repeat names and mix '*' with names, in random flag order."""
+    strategy = draw(st.sampled_from(("wrs", "pso", "nelder-mead", "rs", "sobol")))
     kwargs = dict(strategy=strategy, budget=30, seed=draw(st.integers(0, 3)))
     if strategy == "wrs":
         names = st.sampled_from(_MIXED_NAMES)
         kwargs["init"] = draw(st.sampled_from((0, 1, 10)))
         kwargs["prob_overrides"] = tuple(draw(st.lists(st.tuples(names, st.sampled_from((0.3, 0.6, 1.0))), max_size=6)))
         kwargs["kmin_overrides"] = tuple(draw(st.lists(st.tuples(names, st.integers(0, 15)), max_size=5)))
-    else:
+    elif strategy in _OPTION_VALUES:  # rs and sobol take no settings
         values = _OPTION_VALUES[strategy]
         keys = st.sampled_from(sorted(values))
         pairs = st.lists(keys.flatmap(lambda k: st.tuples(st.just(k), st.sampled_from(values[k]))), max_size=6)
@@ -871,6 +872,46 @@ class TestRepeatedSettings:
     )
     def test_replaced_bad_value_is_not_refused(self, kwargs):
         RunConfig(**kwargs).validate(real_space(2))
+
+
+def flaky_score_mixed(values):
+    """sphere_score_mixed, failing on gelu and at lr 0, the bound where
+    Nelder-Mead's clamped steps land again: failed and cached-hit records."""
+    if values[2] == "gelu" or values[0] == 0.0:
+        raise ObjectiveFailure("flaky")
+    return sphere_score_mixed(values)
+
+
+class TestRunSteps:
+    @settings(max_examples=60, deadline=None)
+    @given(repeated_settings())
+    @example(RunConfig(strategy="nelder-mead", budget=30, seed=0))  # four cached hits of failed trials
+    @example(RunConfig(strategy="wrs", budget=30, init=0, seed=0))  # a weighted phase that starts on a failure
+    def test_the_records_of_a_log_drive_its_run_again(self, tmp_path_factory, config):
+        # _run_steps driven with the records read back from the log its run wrote,
+        # in place of an objective, re-derives the profile and every record
+        space, objective = mixed_space(), python_objective(flaky_score_mixed)
+        try:
+            run = execute_run(space, objective, config)
+        except (ConfigError, AllTrialsFailedError):
+            assume(False)
+        log = tmp_path_factory.mktemp("logs") / "run.jsonl"
+        write_log(str(log), run.header, run.records)
+        header, records = read_log(str(log))
+        calls = objective.calls
+        driven = RunResult(header=dataclasses.replace(header, profile=None))
+        steps, rec = _run_steps(space, _config_from_header(header), driven), None
+        while True:
+            try:
+                values, iteration, phase = steps.send(rec)
+            except StopIteration:
+                break
+            rec = records[iteration - 1]
+            assert (candidate_key(space, values), iteration, phase) == (rec.values, rec.iteration, rec.phase)
+        assert driven.header.to_dict() == header.to_dict()
+        assert [record_fingerprint(r) for r in driven.records] == [record_fingerprint(r) for r in records]
+        assert driven.warnings == run.warnings
+        assert objective.calls == calls
 
 
 # values for the fields of a run, most of them ones a run refuses: an unknown

@@ -1,10 +1,14 @@
 import math
+import os
 import re
 import shlex
 import signal
+import statistics
 import subprocess
 import sys
 import time
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -253,6 +257,37 @@ def test_a_library_objective_scores_a_python_float(returned, score, tmp_path):
     assert read_log(path) == (result.header, result.records)
 
 
+@pytest.mark.parametrize("returned,score", [
+    (3, 3.0),
+    (0.5, 0.5),
+    (False, 0.0),
+    (np.bool_(True), 1.0),  # numbers.Real does not register it
+    (np.int8(-2), -2.0),
+    (np.float64(0.25), 0.25),
+    (Fraction(1, 4), 0.25),
+    (Decimal("0.5"), 0.5),
+    ("0.5", None),
+    (" 7 ", None),
+    (np.str_("0.5"), None),
+    (b"0.5", None),
+    (bytearray(b"0.5"), None),
+    (None, None),
+    ([0.5], None),
+    (object(), None),
+    (Decimal("sNaN"), None),  # float() refuses a signaling nan
+], ids=["int", "float", "bool", "numpy-bool", "numpy-int8", "numpy-float64", "fraction", "decimal", "str", "padded-str",
+        "numpy-str", "bytes", "bytearray", "none", "list", "object", "signaling-nan"])
+def test_a_library_score_is_a_number_and_text_is_not(returned, score):
+    # the first trial scores what fn returns and the others 0.25; no exception leaves the run
+    scores = iter([returned])
+    result = execute_run(real_space(1), python_objective(lambda values: next(scores, 0.25)), RunConfig(strategy="rs", budget=3, seed=1))
+    first = result.records[0]
+    if score is None:
+        assert (first.status, first.score, first.error) == ("failed", -math.inf, "not a number")
+    else:
+        assert (first.status, type(first.score), first.score) == ("evaluated", float, score)
+
+
 class TestExternalProtocol:
     def test_echo_score(self):
         space = int_space(1)
@@ -410,6 +445,39 @@ class TestExternalProtocol:
         cmd = f"{sys.executable} -c " + '"pass"'
         with pytest.raises(ObjectiveFailure, match="no output"):
             _evaluate_external(cmd, (1,), space, timeout=30)
+
+    @pytest.mark.parametrize("timeout", ["inf", "1e300"])
+    def test_a_timeout_beyond_what_poll_takes_waits_with_no_limit(self, timeout):
+        space = int_space(1)
+        objective = make_objective(f"external:sh -c 'echo 0.5'?timeout={timeout}&direction=maximize", space)
+        assert objective((1,)) == 0.5
+
+    @pytest.mark.parametrize("pidfd", ["missing", "refused"])
+    def test_without_a_pidfd_the_wait_still_scores_and_times_out(self, pidfd, monkeypatch):
+        if pidfd == "missing":
+            monkeypatch.delattr(os, "pidfd_open", raising=False)
+        else:
+            def refuse(pid):
+                raise PermissionError("refused")
+            monkeypatch.setattr(os, "pidfd_open", refuse, raising=False)
+        assert _evaluate_external("sh -c 'echo 0.5'", (1,), int_space(1), timeout=30) == 0.5
+        with pytest.raises(ObjectiveFailure, match="^timeout$"):
+            _evaluate_external("sh -c 'sleep 30'", (1,), int_space(1), timeout=0.3)
+
+    def test_a_trial_ends_when_its_command_does(self):
+        # a wait that polls with sleeps of up to 50 ms ends a 0.13 s command
+        # about 30 ms late; the trial must take what subprocess.run takes
+        command = "sh -c 'sleep 0.13; echo 1'"
+        space = real_space(1)
+        result = execute_run(space, make_objective(f"external:{command}", space), RunConfig(strategy="rs", budget=5, seed=1))
+        direct = []
+        for rec in result.records:
+            start = time.perf_counter()
+            subprocess.run([*shlex.split(command), f"x0={rec.values[0]!r}"], stdout=subprocess.DEVNULL, check=True)
+            direct.append(time.perf_counter() - start)
+        assert [rec.status for rec in result.records] == ["evaluated"] * 5
+        lateness = statistics.median(rec.wall_time for rec in result.records) - statistics.median(direct)
+        assert lateness < 0.010, f"median trial ended {lateness * 1e3:.1f} ms after its command"
 
 
 # the pieces of a scorer's stdout for the window test: none of them holds a
